@@ -11,7 +11,9 @@ import numpy as np
 
 from .errors import NumericError
 from .linesearch import minimize_on_ray
-from .solver import CountingObjective, IterateRecord, SolverRun, Termination
+from .objectives import restrict
+from .solver import (NONFINITE_GRADIENT, CountingObjective, IterateRecord,
+                     SolverRun, Termination, nonfinite_message)
 
 _STEP_CAP = 1e12  # convert pathological rounding into a clean numeric error
 
@@ -36,7 +38,7 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
 
 def _exact_step(counted, x, f, g, v0: float):
     """Step length minimizing f along -g, by bracketing and golden section."""
-    tau, f_next, _ = minimize_on_ray(lambda t: counted.value(x - t * g),
+    tau, f_next, _ = minimize_on_ray(restrict(counted, x, -g).value,
                                      v0=v0, rel_tol=1e-10, h0=f)
     return tau, f_next
 
@@ -60,6 +62,9 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
     f = counted.value(x)
     g = counted.gradient(x)
     gnorm = float(np.linalg.norm(g))
+    if not np.isfinite(gnorm):
+        return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted,
+                       NONFINITE_GRADIENT)
     prev_x = prev_g = None
     while True:
         if gnorm <= epsilon:
@@ -81,9 +86,10 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
         f = counted.value(x) if f_next is None else f_next
         g = counted.gradient(x)
         gnorm = float(np.linalg.norm(g))
-        if not (np.isfinite(f) and np.isfinite(gnorm)):
+        message = nonfinite_message(f, gnorm)
+        if message:
             return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
-                           counted, "iterate left the finite range")
+                           counted, message)
 
 
 def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
@@ -97,6 +103,9 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
     f = counted.value(x)
     g = counted.gradient(x)
     gnorm = float(np.linalg.norm(g))
+    if not np.isfinite(gnorm):
+        return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted,
+                       NONFINITE_GRADIENT)
     warm = 1.0
     while True:
         if gnorm <= epsilon:
@@ -108,9 +117,18 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
         except NumericError as exc:
             return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
                            counted, str(exc))
+        if tau == 0.0 and warm == 1.0:
+            # no decrease from the cold bracket: the next iteration would
+            # repeat this search exactly
+            return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted,
+                           "the exact line search found no decrease along -grad f")
         records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, t=tau, branch="gd"))
         x = x - tau * g
         f = f_next
         g = counted.gradient(x)
         gnorm = float(np.linalg.norm(g))
+        message = nonfinite_message(f, gnorm)
+        if message:
+            return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
+                           counted, message)
         warm = tau if tau > 0.0 else 1.0

@@ -14,7 +14,7 @@ equation for quadratics (the slope of a parabola at its far level point
 mirrors the slope at the near one) and second-order accurate in general.
 Slopes are computed from gradients, so their precision is relative rather
 than absolute and the switch restores full accuracy exactly where values
-give out.
+give out.  Both searches query the one line ``restrict(f, x, -grad f(x))``.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonCoerciveError, NumericError, StationaryPointError
+from .objectives import restrict
 
 _EPS = float(np.finfo(float).eps)
 
@@ -45,12 +46,15 @@ class LevelStepResult:
     near_stationary: bool = False
 
 
-def _slope_root(obj, x, g, f0, max_expansions, grad_tol, evals):
-    """Root of <grad f(x - t g), g> = -|g|^2, by bracketing plus secant."""
+def _slope_root(obj, line, x, g, f0, max_expansions, grad_tol, evals):
+    """Root of <grad f(x - t g), g> = -|g|^2, by bracketing plus secant.
+
+    ``line`` is the restriction of f to x - t g that the value search used.
+    """
     target = -float(g @ g)
 
     def slope(t):
-        return float(obj.gradient(x - t * g) @ g)
+        return -line.slope(t)
 
     # slope(0) = |g|^2 > target and slope decreases strictly, so bracket the
     # crossing: lo keeps slope > target, hi slope <= target
@@ -87,7 +91,7 @@ def _slope_root(obj, x, g, f0, max_expansions, grad_tol, evals):
             t_root = cand
     y = x - t_root * g
     evals += 1
-    residual = obj.value(y) - f0
+    residual = line.value(t_root) - f0
     near = grad_tol is not None and float(np.linalg.norm(obj.gradient(y))) <= grad_tol
     return LevelStepResult(float(t_root), y, float(residual), evals,
                            near_stationary=near)
@@ -106,7 +110,8 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
     g = obj.gradient(x) if grad is None else np.asarray(grad, dtype=float)
     if float(np.linalg.norm(g)) == 0.0:
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
-    f0 = obj.value(x) if f_x is None else float(f_x)
+    line = restrict(obj, x, -g)
+    f0 = line.value(0.0) if f_x is None else float(f_x)
     tol = tol_rel * (1.0 + abs(f0))
     noise_floor = 32.0 * _EPS * (1.0 + abs(f0))
     evals = 0
@@ -114,7 +119,7 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
     def residual(t):
         nonlocal evals
         evals += 1
-        val = obj.value(x - t * g) - f0
+        val = line.value(t) - f0
         if np.isnan(val):
             raise NumericError("non-finite objective value during the level search")
         return val
@@ -125,7 +130,7 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
     while r >= 0.0:
         if shrinks >= max_expansions:
             # the decrease has underflowed; switch to the slope equation
-            return _slope_root(obj, x, g, f0, max_expansions, grad_tol, evals)
+            return _slope_root(obj, line, x, g, f0, max_expansions, grad_tol, evals)
         t *= 0.5
         shrinks += 1
         r = residual(t)
@@ -164,7 +169,7 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
 
     if deepest > -noise_floor:
         # the bracket only ever saw rounding noise, not a real dip
-        return _slope_root(obj, x, g, f0, max_expansions, grad_tol, evals)
+        return _slope_root(obj, line, x, g, f0, max_expansions, grad_tol, evals)
 
     # secant steps inside the bracket sharpen the root well past tol
     for _ in range(3):

@@ -5,6 +5,12 @@ matrix, and a log-sum-exp of scaled squares plus a quadratic penalty.  Both
 expose ``dimension``, ``value(x)``, ``gradient(x)`` and a strong-convexity
 lower bound ``mu`` when it is known.  Instances are generated from seeds so
 every run is reproducible, and they round-trip through plain JSON.
+
+The searches along a ray ask ``restrict(obj, x, d)`` for the line
+``t -> f(x + t d)``.  An objective may offer a cheaper restriction through an
+optional ``along(x, d)`` method (quadratics do: after two matrix-vector
+products every query along the line costs O(1)); any other objective gets
+the generic line over its own ``value`` and ``gradient``.
 """
 from __future__ import annotations
 
@@ -74,6 +80,17 @@ class QuadraticProblem:
         x = _check_point(x, self.dimension)
         return self.a @ x - self.b
 
+    def along(self, x, d) -> "QuadraticLine":
+        """The parabola t -> f(x + t d), from the two products Ax and Ad."""
+        n = self.dimension
+        x = _check_point(x, n)
+        d = _check_point(d, n)
+        ax = self.a @ x
+        # the same expressions as value and gradient, so value(0.0) == value(x)
+        f0 = float(0.5 * (x @ ax) - self.b @ x)
+        gd = float((ax - self.b) @ d)
+        return QuadraticLine(f0, gd, float(d @ (self.a @ d)))
+
     def solution(self) -> np.ndarray:
         """The unique minimizer, from a direct linear solve."""
         return np.linalg.solve(self.a, self.b)
@@ -138,6 +155,52 @@ class LogSumExpProblem:
 
     def min_value(self) -> float:
         return float(np.log(self.dimension))
+
+
+class QuadraticLine:
+    """f0 + t <grad f(x), d> + t^2 <d, Ad> / 2: a quadratic along x + t d."""
+
+    __slots__ = ("f0", "gd", "dad")
+
+    def __init__(self, f0: float, gd: float, dad: float):
+        self.f0 = f0
+        self.gd = gd
+        self.dad = dad
+
+    def value(self, t: float) -> float:
+        return self.f0 + t * (self.gd + 0.5 * t * self.dad)
+
+    def slope(self, t: float) -> float:
+        return self.gd + t * self.dad
+
+
+class RayLine:
+    """t -> f(x + t d) through the objective's own value and gradient."""
+
+    __slots__ = ("obj", "x", "d")
+
+    def __init__(self, obj, x: np.ndarray, d: np.ndarray):
+        self.obj = obj
+        self.x = x
+        self.d = d
+
+    def value(self, t: float) -> float:
+        return self.obj.value(self.x + t * self.d)
+
+    def slope(self, t: float) -> float:
+        return float(self.obj.gradient(self.x + t * self.d) @ self.d)
+
+
+def restrict(obj, x, d):
+    """The line t -> f(x + t d), with ``value(t)`` and ``slope(t)``.
+
+    Uses the objective's own ``along(x, d)`` when it has one, else a
+    ``RayLine`` that evaluates f and its gradient at each queried point.
+    """
+    along = getattr(obj, "along", None)
+    if along is not None:
+        return along(x, d)
+    return RayLine(obj, x, d)
 
 
 def eval_quadratic(p: QuadraticProblem, x) -> tuple[float, np.ndarray]:

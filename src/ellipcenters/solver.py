@@ -20,6 +20,7 @@ from .errors import (DependentGradientsError, NumericError, StationaryPointError
 from .geometry import build_frame, center_direction
 from .levelstep import find_level_step
 from .linesearch import minimize_on_ray
+from .objectives import RayLine, restrict
 
 _NAN = float("nan")
 
@@ -112,7 +113,11 @@ class SolverRun:
 
 
 class CountingObjective:
-    """Pass-through wrapper that counts value and gradient evaluations."""
+    """Pass-through wrapper that counts value and gradient evaluations.
+
+    Along a line, each ``value(t)`` counts as one value evaluation and each
+    ``slope(t)`` as one gradient evaluation, whichever line serves them.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -131,6 +136,41 @@ class CountingObjective:
         self.n_grad += 1
         return self.inner.gradient(x)
 
+    def along(self, x, d):
+        along = getattr(self.inner, "along", None)
+        if along is None:  # the generic line already counts through self
+            return RayLine(self, x, d)
+        return _CountedLine(self, along(x, d))
+
+
+class _CountedLine:
+    __slots__ = ("counter", "line")
+
+    def __init__(self, counter: CountingObjective, line):
+        self.counter = counter
+        self.line = line
+
+    def value(self, t: float) -> float:
+        self.counter.n_value += 1
+        return self.line.value(t)
+
+    def slope(self, t: float) -> float:
+        self.counter.n_grad += 1
+        return self.line.slope(t)
+
+
+NONFINITE_GRADIENT = "non-finite gradient"
+
+
+def nonfinite_message(f: float, gnorm: float) -> str:
+    """Why a run cannot go on from a point with value f and gradient norm
+    gnorm, or "" when both are finite."""
+    if not math.isfinite(f):
+        return "iterate left the finite range"
+    if not math.isfinite(gnorm):
+        return NONFINITE_GRADIENT
+    return ""
+
 
 @dataclass
 class MEStepDiagnostics:
@@ -142,12 +182,10 @@ class MEStepDiagnostics:
     y: np.ndarray | None = None
 
 
-def _search_semiline(obj, base, d, variant: Variant, cfg: SolverConfig,
+def _search_semiline(line, variant: Variant, cfg: SolverConfig,
                      scale: float, f_base: float):
-    """Pick v >= 0 on {base + v d}; returns (v, f at that point)."""
-    def h(v):
-        return obj.value(base + v * d)
-
+    """Pick v >= 0 on the line {base + v d}; returns (v, f at that point)."""
+    h = line.value
     if variant is Variant.SEMILINE_MIN:
         v, fv, _ = minimize_on_ray(h, v0=scale, rel_tol=cfg.tau_linesearch,
                                    max_evals=cfg.max_inner_evals, h0=f_base)
@@ -155,7 +193,7 @@ def _search_semiline(obj, base, d, variant: Variant, cfg: SolverConfig,
             return 0.0, f_base
         return v, fv
     v = scale
-    for _ in range(60):
+    for _ in range(cfg.max_expansions):
         fv = h(v)
         if fv < f_base:
             return v, fv
@@ -167,11 +205,10 @@ def semiline_search(obj, base, d, variant: Variant, cfg: SolverConfig | None = N
                     *, scale: float = 1.0, f_base: float | None = None) -> float:
     """Distance v >= 0 along the semiline {base + v d} chosen by the variant."""
     cfg = cfg or SolverConfig()
-    base = np.asarray(base, dtype=float)
-    d = np.asarray(d, dtype=float)
+    line = restrict(obj, np.asarray(base, dtype=float), np.asarray(d, dtype=float))
     if f_base is None:
-        f_base = obj.value(base)
-    v, _ = _search_semiline(obj, base, d, variant, cfg, scale, f_base)
+        f_base = line.value(0.0)
+    v, _ = _search_semiline(line, variant, cfg, scale, f_base)
     return v
 
 
@@ -201,16 +238,17 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
                                     f_mid=_NAN, f_next=f0 + level.level_residual, y=y)
 
     base = 0.5 * (x + y)
-    f_base = obj.value(base)
     grad_y = obj.gradient(y)
     try:
         frame = build_frame(x, y, grad_y, dep_tol=cfg.tau_dep)
         d = center_direction(frame)
     except (DependentGradientsError, TangentialGradientError):
+        f_base = obj.value(base)
         return base, MEStepDiagnostics(t=level.t, v=_NAN, branch="midpoint",
                                        f_mid=f_base, f_next=f_base, y=y)
-    v, f_v = _search_semiline(obj, base, d, cfg.variant, cfg,
-                              scale=frame.lam, f_base=f_base)
+    line = restrict(obj, base, d)
+    f_base = line.value(0.0)
+    v, f_v = _search_semiline(line, cfg.variant, cfg, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d
     return x_next, MEStepDiagnostics(t=level.t, v=v, branch="ellipse",
                                      f_mid=f_base, f_next=f_v, y=y)
@@ -230,12 +268,15 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
         raise ValueError("initial point must be finite")
 
     records: list[IterateRecord] = []
-    message = ""
     f = counted.value(x)
     g = counted.gradient(x)
     gnorm = float(np.linalg.norm(g))
+    message = "" if math.isfinite(gnorm) else NONFINITE_GRADIENT
     warm_t = None
     while True:
+        if message:
+            termination = Termination.NUMERIC_ERROR
+            break
         if gnorm <= cfg.epsilon:
             termination = Termination.CONVERGED
             break
@@ -254,6 +295,7 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
         f = diag.f_next
         g = counted.gradient(x)
         gnorm = float(np.linalg.norm(g))
+        message = nonfinite_message(f, gnorm)
         warm_t = diag.t
     records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, branch="final"))
     return SolverRun(records, termination, counted.n_value, counted.n_grad, message)

@@ -24,6 +24,22 @@ class TestBBStepSize:
             bb_step_size(np.ones(2), np.ones(2), "medium")
 
 
+class NaNGradientAfter:
+    """A quadratic whose gradient turns NaN after ``calls`` finite ones."""
+
+    def __init__(self, inner, calls: int):
+        self.inner = inner
+        self.calls = calls
+        self.dimension = inner.dimension
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.calls -= 1
+        return self.inner.gradient(x) if self.calls >= 0 else np.full(self.dimension, np.nan)
+
+
 class TestBBMinimize:
     def test_identity_quadratic_one_iteration(self):
         # the exact first line search already lands on the minimizer
@@ -63,6 +79,14 @@ class TestBBMinimize:
             assert run.termination is Termination.CONVERGED
             assert run.grad_norm_final <= 0.01
 
+    @pytest.mark.parametrize("finite_calls,iterations", [(0, 0), (1, 1)])
+    def test_nonfinite_gradient_named(self, finite_calls, iterations):
+        p, x0 = generate_instance("quadratic", 10, 1, GenParams(kappa=100))
+        run = bb_minimize(NaNGradientAfter(p, finite_calls), x0)
+        assert run.termination is Termination.NUMERIC_ERROR
+        assert run.message == "non-finite gradient"
+        assert run.iterations == iterations
+
     def test_stationary_start_zero_iterations(self):
         p = QuadraticProblem(np.eye(2), np.zeros(2))
         run = bb_minimize(p, np.zeros(2))
@@ -70,7 +94,31 @@ class TestBBMinimize:
         assert run.termination is Termination.CONVERGED
 
 
+class Toy:
+    dimension = 2
+
+    def __init__(self, value, gradient):
+        self.value = value
+        self.gradient = gradient
+
+
+HOSTILE = {
+    "infinite-start": Toy(lambda x: float("inf"), lambda x: 2.0 * x),
+    "concave": Toy(lambda x: -float(x @ x), lambda x: -2.0 * x),
+    "sign-flipped-gradient": Toy(lambda x: float(x @ x), lambda x: -2.0 * x),
+}
+
+
 class TestGDExact:
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_input_is_a_numeric_error(self, name):
+        run = gd_exact_minimize(HOSTILE[name], np.array([1.0, 1.0]), max_iterations=50)
+        assert run.termination is Termination.NUMERIC_ERROR
+        assert run.message
+        assert run.iterations < 50
+
+
     def test_identity_quadratic_one_iteration(self):
         p = QuadraticProblem(np.eye(3), np.array([1.0, 2.0, 3.0]))
         run = gd_exact_minimize(p, np.zeros(3))

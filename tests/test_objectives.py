@@ -8,6 +8,8 @@ from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem,
                           check_gradient, eval_logsumexp, eval_quadratic,
                           generate_instance, load_problem, problem_from_dict,
                           problem_to_dict, save_problem)
+from ellipcenters.objectives import QuadraticLine, RayLine, restrict
+from ellipcenters.solver import CountingObjective
 
 
 class TestQuadratic:
@@ -114,6 +116,56 @@ class TestCheckGradient:
             rng = np.random.default_rng(42)
             for _ in range(20):
                 assert check_gradient(p, rng.standard_normal(n), 1e-6) <= 1e-5
+
+
+class TestRestriction:
+    @staticmethod
+    def _ray(kind, n=30):
+        p, x = generate_instance(kind, n, 1, GenParams(kappa=100))
+        return p, x, np.random.default_rng(5).standard_normal(n)
+
+    def test_quadratic_line_matches_pointwise(self):
+        p, x, d = self._ray("quadratic")
+        line = p.along(x, d)
+        assert isinstance(restrict(p, x, d), QuadraticLine)
+        assert line.value(0.0) == p.value(x)  # bit for bit
+        # the line's minimum is near t = 0.5; keep the slopes away from zero
+        for t in (-0.5, 1e-3, 0.25, 1.0, 4.0):
+            y = x + t * d
+            assert line.value(t) == pytest.approx(p.value(y), rel=1e-12)
+            assert line.slope(t) == pytest.approx(float(p.gradient(y) @ d), rel=1e-12)
+
+    def test_logsumexp_gets_the_generic_line(self):
+        p, x, d = self._ray("logsumexp")
+        line = restrict(p, x, d)
+        assert isinstance(line, RayLine)
+        for t in (0.0, 0.3, -1.2):
+            y = x + t * d
+            assert line.value(t) == p.value(y)
+            assert line.slope(t) == float(p.gradient(y) @ d)
+
+    def test_dispatch_is_on_the_attribute(self):
+        p, x, d = self._ray("quadratic")
+
+        class ValueAndGradientOnly:
+            dimension = p.dimension
+            value = staticmethod(p.value)
+            gradient = staticmethod(p.gradient)
+
+        assert isinstance(restrict(ValueAndGradientOnly(), x, d), RayLine)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+    def test_counting_objective_counts_each_query(self, kind):
+        p, x, d = self._ray(kind)
+        counted = CountingObjective(p)
+        line = restrict(counted, x, d)
+        assert (counted.n_value, counted.n_grad) == (0, 0)
+        for t in (0.0, 0.5, 1.0):
+            line.value(t)
+        line.slope(0.5)
+        line.slope(2.0)
+        assert (counted.n_value, counted.n_grad) == (3, 2)
+        assert line.value(0.7) == restrict(p, x, d).value(0.7)
 
 
 class TestGenerateInstance:

@@ -116,6 +116,77 @@ class TestKrylovPlaneOracle:
         assert run.iterations == oracle_iterations
 
 
+class ValueAndGradientOnly:
+    """Exposes only dimension, value and gradient, so every query along a ray
+    takes the generic line even when the wrapped objective has a cheaper one."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def dimension(self):
+        return self.inner.dimension
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
+class TestFastPathMatchesGeneric:
+    # a quadratic's own line restriction must reproduce the iterates of the
+    # generic value/gradient line; x and f are compared relative to 1 + |.|
+    # because f crosses zero on the way to its minimum
+    @pytest.mark.parametrize("variant,n,kappa,seed", [
+        *[(Variant.SEMILINE_MIN, 100, kappa, seed)
+          for kappa in (10.0, 1000.0) for seed in (0, 1, 2)],
+        *[(Variant.SEMILINE_MIN, 2, 50.0, seed) for seed in (0, 1, 2)],
+        # decrease-search accepts the first sample below the midpoint value,
+        # so at kappa = 1000 rounding can flip a sample and the runs part
+        *[(Variant.DECREASE_SEARCH, 100, 10.0, seed) for seed in (0, 1, 2)],
+    ])
+    def test_quadratic_iterates(self, variant, n, kappa, seed):
+        p, x0 = generate_instance("quadratic", n, seed, GenParams(kappa=kappa))
+        cfg = SolverConfig(epsilon=0.01, max_iterations=2000, variant=variant)
+        fast = minimize(p, x0, cfg)
+        generic = minimize(ValueAndGradientOnly(p), x0, cfg)
+        assert fast.termination is generic.termination is Termination.CONVERGED
+        assert fast.iterations == generic.iterations
+        assert [r.branch for r in fast.iterates] == [r.branch for r in generic.iterates]
+        for a, b in zip(fast.iterates, generic.iterates):
+            assert np.linalg.norm(a.x - b.x) <= 1e-6 * (1.0 + np.linalg.norm(b.x))
+            assert abs(a.f - b.f) <= 1e-6 * (1.0 + abs(b.f))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_logsumexp_bit_identical(self, variant):
+        p, x0 = generate_instance("logsumexp", 50, 4)
+        cfg = SolverConfig(epsilon=1e-8, variant=variant)
+        direct = minimize(p, x0, cfg)
+        generic = minimize(ValueAndGradientOnly(p), x0, cfg)
+        assert (direct.iterations, direct.n_value_evals, direct.n_grad_evals) == (
+            generic.iterations, generic.n_value_evals, generic.n_grad_evals)
+        for a, b in zip(direct.iterates, generic.iterates):
+            assert np.array_equal(a.x, b.x)
+            assert a.f == b.f and a.branch == b.branch
+
+
+class NaNGradientAfter:
+    """A quadratic whose gradient turns NaN after ``calls`` finite ones."""
+
+    def __init__(self, inner, calls: int):
+        self.inner = inner
+        self.calls = calls
+        self.dimension = inner.dimension
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.calls -= 1
+        return self.inner.gradient(x) if self.calls >= 0 else np.full(self.dimension, np.nan)
+
+
 class TestMinimize:
     def test_stationary_start_reports_zero_iterations(self):
         p = QuadraticProblem(np.eye(2), np.zeros(2))
@@ -185,6 +256,15 @@ class TestMinimize:
             assert rec.branch in ("ellipse", "midpoint", "stationary")
         assert run.iterates[-1].branch == "final"
         assert np.isnan(run.iterates[-1].t)
+
+    @pytest.mark.parametrize("finite_calls,iterations", [(0, 0), (2, 1)])
+    def test_nonfinite_gradient_named(self, finite_calls, iterations):
+        # at the start, and after a step (x0 and the level point use two calls)
+        p, x0 = generate_instance("quadratic", 10, 1, GenParams(kappa=100))
+        run = minimize(NaNGradientAfter(p, finite_calls), x0)
+        assert run.termination is Termination.NUMERIC_ERROR
+        assert run.message == "non-finite gradient"
+        assert run.iterations == iterations
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
