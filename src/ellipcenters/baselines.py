@@ -12,8 +12,8 @@ import numpy as np
 from .errors import NumericError
 from .linesearch import minimize_on_ray
 from .objectives import restrict
-from .solver import (NONFINITE_GRADIENT, CountingObjective, IterateRecord,
-                     SolverRun, Termination, nonfinite_message)
+from .solver import (CountingObjective, IterateRecord, SolverRun, Termination,
+                     nonfinite_message)
 
 _STEP_CAP = 1e12  # convert pathological rounding into a clean numeric error
 
@@ -37,10 +37,14 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
 
 
 def _exact_step(counted, x, f, g, v0: float):
-    """Step length minimizing f along -g, by bracketing and golden section."""
-    tau, f_next, _ = minimize_on_ray(restrict(counted, x, -g).value,
-                                     v0=v0, rel_tol=1e-10, h0=f)
-    return tau, f_next
+    """Step length minimizing f along -g, by bracketing and golden section.
+
+    Returns (tau, f at x - tau g, the line searched); ``line.gradient(tau)``
+    is the gradient at the new point.
+    """
+    line = restrict(counted, x, -g, f, g)
+    tau, f_next, _ = minimize_on_ray(line.value, v0=v0, rel_tol=1e-10, h0=f)
+    return tau, f_next, line
 
 
 def _finish(records, x, f, gnorm, termination, counted, message=""):
@@ -62,9 +66,9 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
     f = counted.value(x)
     g = counted.gradient(x)
     gnorm = float(np.linalg.norm(g))
-    if not np.isfinite(gnorm):
-        return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted,
-                       NONFINITE_GRADIENT)
+    message = nonfinite_message(f, gnorm)
+    if message:
+        return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted, message)
     prev_x = prev_g = None
     while True:
         if gnorm <= epsilon:
@@ -73,18 +77,20 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
             return _finish(records, x, f, gnorm, Termination.MAX_ITERATIONS, counted)
         try:
             if prev_x is None:
-                tau, f_next = _exact_step(counted, x, f, g, v0=1.0)
+                tau, f_next, line = _exact_step(counted, x, f, g, v0=1.0)
             else:
                 tau = bb_step_size(x - prev_x, g - prev_g, kind)
-                f_next = None
+                f_next = line = None
         except NumericError as exc:
             return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
                            counted, str(exc))
         records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, t=tau, branch=branch))
         prev_x, prev_g = x, g
         x = x - tau * g
-        f = counted.value(x) if f_next is None else f_next
-        g = counted.gradient(x)
+        if line is None:
+            f, g = counted.value(x), counted.gradient(x)
+        else:
+            f, g = f_next, line.gradient(tau)
         gnorm = float(np.linalg.norm(g))
         message = nonfinite_message(f, gnorm)
         if message:
@@ -103,9 +109,9 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
     f = counted.value(x)
     g = counted.gradient(x)
     gnorm = float(np.linalg.norm(g))
-    if not np.isfinite(gnorm):
-        return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted,
-                       NONFINITE_GRADIENT)
+    message = nonfinite_message(f, gnorm)
+    if message:
+        return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted, message)
     warm = 1.0
     while True:
         if gnorm <= epsilon:
@@ -113,7 +119,7 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
         if len(records) >= max_iterations:
             return _finish(records, x, f, gnorm, Termination.MAX_ITERATIONS, counted)
         try:
-            tau, f_next = _exact_step(counted, x, f, g, v0=warm)
+            tau, f_next, line = _exact_step(counted, x, f, g, v0=warm)
         except NumericError as exc:
             return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
                            counted, str(exc))
@@ -125,7 +131,7 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
         records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, t=tau, branch="gd"))
         x = x - tau * g
         f = f_next
-        g = counted.gradient(x)
+        g = line.gradient(tau)
         gnorm = float(np.linalg.norm(g))
         message = nonfinite_message(f, gnorm)
         if message:

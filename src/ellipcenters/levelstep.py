@@ -14,7 +14,13 @@ equation for quadratics (the slope of a parabola at its far level point
 mirrors the slope at the near one) and second-order accurate in general.
 Slopes are computed from gradients, so their precision is relative rather
 than absolute and the switch restores full accuracy exactly where values
-give out.  Both searches query the one line ``restrict(f, x, -grad f(x))``.
+give out.  Both searches query the one line ``restrict(f, x, -grad f(x))``,
+and the result hands that line back, so the caller can take the gradient at
+the level point from it.
+
+The value search halves t only while the first-order decrease t |g|^2 can
+still show in f: once it sinks below the rounding floor, no smaller t can
+reveal the dip either, and the slope path takes over at once.
 """
 from __future__ import annotations
 
@@ -34,19 +40,23 @@ class LevelStepResult:
 
     ``t`` is the positive step, ``y = x - t grad`` the same-level point,
     ``level_residual`` the remaining f(y) - f(x), ``evaluations`` the number
-    of objective values consumed.  ``near_stationary`` marks a point whose
-    gradient norm already met the caller's stationarity tolerance, found on
-    the slope-based path.
+    of objective values consumed, and ``line`` the restriction of f to
+    x - t grad that the search queried (``line.gradient(t)`` is the gradient
+    at y).  ``near_stationary`` marks a point whose gradient norm already met
+    the caller's stationarity tolerance, found on the slope-based path;
+    ``grad_y`` is the gradient at y when that path evaluated it.
     """
 
     t: float
     y: np.ndarray
     level_residual: float
     evaluations: int
+    line: object
     near_stationary: bool = False
+    grad_y: np.ndarray | None = None
 
 
-def _slope_root(obj, line, x, g, f0, max_expansions, grad_tol, evals):
+def _slope_root(line, x, g, f0, max_expansions, grad_tol, evals):
     """Root of <grad f(x - t g), g> = -|g|^2, by bracketing plus secant.
 
     ``line`` is the restriction of f to x - t g that the value search used.
@@ -89,12 +99,12 @@ def _slope_root(obj, line, x, g, f0, max_expansions, grad_tol, evals):
         cand = lo + (target - d_lo) * (hi - lo) / (d_hi - d_lo)
         if lo < cand <= hi:
             t_root = cand
-    y = x - t_root * g
     evals += 1
     residual = line.value(t_root) - f0
-    near = grad_tol is not None and float(np.linalg.norm(obj.gradient(y))) <= grad_tol
-    return LevelStepResult(float(t_root), y, float(residual), evals,
-                           near_stationary=near)
+    grad_y = None if grad_tol is None else line.gradient(t_root)
+    near = grad_y is not None and float(np.linalg.norm(grad_y)) <= grad_tol
+    return LevelStepResult(float(t_root), x - t_root * g, float(residual), evals,
+                           line, near_stationary=near, grad_y=grad_y)
 
 
 def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
@@ -110,10 +120,11 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
     g = obj.gradient(x) if grad is None else np.asarray(grad, dtype=float)
     if float(np.linalg.norm(g)) == 0.0:
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
-    line = restrict(obj, x, -g)
+    line = restrict(obj, x, -g, f_x, g)
     f0 = line.value(0.0) if f_x is None else float(f_x)
     tol = tol_rel * (1.0 + abs(f0))
     noise_floor = 32.0 * _EPS * (1.0 + abs(f0))
+    gg = float(g @ g)
     evals = 0
 
     def residual(t):
@@ -128,9 +139,9 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
     r = residual(t)
     shrinks = 0
     while r >= 0.0:
-        if shrinks >= max_expansions:
-            # the decrease has underflowed; switch to the slope equation
-            return _slope_root(obj, line, x, g, f0, max_expansions, grad_tol, evals)
+        if shrinks >= max_expansions or t * gg <= noise_floor:
+            # the decrease has sunk below rounding; switch to the slope equation
+            return _slope_root(line, x, g, f0, max_expansions, grad_tol, evals)
         t *= 0.5
         shrinks += 1
         r = residual(t)
@@ -169,7 +180,7 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
 
     if deepest > -noise_floor:
         # the bracket only ever saw rounding noise, not a real dip
-        return _slope_root(obj, line, x, g, f0, max_expansions, grad_tol, evals)
+        return _slope_root(line, x, g, f0, max_expansions, grad_tol, evals)
 
     # secant steps inside the bracket sharpen the root well past tol
     for _ in range(3):
@@ -191,4 +202,4 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
 
     if abs(r_best) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
-    return LevelStepResult(float(t_best), x - t_best * g, float(r_best), evals)
+    return LevelStepResult(float(t_best), x - t_best * g, float(r_best), evals, line)

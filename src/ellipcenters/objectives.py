@@ -7,9 +7,10 @@ lower bound ``mu`` when it is known.  Instances are generated from seeds so
 every run is reproducible, and they round-trip through plain JSON.
 
 The searches along a ray ask ``restrict(obj, x, d)`` for the line
-``t -> f(x + t d)``.  An objective may offer a cheaper restriction through an
-optional ``along(x, d)`` method (quadratics do: after two matrix-vector
-products every query along the line costs O(1)); any other objective gets
+``t -> f(x + t d)``, which answers ``value(t)``, ``slope(t)`` and
+``gradient(t)``.  An objective may offer a cheaper restriction through an
+optional ``along(x, d, f, g)`` method (quadratics do: once the line holds
+grad f(x) and Ad, every query along it costs O(1)); any other objective gets
 the generic line over its own ``value`` and ``gradient``.
 """
 from __future__ import annotations
@@ -80,16 +81,21 @@ class QuadraticProblem:
         x = _check_point(x, self.dimension)
         return self.a @ x - self.b
 
-    def along(self, x, d) -> "QuadraticLine":
-        """The parabola t -> f(x + t d), from the two products Ax and Ad."""
+    def along(self, x, d, f=None, g=None) -> "QuadraticLine":
+        """The parabola t -> f(x + t d), from the product Ad.
+
+        ``f`` and ``g`` are the value and gradient at x when the caller holds
+        them; the product Ax is taken only when one of them is missing.
+        """
         n = self.dimension
         x = _check_point(x, n)
         d = _check_point(d, n)
-        ax = self.a @ x
-        # the same expressions as value and gradient, so value(0.0) == value(x)
-        f0 = float(0.5 * (x @ ax) - self.b @ x)
-        gd = float((ax - self.b) @ d)
-        return QuadraticLine(f0, gd, float(d @ (self.a @ d)))
+        if f is None or g is None:
+            ax = self.a @ x
+            # the same expressions as value and gradient, so value(0.0) == value(x)
+            f = float(0.5 * (x @ ax) - self.b @ x) if f is None else f
+            g = ax - self.b if g is None else g
+        return QuadraticLine(float(f), np.asarray(g, dtype=float), d, self.a @ d)
 
     def solution(self) -> np.ndarray:
         """The unique minimizer, from a direct linear solve."""
@@ -158,20 +164,28 @@ class LogSumExpProblem:
 
 
 class QuadraticLine:
-    """f0 + t <grad f(x), d> + t^2 <d, Ad> / 2: a quadratic along x + t d."""
+    """f0 + t <g0, d> + t^2 <d, Ad> / 2: a quadratic along x + t d.
 
-    __slots__ = ("f0", "gd", "dad")
+    Its gradient g0 + t Ad is affine in t, so no query needs a matrix product.
+    """
 
-    def __init__(self, f0: float, gd: float, dad: float):
+    __slots__ = ("f0", "gd", "dad", "g0", "ad")
+
+    def __init__(self, f0: float, g0: np.ndarray, d: np.ndarray, ad: np.ndarray):
         self.f0 = f0
-        self.gd = gd
-        self.dad = dad
+        self.gd = float(g0 @ d)
+        self.dad = float(d @ ad)
+        self.g0 = g0
+        self.ad = ad
 
     def value(self, t: float) -> float:
         return self.f0 + t * (self.gd + 0.5 * t * self.dad)
 
     def slope(self, t: float) -> float:
         return self.gd + t * self.dad
+
+    def gradient(self, t: float) -> np.ndarray:
+        return self.g0 + t * self.ad
 
 
 class RayLine:
@@ -188,18 +202,23 @@ class RayLine:
         return self.obj.value(self.x + t * self.d)
 
     def slope(self, t: float) -> float:
-        return float(self.obj.gradient(self.x + t * self.d) @ self.d)
+        return float(self.gradient(t) @ self.d)
+
+    def gradient(self, t: float) -> np.ndarray:
+        return self.obj.gradient(self.x + t * self.d)
 
 
-def restrict(obj, x, d):
-    """The line t -> f(x + t d), with ``value(t)`` and ``slope(t)``.
+def restrict(obj, x, d, f=None, g=None):
+    """The line t -> f(x + t d), with ``value(t)``, ``slope(t)`` and ``gradient(t)``.
 
-    Uses the objective's own ``along(x, d)`` when it has one, else a
-    ``RayLine`` that evaluates f and its gradient at each queried point.
+    ``f`` and ``g`` are the value and gradient at x, when the caller already
+    holds them.  Uses the objective's own ``along(x, d, f, g)`` when it has
+    one, else a ``RayLine`` that evaluates f and its gradient at each queried
+    point (and ignores ``f`` and ``g``).
     """
     along = getattr(obj, "along", None)
     if along is not None:
-        return along(x, d)
+        return along(x, d, f, g)
     return RayLine(obj, x, d)
 
 

@@ -116,7 +116,8 @@ class CountingObjective:
     """Pass-through wrapper that counts value and gradient evaluations.
 
     Along a line, each ``value(t)`` counts as one value evaluation and each
-    ``slope(t)`` as one gradient evaluation, whichever line serves them.
+    ``slope(t)`` or ``gradient(t)`` as one gradient evaluation, whichever
+    line serves them.
     """
 
     def __init__(self, inner):
@@ -136,11 +137,11 @@ class CountingObjective:
         self.n_grad += 1
         return self.inner.gradient(x)
 
-    def along(self, x, d):
+    def along(self, x, d, f=None, g=None):
         along = getattr(self.inner, "along", None)
         if along is None:  # the generic line already counts through self
             return RayLine(self, x, d)
-        return _CountedLine(self, along(x, d))
+        return _CountedLine(self, along(x, d, f, g))
 
 
 class _CountedLine:
@@ -158,28 +159,33 @@ class _CountedLine:
         self.counter.n_grad += 1
         return self.line.slope(t)
 
-
-NONFINITE_GRADIENT = "non-finite gradient"
+    def gradient(self, t: float) -> np.ndarray:
+        self.counter.n_grad += 1
+        return self.line.gradient(t)
 
 
 def nonfinite_message(f: float, gnorm: float) -> str:
     """Why a run cannot go on from a point with value f and gradient norm
     gnorm, or "" when both are finite."""
     if not math.isfinite(f):
-        return "iterate left the finite range"
+        return "non-finite objective value"
     if not math.isfinite(gnorm):
-        return NONFINITE_GRADIENT
+        return "non-finite gradient"
     return ""
 
 
 @dataclass
 class MEStepDiagnostics:
+    """How one step went.  ``g_next`` is the gradient at the returned point
+    when the step already took it from a line it searched, else None."""
+
     t: float
     v: float
     branch: str
     f_mid: float
     f_next: float
     y: np.ndarray | None = None
+    g_next: np.ndarray | None = None
 
 
 def _search_semiline(line, variant: Variant, cfg: SolverConfig,
@@ -235,10 +241,13 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
         raise NumericError("the level step collapsed onto x below float resolution")
     if level.near_stationary:
         return y, MEStepDiagnostics(t=level.t, v=_NAN, branch="stationary",
-                                    f_mid=_NAN, f_next=f0 + level.level_residual, y=y)
+                                    f_mid=_NAN, f_next=f0 + level.level_residual, y=y,
+                                    g_next=level.grad_y)
 
     base = 0.5 * (x + y)
-    grad_y = obj.gradient(y)
+    # taken here rather than inside find_level_step, so that a gradient
+    # evaluated inside the level step still means it took its slope path
+    grad_y = level.grad_y if level.grad_y is not None else level.line.gradient(level.t)
     try:
         frame = build_frame(x, y, grad_y, dep_tol=cfg.tau_dep)
         d = center_direction(frame)
@@ -251,7 +260,8 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     v, f_v = _search_semiline(line, cfg.variant, cfg, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d
     return x_next, MEStepDiagnostics(t=level.t, v=v, branch="ellipse",
-                                     f_mid=f_base, f_next=f_v, y=y)
+                                     f_mid=f_base, f_next=f_v, y=y,
+                                     g_next=line.gradient(v))
 
 
 def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
@@ -271,7 +281,7 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
     f = counted.value(x)
     g = counted.gradient(x)
     gnorm = float(np.linalg.norm(g))
-    message = "" if math.isfinite(gnorm) else NONFINITE_GRADIENT
+    message = nonfinite_message(f, gnorm)
     warm_t = None
     while True:
         if message:
@@ -293,7 +303,7 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
                                      v=diag.v, branch=diag.branch, f_mid=diag.f_mid))
         x = x_next
         f = diag.f_next
-        g = counted.gradient(x)
+        g = counted.gradient(x) if diag.g_next is None else diag.g_next
         gnorm = float(np.linalg.norm(g))
         message = nonfinite_message(f, gnorm)
         warm_t = diag.t

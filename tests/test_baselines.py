@@ -109,6 +109,49 @@ HOSTILE = {
 }
 
 
+class TestLineGradients:
+    # the exact step's line hands back the gradient at the new point, so a
+    # gd iteration on a quadratic takes one product, A grad f(x)
+    def test_gd_takes_one_product_per_iteration(self, count_products):
+        p, x0 = generate_instance("quadratic", 30, 1, GenParams(kappa=10))
+        matrix = count_products(p)
+        run = gd_exact_minimize(p, x0, epsilon=1e-6)
+        assert run.termination is Termination.CONVERGED
+        assert matrix.products == 2 + run.iterations
+
+    @pytest.mark.parametrize("kind", ["long", "short"])
+    def test_bb_first_step_reuses_its_line(self, kind, count_products):
+        p, x0 = generate_instance("quadratic", 30, 1, GenParams(kappa=10))
+        matrix = count_products(p)
+        run = bb_minimize(p, x0, kind, epsilon=1e-6)
+        assert run.termination is Termination.CONVERGED
+        # the spectral steps take a value and a gradient each
+        assert matrix.products == 2 + 1 + 2 * (run.iterations - 1)
+
+    @pytest.mark.parametrize("kind", ["long", "short"])
+    def test_logsumexp_runs_match_pointwise_gradients(self, kind):
+        p, x0 = generate_instance("logsumexp", 40, 2)
+        run = bb_minimize(p, x0, kind)
+        for rec, nxt in zip(run.iterates[:-1], run.iterates[1:]):
+            assert nxt.grad_norm == float(np.linalg.norm(p.gradient(nxt.x)))
+
+
+@pytest.mark.parametrize("method", [
+    lambda obj, x0: bb_minimize(obj, x0, "long"),
+    lambda obj, x0: bb_minimize(obj, x0, "short"),
+    gd_exact_minimize,
+], ids=["bb-long", "bb-short", "gd"])
+def test_nonfinite_start_value_named(method):
+    # +inf at the start point, x.x everywhere else
+    x0 = np.array([1.0, -2.0])
+    toy = Toy(lambda x: float("inf") if np.array_equal(x, x0) else float(x @ x),
+              lambda x: 2.0 * x)
+    run = method(toy, x0)
+    assert run.termination is Termination.NUMERIC_ERROR
+    assert run.message == "non-finite objective value"
+    assert run.iterations == 0
+
+
 class TestGDExact:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("name", sorted(HOSTILE))

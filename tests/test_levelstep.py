@@ -4,6 +4,7 @@ import pytest
 from ellipcenters import (GenParams, NonCoerciveError, QuadraticProblem,
                           StationaryPointError, find_level_step,
                           generate_instance)
+from ellipcenters.solver import CountingObjective
 
 
 def test_parabola_returns_mirror_point():
@@ -111,6 +112,21 @@ def test_flat_region_switches_to_slope_equation():
     assert res.t == pytest.approx(2.0, rel=1e-3)
     assert np.allclose(res.y, b - 1e-6, atol=1e-8)
     assert res.near_stationary  # gradient at y is ~2e-6 <= grad_tol
+
+
+def test_near_stationary_point_goes_to_the_slope_path_at_once():
+    # at |x| ~ 1e-9 the dip t |g|^2 sits below f's rounding floor at any t
+    # the halving could reach; it used to halve 60 times (62 evaluations)
+    # before switching, and the slope root it finds is unchanged
+    p, _ = generate_instance("logsumexp", 20, 3)
+    x = 1e-9 * np.random.default_rng(0).standard_normal(20)
+    counted = CountingObjective(p)
+    res = find_level_step(counted, x, grad=p.gradient(x), f_x=p.value(x), grad_tol=1e-12)
+    assert res.evaluations <= 3
+    assert counted.n_value == res.evaluations
+    assert counted.n_grad > 0  # the slope path ran
+    assert res.t.hex() == "0x1.bc0bb3f23389ep-1"
+    assert np.array_equal(res.grad_y, p.gradient(res.y))
 
 
 def test_flat_region_without_grad_tol_still_returns_root():

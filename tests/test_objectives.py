@@ -166,6 +166,31 @@ class TestRestriction:
         line.slope(2.0)
         assert (counted.n_value, counted.n_grad) == (3, 2)
         assert line.value(0.7) == restrict(p, x, d).value(0.7)
+        line.gradient(0.5)
+        assert (counted.n_value, counted.n_grad) == (4, 3)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+    def test_line_from_the_callers_value_and_gradient(self, kind):
+        p, x, d = self._ray(kind)
+        f, g = p.value(x), p.gradient(x)
+        line = restrict(p, x, d, f, g)
+        assert line.value(0.0) == f
+        for t in (-0.5, 0.0, 0.25, 1.0, 4.0):
+            y = x + t * d
+            if kind == "quadratic":
+                gy = p.gradient(y)
+                assert np.linalg.norm(line.gradient(t) - gy) <= 1e-12 * np.linalg.norm(gy)
+            else:
+                assert np.array_equal(line.gradient(t), p.gradient(y))
+
+    def test_quadratic_line_skips_ax_given_value_and_gradient(self, count_products):
+        p, x, d = self._ray("quadratic")
+        f, g = p.value(x), p.gradient(x)
+        matrix = count_products(p)
+        restrict(p, x, d, f, g)
+        assert matrix.products == 1  # Ad alone
+        restrict(p, x, d, f)
+        assert matrix.products == 3  # Ax and Ad
 
 
 class TestGenerateInstance:

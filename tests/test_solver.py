@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,17 @@ class TestMeStep:
         p = QuadraticProblem(np.eye(2), np.zeros(2))
         with pytest.raises(StationaryPointError):
             me_step(p, np.array([1e-6, 0.0]))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+    def test_next_gradient_comes_from_the_searched_line(self, kind):
+        p, x0 = generate_instance(kind, 10, 3, GenParams(kappa=100))
+        x_next, diag = me_step(p, x0)
+        assert diag.branch == "ellipse"
+        g = p.gradient(x_next)
+        if kind == "quadratic":
+            assert np.linalg.norm(diag.g_next - g) <= 1e-12 * np.linalg.norm(g)
+        else:  # the generic line evaluates at the same bits as x_next
+            assert np.array_equal(diag.g_next, g)
 
     def test_level_point_gradient_never_uphill_along_ray(self):
         # the ray re-crosses the level set going uphill, so the gradients at
@@ -187,7 +200,87 @@ class NaNGradientAfter:
         return self.inner.gradient(x) if self.calls >= 0 else np.full(self.dimension, np.nan)
 
 
+class CallCounter:
+    """Counts the objective's pointwise value and gradient calls and passes
+    its line restriction through."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.calls = {"value": 0, "gradient": 0}
+
+    def value(self, x):
+        self.calls["value"] += 1
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.calls["gradient"] += 1
+        return self.inner.gradient(x)
+
+    def along(self, x, d, f=None, g=None):
+        return self.inner.along(x, d, f, g)
+
+
+class TestMatvecBudget:
+    # an ellipse iteration on a quadratic takes A grad f(x) for the level
+    # line, and A base and A d for the semiline; every gradient along the
+    # way comes from those lines
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_three_products_per_ellipse_iteration(self, variant, count_products):
+        p, x0 = generate_instance("quadratic", 40, 1, GenParams(kappa=10))
+        matrix = count_products(p)
+        obj = CallCounter(p)
+        run = minimize(obj, x0, SolverConfig(epsilon=1e-6, variant=variant))
+        assert run.termination is Termination.CONVERGED
+        assert run.iterations >= 5
+        assert all(r.branch == "ellipse" for r in run.iterates[:-1])
+        assert matrix.products == 2 + 3 * run.iterations
+        assert obj.calls == {"value": 1, "gradient": 1}
+
+
+class TestPinnedLogSumExpRuns:
+    # recorded before line gradients replaced pointwise calls: the generic
+    # line must query the very same points, so every iterate keeps its bits
+    # (the pins also hold numpy's exp and log rounding on this platform)
+    @pytest.mark.parametrize("variant,iterations,digest", [
+        (Variant.SEMILINE_MIN, 9,
+         "5c2bd973efcdc914d5260f314a57f9b575af70543c48d9fe5147973ee5a25241"),
+        (Variant.DECREASE_SEARCH, 10,
+         "11869754ac66264a0dfc575e76e485215d9b3c4d895dbfed0b01efead847212d"),
+    ])
+    def test_iterates_bit_identical(self, variant, iterations, digest):
+        p, x0 = generate_instance("logsumexp", 50, 4)
+        run = minimize(p, x0, SolverConfig(epsilon=1e-8, variant=variant))
+        assert run.termination is Termination.CONVERGED
+        assert run.iterations == iterations
+        x_bytes = b"".join(r.x.tobytes() for r in run.iterates)
+        assert hashlib.sha256(x_bytes).hexdigest() == digest
+        assert run.f_final.hex() == "0x1.f4bd2b7ac1bafp+1"
+
+
+class InfiniteAtStart:
+    """x.x everywhere except at the start point, where it is +inf."""
+
+    dimension = 2
+
+    def __init__(self, x0):
+        self.x0 = x0
+
+    def value(self, x):
+        return float("inf") if np.array_equal(x, self.x0) else float(x @ x)
+
+    def gradient(self, x):
+        return 2.0 * np.asarray(x)
+
+
 class TestMinimize:
+    def test_nonfinite_start_value_named(self):
+        x0 = np.array([1.0, -2.0])
+        run = minimize(InfiniteAtStart(x0), x0)
+        assert run.termination is Termination.NUMERIC_ERROR
+        assert run.message == "non-finite objective value"
+        assert run.iterations == 0
+
     def test_stationary_start_reports_zero_iterations(self):
         p = QuadraticProblem(np.eye(2), np.zeros(2))
         run = minimize(p, np.array([1e-8, 0.0]))
