@@ -8,8 +8,8 @@ plus spectral-step and exact-line-search baselines and a benchmark harness.
 from .baselines import bb_minimize, bb_step_size, gd_exact_minimize
 from .bench import (BenchConfig, BenchRecord, RunDetail, emit_table,
                     run_benchmark, run_method)
-from .errors import (DependentGradientsError, NonCoerciveError, NumericError,
-                     StationaryPointError, TangentialGradientError)
+from .errors import (DegeneratePlaneError, NonCoerciveError, NumericError,
+                     StationaryPointError)
 from .geometry import (ConicClass, ConicCoefficients, LocalFrame, build_frame,
                        center_direction, classify_conic, conic_center,
                        conic_gradient, conic_value, ellipse_bound, fit_conic,
@@ -17,9 +17,9 @@ from .geometry import (ConicClass, ConicCoefficients, LocalFrame, build_frame,
 from .levelstep import LevelStepResult, find_level_step
 from .linesearch import minimize_on_ray
 from .objectives import (GenParams, LogSumExpProblem, Objective,
-                         QuadraticProblem, check_gradient, eval_logsumexp,
-                         eval_quadratic, generate_instance, load_problem,
-                         problem_from_dict, problem_to_dict, save_problem)
+                         QuadraticProblem, check_gradient, generate_instance,
+                         load_problem, problem_from_dict, problem_to_dict,
+                         save_problem)
 from .solver import (IterateRecord, MEStepDiagnostics, SolverConfig, SolverRun,
                      Termination, Variant, me_step, minimize, semiline_search)
 
@@ -27,14 +27,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig", "BenchRecord", "ConicClass", "ConicCoefficients",
-    "DependentGradientsError", "GenParams", "IterateRecord", "LevelStepResult",
+    "DegeneratePlaneError", "GenParams", "IterateRecord", "LevelStepResult",
     "LocalFrame", "LogSumExpProblem", "MEStepDiagnostics", "NonCoerciveError",
     "NumericError", "Objective", "QuadraticProblem", "RunDetail",
-    "SolverConfig", "SolverRun", "StationaryPointError",
-    "TangentialGradientError", "Termination", "Variant", "bb_minimize",
-    "bb_step_size", "build_frame", "center_direction", "check_gradient",
-    "classify_conic", "conic_center", "conic_gradient", "conic_value",
-    "ellipse_bound", "emit_table", "eval_logsumexp", "eval_quadratic",
+    "SolverConfig", "SolverRun", "StationaryPointError", "Termination",
+    "Variant", "bb_minimize", "bb_step_size", "build_frame",
+    "center_direction", "check_gradient", "classify_conic", "conic_center",
+    "conic_gradient", "conic_value", "ellipse_bound", "emit_table",
     "find_level_step", "fit_conic", "gd_exact_minimize", "generate_instance",
     "load_problem", "me_step", "minimize", "minimize_on_ray",
     "problem_from_dict", "problem_to_dict", "run_benchmark", "run_method",

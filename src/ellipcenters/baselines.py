@@ -2,7 +2,8 @@
 
 Spectral-step descent with the long step <s,s>/<s,g> or the short step
 <s,g>/<g,g> built from the last displacement s and gradient change g, plus
-steepest descent with an exact line search.  All methods share the solver's
+steepest descent with an exact line search.  Each method is a step rule
+for the solver's one descent loop (``solver.descend``), so all share its
 stopping rule, iteration-count convention and run record format.
 """
 from __future__ import annotations
@@ -12,8 +13,7 @@ import numpy as np
 from .errors import NumericError
 from .linesearch import minimize_on_ray
 from .objectives import restrict
-from .solver import (CountingObjective, IterateRecord, SolverRun, Termination,
-                     nonfinite_message)
+from .solver import SolverRun, descend
 
 _STEP_CAP = 1e12  # convert pathological rounding into a clean numeric error
 
@@ -47,94 +47,41 @@ def _exact_step(counted, x, f, g, v0: float):
     return tau, f_next, line
 
 
-def _finish(records, x, f, gnorm, termination, counted, message=""):
-    records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, branch="final"))
-    return SolverRun(records, termination, counted.n_value, counted.n_grad, message)
-
-
 def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
                 max_iterations: int = 1000) -> SolverRun:
     """Spectral-step descent; the first step uses an exact line search."""
     if kind not in ("long", "short"):
         raise ValueError(f"unknown step kind {kind!r}")
-    counted = CountingObjective(obj)
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial point must be finite")
-    records: list[IterateRecord] = []
     branch = f"bb-{kind}"
-    f = counted.value(x)
-    g = counted.gradient(x)
-    gnorm = float(np.linalg.norm(g))
-    message = nonfinite_message(f, gnorm)
-    if message:
-        return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted, message)
-    prev_x = prev_g = None
-    while True:
-        if gnorm <= epsilon:
-            return _finish(records, x, f, gnorm, Termination.CONVERGED, counted)
-        if len(records) >= max_iterations:
-            return _finish(records, x, f, gnorm, Termination.MAX_ITERATIONS, counted)
-        try:
-            if prev_x is None:
-                tau, f_next, line = _exact_step(counted, x, f, g, v0=1.0)
-            else:
-                tau = bb_step_size(x - prev_x, g - prev_g, kind)
-                f_next = line = None
-        except NumericError as exc:
-            return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
-                           counted, str(exc))
-        records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, t=tau, branch=branch))
-        prev_x, prev_g = x, g
-        x = x - tau * g
-        if line is None:
-            f, g = counted.value(x), counted.gradient(x)
+    prev = None  # (x, g) where the last step started
+
+    def step(counted, x, f, g):
+        nonlocal prev
+        if prev is None:
+            tau, f_next, line = _exact_step(counted, x, f, g, v0=1.0)
+            g_next = line.gradient(tau)
         else:
-            f, g = f_next, line.gradient(tau)
-        gnorm = float(np.linalg.norm(g))
-        message = nonfinite_message(f, gnorm)
-        if message:
-            return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
-                           counted, message)
+            tau = bb_step_size(x - prev[0], g - prev[1], kind)
+            f_next = g_next = None
+        prev = (x, g)
+        return x - tau * g, f_next, g_next, dict(t=tau, branch=branch)
+
+    return descend(obj, x0, step, epsilon, max_iterations)
 
 
 def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
                       max_iterations: int = 1000) -> SolverRun:
     """Steepest descent with an exact line search at every step."""
-    counted = CountingObjective(obj)
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial point must be finite")
-    records: list[IterateRecord] = []
-    f = counted.value(x)
-    g = counted.gradient(x)
-    gnorm = float(np.linalg.norm(g))
-    message = nonfinite_message(f, gnorm)
-    if message:
-        return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted, message)
     warm = 1.0
-    while True:
-        if gnorm <= epsilon:
-            return _finish(records, x, f, gnorm, Termination.CONVERGED, counted)
-        if len(records) >= max_iterations:
-            return _finish(records, x, f, gnorm, Termination.MAX_ITERATIONS, counted)
-        try:
-            tau, f_next, line = _exact_step(counted, x, f, g, v0=warm)
-        except NumericError as exc:
-            return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
-                           counted, str(exc))
+
+    def step(counted, x, f, g):
+        nonlocal warm
+        tau, f_next, line = _exact_step(counted, x, f, g, v0=warm)
         if tau == 0.0 and warm == 1.0:
             # no decrease from the cold bracket: the next iteration would
             # repeat this search exactly
-            return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR, counted,
-                           "the exact line search found no decrease along -grad f")
-        records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, t=tau, branch="gd"))
-        x = x - tau * g
-        f = f_next
-        g = line.gradient(tau)
-        gnorm = float(np.linalg.norm(g))
-        message = nonfinite_message(f, gnorm)
-        if message:
-            return _finish(records, x, f, gnorm, Termination.NUMERIC_ERROR,
-                           counted, message)
+            raise NumericError("the exact line search found no decrease along -grad f")
         warm = tau if tau > 0.0 else 1.0
+        return x - tau * g, f_next, line.gradient(tau), dict(t=tau, branch="gd")
+
+    return descend(obj, x0, step, epsilon, max_iterations)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .baselines import bb_minimize, gd_exact_minimize
@@ -110,21 +109,16 @@ def _run_instance(cfg: BenchConfig, n: int, instance: int) -> list[RunDetail]:
     return details
 
 
-def run_benchmark(cfg: BenchConfig, workers: int = 1):
+def run_benchmark(cfg: BenchConfig):
     """Run the full protocol.  Returns (records, details).
 
     Instances are generated from seed = base_seed + instance index and every
     method starts from the same x0.  Results are deterministic for a fixed
-    config regardless of worker count (wall times aside); numeric failures
-    are flagged on their detail rows, never dropped.
+    config (wall times aside); numeric failures are flagged on their detail
+    rows, never dropped.
     """
-    tasks = [(n, i) for n in cfg.sizes for i in range(cfg.instances_per_size)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda t: _run_instance(cfg, *t), tasks))
-    else:
-        chunks = [_run_instance(cfg, n, i) for n, i in tasks]
-    details = [d for chunk in chunks for d in chunk]
+    details = [d for n in cfg.sizes for i in range(cfg.instances_per_size)
+               for d in _run_instance(cfg, n, i)]
 
     records = []
     for method in cfg.methods:

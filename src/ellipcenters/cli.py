@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -93,8 +92,7 @@ def _cmd_bench(args) -> int:
         max_iterations=args.max_iterations,
         variant=Variant(args.variant),
     )
-    workers = int(os.environ.get("ELLIPCENTERS_THREADS", "1"))
-    records, details = run_benchmark(cfg, workers=max(workers, 1))
+    records, details = run_benchmark(cfg)
     _write_text(args.out, emit_table(records, fmt=args.format, timing=args.timing))
     flagged = [d for d in details if d.flagged]
     for d in flagged:

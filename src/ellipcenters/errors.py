@@ -13,10 +13,6 @@ class StationaryPointError(ValueError):
     """An operation that needs a nonzero gradient was handed a stationary point."""
 
 
-class DependentGradientsError(Exception):
-    """The two gradients spanning the working plane are numerically collinear."""
-
-
-class TangentialGradientError(Exception):
-    """The gradient at the level point is orthogonal to the chord, so the
-    center direction is undefined."""
+class DegeneratePlaneError(Exception):
+    """The working plane gives no center direction: the gradient at the level
+    point is numerically collinear with the chord, or orthogonal to it."""

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DependentGradientsError, TangentialGradientError
+from .errors import DegeneratePlaneError
 
 
 class ConicClass(Enum):
@@ -52,7 +52,7 @@ class LocalFrame:
 def build_frame(x, y, grad_y, dep_tol: float = 1e-8) -> LocalFrame:
     """Frame of the plane through x, y spanned with the gradient at y.
 
-    Raises DependentGradientsError when grad_y is numerically collinear with
+    Raises DegeneratePlaneError when grad_y is numerically collinear with
     the chord (sin(theta) <= dep_tol, or w vanishes relative to |grad_y|);
     the caller is expected to fall back to the chord midpoint then.
     """
@@ -72,7 +72,7 @@ def build_frame(x, y, grad_y, dep_tol: float = 1e-8) -> LocalFrame:
     w = -grad_y + (float(diff @ grad_y) / lam**2) * diff
     wnorm = float(np.linalg.norm(w))
     if sin_theta <= dep_tol or wnorm <= 1e-12 * gnorm:
-        raise DependentGradientsError(
+        raise DegeneratePlaneError(
             "gradient at the level point is collinear with the chord"
         )
     return LocalFrame(
@@ -169,10 +169,11 @@ def center_direction(frame: LocalFrame, cos_tol: float = 1e-12) -> np.ndarray:
 
     The semiline is {(x + y)/2 + v * d : v >= 0} with
     d = e2 - (sin theta / (2 cos theta)) e1.  Requires cos theta > 0; a
-    tangential gradient (cos theta ~ 0) leaves the direction undefined.
+    tangential gradient (cos theta ~ 0) leaves the direction undefined and
+    raises DegeneratePlaneError.
     """
     if frame.cos_theta <= cos_tol:
-        raise TangentialGradientError(
+        raise DegeneratePlaneError(
             "gradient at the level point is orthogonal to the chord"
         )
     return frame.e2 - (frame.sin_theta / (2.0 * frame.cos_theta)) * frame.e1

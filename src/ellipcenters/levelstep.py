@@ -39,24 +39,24 @@ class LevelStepResult:
     """Outcome of the root search.
 
     ``t`` is the positive step, ``y = x - t grad`` the same-level point,
-    ``level_residual`` the remaining f(y) - f(x), ``evaluations`` the number
-    of objective values consumed, and ``line`` the restriction of f to
-    x - t grad that the search queried (``line.gradient(t)`` is the gradient
-    at y).  ``near_stationary`` marks a point whose gradient norm already met
-    the caller's stationarity tolerance, found on the slope-based path;
-    ``grad_y`` is the gradient at y when that path evaluated it.
+    ``level_residual`` the remaining f(y) - f(x), and ``line`` the
+    restriction of f to x - t grad that the search queried
+    (``line.gradient(t)`` is the gradient at y).  ``near_stationary`` marks a
+    point whose gradient norm already met the caller's stationarity
+    tolerance, found on the slope-based path; ``grad_y`` is the gradient at
+    y when that path evaluated it.  Count evaluations by passing a
+    ``CountingObjective``.
     """
 
     t: float
     y: np.ndarray
     level_residual: float
-    evaluations: int
     line: object
     near_stationary: bool = False
     grad_y: np.ndarray | None = None
 
 
-def _slope_root(line, x, g, f0, max_expansions, grad_tol, evals):
+def _slope_root(line, x, g, f0, max_expansions, grad_tol):
     """Root of <grad f(x - t g), g> = -|g|^2, by bracketing plus secant.
 
     ``line`` is the restriction of f to x - t g that the value search used.
@@ -99,12 +99,11 @@ def _slope_root(line, x, g, f0, max_expansions, grad_tol, evals):
         cand = lo + (target - d_lo) * (hi - lo) / (d_hi - d_lo)
         if lo < cand <= hi:
             t_root = cand
-    evals += 1
     residual = line.value(t_root) - f0
     grad_y = None if grad_tol is None else line.gradient(t_root)
     near = grad_y is not None and float(np.linalg.norm(grad_y)) <= grad_tol
-    return LevelStepResult(float(t_root), x - t_root * g, float(residual), evals,
-                           line, near_stationary=near, grad_y=grad_y)
+    return LevelStepResult(float(t_root), x - t_root * g, float(residual), line,
+                           near_stationary=near, grad_y=grad_y)
 
 
 def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
@@ -125,11 +124,8 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
     tol = tol_rel * (1.0 + abs(f0))
     noise_floor = 32.0 * _EPS * (1.0 + abs(f0))
     gg = float(g @ g)
-    evals = 0
 
     def residual(t):
-        nonlocal evals
-        evals += 1
         val = line.value(t) - f0
         if np.isnan(val):
             raise NumericError("non-finite objective value during the level search")
@@ -141,7 +137,7 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
     while r >= 0.0:
         if shrinks >= max_expansions or t * gg <= noise_floor:
             # the decrease has sunk below rounding; switch to the slope equation
-            return _slope_root(line, x, g, f0, max_expansions, grad_tol, evals)
+            return _slope_root(line, x, g, f0, max_expansions, grad_tol)
         t *= 0.5
         shrinks += 1
         r = residual(t)
@@ -180,7 +176,7 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
 
     if deepest > -noise_floor:
         # the bracket only ever saw rounding noise, not a real dip
-        return _slope_root(line, x, g, f0, max_expansions, grad_tol, evals)
+        return _slope_root(line, x, g, f0, max_expansions, grad_tol)
 
     # secant steps inside the bracket sharpen the root well past tol
     for _ in range(3):
@@ -202,4 +198,4 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
 
     if abs(r_best) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
-    return LevelStepResult(float(t_best), x - t_best * g, float(r_best), evals, line)
+    return LevelStepResult(float(t_best), x - t_best * g, float(r_best), line)

@@ -12,6 +12,8 @@ The searches along a ray ask ``restrict(obj, x, d)`` for the line
 optional ``along(x, d, f, g)`` method (quadratics do: once the line holds
 grad f(x) and Ad, every query along it costs O(1)); any other objective gets
 the generic line over its own ``value`` and ``gradient``.
+``CountingObjective`` counts every query an objective answers, pointwise or
+along such a line.
 """
 from __future__ import annotations
 
@@ -222,14 +224,56 @@ def restrict(obj, x, d, f=None, g=None):
     return RayLine(obj, x, d)
 
 
-def eval_quadratic(p: QuadraticProblem, x) -> tuple[float, np.ndarray]:
-    """Value and gradient of the quadratic family at x."""
-    return p.value(x), p.gradient(x)
+class CountingObjective:
+    """Pass-through wrapper that counts value and gradient evaluations.
+
+    Along a line, each ``value(t)`` counts as one value evaluation and each
+    ``slope(t)`` or ``gradient(t)`` as one gradient evaluation, whichever
+    line serves them.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_value = 0
+        self.n_grad = 0
+
+    @property
+    def dimension(self) -> int:
+        return self.inner.dimension
+
+    def value(self, x) -> float:
+        self.n_value += 1
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.n_grad += 1
+        return self.inner.gradient(x)
+
+    def along(self, x, d, f=None, g=None):
+        along = getattr(self.inner, "along", None)
+        if along is None:  # the generic line already counts through self
+            return RayLine(self, x, d)
+        return _CountedLine(self, along(x, d, f, g))
 
 
-def eval_logsumexp(p: LogSumExpProblem, x) -> tuple[float, np.ndarray]:
-    """Value and gradient of the log-sum-exp family at x."""
-    return p.value(x), p.gradient(x)
+class _CountedLine:
+    __slots__ = ("counter", "line")
+
+    def __init__(self, counter: CountingObjective, line):
+        self.counter = counter
+        self.line = line
+
+    def value(self, t: float) -> float:
+        self.counter.n_value += 1
+        return self.line.value(t)
+
+    def slope(self, t: float) -> float:
+        self.counter.n_grad += 1
+        return self.line.slope(t)
+
+    def gradient(self, t: float) -> np.ndarray:
+        self.counter.n_grad += 1
+        return self.line.gradient(t)
 
 
 def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:

@@ -6,6 +6,9 @@ to a center of the tangent-conic family: either the minimizer of f on the
 semiline of centers, or the first sampled point on it that beats the chord
 midpoint.  Degenerate geometry (collinear or tangential gradients) falls
 back to the midpoint itself, which already decreases f strictly.
+
+``descend`` is the one descent loop: this method and the baselines each
+supply only a step rule.
 """
 from __future__ import annotations
 
@@ -15,12 +18,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (DependentGradientsError, NumericError, StationaryPointError,
-                     TangentialGradientError)
+from .errors import DegeneratePlaneError, NumericError, StationaryPointError
 from .geometry import build_frame, center_direction
 from .levelstep import find_level_step
 from .linesearch import minimize_on_ray
-from .objectives import RayLine, restrict
+from .objectives import CountingObjective, restrict
 
 _NAN = float("nan")
 
@@ -112,59 +114,7 @@ class SolverRun:
         return self.n_value_evals + self.n_grad_evals
 
 
-class CountingObjective:
-    """Pass-through wrapper that counts value and gradient evaluations.
-
-    Along a line, each ``value(t)`` counts as one value evaluation and each
-    ``slope(t)`` or ``gradient(t)`` as one gradient evaluation, whichever
-    line serves them.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n_value = 0
-        self.n_grad = 0
-
-    @property
-    def dimension(self) -> int:
-        return self.inner.dimension
-
-    def value(self, x) -> float:
-        self.n_value += 1
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        self.n_grad += 1
-        return self.inner.gradient(x)
-
-    def along(self, x, d, f=None, g=None):
-        along = getattr(self.inner, "along", None)
-        if along is None:  # the generic line already counts through self
-            return RayLine(self, x, d)
-        return _CountedLine(self, along(x, d, f, g))
-
-
-class _CountedLine:
-    __slots__ = ("counter", "line")
-
-    def __init__(self, counter: CountingObjective, line):
-        self.counter = counter
-        self.line = line
-
-    def value(self, t: float) -> float:
-        self.counter.n_value += 1
-        return self.line.value(t)
-
-    def slope(self, t: float) -> float:
-        self.counter.n_grad += 1
-        return self.line.slope(t)
-
-    def gradient(self, t: float) -> np.ndarray:
-        self.counter.n_grad += 1
-        return self.line.gradient(t)
-
-
-def nonfinite_message(f: float, gnorm: float) -> str:
+def _nonfinite_message(f: float, gnorm: float) -> str:
     """Why a run cannot go on from a point with value f and gradient norm
     gnorm, or "" when both are finite."""
     if not math.isfinite(f):
@@ -188,9 +138,11 @@ class MEStepDiagnostics:
     g_next: np.ndarray | None = None
 
 
-def _search_semiline(line, variant: Variant, cfg: SolverConfig,
-                     scale: float, f_base: float):
-    """Pick v >= 0 on the line {base + v d}; returns (v, f at that point)."""
+def semiline_search(line, variant: Variant, cfg: SolverConfig, *,
+                    scale: float, f_base: float):
+    """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
+    at ``scale``; ``f_base`` is the value at v = 0.  Returns (v, f at that
+    point)."""
     h = line.value
     if variant is Variant.SEMILINE_MIN:
         v, fv, _ = minimize_on_ray(h, v0=scale, rel_tol=cfg.tau_linesearch,
@@ -205,17 +157,6 @@ def _search_semiline(line, variant: Variant, cfg: SolverConfig,
             return v, fv
         v *= 0.5
     return 0.0, f_base
-
-
-def semiline_search(obj, base, d, variant: Variant, cfg: SolverConfig | None = None,
-                    *, scale: float = 1.0, f_base: float | None = None) -> float:
-    """Distance v >= 0 along the semiline {base + v d} chosen by the variant."""
-    cfg = cfg or SolverConfig()
-    line = restrict(obj, np.asarray(base, dtype=float), np.asarray(d, dtype=float))
-    if f_base is None:
-        f_base = line.value(0.0)
-    v, _ = _search_semiline(line, variant, cfg, scale, f_base)
-    return v
 
 
 def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None,
@@ -251,27 +192,31 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     try:
         frame = build_frame(x, y, grad_y, dep_tol=cfg.tau_dep)
         d = center_direction(frame)
-    except (DependentGradientsError, TangentialGradientError):
+    except DegeneratePlaneError:
         f_base = obj.value(base)
         return base, MEStepDiagnostics(t=level.t, v=_NAN, branch="midpoint",
                                        f_mid=f_base, f_next=f_base, y=y)
     line = restrict(obj, base, d)
     f_base = line.value(0.0)
-    v, f_v = _search_semiline(line, cfg.variant, cfg, scale=frame.lam, f_base=f_base)
+    v, f_v = semiline_search(line, cfg.variant, cfg, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d
     return x_next, MEStepDiagnostics(t=level.t, v=v, branch="ellipse",
                                      f_mid=f_base, f_next=f_v, y=y,
                                      g_next=line.gradient(v))
 
 
-def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
-    """Run the ellipse-center iteration from x0 until |grad f| <= epsilon.
+def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
+    """The descent loop every method shares: run ``step`` from x0 until
+    |grad f| <= epsilon.
 
-    The stopping test runs before each step, so a start point that already
-    satisfies it reports zero iterations.  Numeric failures terminate the run
-    with the partial trace instead of raising.
+    ``step(counted, x, f, g)`` returns ``(x_next, f_next, g_next, fields)``;
+    ``counted`` is the counting view of obj that the step must query, and
+    ``fields`` are the step's ``IterateRecord`` fields besides x, f and
+    grad_norm.  A ``None`` for f_next or g_next is evaluated at x_next, the
+    value first.  The stopping test runs before each step, so a start point
+    that already satisfies it reports zero iterations.  Numeric failures end
+    the run with the partial trace instead of raising.
     """
-    cfg = cfg or SolverConfig()
     counted = CountingObjective(obj)
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
@@ -281,31 +226,45 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
     f = counted.value(x)
     g = counted.gradient(x)
     gnorm = float(np.linalg.norm(g))
-    message = nonfinite_message(f, gnorm)
-    warm_t = None
+    message = _nonfinite_message(f, gnorm)
     while True:
         if message:
             termination = Termination.NUMERIC_ERROR
             break
-        if gnorm <= cfg.epsilon:
+        if gnorm <= epsilon:
             termination = Termination.CONVERGED
             break
-        if len(records) >= cfg.max_iterations:
+        if len(records) >= max_iterations:
             termination = Termination.MAX_ITERATIONS
             break
         try:
-            x_next, diag = me_step(counted, x, cfg, warm_t, f_x=f, grad_x=g)
+            x_next, f_next, g_next, fields = step(counted, x, f, g)
+            if f_next is None:
+                f_next = counted.value(x_next)
+            if g_next is None:
+                g_next = counted.gradient(x_next)
         except NumericError as exc:
             termination = Termination.NUMERIC_ERROR
             message = str(exc)
             break
-        records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, t=diag.t,
-                                     v=diag.v, branch=diag.branch, f_mid=diag.f_mid))
-        x = x_next
-        f = diag.f_next
-        g = counted.gradient(x) if diag.g_next is None else diag.g_next
+        records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, **fields))
+        x, f, g = x_next, f_next, g_next
         gnorm = float(np.linalg.norm(g))
-        message = nonfinite_message(f, gnorm)
-        warm_t = diag.t
+        message = _nonfinite_message(f, gnorm)
     records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, branch="final"))
     return SolverRun(records, termination, counted.n_value, counted.n_grad, message)
+
+
+def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
+    """Run the ellipse-center iteration from x0 until |grad f| <= epsilon."""
+    cfg = cfg or SolverConfig()
+    warm_t = None
+
+    def step(counted, x, f, g):
+        nonlocal warm_t
+        x_next, diag = me_step(counted, x, cfg, warm_t, f_x=f, grad_x=g)
+        warm_t = diag.t
+        return x_next, diag.f_next, diag.g_next, dict(
+            t=diag.t, v=diag.v, branch=diag.branch, f_mid=diag.f_mid)
+
+    return descend(obj, x0, step, cfg.epsilon, cfg.max_iterations)

@@ -23,3 +23,38 @@ def count_products():
         return view
 
     return install
+
+
+class Toy:
+    """A two-dimensional objective from a value and a gradient function."""
+
+    dimension = 2
+
+    def __init__(self, value, gradient):
+        self.value = value
+        self.gradient = gradient
+
+
+# objectives no method can minimize; every run must end in a numeric error
+HOSTILE = {
+    "infinite-start": Toy(lambda x: float("inf"), lambda x: 2.0 * x),
+    "concave": Toy(lambda x: -float(x @ x), lambda x: -2.0 * x),
+    "sign-flipped-gradient": Toy(lambda x: float(x @ x), lambda x: -2.0 * x),
+    "linear": Toy(lambda x: float(-x[0]), lambda x: np.array([-1.0, 0.0])),
+}
+
+
+class NaNGradientAfter:
+    """An objective whose gradient turns NaN after ``calls`` finite ones."""
+
+    def __init__(self, inner, calls: int):
+        self.inner = inner
+        self.calls = calls
+        self.dimension = inner.dimension
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.calls -= 1
+        return self.inner.gradient(x) if self.calls >= 0 else np.full(self.dimension, np.nan)

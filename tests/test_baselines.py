@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import HOSTILE, NaNGradientAfter, Toy
 from ellipcenters import (GenParams, NumericError, QuadraticProblem,
-                          SolverConfig, Termination, bb_minimize, bb_step_size,
-                          gd_exact_minimize, generate_instance, minimize)
+                          SolverConfig, Termination, Variant, bb_minimize,
+                          bb_step_size, gd_exact_minimize, generate_instance,
+                          minimize, run_method)
 
 
 class TestBBStepSize:
@@ -22,22 +24,6 @@ class TestBBStepSize:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             bb_step_size(np.ones(2), np.ones(2), "medium")
-
-
-class NaNGradientAfter:
-    """A quadratic whose gradient turns NaN after ``calls`` finite ones."""
-
-    def __init__(self, inner, calls: int):
-        self.inner = inner
-        self.calls = calls
-        self.dimension = inner.dimension
-
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        self.calls -= 1
-        return self.inner.gradient(x) if self.calls >= 0 else np.full(self.dimension, np.nan)
 
 
 class TestBBMinimize:
@@ -87,26 +73,27 @@ class TestBBMinimize:
         assert run.message == "non-finite gradient"
         assert run.iterations == iterations
 
+    def test_objective_numeric_error_ends_the_run(self):
+        # raised while evaluating a spectral step's new iterate: the run ends
+        # with the objective's message, at the iterate the step started from
+        class RaisingGradientAfter(NaNGradientAfter):
+            def gradient(self, x):
+                g = super().gradient(x)
+                if np.isnan(g).any():
+                    raise NumericError("gradient failed")
+                return g
+
+        p, x0 = generate_instance("quadratic", 10, 1, GenParams(kappa=100))
+        run = bb_minimize(RaisingGradientAfter(p, 2), x0)
+        assert run.termination is Termination.NUMERIC_ERROR
+        assert run.message == "gradient failed"
+        assert run.iterations == 1
+
     def test_stationary_start_zero_iterations(self):
         p = QuadraticProblem(np.eye(2), np.zeros(2))
         run = bb_minimize(p, np.zeros(2))
         assert run.iterations == 0
         assert run.termination is Termination.CONVERGED
-
-
-class Toy:
-    dimension = 2
-
-    def __init__(self, value, gradient):
-        self.value = value
-        self.gradient = gradient
-
-
-HOSTILE = {
-    "infinite-start": Toy(lambda x: float("inf"), lambda x: 2.0 * x),
-    "concave": Toy(lambda x: -float(x @ x), lambda x: -2.0 * x),
-    "sign-flipped-gradient": Toy(lambda x: float(x @ x), lambda x: -2.0 * x),
-}
 
 
 class TestLineGradients:
@@ -153,14 +140,20 @@ def test_nonfinite_start_value_named(method):
 
 
 class TestGDExact:
+    # every method runs the same descent loop, so each must turn hostile
+    # input into a numeric error with a message, well inside the budget
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("name", sorted(HOSTILE))
-    def test_hostile_input_is_a_numeric_error(self, name):
-        run = gd_exact_minimize(HOSTILE[name], np.array([1.0, 1.0]), max_iterations=50)
+    @pytest.mark.parametrize("method,variant", [
+        ("me", Variant.SEMILINE_MIN), ("me", Variant.DECREASE_SEARCH),
+        ("bb-long", None), ("bb-short", None), ("gd", None),
+    ], ids=["me-semiline-min", "me-decrease-search", "bb-long", "bb-short", "gd"])
+    def test_hostile_input_is_a_numeric_error(self, method, variant, name):
+        run = run_method(method, HOSTILE[name], np.array([1.0, 1.0]), max_iterations=50,
+                         variant=variant or Variant.SEMILINE_MIN)
         assert run.termination is Termination.NUMERIC_ERROR
         assert run.message
         assert run.iterations < 50
-
 
     def test_identity_quadratic_one_iteration(self):
         p = QuadraticProblem(np.eye(3), np.array([1.0, 2.0, 3.0]))

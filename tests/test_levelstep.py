@@ -4,7 +4,7 @@ import pytest
 from ellipcenters import (GenParams, NonCoerciveError, QuadraticProblem,
                           StationaryPointError, find_level_step,
                           generate_instance)
-from ellipcenters.solver import CountingObjective
+from ellipcenters.objectives import CountingObjective
 
 
 def test_parabola_returns_mirror_point():
@@ -73,11 +73,12 @@ def test_interior_of_bracket_single_signed():
 def test_warm_start_and_evaluation_budget():
     p, _ = generate_instance("quadratic", 6, 8, GenParams(kappa=100))
     x = np.random.default_rng(1).standard_normal(6)
-    cold = find_level_step(p, x)
-    warm = find_level_step(p, x, t_init=cold.t)
+    cold_count, warm_count = CountingObjective(p), CountingObjective(p)
+    cold = find_level_step(cold_count, x)
+    warm = find_level_step(warm_count, x, t_init=cold.t)
     assert warm.t == pytest.approx(cold.t, rel=1e-8)
-    assert warm.evaluations <= 2 * 60 + 90
-    assert cold.evaluations <= 2 * 60 + 90
+    assert warm_count.n_value <= 2 * 60 + 90
+    assert cold_count.n_value <= 2 * 60 + 90
 
 
 def test_stationary_point_rejected():
@@ -122,8 +123,7 @@ def test_near_stationary_point_goes_to_the_slope_path_at_once():
     x = 1e-9 * np.random.default_rng(0).standard_normal(20)
     counted = CountingObjective(p)
     res = find_level_step(counted, x, grad=p.gradient(x), f_x=p.value(x), grad_tol=1e-12)
-    assert res.evaluations <= 3
-    assert counted.n_value == res.evaluations
+    assert counted.n_value <= 3
     assert counted.n_grad > 0  # the slope path ran
     assert res.t.hex() == "0x1.bc0bb3f23389ep-1"
     assert np.array_equal(res.grad_y, p.gradient(res.y))

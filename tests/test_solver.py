@@ -3,10 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import NaNGradientAfter
 from ellipcenters import (GenParams, QuadraticProblem, SolverConfig,
                           StationaryPointError, Termination, Variant,
-                          generate_instance, me_step, minimize,
+                          generate_instance, me_step, minimize, run_method,
                           semiline_search)
+from ellipcenters.objectives import restrict
 
 
 class TestMeStep:
@@ -61,17 +63,23 @@ class TestMeStep:
             x = x_next
 
 
+def search(p, base, d, variant, scale=1.0):
+    """The semiline search's v on the line {base + v d} of p, from v = scale."""
+    line = restrict(p, base, d)
+    v, _ = semiline_search(line, variant, SolverConfig(), scale=scale,
+                           f_base=line.value(0.0))
+    return v
+
+
 class TestSemilineSearch:
     def test_sphere_lands_at_origin(self):
         p = QuadraticProblem(np.eye(2), np.zeros(2))
-        v = semiline_search(p, np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
-                            Variant.SEMILINE_MIN)
+        v = search(p, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), Variant.SEMILINE_MIN)
         assert v == pytest.approx(1.0, abs=1e-8)
 
     def test_ascent_direction_returns_zero(self):
         p = QuadraticProblem(np.eye(2), np.zeros(2))
-        v = semiline_search(p, np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                            Variant.SEMILINE_MIN)
+        v = search(p, np.array([1.0, 0.0]), np.array([1.0, 0.0]), Variant.SEMILINE_MIN)
         assert v == pytest.approx(0.0, abs=1e-6)
 
     def test_shifted_quadratic_vertex(self):
@@ -79,7 +87,7 @@ class TestSemilineSearch:
         p = QuadraticProblem(np.diag([2.0, 2.0]), np.array([1.4, 0.0]))
         base = np.zeros(2)
         d = np.array([1.0, 0.0])
-        v = semiline_search(p, base, d, Variant.SEMILINE_MIN)
+        v = search(p, base, d, Variant.SEMILINE_MIN)
         assert v == pytest.approx(0.7, abs=1e-8)
 
     def test_decrease_search_beats_the_base(self):
@@ -87,7 +95,7 @@ class TestSemilineSearch:
         base = 0.9 * x0
         d = -p.gradient(base)
         d = d / np.linalg.norm(d)
-        v = semiline_search(p, base, d, Variant.DECREASE_SEARCH, scale=1.0)
+        v = search(p, base, d, Variant.DECREASE_SEARCH, scale=1.0)
         assert v > 0.0
         assert p.value(base + v * d) < p.value(base)
 
@@ -184,22 +192,6 @@ class TestFastPathMatchesGeneric:
             assert a.f == b.f and a.branch == b.branch
 
 
-class NaNGradientAfter:
-    """A quadratic whose gradient turns NaN after ``calls`` finite ones."""
-
-    def __init__(self, inner, calls: int):
-        self.inner = inner
-        self.calls = calls
-        self.dimension = inner.dimension
-
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        self.calls -= 1
-        return self.inner.gradient(x) if self.calls >= 0 else np.full(self.dimension, np.nan)
-
-
 class CallCounter:
     """Counts the objective's pointwise value and gradient calls and passes
     its line restriction through."""
@@ -255,6 +247,25 @@ class TestPinnedLogSumExpRuns:
         assert run.iterations == iterations
         x_bytes = b"".join(r.x.tobytes() for r in run.iterates)
         assert hashlib.sha256(x_bytes).hexdigest() == digest
+        assert run.f_final.hex() == "0x1.f4bd2b7ac1bafp+1"
+
+
+class TestPinnedBaselineRuns:
+    # recorded before the three methods shared one descent loop, on the
+    # instance TestPinnedLogSumExpRuns pins; gd ends at its rounding floor,
+    # where the cold bracket finds no decrease
+    @pytest.mark.parametrize("method,iterations,n_value,n_grad,termination", [
+        ("bb-long", 18, 75, 19, Termination.CONVERGED),
+        ("bb-short", 17, 74, 18, Termination.CONVERGED),
+        ("gd", 23, 1364, 24, Termination.NUMERIC_ERROR),
+    ])
+    def test_counts_and_final_value(self, method, iterations, n_value, n_grad,
+                                    termination):
+        p, x0 = generate_instance("logsumexp", 50, 4)
+        run = run_method(method, p, x0, epsilon=1e-8)
+        assert run.termination is termination
+        assert (run.iterations, run.n_value_evals, run.n_grad_evals) == (
+            iterations, n_value, n_grad)
         assert run.f_final.hex() == "0x1.f4bd2b7ac1bafp+1"
 
 
