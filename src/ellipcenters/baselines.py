@@ -37,13 +37,13 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
 
 
 def _exact_step(counted, x, f, g, v0: float):
-    """Step length minimizing f along -g, by bracketing and golden section.
+    """Step length minimizing f along -g, the root of the slope along it.
 
     Returns (tau, f at x - tau g, the line searched); ``line.gradient(tau)``
     is the gradient at the new point.
     """
     line = restrict(counted, x, -g, f, g)
-    tau, f_next, _ = minimize_on_ray(line.value, v0=v0, rel_tol=1e-10, h0=f)
+    tau, f_next = minimize_on_ray(line, v0=v0, rel_tol=1e-10, h0=f)
     return tau, f_next, line
 
 
@@ -76,12 +76,10 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
 
     def step(counted, x, f, g):
         nonlocal warm
+        # tau is 0 only when the slope at x is not a number, and then the
+        # gradient handed back is not either, which ends the run
         tau, f_next, line = _exact_step(counted, x, f, g, v0=warm)
-        if tau == 0.0 and warm == 1.0:
-            # no decrease from the cold bracket: the next iteration would
-            # repeat this search exactly
-            raise NumericError("the exact line search found no decrease along -grad f")
-        warm = tau if tau > 0.0 else 1.0
+        warm = tau
         return x - tau * g, f_next, line.gradient(tau), dict(t=tau, branch="gd")
 
     return descend(obj, x0, step, epsilon, max_iterations)

@@ -3,9 +3,12 @@
 For a strongly convex f and a nonstationary point x, the residual
 ``r(t) = f(x - t grad f(x)) - f(x)`` starts at zero with negative slope,
 stays negative on an interval, and grows without bound, so it has exactly
-one positive root.  We bracket that root (halve t until the residual is
-negative, double until it is nonnegative), bisect, and finish with a few
-secant steps that push the residual far below the requested tolerance.
+one positive root.  Its secant slope from the origin, r(t)/t, rises from
+-|g|^2 at t = 0 through zero at that root, and is affine in t for
+quadratics.  So the root-finding kernel ``linesearch.find_root`` solves
+r(t)/t = 0 from its known value at t = 0, with no search for a point where
+r < 0 first.  A residual within rounding of zero, or within the tolerance,
+counts as zero and ends the search.
 
 Near the minimizer the whole dip of r drops below the rounding floor of f,
 and no value-based search can see it.  There the root is recovered from the
@@ -14,13 +17,15 @@ equation for quadratics (the slope of a parabola at its far level point
 mirrors the slope at the near one) and second-order accurate in general.
 Slopes are computed from gradients, so their precision is relative rather
 than absolute and the switch restores full accuracy exactly where values
-give out.  Both searches query the one line ``restrict(f, x, -grad f(x))``,
-and the result hands that line back, so the caller can take the gradient at
-the level point from it.
+give out.  The same kernel solves it.  Both searches query the one line
+``restrict(f, x, -grad f(x))``, and the result hands that line back, so the
+caller can take the gradient at the level point from it.
 
-The value search halves t only while the first-order decrease t |g|^2 can
-still show in f: once it sinks below the rounding floor, no smaller t can
-reveal the dip either, and the slope path takes over at once.
+Values pin the root only to about the rounding floor over t |g|^2, so the
+slope path takes over whenever the value root's first-order decrease
+t |g|^2 is within 64 rounding floors.  Where the decrease cannot show in f
+at all, the value search stops at its first point, whose residual is
+rounding noise, and the switch costs one value.
 """
 from __future__ import annotations
 
@@ -28,10 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonCoerciveError, NumericError, StationaryPointError
+from .errors import NumericError, StationaryPointError
+from .linesearch import find_root
 from .objectives import restrict
 
 _EPS = float(np.finfo(float).eps)
+_SLOPE_SWITCH = 64.0  # rounding floors of decrease below which slopes take over
 
 
 @dataclass
@@ -56,53 +63,19 @@ class LevelStepResult:
     grad_y: np.ndarray | None = None
 
 
-def _slope_root(line, x, g, f0, max_expansions, grad_tol):
-    """Root of <grad f(x - t g), g> = -|g|^2, by bracketing plus secant.
+def _slope_root(line, x, g, f0, t, tol_rel, max_expansions, grad_tol):
+    """Root of <grad f(x - t g), g> = -|g|^2, i.e. of line.slope(t) - |g|^2,
+    from the bracket start t.
 
     ``line`` is the restriction of f to x - t g that the value search used.
     """
-    target = -float(g @ g)
-
-    def slope(t):
-        return -line.slope(t)
-
-    # slope(0) = |g|^2 > target and slope decreases strictly, so bracket the
-    # crossing: lo keeps slope > target, hi slope <= target
-    lo, d_lo = 0.0, -target
-    hi = 1.0
-    d_hi = slope(hi)
-    steps = 0
-    while d_hi > target:
-        if steps >= max_expansions:
-            raise NonCoerciveError(
-                "the slope along the gradient ray never recovered; "
-                "the objective does not look strongly convex"
-            )
-        lo, d_lo = hi, d_hi
-        hi *= 2.0
-        steps += 1
-        d_hi = slope(hi)
-    for _ in range(80):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        d = slope(mid)
-        if d > target:
-            lo, d_lo = mid, d
-        else:
-            hi, d_hi = mid, d
-    # linear interpolation is exact when the slope is linear in t (quadratics)
-    t_root = hi
-    if d_hi < d_lo:
-        cand = lo + (target - d_lo) * (hi - lo) / (d_hi - d_lo)
-        if lo < cand <= hi:
-            t_root = cand
-    residual = line.value(t_root) - f0
-    grad_y = None if grad_tol is None else line.gradient(t_root)
+    gg = float(g @ g)
+    t, _ = find_root(lambda s: line.slope(s) - gg, -2.0 * gg, t, ftol=2.0 * tol_rel * gg,
+                     xtol=tol_rel, max_expansions=max_expansions)
+    residual = line.value(t) - f0
+    grad_y = None if grad_tol is None else line.gradient(t)
     near = grad_y is not None and float(np.linalg.norm(grad_y)) <= grad_tol
-    return LevelStepResult(float(t_root), x - t_root * g, float(residual), line,
+    return LevelStepResult(float(t), x - t * g, float(residual), line,
                            near_stationary=near, grad_y=grad_y)
 
 
@@ -124,78 +97,20 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
     tol = tol_rel * (1.0 + abs(f0))
     noise_floor = 32.0 * _EPS * (1.0 + abs(f0))
     gg = float(g @ g)
+    r = 0.0
 
-    def residual(t):
-        val = line.value(t) - f0
-        if np.isnan(val):
-            raise NumericError("non-finite objective value during the level search")
-        return val
+    def secant_slope(t):
+        # r(t)/t rises from -|g|^2 at t = 0 to its root at the level step;
+        # r counts as 0 within rounding, or within tol_rel of the smaller of
+        # the first-order decrease and the scale of f
+        nonlocal r
+        r = line.value(t) - f0
+        return 0.0 if abs(r) <= max(noise_floor, tol_rel * min(gg * t, 1.0 + abs(f0))) else r / t
 
-    t = t_init if (np.isfinite(t_init) and t_init > 0.0) else 1.0
-    r = residual(t)
-    shrinks = 0
-    while r >= 0.0:
-        if shrinks >= max_expansions or t * gg <= noise_floor:
-            # the decrease has sunk below rounding; switch to the slope equation
-            return _slope_root(line, x, g, f0, max_expansions, grad_tol)
-        t *= 0.5
-        shrinks += 1
-        r = residual(t)
-
-    deepest = r
-    lo, r_lo = t, r
-    hi, r_hi = t, r
-    expansions = 0
-    while r_hi < 0.0:
-        if expansions >= max_expansions:
-            raise NonCoerciveError(
-                "the objective never returned to its starting level within the "
-                "expansion budget; it does not look strongly convex"
-            )
-        lo, r_lo = hi, r_hi
-        hi *= 2.0
-        expansions += 1
-        r_hi = residual(hi)
-        deepest = min(deepest, r_hi)
-
-    t_best, r_best = (hi, r_hi) if abs(r_hi) < abs(r_lo) else (lo, r_lo)
-    for _ in range(200):
-        if abs(r_best) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        r_mid = residual(mid)
-        deepest = min(deepest, r_mid)
-        if abs(r_mid) < abs(r_best):
-            t_best, r_best = mid, r_mid
-        if r_mid < 0.0:
-            lo, r_lo = mid, r_mid
-        else:
-            hi, r_hi = mid, r_mid
-
-    if deepest > -noise_floor:
-        # the bracket only ever saw rounding noise, not a real dip
-        return _slope_root(line, x, g, f0, max_expansions, grad_tol)
-
-    # secant steps inside the bracket sharpen the root well past tol
-    for _ in range(3):
-        denom = r_hi - r_lo
-        if denom <= 0.0:
-            break
-        ts = lo - r_lo * (hi - lo) / denom
-        if not lo < ts < hi:
-            break
-        rs = residual(ts)
-        if abs(rs) < abs(r_best):
-            t_best, r_best = ts, rs
-        if rs < 0.0:
-            lo, r_lo = ts, rs
-        elif rs > 0.0:
-            hi, r_hi = ts, rs
-        else:
-            break
-
-    if abs(r_best) > tol:
+    t, _ = find_root(secant_slope, -gg, t_init, ftol=0.0, xtol=0.0,
+                     max_expansions=max_expansions, what="objective value")
+    if gg * t <= _SLOPE_SWITCH * noise_floor:
+        return _slope_root(line, x, g, f0, t, tol_rel, max_expansions, grad_tol)
+    if abs(r) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
-    return LevelStepResult(float(t_best), x - t_best * g, float(r_best), line)
+    return LevelStepResult(float(t), x - t * g, float(r), line)

@@ -1,96 +1,107 @@
-"""One-dimensional minimization of a convex function on the ray v >= 0.
+"""One-dimensional searches: a safeguarded bracketing root-finder, and the
+minimum of a convex function on the ray v >= 0 as the root of its slope.
 
-Bracket the minimum by doubling, shrink the bracket by golden-section, then
-take parabolic-fit polish steps on a fixed stencil.  The polish matters: a
-pure golden-section search bottoms out near sqrt(machine eps) because the
-function values it compares become indistinguishable, while the parabola
-vertex stays accurate well past that.
+``find_root`` is the one kernel behind every search along a ray.  It takes a
+function phi that increases through zero on t > 0 from a known phi(0) < 0.
+It grows a bracket from a start point by extrapolating the secant through
+the last two points, at most doubling each time, and closes it by regula
+falsi of the Illinois family: a secant step between the bracket ends, where
+an end kept twice in a row has its value scaled down (by the Anderson-Bjorck
+factor, or halved as in the Illinois method), so the bracket cannot stall on
+one side.  When phi is affine, the first secant step, between the ends or
+extrapolated past them, lands on the root.
+
+The minimum of a convex function along a line solves ``slope(v) = 0``.
+Slopes come from gradients, so their precision is relative: they keep
+locating the minimum where comparisons of function values drown in rounding
+(Hager & Zhang, SIAM J. Optim. 16, 2005).
 """
 from __future__ import annotations
 
 import math
 
-from .errors import NumericError
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_POLISH_SCALES = (1e-4, 1e-6)
-_MACHEPS = 2.220446049250313e-16
+from .errors import NonCoerciveError, NumericError
 
 
-def minimize_on_ray(h, v0: float = 1.0, rel_tol: float = 1e-8,
-                    max_evals: int = 10_000, h0: float | None = None):
-    """Minimize convex h over v >= 0, starting the bracket search at v0.
+def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float,
+              max_expansions: int = 60, max_evals: int = 10_000,
+              what: str = "gradient"):
+    """The root of phi on t > 0, where phi(0) = phi0 < 0 and phi increases.
 
-    Returns (v, h(v), evaluations).  Raises NumericError when the evaluation
-    budget runs out or h turns up NaN.
+    The bracket starts at [0, t] and grows at most ``max_expansions`` times.
+    The search stops at the first point with |phi| <= ``ftol``, or once the
+    bracket [lo, hi] is narrower than ``xtol * hi``.  Returns (t, phi(t)) for
+    the last point evaluated.
+
+    Raises NonCoerciveError when phi is still negative after the last
+    expansion, and NumericError after ``max_evals`` evaluations of phi or on a
+    NaN, named as a non-finite ``what``.
     """
     evals = 0
 
-    def call(v):
+    def call(s):
         nonlocal evals
         if evals >= max_evals:
             raise NumericError("one-dimensional search exceeded its evaluation budget")
         evals += 1
-        val = float(h(v))
+        val = float(phi(s))
         if math.isnan(val):
-            raise NumericError("one-dimensional search hit a NaN value")
+            raise NumericError(f"non-finite {what}")
         return val
 
-    if h0 is None:
-        h0 = call(0.0)
-    best_v, best_h = 0.0, h0
-
-    v1 = v0 if (v0 > 0.0 and math.isfinite(v0)) else 1.0
-    h1 = call(v1)
-    if h1 < best_h:
-        best_v, best_h = v1, h1
-    if h1 >= h0:
-        lo, hi = 0.0, v1
-    else:
-        # double until the values turn upward; overflow to +inf also closes it
-        a, b, hb = 0.0, v1, h1
-        while True:
-            c = 2.0 * b
-            hc = call(c)
-            if hc < best_h:
-                best_v, best_h = c, hc
-            if hc >= hb:
-                lo, hi = a, c
+    lo, f_lo = 0.0, phi0
+    hi = t if (t > 0.0 and math.isfinite(t)) else 1.0
+    f_hi = call(hi)
+    expansions = 0
+    while f_hi < 0.0 and -f_hi > ftol:
+        if expansions == max_expansions:
+            raise NonCoerciveError(
+                f"the objective looks unbounded below along the ray: the search "
+                f"still descended after {max_expansions} bracket expansions")
+        # extrapolate the secant through the last two points, at most doubling
+        step = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else math.inf
+        lo, f_lo = hi, f_hi
+        hi = step if hi < step < 2.0 * hi else 2.0 * hi
+        expansions += 1
+        f_hi = call(hi)
+    t, f = hi, f_hi
+    side = 0
+    while abs(f) > ftol and hi - lo > xtol * hi:
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < t < hi:  # an infinite or rounded-off secant step
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
                 break
-            a, b, hb = b, c, hc
-
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = call(x1), call(x2)
-    while hi - lo > rel_tol * (1.0 + hi):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = call(x1)
+        f = call(t)
+        if f < 0.0:
+            if side < 0:
+                m = 1.0 - f / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo = t, f
+            side = -1
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = call(x2)
-    for v, fv in ((x1, f1), (x2, f2)):
-        if fv < best_h:
-            best_v, best_h = v, fv
+            if side > 0:
+                m = 1.0 - f / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi = t, f
+            side = 1
+    return t, f
 
-    for scale in _POLISH_SCALES:
-        delta = scale * (1.0 + abs(best_v))
-        hm = call(best_v - delta)  # h must be defined slightly past v = 0
-        hp = call(best_v + delta)
-        denom = hp - 2.0 * best_h + hm
-        if denom <= 0.0 or not math.isfinite(denom):
-            continue
-        cand = max(best_v + 0.5 * delta * (hm - hp) / denom, 0.0)
-        hcand = call(cand)
-        # accept through rounding noise: near the minimum the true values
-        # differ by less than eps * |h|
-        if hcand <= best_h + 4.0 * _MACHEPS * (1.0 + abs(hcand)):
-            best_v, best_h = cand, min(hcand, best_h)
-        elif hm < best_h and best_v - delta >= 0.0:
-            best_v, best_h = best_v - delta, hm
-        elif hp < best_h:
-            best_v, best_h = best_v + delta, hp
 
-    return best_v, best_h, evals
+def minimize_on_ray(line, v0: float = 1.0, rel_tol: float = 1e-8,
+                    max_evals: int = 10_000, h0: float | None = None,
+                    max_expansions: int = 60):
+    """Minimize a convex function over v >= 0 along ``line``, from the bracket
+    start v0, by solving ``line.slope(v) = 0`` to relative precision rel_tol.
+
+    ``h0`` is ``line.value(0.0)`` when the caller holds it.  Returns (v, the
+    value at v).  A line that does not descend at v = 0 (its slope there is
+    nonnegative, or not a number) returns v = 0; the caller's gradient check
+    then names a non-finite slope.  ``find_root`` raises the errors.
+    """
+    s0 = line.slope(0.0)
+    if not s0 < 0.0:
+        return 0.0, line.value(0.0) if h0 is None else h0
+    v, _ = find_root(line.slope, s0, v0, ftol=rel_tol * -s0, xtol=rel_tol,
+                     max_expansions=max_expansions, max_evals=max_evals - 1)
+    return v, line.value(v)

@@ -191,14 +191,19 @@ class QuadraticLine:
 
 
 class RayLine:
-    """t -> f(x + t d) through the objective's own value and gradient."""
+    """t -> f(x + t d) through the objective's own value and gradient.
 
-    __slots__ = ("obj", "x", "d")
+    It keeps the last gradient it took, so the gradient at the point a slope
+    search ended on costs nothing more.
+    """
+
+    __slots__ = ("obj", "x", "d", "_t", "_g")
 
     def __init__(self, obj, x: np.ndarray, d: np.ndarray):
         self.obj = obj
         self.x = x
         self.d = d
+        self._t = self._g = None
 
     def value(self, t: float) -> float:
         return self.obj.value(self.x + t * self.d)
@@ -207,7 +212,9 @@ class RayLine:
         return float(self.gradient(t) @ self.d)
 
     def gradient(self, t: float) -> np.ndarray:
-        return self.obj.gradient(self.x + t * self.d)
+        if t != self._t:
+            self._t, self._g = t, self.obj.gradient(self.x + t * self.d)
+        return self._g
 
 
 def restrict(obj, x, d, f=None, g=None):

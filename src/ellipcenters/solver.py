@@ -47,9 +47,9 @@ class SolverConfig:
     variant: Variant = Variant.SEMILINE_MIN
     tau_level: float = 1e-10         # relative tolerance of the level equation
     tau_dep: float = 1e-8            # sin(theta) below this counts as collinear
-    tau_linesearch: float = 1e-8     # relative bracket tolerance on the semiline
-    max_inner_evals: int = 10_000    # per line search
-    max_expansions: int = 60         # bracket halvings/doublings in the level step
+    tau_linesearch: float = 1e-8     # relative precision of the semiline minimum
+    max_inner_evals: int = 10_000    # per semiline search
+    max_expansions: int = 60         # bracket expansions per search along a ray
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -143,16 +143,16 @@ def semiline_search(line, variant: Variant, cfg: SolverConfig, *,
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
     at ``scale``; ``f_base`` is the value at v = 0.  Returns (v, f at that
     point)."""
-    h = line.value
     if variant is Variant.SEMILINE_MIN:
-        v, fv, _ = minimize_on_ray(h, v0=scale, rel_tol=cfg.tau_linesearch,
-                                   max_evals=cfg.max_inner_evals, h0=f_base)
-        if fv > f_base:  # ascent along the whole ray: stay at the midpoint
+        v, fv = minimize_on_ray(line, v0=scale, rel_tol=cfg.tau_linesearch,
+                                max_evals=cfg.max_inner_evals, h0=f_base,
+                                max_expansions=cfg.max_expansions)
+        if fv > f_base:  # no decrease above rounding: stay at the midpoint
             return 0.0, f_base
         return v, fv
     v = scale
     for _ in range(cfg.max_expansions):
-        fv = h(v)
+        fv = line.value(v)
         if fv < f_base:
             return v, fv
         v *= 0.5
@@ -174,9 +174,8 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     if float(np.linalg.norm(g0)) <= cfg.epsilon:
         raise StationaryPointError("gradient norm is already within the stopping tolerance")
 
-    t_init = warm_t if (warm_t is not None and math.isfinite(warm_t) and warm_t > 0.0) else 1.0
-    level = find_level_step(obj, x, cfg.tau_level, cfg.max_expansions,
-                            grad=g0, f_x=f0, t_init=t_init, grad_tol=cfg.epsilon)
+    level = find_level_step(obj, x, cfg.tau_level, cfg.max_expansions, grad=g0, f_x=f0,
+                            t_init=1.0 if warm_t is None else warm_t, grad_tol=cfg.epsilon)
     y = level.y
     if np.array_equal(y, x):
         raise NumericError("the level step collapsed onto x below float resolution")

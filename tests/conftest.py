@@ -58,3 +58,28 @@ class NaNGradientAfter:
     def gradient(self, x):
         self.calls -= 1
         return self.inner.gradient(x) if self.calls >= 0 else np.full(self.dimension, np.nan)
+
+
+class Transformed:
+    """z -> a f(Q z + c) + shift, through value and gradient only."""
+
+    def __init__(self, inner, q=None, c=None, a=1.0, shift=0.0):
+        n = inner.dimension
+        self.inner = inner
+        self.q = np.eye(n) if q is None else q
+        self.c = np.zeros(n) if c is None else c
+        self.a = a
+        self.shift = shift
+        self.dimension = n
+
+    def point(self, z):
+        return self.q @ z + self.c
+
+    def start(self, x0):
+        return self.q.T @ (x0 - self.c)
+
+    def value(self, z):
+        return self.a * self.inner.value(self.point(z)) + self.shift
+
+    def gradient(self, z):
+        return self.a * (self.q.T @ self.inner.gradient(self.point(z)))

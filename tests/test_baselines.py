@@ -83,8 +83,10 @@ class TestBBMinimize:
                     raise NumericError("gradient failed")
                 return g
 
+        # four finite gradients: at x0, then the exact first step's slopes at
+        # 0, at v0 and at the secant root, whose gradient the line keeps
         p, x0 = generate_instance("quadratic", 10, 1, GenParams(kappa=100))
-        run = bb_minimize(RaisingGradientAfter(p, 2), x0)
+        run = bb_minimize(RaisingGradientAfter(p, 4), x0)
         assert run.termination is Termination.NUMERIC_ERROR
         assert run.message == "gradient failed"
         assert run.iterations == 1
@@ -137,6 +139,27 @@ def test_nonfinite_start_value_named(method):
     assert run.termination is Termination.NUMERIC_ERROR
     assert run.message == "non-finite objective value"
     assert run.iterations == 0
+
+
+@pytest.mark.parametrize("method", ["me", "bb-long", "bb-short", "gd"])
+def test_unbounded_ray_named_within_the_expansion_cap(method):
+    # f = -x[0] descends along -grad f forever; each search stops after
+    # max_expansions bracket expansions and says why
+    run = run_method(method, HOSTILE["linear"], np.array([1.0, 1.0]))
+    assert run.termination is Termination.NUMERIC_ERROR
+    assert "unbounded below along the ray" in run.message
+    assert run.evaluations <= 70
+
+
+@pytest.mark.parametrize("finite_calls,iterations", [(0, 0), (1, 1), (2, 0)])
+def test_gd_nonfinite_gradient_named(finite_calls, iterations):
+    # at the start; at the slope at x, which leaves the step at 0 and the
+    # next gradient not a number; inside the exact step's search
+    p, x0 = generate_instance("quadratic", 10, 1, GenParams(kappa=100))
+    run = gd_exact_minimize(NaNGradientAfter(p, finite_calls), x0)
+    assert run.termination is Termination.NUMERIC_ERROR
+    assert run.message == "non-finite gradient"
+    assert run.iterations == iterations
 
 
 class TestGDExact:

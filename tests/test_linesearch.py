@@ -1,38 +1,133 @@
 import math
 
+import numpy as np
 import pytest
 
-from ellipcenters import NumericError, minimize_on_ray
+from ellipcenters import (NonCoerciveError, NumericError, QuadraticProblem,
+                          minimize_on_ray)
+from ellipcenters.linesearch import find_root
+from ellipcenters.objectives import CountingObjective
+
+
+class ScalarLine:
+    """A line from a scalar function and its derivative, counting slopes."""
+
+    def __init__(self, h, dh):
+        self.h = h
+        self.dh = dh
+        self.slopes = 0
+
+    def value(self, v):
+        return self.h(v)
+
+    def slope(self, v):
+        self.slopes += 1
+        return self.dh(v)
 
 
 def test_shifted_parabola_vertex():
-    v, hv, _ = minimize_on_ray(lambda v: (v - 0.7) ** 2 + 1.0, v0=1.0)
+    v, hv = minimize_on_ray(ScalarLine(lambda v: (v - 0.7) ** 2 + 1.0,
+                                       lambda v: 2.0 * (v - 0.7)), v0=1.0)
     assert v == pytest.approx(0.7, abs=1e-8)
     assert hv == pytest.approx(1.0, rel=1e-12)
 
 
 def test_increasing_function_stays_at_origin():
-    v, hv, _ = minimize_on_ray(lambda v: v * v + v, v0=1.0)
-    assert v == pytest.approx(0.0, abs=1e-6)
-    assert hv <= 0.0 + 1e-12
+    line = ScalarLine(lambda v: v * v + v, lambda v: 2.0 * v + 1.0)
+    v, hv = minimize_on_ray(line, v0=1.0)
+    assert v == 0.0 and hv == 0.0
+    assert line.slopes == 1
 
 
 def test_nonquadratic_convex():
     # exp(v) - 2v has its minimum at ln 2
-    v, _, _ = minimize_on_ray(lambda v: math.exp(v) - 2.0 * v, v0=0.1)
+    v, _ = minimize_on_ray(ScalarLine(lambda v: math.exp(v) - 2.0 * v,
+                                      lambda v: math.exp(v) - 2.0), v0=0.1)
     assert v == pytest.approx(math.log(2.0), abs=1e-8)
 
 
 def test_far_minimum_found_by_doubling():
-    v, _, _ = minimize_on_ray(lambda v: (v - 300.0) ** 2, v0=1.0)
+    v, _ = minimize_on_ray(ScalarLine(lambda v: (v - 300.0) ** 2,
+                                      lambda v: 2.0 * (v - 300.0)), v0=1.0)
     assert v == pytest.approx(300.0, rel=1e-8)
 
 
 def test_budget_exhaustion_raises():
-    with pytest.raises(NumericError):
-        minimize_on_ray(lambda v: (v - 1e9) ** 2, v0=1e-6, max_evals=10)
+    line = ScalarLine(lambda v: (v - 1e9) ** 2, lambda v: 2.0 * (v - 1e9))
+    with pytest.raises(NumericError, match="budget"):
+        minimize_on_ray(line, v0=1e-6, max_evals=10)
+    assert line.slopes == 10
 
 
 def test_nan_raises():
-    with pytest.raises(NumericError):
-        minimize_on_ray(lambda v: float("nan"), v0=1.0)
+    line = ScalarLine(lambda v: -v, lambda v: -1.0 if v == 0.0 else float("nan"))
+    with pytest.raises(NumericError, match="^non-finite gradient$"):
+        minimize_on_ray(line, v0=1.0)
+
+
+def test_nan_slope_at_the_origin_stays_there():
+    # the caller's own gradient check names it
+    line = ScalarLine(lambda v: 1.0, lambda v: float("nan"))
+    assert minimize_on_ray(line, v0=1.0, h0=1.0) == (0.0, 1.0)
+
+
+def test_unbounded_ray_named_within_the_expansion_cap():
+    line = ScalarLine(lambda v: -v, lambda v: -1.0)
+    with pytest.raises(NonCoerciveError, match="unbounded below along the ray"):
+        minimize_on_ray(line, v0=1.0, max_expansions=30)
+    assert line.slopes == 1 + 1 + 30
+
+
+@pytest.mark.parametrize("start", [0.6, 1.0, 1.7, 50.0])
+def test_quadratic_line_lands_on_the_closed_form(start):
+    # the slope of a parabola is affine, so the first secant step, between
+    # v = 0 and v0 or extrapolated past v0 (by at most a doubling), is the
+    # closed-form minimizer -slope(0) / <d, Ad>
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6))
+    p = QuadraticProblem(m @ m.T + 6.0 * np.eye(6), rng.standard_normal(6))
+    x, d = rng.standard_normal(6), rng.standard_normal(6)
+    d *= -np.sign(p.gradient(x) @ d)  # a descent direction
+    counted = CountingObjective(p)
+    line = counted.along(x, d)
+    exact = -line.line.gd / line.line.dad
+    v, _ = minimize_on_ray(line, v0=start * exact)
+    assert v == pytest.approx(exact, rel=1e-12)
+    assert counted.n_grad <= 3 and counted.n_value == 1
+
+
+class TestAgainstScipy:
+    # scipy is a test-only reference: the package never imports it
+    @pytest.mark.parametrize("phi,t0", [
+        (lambda t: t**3 - 2.0, 1.0),
+        (lambda t: math.exp(t) - 5.0, 0.1),
+        (lambda t: math.atan(t - 3.0), 0.5),
+        (lambda t: t - 1e-3 / (t + 1e-9), 10.0),
+        (lambda t: math.log1p(t) - 0.01, 100.0),
+    ], ids=["cubic", "exp", "atan", "pole", "log"])
+    def test_root_matches_brentq(self, phi, t0):
+        optimize = pytest.importorskip("scipy.optimize")
+        t, f = find_root(phi, phi(0.0), t0, ftol=0.0, xtol=1e-14)
+        hi = t0
+        while phi(hi) < 0.0:
+            hi *= 2.0
+        reference = optimize.brentq(phi, 0.0, hi, xtol=1e-300, rtol=1e-15)
+        assert t == pytest.approx(reference, rel=1e-12)
+        assert f == phi(t)
+
+    @pytest.mark.parametrize("h,dh,v0", [
+        (lambda v: math.exp(v) - 2.0 * v, lambda v: math.exp(v) - 2.0, 0.1),
+        (lambda v: math.cosh(v - 4.0), lambda v: math.sinh(v - 4.0), 1.0),
+        (lambda v: (v - 2.5) ** 4 + v, lambda v: 4.0 * (v - 2.5) ** 3 + 1.0, 10.0),
+        (lambda v: math.log1p(math.exp(3.0 - v)) + 0.1 * v,
+         lambda v: 0.1 - 1.0 / (1.0 + math.exp(v - 3.0)), 1.0),
+    ], ids=["exp", "cosh", "quartic", "softplus"])
+    def test_minimum_matches_minimize_scalar(self, h, dh, v0):
+        optimize = pytest.importorskip("scipy.optimize")
+        v, hv = minimize_on_ray(ScalarLine(h, dh), v0=v0, rel_tol=1e-12)
+        reference = optimize.minimize_scalar(h, bounds=(0.0, 20.0), method="bounded",
+                                             options={"xatol": 1e-12})
+        # values agree to rounding; the argmin only to sqrt(eps), which is
+        # all a value-based reference can resolve
+        assert hv <= reference.fun + 1e-14 * (1.0 + abs(reference.fun))
+        assert v == pytest.approx(reference.x, abs=1e-6)
