@@ -76,8 +76,8 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
 
     def step(counted, x, f, g):
         nonlocal warm
-        # tau is 0 only when the slope at x is not a number, and then the
-        # gradient handed back is not either, which ends the run
+        # the slope at x comes from g, so it is -|g|^2 < 0 and the search
+        # runs; a NaN slope inside it raises, which ends the run
         tau, f_next, line = _exact_step(counted, x, f, g, v0=warm)
         warm = tau
         return x - tau * g, f_next, line.gradient(tau), dict(t=tau, branch="gd")

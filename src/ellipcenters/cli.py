@@ -120,6 +120,8 @@ def _cmd_verify_geometry(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.samples < 1:
+        raise ValueError("need at least one sample")
     kind = _PROBLEM_KINDS[args.problem]
     problem, _ = generate_instance(kind, args.n, args.seed, GenParams(kappa=args.kappa))
     rng = np.random.default_rng(args.seed + 1_000_003)

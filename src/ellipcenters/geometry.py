@@ -32,29 +32,27 @@ class ConicClass(Enum):
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Orthonormal frame of the working plane.
+    """Orthonormal frame of the working plane at the level point y.
 
-    ``origin`` is the level point y, ``e1`` the unit chord direction
-    (x - y)/|x - y|, ``e2`` the unit vector along w, the component of
-    -grad f(y) orthogonal to the chord.  ``lam`` is the chord length and
-    theta the angle between the chord and -grad f(y).
+    ``e1`` is the unit chord direction (x - y)/|x - y|, ``e2`` the unit
+    vector along the component of -grad f(y) orthogonal to the chord.
+    ``lam`` is the chord length and theta the angle between the chord and
+    -grad f(y).
     """
 
-    origin: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     lam: float
     cos_theta: float
     sin_theta: float
-    w: np.ndarray
 
 
-def build_frame(x, y, grad_y, dep_tol: float = 1e-8) -> LocalFrame:
+def build_frame(x, y, grad_y) -> LocalFrame:
     """Frame of the plane through x, y spanned with the gradient at y.
 
     Raises DegeneratePlaneError when grad_y is numerically collinear with
-    the chord (sin(theta) <= dep_tol, or w vanishes relative to |grad_y|);
-    the caller is expected to fall back to the chord midpoint then.
+    the chord (sin(theta) <= 1e-8, or its part orthogonal to the chord
+    vanishes relative to |grad_y|); the caller falls back to the midpoint.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -71,18 +69,16 @@ def build_frame(x, y, grad_y, dep_tol: float = 1e-8) -> LocalFrame:
     sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
     w = -grad_y + (float(diff @ grad_y) / lam**2) * diff
     wnorm = float(np.linalg.norm(w))
-    if sin_theta <= dep_tol or wnorm <= 1e-12 * gnorm:
+    if sin_theta <= 1e-8 or wnorm <= 1e-12 * gnorm:
         raise DegeneratePlaneError(
             "gradient at the level point is collinear with the chord"
         )
     return LocalFrame(
-        origin=y.copy(),
         e1=diff / lam,
         e2=w / wnorm,
         lam=lam,
         cos_theta=cos_theta,
         sin_theta=sin_theta,
-        w=w,
     )
 
 
@@ -164,15 +160,15 @@ def conic_center(coef: ConicCoefficients, lam: float) -> tuple[float, float]:
     return u, v
 
 
-def center_direction(frame: LocalFrame, cos_tol: float = 1e-12) -> np.ndarray:
+def center_direction(frame: LocalFrame) -> np.ndarray:
     """Ambient direction of the semiline of ellipse centers.
 
     The semiline is {(x + y)/2 + v * d : v >= 0} with
     d = e2 - (sin theta / (2 cos theta)) e1.  Requires cos theta > 0; a
-    tangential gradient (cos theta ~ 0) leaves the direction undefined and
-    raises DegeneratePlaneError.
+    tangential gradient (cos theta <= 1e-12) leaves the direction undefined
+    and raises DegeneratePlaneError.
     """
-    if frame.cos_theta <= cos_tol:
+    if frame.cos_theta <= 1e-12:
         raise DegeneratePlaneError(
             "gradient at the level point is orthogonal to the chord"
         )
@@ -219,25 +215,24 @@ def _conic_residual(coef: ConicCoefficients, lam: float, m: float, n: float):
     return residual, positive, u, v
 
 
-def survey_geometry(samples: int, seed: int, lam_range=(0.1, 10.0),
-                    theta_margin: float = 0.05, beyond_fraction: float = 0.2,
-                    residual_tol: float = 1e-9) -> list[SurveyRow]:
+def survey_geometry(samples: int, seed: int) -> list[SurveyRow]:
     """Fit conics over a seeded random grid and record the oracle residuals.
 
-    Draws ``samples`` admissible configurations (m strictly inside (0, M))
-    plus ``beyond_fraction * samples`` configurations with m > M, which must
-    classify as non-ellipses.  A row is ``ok`` when its classification is the
-    expected one and, for ellipses, every residual is within ``residual_tol``
-    with positive normal multipliers and a > b^2.
+    Draws ``samples`` admissible configurations (lam in [0.1, 10], theta at
+    least 0.05 away from 0 and pi/2, m strictly inside (0, M)) plus
+    ``0.2 * samples`` configurations with m > M, which must classify as
+    non-ellipses.  A row is ``ok`` when its classification is the expected
+    one and, for ellipses, every residual is within 1e-9 with positive
+    normal multipliers and a > b^2.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     rows = []
-    n_beyond = int(round(samples * beyond_fraction))
+    n_beyond = int(round(samples * 0.2))
     for i in range(samples + n_beyond):
-        lam = float(rng.uniform(*lam_range))
-        theta = float(rng.uniform(theta_margin, 0.5 * math.pi - theta_margin))
+        lam = float(rng.uniform(0.1, 10.0))
+        theta = float(rng.uniform(0.05, 0.5 * math.pi - 0.05))
         bound = ellipse_bound(lam, theta)
         if i < samples:
             m = bound * float(rng.uniform(1e-4, 1.0 - 1e-4))
@@ -249,7 +244,7 @@ def survey_geometry(samples: int, seed: int, lam_range=(0.1, 10.0),
         residual, positive, u, v = _conic_residual(coef, lam, m, n)
         if i < samples:
             ok = (kind is ConicClass.ELLIPSE and coef.is_ellipse
-                  and positive and residual <= residual_tol)
+                  and positive and residual <= 1e-9)
         else:
             ok = kind is not ConicClass.ELLIPSE and not coef.is_ellipse
         rows.append(SurveyRow(lam=lam, theta=theta, m=m, a=coef.a, b=coef.b,

@@ -39,6 +39,7 @@ from .objectives import restrict
 
 _EPS = float(np.finfo(float).eps)
 _SLOPE_SWITCH = 64.0  # rounding floors of decrease below which slopes take over
+_TOL = 1e-10  # relative tolerance of the level equation
 
 
 @dataclass
@@ -63,15 +64,14 @@ class LevelStepResult:
     grad_y: np.ndarray | None = None
 
 
-def _slope_root(line, x, g, f0, t, tol_rel, max_expansions, grad_tol):
+def _slope_root(line, x, g, f0, t, grad_tol):
     """Root of <grad f(x - t g), g> = -|g|^2, i.e. of line.slope(t) - |g|^2,
     from the bracket start t.
 
     ``line`` is the restriction of f to x - t g that the value search used.
     """
     gg = float(g @ g)
-    t, _ = find_root(lambda s: line.slope(s) - gg, -2.0 * gg, t, ftol=2.0 * tol_rel * gg,
-                     xtol=tol_rel, max_expansions=max_expansions)
+    t, _ = find_root(lambda s: line.slope(s) - gg, -2.0 * gg, t, ftol=2.0 * _TOL * gg, xtol=_TOL)
     residual = line.value(t) - f0
     grad_y = None if grad_tol is None else line.gradient(t)
     near = grad_y is not None and float(np.linalg.norm(grad_y)) <= grad_tol
@@ -79,10 +79,9 @@ def _slope_root(line, x, g, f0, t, tol_rel, max_expansions, grad_tol):
                            near_stationary=near, grad_y=grad_y)
 
 
-def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
-                    *, grad=None, f_x: float | None = None, t_init: float = 1.0,
+def find_level_step(obj, x, *, grad=None, f_x: float | None = None, t_init: float = 1.0,
                     grad_tol: float | None = None) -> LevelStepResult:
-    """Find the unique t > 0 with f(x - t grad) = f(x), to a relative tolerance.
+    """Find the unique t > 0 with f(x - t grad) = f(x) to 1e-10 (1 + |f(x)|).
 
     ``t_init`` seeds the bracket (pass the previous step to warm-start).
     ``grad_tol`` lets the slope-based path report a point that already meets
@@ -94,23 +93,22 @@ def find_level_step(obj, x, tol_rel: float = 1e-10, max_expansions: int = 60,
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
     line = restrict(obj, x, -g, f_x, g)
     f0 = line.value(0.0) if f_x is None else float(f_x)
-    tol = tol_rel * (1.0 + abs(f0))
+    tol = _TOL * (1.0 + abs(f0))
     noise_floor = 32.0 * _EPS * (1.0 + abs(f0))
     gg = float(g @ g)
     r = 0.0
 
     def secant_slope(t):
         # r(t)/t rises from -|g|^2 at t = 0 to its root at the level step;
-        # r counts as 0 within rounding, or within tol_rel of the smaller of
+        # r counts as 0 within rounding, or within _TOL of the smaller of
         # the first-order decrease and the scale of f
         nonlocal r
         r = line.value(t) - f0
-        return 0.0 if abs(r) <= max(noise_floor, tol_rel * min(gg * t, 1.0 + abs(f0))) else r / t
+        return 0.0 if abs(r) <= max(noise_floor, _TOL * min(gg * t, 1.0 + abs(f0))) else r / t
 
-    t, _ = find_root(secant_slope, -gg, t_init, ftol=0.0, xtol=0.0,
-                     max_expansions=max_expansions, what="objective value")
+    t, _ = find_root(secant_slope, -gg, t_init, ftol=0.0, xtol=0.0, what="objective value")
     if gg * t <= _SLOPE_SWITCH * noise_floor:
-        return _slope_root(line, x, g, f0, t, tol_rel, max_expansions, grad_tol)
+        return _slope_root(line, x, g, f0, t, grad_tol)
     if abs(r) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
     return LevelStepResult(float(t), x - t * g, float(r), line)

@@ -22,26 +22,27 @@ import math
 
 from .errors import NonCoerciveError, NumericError
 
+MAX_EXPANSIONS = 60  # bracket expansions before a ray counts as unbounded below
+MAX_EVALS = 10_000   # evaluations of phi per root find
 
-def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float,
-              max_expansions: int = 60, max_evals: int = 10_000,
-              what: str = "gradient"):
+
+def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str = "gradient"):
     """The root of phi on t > 0, where phi(0) = phi0 < 0 and phi increases.
 
-    The bracket starts at [0, t] and grows at most ``max_expansions`` times.
+    The bracket starts at [0, t] and grows at most ``MAX_EXPANSIONS`` times.
     The search stops at the first point with |phi| <= ``ftol``, or once the
     bracket [lo, hi] is narrower than ``xtol * hi``.  Returns (t, phi(t)) for
     the last point evaluated.
 
     Raises NonCoerciveError when phi is still negative after the last
-    expansion, and NumericError after ``max_evals`` evaluations of phi or on a
+    expansion, and NumericError after ``MAX_EVALS`` evaluations of phi or on a
     NaN, named as a non-finite ``what``.
     """
     evals = 0
 
     def call(s):
         nonlocal evals
-        if evals >= max_evals:
+        if evals >= MAX_EVALS:
             raise NumericError("one-dimensional search exceeded its evaluation budget")
         evals += 1
         val = float(phi(s))
@@ -54,10 +55,10 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float,
     f_hi = call(hi)
     expansions = 0
     while f_hi < 0.0 and -f_hi > ftol:
-        if expansions == max_expansions:
+        if expansions == MAX_EXPANSIONS:
             raise NonCoerciveError(
                 f"the objective looks unbounded below along the ray: the search "
-                f"still descended after {max_expansions} bracket expansions")
+                f"still descended after {MAX_EXPANSIONS} bracket expansions")
         # extrapolate the secant through the last two points, at most doubling
         step = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else math.inf
         lo, f_lo = hi, f_hi
@@ -88,9 +89,7 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float,
     return t, f
 
 
-def minimize_on_ray(line, v0: float = 1.0, rel_tol: float = 1e-8,
-                    max_evals: int = 10_000, h0: float | None = None,
-                    max_expansions: int = 60):
+def minimize_on_ray(line, v0: float = 1.0, rel_tol: float = 1e-8, h0: float | None = None):
     """Minimize a convex function over v >= 0 along ``line``, from the bracket
     start v0, by solving ``line.slope(v) = 0`` to relative precision rel_tol.
 
@@ -102,6 +101,5 @@ def minimize_on_ray(line, v0: float = 1.0, rel_tol: float = 1e-8,
     s0 = line.slope(0.0)
     if not s0 < 0.0:
         return 0.0, line.value(0.0) if h0 is None else h0
-    v, _ = find_root(line.slope, s0, v0, ftol=rel_tol * -s0, xtol=rel_tol,
-                     max_expansions=max_expansions, max_evals=max_evals - 1)
+    v, _ = find_root(line.slope, s0, v0, ftol=rel_tol * -s0, xtol=rel_tol)
     return v, line.value(v)

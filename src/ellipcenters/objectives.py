@@ -18,7 +18,7 @@ along such a line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -103,9 +103,6 @@ class QuadraticProblem:
         """The unique minimizer, from a direct linear solve."""
         return np.linalg.solve(self.a, self.b)
 
-    def min_value(self) -> float:
-        return float(-0.5 * self.b @ self.solution())
-
 
 @dataclass(frozen=True)
 class LogSumExpProblem:
@@ -161,9 +158,6 @@ class LogSumExpProblem:
     def solution(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def min_value(self) -> float:
-        return float(np.log(self.dimension))
-
 
 class QuadraticLine:
     """f0 + t <g0, d> + t^2 <d, Ad> / 2: a quadratic along x + t d.
@@ -193,19 +187,24 @@ class QuadraticLine:
 class RayLine:
     """t -> f(x + t d) through the objective's own value and gradient.
 
+    Handed ``f`` and ``g``, the value and gradient at x, it answers
+    ``value(0)`` from f and starts out holding g as its gradient at t = 0.
     It keeps the last gradient it took, so the gradient at the point a slope
     search ended on costs nothing more.
     """
 
-    __slots__ = ("obj", "x", "d", "_t", "_g")
+    __slots__ = ("obj", "x", "d", "f", "_t", "_g")
 
-    def __init__(self, obj, x: np.ndarray, d: np.ndarray):
+    def __init__(self, obj, x: np.ndarray, d: np.ndarray, f=None, g=None):
         self.obj = obj
         self.x = x
         self.d = d
-        self._t = self._g = None
+        self.f = f
+        self._t, self._g = (None, None) if g is None else (0.0, g)
 
     def value(self, t: float) -> float:
+        if t == 0.0 and self.f is not None:
+            return self.f
         return self.obj.value(self.x + t * self.d)
 
     def slope(self, t: float) -> float:
@@ -223,20 +222,21 @@ def restrict(obj, x, d, f=None, g=None):
     ``f`` and ``g`` are the value and gradient at x, when the caller already
     holds them.  Uses the objective's own ``along(x, d, f, g)`` when it has
     one, else a ``RayLine`` that evaluates f and its gradient at each queried
-    point (and ignores ``f`` and ``g``).
+    point, except at x itself when handed ``f`` and ``g``.
     """
     along = getattr(obj, "along", None)
     if along is not None:
         return along(x, d, f, g)
-    return RayLine(obj, x, d)
+    return RayLine(obj, x, d, f, g)
 
 
 class CountingObjective:
     """Pass-through wrapper that counts value and gradient evaluations.
 
-    Along a line, each ``value(t)`` counts as one value evaluation and each
-    ``slope(t)`` or ``gradient(t)`` as one gradient evaluation, whichever
-    line serves them.
+    Along an objective's own line, each ``value(t)`` counts as one value
+    evaluation and each ``slope(t)`` or ``gradient(t)`` as one gradient
+    evaluation.  The generic line counts the pointwise calls it makes, so
+    what it answers from the value and gradient it was handed counts nothing.
     """
 
     def __init__(self, inner):
@@ -259,7 +259,7 @@ class CountingObjective:
     def along(self, x, d, f=None, g=None):
         along = getattr(self.inner, "along", None)
         if along is None:  # the generic line already counts through self
-            return RayLine(self, x, d)
+            return RayLine(self, x, d, f, g)
         return _CountedLine(self, along(x, d, f, g))
 
 
@@ -365,12 +365,7 @@ def problem_to_dict(problem, *, seed: int | None = None,
                     params: GenParams | None = None, x0=None) -> dict:
     """JSON-ready document with the problem data as flat arrays."""
     doc: dict = {"n": problem.dimension, "seed": seed}
-    doc["params"] = None if params is None else {
-        "kappa": params.kappa,
-        "weight_low": params.weight_low,
-        "weight_high": params.weight_high,
-        "max_quadratic_dim": params.max_quadratic_dim,
-    }
+    doc["params"] = None if params is None else asdict(params)
     if isinstance(problem, QuadraticProblem):
         doc["kind"] = "quadratic"
         doc["matrix"] = problem.a.ravel().tolist()
@@ -387,17 +382,26 @@ def problem_to_dict(problem, *, seed: int | None = None,
 
 
 def problem_from_dict(doc: dict):
-    """Inverse of problem_to_dict.  Returns (problem, x0_or_None)."""
+    """Inverse of problem_to_dict.  Returns (problem, x0_or_None).
+
+    Raises ValueError on a document that is not an object, names an unknown
+    kind or lacks a field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("a problem document must be a JSON object")
     kind = doc.get("kind")
-    n = int(doc["n"])
-    if kind == "quadratic":
-        a = np.asarray(doc["matrix"], dtype=float).reshape(n, n)
-        problem = QuadraticProblem(a, np.asarray(doc["b"], dtype=float), mu=doc.get("mu"))
-    elif kind == "logsumexp":
-        problem = LogSumExpProblem(np.asarray(doc["alpha"], dtype=float),
-                                   np.asarray(doc["beta"], dtype=float))
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
+    try:
+        n = int(doc["n"])
+        if kind == "quadratic":
+            a = np.asarray(doc["matrix"], dtype=float).reshape(n, n)
+            problem = QuadraticProblem(a, np.asarray(doc["b"], dtype=float), mu=doc.get("mu"))
+        elif kind == "logsumexp":
+            problem = LogSumExpProblem(np.asarray(doc["alpha"], dtype=float),
+                                       np.asarray(doc["beta"], dtype=float))
+        else:
+            raise ValueError(f"unknown problem kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"problem document lacks {exc.args[0]!r}") from None
     x0 = doc.get("x0")
     if x0 is not None:
         x0 = _check_point(x0, n)

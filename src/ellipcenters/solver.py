@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegeneratePlaneError, NumericError, StationaryPointError
 from .geometry import build_frame, center_direction
 from .levelstep import find_level_step
-from .linesearch import minimize_on_ray
+from .linesearch import MAX_EXPANSIONS, minimize_on_ray
 from .objectives import CountingObjective, restrict
 
 _NAN = float("nan")
@@ -45,20 +45,6 @@ class SolverConfig:
     epsilon: float = 0.01            # stop at the first iterate with |grad f| <= epsilon
     max_iterations: int = 1000
     variant: Variant = Variant.SEMILINE_MIN
-    tau_level: float = 1e-10         # relative tolerance of the level equation
-    tau_dep: float = 1e-8            # sin(theta) below this counts as collinear
-    tau_linesearch: float = 1e-8     # relative precision of the semiline minimum
-    max_inner_evals: int = 10_000    # per semiline search
-    max_expansions: int = 60         # bracket expansions per search along a ray
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("stopping tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-        for name in ("tau_level", "tau_dep", "tau_linesearch"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -138,20 +124,17 @@ class MEStepDiagnostics:
     g_next: np.ndarray | None = None
 
 
-def semiline_search(line, variant: Variant, cfg: SolverConfig, *,
-                    scale: float, f_base: float):
+def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
     at ``scale``; ``f_base`` is the value at v = 0.  Returns (v, f at that
     point)."""
     if variant is Variant.SEMILINE_MIN:
-        v, fv = minimize_on_ray(line, v0=scale, rel_tol=cfg.tau_linesearch,
-                                max_evals=cfg.max_inner_evals, h0=f_base,
-                                max_expansions=cfg.max_expansions)
+        v, fv = minimize_on_ray(line, v0=scale, rel_tol=1e-8, h0=f_base)
         if fv > f_base:  # no decrease above rounding: stay at the midpoint
             return 0.0, f_base
         return v, fv
     v = scale
-    for _ in range(cfg.max_expansions):
+    for _ in range(MAX_EXPANSIONS):
         fv = line.value(v)
         if fv < f_base:
             return v, fv
@@ -174,8 +157,8 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     if float(np.linalg.norm(g0)) <= cfg.epsilon:
         raise StationaryPointError("gradient norm is already within the stopping tolerance")
 
-    level = find_level_step(obj, x, cfg.tau_level, cfg.max_expansions, grad=g0, f_x=f0,
-                            t_init=1.0 if warm_t is None else warm_t, grad_tol=cfg.epsilon)
+    level = find_level_step(obj, x, grad=g0, f_x=f0, t_init=1.0 if warm_t is None else warm_t,
+                            grad_tol=cfg.epsilon)
     y = level.y
     if np.array_equal(y, x):
         raise NumericError("the level step collapsed onto x below float resolution")
@@ -189,7 +172,7 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     # evaluated inside the level step still means it took its slope path
     grad_y = level.grad_y if level.grad_y is not None else level.line.gradient(level.t)
     try:
-        frame = build_frame(x, y, grad_y, dep_tol=cfg.tau_dep)
+        frame = build_frame(x, y, grad_y)
         d = center_direction(frame)
     except DegeneratePlaneError:
         f_base = obj.value(base)
@@ -197,7 +180,7 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
                                        f_mid=f_base, f_next=f_base, y=y)
     line = restrict(obj, base, d)
     f_base = line.value(0.0)
-    v, f_v = semiline_search(line, cfg.variant, cfg, scale=frame.lam, f_base=f_base)
+    v, f_v = semiline_search(line, cfg.variant, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d
     return x_next, MEStepDiagnostics(t=level.t, v=v, branch="ellipse",
                                      f_mid=f_base, f_next=f_v, y=y,
@@ -214,8 +197,13 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
     grad_norm.  A ``None`` for f_next or g_next is evaluated at x_next, the
     value first.  The stopping test runs before each step, so a start point
     that already satisfies it reports zero iterations.  Numeric failures end
-    the run with the partial trace instead of raising.
+    the run with the partial trace instead of raising; an epsilon that is not
+    positive or a max_iterations below 1 raises ValueError.
     """
+    if not epsilon > 0.0:
+        raise ValueError("stopping tolerance must be positive")
+    if max_iterations < 1:
+        raise ValueError("need at least one iteration")
     counted = CountingObjective(obj)
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):

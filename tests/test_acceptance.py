@@ -205,7 +205,7 @@ def test_criterion_7_level_step_correctness():
             for _ in range(5):
                 x = rng.standard_normal(n)
                 fx = problem.value(x)
-                res = find_level_step(problem, x, 1e-10)
+                res = find_level_step(problem, x)
                 residual = abs(problem.value(res.y) - fx)
                 worst = max(worst, residual / (1.0 + abs(fx)))
                 assert res.t > 0.0

@@ -65,8 +65,11 @@ class TestBBMinimize:
             assert run.termination is Termination.CONVERGED
             assert run.grad_norm_final <= 0.01
 
-    @pytest.mark.parametrize("finite_calls,iterations", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("finite_calls,iterations", [(0, 0), (1, 0), (3, 2)])
     def test_nonfinite_gradient_named(self, finite_calls, iterations):
+        # at the start; inside the exact first step's search, whose slope at
+        # 0 comes from the gradient at x0; at the first spectral step's new
+        # iterate, after the search's slopes at v0 and at the secant root
         p, x0 = generate_instance("quadratic", 10, 1, GenParams(kappa=100))
         run = bb_minimize(NaNGradientAfter(p, finite_calls), x0)
         assert run.termination is Termination.NUMERIC_ERROR
@@ -83,10 +86,11 @@ class TestBBMinimize:
                     raise NumericError("gradient failed")
                 return g
 
-        # four finite gradients: at x0, then the exact first step's slopes at
-        # 0, at v0 and at the secant root, whose gradient the line keeps
+        # three finite gradients: at x0, which also gives the exact first
+        # step's slope at 0, then its slopes at v0 and at the secant root,
+        # whose gradient the line keeps
         p, x0 = generate_instance("quadratic", 10, 1, GenParams(kappa=100))
-        run = bb_minimize(RaisingGradientAfter(p, 4), x0)
+        run = bb_minimize(RaisingGradientAfter(p, 3), x0)
         assert run.termination is Termination.NUMERIC_ERROR
         assert run.message == "gradient failed"
         assert run.iterations == 1
@@ -144,17 +148,18 @@ def test_nonfinite_start_value_named(method):
 @pytest.mark.parametrize("method", ["me", "bb-long", "bb-short", "gd"])
 def test_unbounded_ray_named_within_the_expansion_cap(method):
     # f = -x[0] descends along -grad f forever; each search stops after
-    # max_expansions bracket expansions and says why
+    # linesearch.MAX_EXPANSIONS bracket expansions and says why
     run = run_method(method, HOSTILE["linear"], np.array([1.0, 1.0]))
     assert run.termination is Termination.NUMERIC_ERROR
     assert "unbounded below along the ray" in run.message
     assert run.evaluations <= 70
 
 
-@pytest.mark.parametrize("finite_calls,iterations", [(0, 0), (1, 1), (2, 0)])
+@pytest.mark.parametrize("finite_calls,iterations", [(0, 0), (2, 0), (3, 1)])
 def test_gd_nonfinite_gradient_named(finite_calls, iterations):
-    # at the start; at the slope at x, which leaves the step at 0 and the
-    # next gradient not a number; inside the exact step's search
+    # at the start; inside the exact step's search, whose slope at x comes
+    # from the gradient the loop holds; inside the second step's search,
+    # after the first one's slopes at v0 and at the secant root
     p, x0 = generate_instance("quadratic", 10, 1, GenParams(kappa=100))
     run = gd_exact_minimize(NaNGradientAfter(p, finite_calls), x0)
     assert run.termination is Termination.NUMERIC_ERROR

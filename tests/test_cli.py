@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from ellipcenters import GenParams, generate_instance, save_problem
+from ellipcenters import (GenParams, generate_instance, problem_from_dict,
+                          problem_to_dict, save_problem)
 from ellipcenters.cli import main
 
 
@@ -106,3 +109,26 @@ def test_bad_problem_file_is_user_error(tmp_path, capsys):
     code = main(["solve", "--problem-file", str(path)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["n", "b"])
+def test_problem_file_missing_a_field_is_user_error(tmp_path, capsys, field):
+    problem, x0 = generate_instance("quadratic", 4, 2, GenParams(kappa=10))
+    doc = problem_to_dict(problem, x0=x0)
+    del doc[field]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--problem-file", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: problem document lacks {field!r}\n"
+
+
+def test_problem_document_must_be_an_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        problem_from_dict([1, 2, 3])
+
+
+def test_gradcheck_without_samples_is_user_error(capsys):
+    code = main(["gradcheck", "--problem", "f1", "--n", "4", "--samples", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: need at least one sample\n"

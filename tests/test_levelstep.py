@@ -37,7 +37,7 @@ def test_level_residual_within_tolerance(kind, n):
     for _ in range(25):
         x = rng.standard_normal(n)
         fx = p.value(x)
-        res = find_level_step(p, x, 1e-10)
+        res = find_level_step(p, x)
         assert res.t > 0.0
         assert abs(p.value(res.y) - fx) <= 1e-10 * (1.0 + abs(fx))
         # the interior of the bracket sits strictly below the level
@@ -98,7 +98,7 @@ def test_noncoercive_objective_detected():
             return np.array([-1.0, 0.0])
 
     with pytest.raises(NonCoerciveError):
-        find_level_step(Linear(), np.array([0.0, 0.0]), max_expansions=30)
+        find_level_step(Linear(), np.array([0.0, 0.0]))
 
 
 def test_flat_region_switches_to_slope_equation():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ellipcenters import (NonCoerciveError, NumericError, QuadraticProblem,
-                          minimize_on_ray)
-from ellipcenters.linesearch import find_root
+                          linesearch, minimize_on_ray)
+from ellipcenters.linesearch import MAX_EXPANSIONS, find_root
 from ellipcenters.objectives import CountingObjective
 
 
@@ -52,11 +52,12 @@ def test_far_minimum_found_by_doubling():
     assert v == pytest.approx(300.0, rel=1e-8)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(linesearch, "MAX_EVALS", 10)
     line = ScalarLine(lambda v: (v - 1e9) ** 2, lambda v: 2.0 * (v - 1e9))
     with pytest.raises(NumericError, match="budget"):
-        minimize_on_ray(line, v0=1e-6, max_evals=10)
-    assert line.slopes == 10
+        minimize_on_ray(line, v0=1e-6)
+    assert line.slopes == 1 + 10  # the slope at 0, then the kernel's budget
 
 
 def test_nan_raises():
@@ -74,8 +75,8 @@ def test_nan_slope_at_the_origin_stays_there():
 def test_unbounded_ray_named_within_the_expansion_cap():
     line = ScalarLine(lambda v: -v, lambda v: -1.0)
     with pytest.raises(NonCoerciveError, match="unbounded below along the ray"):
-        minimize_on_ray(line, v0=1.0, max_expansions=30)
-    assert line.slopes == 1 + 1 + 30
+        minimize_on_ray(line, v0=1.0)
+    assert line.slopes == 1 + 1 + MAX_EXPANSIONS
 
 
 @pytest.mark.parametrize("start", [0.6, 1.0, 1.7, 50.0])

@@ -184,6 +184,16 @@ class TestRestriction:
             else:
                 assert np.array_equal(line.gradient(t), p.gradient(y))
 
+    def test_generic_line_answers_its_base_from_the_held_values(self):
+        p, x, d = self._ray("logsumexp")
+        f, g = p.value(x), p.gradient(x)
+        counted = CountingObjective(p)
+        line = restrict(counted, x, d, f, g)
+        assert line.value(0.0) == f
+        assert line.slope(0.0) == float(g @ d)
+        assert line.gradient(0.0) is g
+        assert (counted.n_value, counted.n_grad) == (0, 0)
+
     def test_quadratic_line_skips_ax_given_value_and_gradient(self, count_products):
         p, x, d = self._ray("quadratic")
         f, g = p.value(x), p.gradient(x)

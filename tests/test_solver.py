@@ -66,8 +66,7 @@ class TestMeStep:
 def search(p, base, d, variant, scale=1.0):
     """The semiline search's v on the line {base + v d} of p, from v = scale."""
     line = restrict(p, base, d)
-    v, _ = semiline_search(line, variant, SolverConfig(), scale=scale,
-                           f_base=line.value(0.0))
+    v, _ = semiline_search(line, variant, scale=scale, f_base=line.value(0.0))
     return v
 
 
@@ -265,11 +264,12 @@ class TestPinnedLogSumExpRuns:
 class TestPinnedBaselineRuns:
     # on the instance TestPinnedLogSumExpRuns pins; the exact steps solve
     # for a zero slope, which stays accurate below f's rounding floor, so gd
-    # reaches eps = 1e-8 too
+    # reaches eps = 1e-8 too; their slope at x comes from the gradient the
+    # loop already holds
     @pytest.mark.parametrize("method,iterations,n_value,n_grad,termination", [
-        ("bb-long", 18, 19, 24, Termination.CONVERGED),
-        ("bb-short", 17, 18, 23, Termination.CONVERGED),
-        ("gd", 24, 25, 87, Termination.CONVERGED),
+        ("bb-long", 18, 19, 23, Termination.CONVERGED),
+        ("bb-short", 17, 18, 22, Termination.CONVERGED),
+        ("gd", 24, 25, 63, Termination.CONVERGED),
     ])
     def test_counts_and_final_value(self, method, iterations, n_value, n_grad,
                                     termination):
@@ -382,10 +382,12 @@ class TestMinimize:
         assert run.message == "non-finite gradient"
         assert run.iterations == iterations
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(tau_level=-1.0)
+
+@pytest.mark.parametrize("method", ["me", "bb-long", "bb-short", "gd"])
+@pytest.mark.parametrize("epsilon,max_iterations",
+                         [(0.0, 50), (-1.0, 50), (float("nan"), 50), (0.01, 0)])
+def test_stopping_rule_validated(method, epsilon, max_iterations):
+    # the one descent loop checks the stopping rule for every method
+    p, x0 = generate_instance("quadratic", 6, 1, GenParams(kappa=10))
+    with pytest.raises(ValueError):
+        run_method(method, p, x0, epsilon, max_iterations)
