@@ -20,15 +20,15 @@ from .objectives import (GenParams, LogSumExpProblem, Objective,
                          QuadraticProblem, check_gradient, generate_instance,
                          load_problem, problem_from_dict, problem_to_dict,
                          save_problem)
-from .solver import (IterateRecord, MEStepDiagnostics, SolverConfig, SolverRun,
-                     Termination, Variant, me_step, minimize, semiline_search)
+from .solver import (IterateRecord, SolverConfig, SolverRun, Termination,
+                     Variant, me_step, minimize, semiline_search)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig", "BenchRecord", "ConicClass", "ConicCoefficients",
     "DegeneratePlaneError", "GenParams", "IterateRecord", "LevelStepResult",
-    "LocalFrame", "LogSumExpProblem", "MEStepDiagnostics", "NonCoerciveError",
+    "LocalFrame", "LogSumExpProblem", "NonCoerciveError",
     "NumericError", "Objective", "QuadraticProblem", "RunDetail",
     "SolverConfig", "SolverRun", "StationaryPointError", "Termination",
     "Variant", "bb_minimize", "bb_step_size", "build_frame",

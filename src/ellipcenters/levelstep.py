@@ -49,22 +49,17 @@ class LevelStepResult:
     ``t`` is the positive step, ``y = x - t grad`` the same-level point,
     ``level_residual`` the remaining f(y) - f(x), and ``line`` the
     restriction of f to x - t grad that the search queried
-    (``line.gradient(t)`` is the gradient at y).  ``near_stationary`` marks a
-    point whose gradient norm already met the caller's stationarity
-    tolerance, found on the slope-based path; ``grad_y`` is the gradient at
-    y when that path evaluated it.  Count evaluations by passing a
-    ``CountingObjective``.
+    (``line.gradient(t)`` is the gradient at y).  Count evaluations by
+    passing a ``CountingObjective``.
     """
 
     t: float
     y: np.ndarray
     level_residual: float
     line: object
-    near_stationary: bool = False
-    grad_y: np.ndarray | None = None
 
 
-def _slope_root(line, x, g, f0, t, grad_tol):
+def _slope_root(line, x, g, f0, t):
     """Root of <grad f(x - t g), g> = -|g|^2, i.e. of line.slope(t) - |g|^2,
     from the bracket start t.
 
@@ -73,19 +68,14 @@ def _slope_root(line, x, g, f0, t, grad_tol):
     gg = float(g @ g)
     t, _ = find_root(lambda s: line.slope(s) - gg, -2.0 * gg, t, ftol=2.0 * _TOL * gg, xtol=_TOL)
     residual = line.value(t) - f0
-    grad_y = None if grad_tol is None else line.gradient(t)
-    near = grad_y is not None and float(np.linalg.norm(grad_y)) <= grad_tol
-    return LevelStepResult(float(t), x - t * g, float(residual), line,
-                           near_stationary=near, grad_y=grad_y)
+    return LevelStepResult(float(t), x - t * g, float(residual), line)
 
 
-def find_level_step(obj, x, *, grad=None, f_x: float | None = None, t_init: float = 1.0,
-                    grad_tol: float | None = None) -> LevelStepResult:
+def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
+                    t_init: float = 1.0) -> LevelStepResult:
     """Find the unique t > 0 with f(x - t grad) = f(x) to 1e-10 (1 + |f(x)|).
 
     ``t_init`` seeds the bracket (pass the previous step to warm-start).
-    ``grad_tol`` lets the slope-based path report a point that already meets
-    the caller's stationarity tolerance, so the caller can stop early.
     """
     x = np.asarray(x, dtype=float)
     g = obj.gradient(x) if grad is None else np.asarray(grad, dtype=float)
@@ -108,7 +98,7 @@ def find_level_step(obj, x, *, grad=None, f_x: float | None = None, t_init: floa
 
     t, _ = find_root(secant_slope, -gg, t_init, ftol=0.0, xtol=0.0, what="objective value")
     if gg * t <= _SLOPE_SWITCH * noise_floor:
-        return _slope_root(line, x, g, f0, t, grad_tol)
+        return _slope_root(line, x, g, f0, t)
     if abs(r) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
     return LevelStepResult(float(t), x - t * g, float(r), line)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegeneratePlaneError, NumericError, StationaryPointError
+from .errors import DegeneratePlaneError, NumericError
 from .geometry import build_frame, center_direction
 from .levelstep import find_level_step
 from .linesearch import MAX_EXPANSIONS, minimize_on_ray
@@ -55,8 +55,8 @@ class IterateRecord:
     ``f_mid`` the value at the chord midpoint; they are NaN on records that
     carry no such step (baseline methods, the terminal record).  ``branch``
     is "ellipse" or "midpoint" for solver steps ("midpoint" means the
-    degeneracy test fired), "stationary" for the level-step rescue, the
-    method name for baselines, and "final" on the terminal record.
+    degeneracy test fired), the method name for baselines, and "final" on
+    the terminal record.
     """
 
     x: np.ndarray
@@ -110,20 +110,6 @@ def _nonfinite_message(f: float, gnorm: float) -> str:
     return ""
 
 
-@dataclass
-class MEStepDiagnostics:
-    """How one step went.  ``g_next`` is the gradient at the returned point
-    when the step already took it from a line it searched, else None."""
-
-    t: float
-    v: float
-    branch: str
-    f_mid: float
-    f_next: float
-    y: np.ndarray | None = None
-    g_next: np.ndarray | None = None
-
-
 def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
     at ``scale``; ``f_base`` is the value at v = 0.  Returns (v, f at that
@@ -144,7 +130,12 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
 
 def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None,
             *, f_x: float | None = None, grad_x=None):
-    """One ellipse-center step from x.  Returns (x_next, diagnostics).
+    """One ellipse-center step from x, in ``descend``'s step protocol.
+
+    Returns ``(x_next, f_next, g_next, fields)``: g_next is the gradient at
+    x_next when the semiline search took it, else None, and ``fields`` are
+    the step's ``IterateRecord`` fields (t, v, branch, f_mid).  ``f_x`` and
+    ``grad_x`` are the value and gradient at x when the caller holds them.
 
     Guarantees f(x_next) <= f((x + y)/2) < f(x); the midpoint branch is taken
     whenever the gradient at the level point is collinear with the chord or
@@ -152,39 +143,23 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
-    f0 = obj.value(x) if f_x is None else float(f_x)
-    g0 = obj.gradient(x) if grad_x is None else np.asarray(grad_x, dtype=float)
-    if float(np.linalg.norm(g0)) <= cfg.epsilon:
-        raise StationaryPointError("gradient norm is already within the stopping tolerance")
-
-    level = find_level_step(obj, x, grad=g0, f_x=f0, t_init=1.0 if warm_t is None else warm_t,
-                            grad_tol=cfg.epsilon)
+    level = find_level_step(obj, x, grad=grad_x, f_x=f_x,
+                            t_init=1.0 if warm_t is None else warm_t)
     y = level.y
     if np.array_equal(y, x):
         raise NumericError("the level step collapsed onto x below float resolution")
-    if level.near_stationary:
-        return y, MEStepDiagnostics(t=level.t, v=_NAN, branch="stationary",
-                                    f_mid=_NAN, f_next=f0 + level.level_residual, y=y,
-                                    g_next=level.grad_y)
-
     base = 0.5 * (x + y)
-    # taken here rather than inside find_level_step, so that a gradient
-    # evaluated inside the level step still means it took its slope path
-    grad_y = level.grad_y if level.grad_y is not None else level.line.gradient(level.t)
     try:
-        frame = build_frame(x, y, grad_y)
+        frame = build_frame(x, y, level.line.gradient(level.t))
         d = center_direction(frame)
     except DegeneratePlaneError:
         f_base = obj.value(base)
-        return base, MEStepDiagnostics(t=level.t, v=_NAN, branch="midpoint",
-                                       f_mid=f_base, f_next=f_base, y=y)
+        return base, f_base, None, dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base)
     line = restrict(obj, base, d)
     f_base = line.value(0.0)
     v, f_v = semiline_search(line, cfg.variant, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d
-    return x_next, MEStepDiagnostics(t=level.t, v=v, branch="ellipse",
-                                     f_mid=f_base, f_next=f_v, y=y,
-                                     g_next=line.gradient(v))
+    return x_next, f_v, line.gradient(v), dict(t=level.t, v=v, branch="ellipse", f_mid=f_base)
 
 
 def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
@@ -196,9 +171,10 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
     ``fields`` are the step's ``IterateRecord`` fields besides x, f and
     grad_norm.  A ``None`` for f_next or g_next is evaluated at x_next, the
     value first.  The stopping test runs before each step, so a start point
-    that already satisfies it reports zero iterations.  Numeric failures end
-    the run with the partial trace instead of raising; an epsilon that is not
-    positive or a max_iterations below 1 raises ValueError.
+    that already satisfies it reports zero iterations.  Numeric failures, at
+    the start point too, end the run with the partial trace instead of
+    raising; an epsilon that is not positive or a max_iterations below 1
+    raises ValueError.
     """
     if not epsilon > 0.0:
         raise ValueError("stopping tolerance must be positive")
@@ -210,34 +186,33 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
         raise ValueError("initial point must be finite")
 
     records: list[IterateRecord] = []
-    f = counted.value(x)
-    g = counted.gradient(x)
-    gnorm = float(np.linalg.norm(g))
-    message = _nonfinite_message(f, gnorm)
-    while True:
-        if message:
-            termination = Termination.NUMERIC_ERROR
-            break
-        if gnorm <= epsilon:
-            termination = Termination.CONVERGED
-            break
-        if len(records) >= max_iterations:
-            termination = Termination.MAX_ITERATIONS
-            break
-        try:
+    f = gnorm = _NAN  # what the start point leaves unevaluated when it raises
+    try:
+        f = counted.value(x)
+        g = counted.gradient(x)
+        gnorm = float(np.linalg.norm(g))
+        while True:
+            message = _nonfinite_message(f, gnorm)
+            if message:
+                termination = Termination.NUMERIC_ERROR
+                break
+            if gnorm <= epsilon:
+                termination = Termination.CONVERGED
+                break
+            if len(records) >= max_iterations:
+                termination = Termination.MAX_ITERATIONS
+                break
             x_next, f_next, g_next, fields = step(counted, x, f, g)
             if f_next is None:
                 f_next = counted.value(x_next)
             if g_next is None:
                 g_next = counted.gradient(x_next)
-        except NumericError as exc:
-            termination = Termination.NUMERIC_ERROR
-            message = str(exc)
-            break
-        records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, **fields))
-        x, f, g = x_next, f_next, g_next
-        gnorm = float(np.linalg.norm(g))
-        message = _nonfinite_message(f, gnorm)
+            records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, **fields))
+            x, f, g = x_next, f_next, g_next
+            gnorm = float(np.linalg.norm(g))
+    except NumericError as exc:
+        termination = Termination.NUMERIC_ERROR
+        message = str(exc)
     records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, branch="final"))
     return SolverRun(records, termination, counted.n_value, counted.n_grad, message)
 
@@ -249,9 +224,8 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
 
     def step(counted, x, f, g):
         nonlocal warm_t
-        x_next, diag = me_step(counted, x, cfg, warm_t, f_x=f, grad_x=g)
-        warm_t = diag.t
-        return x_next, diag.f_next, diag.g_next, dict(
-            t=diag.t, v=diag.v, branch=diag.branch, f_mid=diag.f_mid)
+        x_next, f_next, g_next, fields = me_step(counted, x, cfg, warm_t, f_x=f, grad_x=g)
+        warm_t = fields["t"]
+        return x_next, f_next, g_next, fields
 
     return descend(obj, x0, step, cfg.epsilon, cfg.max_iterations)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ellipcenters import (GenParams, generate_instance, problem_from_dict,
-                          problem_to_dict, save_problem)
+from ellipcenters import (GenParams, LogSumExpProblem, generate_instance,
+                          problem_from_dict, problem_to_dict, save_problem)
 from ellipcenters.cli import main
 
 
@@ -41,6 +41,17 @@ def test_solve_from_problem_file(tmp_path, capsys):
     assert lines[0] == "iter,f,grad_norm,t_k,v_k,branch"
     assert lines[-1].endswith("final")
     assert len(lines) >= 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_solve_numeric_error_at_the_start_is_summarized(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    save_problem(path, LogSumExpProblem(np.ones(5), np.ones(5)), x0=1e200 * np.ones(5))
+    code = main(["solve", "--problem-file", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "termination=numeric-error iterations=0" in captured.out
+    assert captured.err.startswith("note: ")
 
 
 def test_solve_generated_instance(capsys):

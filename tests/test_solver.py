@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import NaNGradientAfter
-from ellipcenters import (GenParams, QuadraticProblem, SolverConfig,
-                          StationaryPointError, Termination, Variant,
+from conftest import NaNGradientAfter, Toy
+from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
+                          QuadraticProblem, SolverConfig, Termination, Variant,
                           generate_instance, me_step, minimize, run_method,
                           semiline_search)
 from ellipcenters.objectives import restrict
@@ -15,40 +15,35 @@ class TestMeStep:
     def test_radial_symmetry_takes_midpoint_to_minimizer(self):
         p = QuadraticProblem(np.eye(3), np.zeros(3))
         x = np.array([1.0, -2.0, 0.5])
-        x_next, diag = me_step(p, x)
-        assert diag.branch == "midpoint"  # grad at y = -x is collinear
+        x_next, _, _, fields = me_step(p, x)
+        assert fields["branch"] == "midpoint"  # grad at y = -x is collinear
         assert np.linalg.norm(x_next) <= 1e-8
 
     def test_two_dimensional_quadratic_one_shot(self):
         p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))
-        x_next, diag = me_step(p, np.array([1.0, 1.0]))
-        assert diag.branch == "ellipse"
+        x_next, _, _, fields = me_step(p, np.array([1.0, 1.0]))
+        assert fields["branch"] == "ellipse"
         assert np.linalg.norm(x_next) <= 1e-10
 
     def test_descent_contract_both_branches(self):
         for kind in ("quadratic", "logsumexp"):
             p, x0 = generate_instance(kind, 10, 3, GenParams(kappa=100))
-            x_next, diag = me_step(p, x0)
+            x_next, f_next, _, fields = me_step(p, x0)
             f0 = p.value(x0)
-            assert diag.f_next <= diag.f_mid
-            assert diag.f_mid < f0
-            assert p.value(x_next) == pytest.approx(diag.f_next, abs=1e-12)
-
-    def test_rejects_already_converged_point(self):
-        p = QuadraticProblem(np.eye(2), np.zeros(2))
-        with pytest.raises(StationaryPointError):
-            me_step(p, np.array([1e-6, 0.0]))
+            assert f_next <= fields["f_mid"]
+            assert fields["f_mid"] < f0
+            assert p.value(x_next) == pytest.approx(f_next, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
     def test_next_gradient_comes_from_the_searched_line(self, kind):
         p, x0 = generate_instance(kind, 10, 3, GenParams(kappa=100))
-        x_next, diag = me_step(p, x0)
-        assert diag.branch == "ellipse"
+        x_next, _, g_next, fields = me_step(p, x0)
+        assert fields["branch"] == "ellipse"
         g = p.gradient(x_next)
         if kind == "quadratic":
-            assert np.linalg.norm(diag.g_next - g) <= 1e-12 * np.linalg.norm(g)
+            assert np.linalg.norm(g_next - g) <= 1e-12 * np.linalg.norm(g)
         else:  # the generic line evaluates at the same bits as x_next
-            assert np.array_equal(diag.g_next, g)
+            assert np.array_equal(g_next, g)
 
     def test_level_point_gradient_never_uphill_along_ray(self):
         # the ray re-crosses the level set going uphill, so the gradients at
@@ -58,8 +53,8 @@ class TestMeStep:
             g = p.gradient(x)
             if np.linalg.norm(g) <= 0.01:
                 break
-            x_next, diag = me_step(p, x)
-            assert p.gradient(diag.y) @ g <= 1e-9
+            x_next, _, _, fields = me_step(p, x)
+            assert p.gradient(x - fields["t"] * g) @ g <= 1e-9
             x = x_next
 
 
@@ -97,6 +92,19 @@ class TestSemilineSearch:
         v = search(p, base, d, Variant.DECREASE_SEARCH, scale=1.0)
         assert v > 0.0
         assert p.value(base + v * d) < p.value(base)
+
+    def test_semiline_min_stays_at_the_base_without_a_decrease(self):
+        # the slope root v = 0.5 has a value that rounds above the base's,
+        # so the midpoint is kept and f(x_next) <= f(mid) still holds
+        class FlatLine:
+            def value(self, v):
+                return 1.0 if v == 0.0 else 1.001
+
+            def slope(self, v):
+                return 2.0 * (v - 0.5)
+
+        assert semiline_search(FlatLine(), Variant.SEMILINE_MIN, scale=1.0,
+                               f_base=1.0) == (0.0, 1.0)
 
 
 def krylov_plane_step(a, b, x):
@@ -369,7 +377,7 @@ class TestMinimize:
         run = minimize(p, x0)
         for rec in run.iterates[:-1]:
             assert rec.t > 0.0
-            assert rec.branch in ("ellipse", "midpoint", "stationary")
+            assert rec.branch in ("ellipse", "midpoint")
         assert run.iterates[-1].branch == "final"
         assert np.isnan(run.iterates[-1].t)
 
@@ -391,3 +399,35 @@ def test_stopping_rule_validated(method, epsilon, max_iterations):
     p, x0 = generate_instance("quadratic", 6, 1, GenParams(kappa=10))
     with pytest.raises(ValueError):
         run_method(method, p, x0, epsilon, max_iterations)
+
+
+def _raising_gradient(x):
+    raise NumericError("gradient overflow")
+
+
+@pytest.mark.parametrize("method", ["me", "bb-long", "bb-short", "gd"])
+@pytest.mark.parametrize("problem,x0,f,message", [
+    (LogSumExpProblem(np.ones(5), np.ones(5)), 1e200 * np.ones(5), np.nan,
+     "log-sum-exp value is not finite despite shifting"),
+    (Toy(lambda x: float(x @ x), _raising_gradient), np.array([1.0, 2.0]), 5.0,
+     "gradient overflow"),
+], ids=["value-raises", "gradient-raises"])
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_numeric_error_at_the_start_ends_the_run(method, problem, x0, f, message):
+    # the terminal record sits at x0, NaN where nothing was evaluated
+    run = run_method(method, problem, x0)
+    assert run.termination is Termination.NUMERIC_ERROR
+    assert run.message == message
+    assert run.iterations == 0
+    final = run.iterates[-1]
+    assert np.array_equal(final.x, x0)
+    assert np.array_equal([final.f, final.grad_norm], [f, np.nan], equal_nan=True)
+
+
+@pytest.mark.parametrize("method", ["me", "bb-long", "bb-short", "gd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_start_point_rejected(method, bad):
+    p, x0 = generate_instance("quadratic", 6, 1, GenParams(kappa=10))
+    x0[2] = bad
+    with pytest.raises(ValueError, match="initial point must be finite"):
+        run_method(method, p, x0)
