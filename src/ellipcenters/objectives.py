@@ -9,15 +9,19 @@ every run is reproducible, and they round-trip through plain JSON.
 The searches along a ray ask ``restrict(obj, x, d)`` for the line
 ``t -> f(x + t d)``, which answers ``value(t)``, ``slope(t)`` and
 ``gradient(t)``.  An objective may offer a cheaper restriction through an
-optional ``along(x, d, f, g)`` method (quadratics do: once the line holds
-grad f(x) and Ad, every query along it costs O(1)); any other objective gets
-the generic line over its own ``value`` and ``gradient``.
+optional ``along(x, d, f, g)`` method.  Both families do: once a quadratic's
+line holds grad f(x) and Ad, every query along it costs O(1); a log-sum-exp
+line shares one set of exponential weights among the queries at one t and
+takes a slope without forming the gradient.  Any other objective gets the
+generic line over its own ``value`` and ``gradient``.
 ``CountingObjective`` counts every query an objective answers, pointwise or
-along such a line.
+along such a line; the log-sum-exp line is charged what the generic line
+would be.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -65,6 +69,8 @@ class QuadraticProblem:
             raise ValueError("matrix must be square")
         if b.shape != (a.shape[0],):
             raise ValueError("right-hand side length does not match the matrix")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("matrix and right-hand side must be finite")
         scale = float(np.abs(a).max()) or 1.0
         if float(np.abs(a - a.T).max()) > 1e-12 * scale:
             raise ValueError("matrix must be symmetric")
@@ -121,6 +127,8 @@ class LogSumExpProblem:
         beta = np.asarray(self.beta, dtype=float)
         if alpha.ndim != 1 or alpha.shape != beta.shape or alpha.size == 0:
             raise ValueError("alpha and beta must be equal-length nonempty vectors")
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise ValueError("all weights must be finite")
         if alpha.min() <= 0.0 or beta.min() <= 0.0:
             raise ValueError("all weights must be positive")
         object.__setattr__(self, "alpha", alpha)
@@ -155,6 +163,14 @@ class LogSumExpProblem:
             raise NumericError("log-sum-exp gradient is not finite despite shifting")
         return g
 
+    def along(self, x, d, f=None, g=None) -> "LogSumExpLine":
+        """The line t -> f(x + t d); ``f`` and ``g`` are the value and
+        gradient at x when the caller holds them."""
+        n = self.dimension
+        return LogSumExpLine(self.alpha, self.beta, _check_point(x, n), _check_point(d, n),
+                             None if f is None else float(f),
+                             None if g is None else np.asarray(g, dtype=float))
+
     def solution(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
@@ -182,6 +198,88 @@ class QuadraticLine:
 
     def gradient(self, t: float) -> np.ndarray:
         return self.g0 + t * self.ad
+
+
+class LogSumExpLine:
+    """ln(sum_i exp(alpha_i u_i^2)) + sum_i beta_i u_i^2 along u = x + t d.
+
+    The first query at a t computes u and the shifted weights
+    w = exp(alpha u^2 - max) once, into buffers the line owns, and a value,
+    slope or gradient at that t reuses them.  A slope needs no gradient
+    vector: 2 (sum w alpha d u / sum w + sum beta d u).  The gradient takes
+    the pointwise ``gradient``'s operations in the same order, so it equals
+    ``gradient(x + t d)`` bit for bit.  Handed ``f`` and ``g``, the line
+    answers value(0) from f and the slope and gradient at 0 from g.
+    """
+
+    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "f", "g", "_gt",
+                 "_t", "_u", "_w", "_tmp", "_zmax", "_sw")
+
+    def __init__(self, alpha, beta, x, d, f, g):
+        self.alpha, self.beta = alpha, beta
+        self.x, self.d = x, d
+        self.ad, self.bd = alpha * d, beta * d
+        self.f, self.g = f, g
+        self._gt = None if g is None else 0.0  # t of the last slope or gradient
+        self._t = None  # t of u and w
+        self._u, self._w, self._tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+
+    def holds(self, query: str, t: float) -> bool:
+        """Whether the generic line would answer ``query`` ("value", "slope"
+        or "gradient") at t without an evaluation: the value at 0 when handed
+        f, a slope or gradient at the t of the last one (0 when handed g)."""
+        if query == "value":
+            return t == 0.0 and self.f is not None
+        return t == self._gt
+
+    def _weigh(self, t: float) -> None:
+        if t != self._t:
+            self._t = None  # until both buffers hold t
+            u = np.multiply(self.d, t, out=self._u)
+            u += self.x
+            w = np.multiply(self.alpha, u, out=self._w)
+            w *= u
+            zmax = w.max()
+            w -= zmax
+            np.exp(w, out=w)
+            self._t, self._zmax, self._sw = t, zmax, w.sum()
+
+    def value(self, t: float) -> float:
+        if t == 0.0 and self.f is not None:
+            return self.f
+        self._weigh(t)
+        sq = np.multiply(self._u, self._u, out=self._tmp)
+        val = float(self._zmax) + float(np.log(self._sw)) + float(self.beta @ sq)
+        if not math.isfinite(val):
+            raise NumericError("log-sum-exp value is not finite despite shifting")
+        return val
+
+    def slope(self, t: float) -> float:
+        self._gt = t
+        if t == 0.0 and self.g is not None:
+            return float(self.g @ self.d)
+        self._weigh(t)
+        # the gradient is not finite exactly when the weights are not; a slope
+        # that overflows from a finite gradient is returned, as the generic
+        # line returns it
+        if not math.isfinite(self._zmax):
+            raise NumericError("log-sum-exp gradient is not finite despite shifting")
+        adu = np.multiply(self.ad, self._u, out=self._tmp)
+        return 2.0 * (float(self._w @ adu) / float(self._sw) + float(self.bd @ self._u))
+
+    def gradient(self, t: float) -> np.ndarray:
+        self._gt = t
+        if t == 0.0 and self.g is not None:
+            return self.g
+        self._weigh(t)
+        scale = np.divide(self._w, self._sw, out=self._tmp)
+        scale *= self.alpha
+        scale += self.beta
+        g = 2.0 * self._u
+        g *= scale
+        if not np.all(np.isfinite(g)):
+            raise NumericError("log-sum-exp gradient is not finite despite shifting")
+        return g
 
 
 class RayLine:
@@ -235,8 +333,9 @@ class CountingObjective:
 
     Along an objective's own line, each ``value(t)`` counts as one value
     evaluation and each ``slope(t)`` or ``gradient(t)`` as one gradient
-    evaluation.  The generic line counts the pointwise calls it makes, so
-    what it answers from the value and gradient it was handed counts nothing.
+    evaluation, except a query the line ``holds``.  The generic line counts
+    the pointwise calls it makes, so what it answers from the value and
+    gradient it was handed counts nothing.
     """
 
     def __init__(self, inner):
@@ -264,22 +363,35 @@ class CountingObjective:
 
 
 class _CountedLine:
-    __slots__ = ("counter", "line")
+    """Charges the queries on an objective's own line to a counter.
+
+    A line with a ``holds(query, t)`` method is not charged for the queries
+    it says it holds; a line without one is charged every query.
+    """
+
+    __slots__ = ("counter", "line", "holds")
 
     def __init__(self, counter: CountingObjective, line):
         self.counter = counter
         self.line = line
+        self.holds = getattr(line, "holds", None)
+
+    def _charged(self, query: str, t: float) -> bool:
+        return self.holds is None or not self.holds(query, t)
 
     def value(self, t: float) -> float:
-        self.counter.n_value += 1
+        if self._charged("value", t):
+            self.counter.n_value += 1
         return self.line.value(t)
 
     def slope(self, t: float) -> float:
-        self.counter.n_grad += 1
+        if self._charged("slope", t):
+            self.counter.n_grad += 1
         return self.line.slope(t)
 
     def gradient(self, t: float) -> np.ndarray:
-        self.counter.n_grad += 1
+        if self._charged("gradient", t):
+            self.counter.n_grad += 1
         return self.line.gradient(t)
 
 

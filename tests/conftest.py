@@ -44,6 +44,24 @@ HOSTILE = {
 }
 
 
+class ValueAndGradientOnly:
+    """Exposes only dimension, value and gradient, so every query along a ray
+    takes the generic line even when the wrapped objective has a cheaper one."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def dimension(self):
+        return self.inner.dimension
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
 class NaNGradientAfter:
     """An objective whose gradient turns NaN after ``calls`` finite ones."""
 

@@ -134,6 +134,22 @@ def test_problem_file_missing_a_field_is_user_error(tmp_path, capsys, field):
     assert capsys.readouterr().err == f"error: problem document lacks {field!r}\n"
 
 
+@pytest.mark.parametrize("kind,field,message", [
+    ("logsumexp", "alpha", "all weights must be finite"),
+    ("quadratic", "matrix", "matrix and right-hand side must be finite"),
+    ("quadratic", "b", "matrix and right-hand side must be finite"),
+])
+def test_problem_file_with_nan_data_is_user_error(tmp_path, capsys, kind, field, message):
+    problem, x0 = generate_instance(kind, 4, 2, GenParams(kappa=10))
+    doc = problem_to_dict(problem, x0=x0)
+    doc[field][0] = float("nan")  # json writes and reads it as NaN
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--problem-file", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_problem_document_must_be_an_object():
     with pytest.raises(ValueError, match="JSON object"):
         problem_from_dict([1, 2, 3])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import ValueAndGradientOnly
 from ellipcenters import (GenParams, NonCoerciveError, QuadraticProblem,
                           StationaryPointError, find_level_step,
                           generate_instance)
@@ -131,11 +132,17 @@ def test_flat_region_switches_to_slope_equation(n):
 def test_near_stationary_point_goes_to_the_slope_path_at_once():
     # at |x| ~ 1e-9 the dip t |g|^2 sits below f's rounding floor at any t,
     # so the value search stops on its first residual, which is rounding noise
+    # (the t pin is taken on the generic line, whose arithmetic is pointwise)
     p, _ = generate_instance("logsumexp", 20, 3)
     x = 1e-9 * np.random.default_rng(0).standard_normal(20)
-    counted = CountingObjective(p)
+    counted = CountingObjective(ValueAndGradientOnly(p))
     res = find_level_step(counted, x, grad=p.gradient(x), f_x=p.value(x))
     assert counted.n_value <= 3
     assert counted.n_grad > 0  # the slope path ran
     assert res.t.hex() == "0x1.bc0bb3f23389fp-1"
     assert np.array_equal(res.line.gradient(res.t), p.gradient(res.y))
+    fused = CountingObjective(p)
+    own = find_level_step(fused, x, grad=p.gradient(x), f_x=p.value(x))
+    assert (fused.n_value, fused.n_grad) == (counted.n_value, counted.n_grad)
+    assert own.t == pytest.approx(res.t, rel=1e-12)
+    assert np.array_equal(own.line.gradient(own.t), p.gradient(own.y))

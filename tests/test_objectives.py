@@ -7,8 +7,10 @@ import pytest
 from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem,
                           check_gradient, generate_instance, load_problem,
                           problem_from_dict, problem_to_dict, save_problem)
-from ellipcenters.objectives import (CountingObjective, QuadraticLine, RayLine,
-                                     restrict)
+from conftest import ValueAndGradientOnly
+from ellipcenters import NumericError
+from ellipcenters.objectives import (CountingObjective, LogSumExpLine, QuadraticLine,
+                                     RayLine, restrict)
 
 
 class TestQuadratic:
@@ -51,6 +53,15 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([[1.0, 0.5], [0.2, 1.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("entry", ["matrix", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_data(self, entry, bad):
+        # a NaN compares false, so the symmetry test alone lets it through
+        a, b = np.eye(2), np.zeros(2)
+        (a if entry == "matrix" else b)[0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadraticProblem(a, b)
+
 
 class TestLogSumExp:
     @pytest.mark.parametrize("n", [1, 2, 10, 1000])
@@ -88,6 +99,15 @@ class TestLogSumExp:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             LogSumExpProblem(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("weights", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_weights(self, weights, bad):
+        # nan <= 0 is false, so the positivity test alone lets a NaN through
+        alpha, beta = np.ones(2), np.ones(2)
+        (alpha if weights == "alpha" else beta)[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            LogSumExpProblem(alpha, beta)
 
 
 class TestCheckGradient:
@@ -136,14 +156,43 @@ class TestRestriction:
             assert line.value(t) == pytest.approx(p.value(y), rel=1e-12)
             assert line.slope(t) == pytest.approx(float(p.gradient(y) @ d), rel=1e-12)
 
-    def test_logsumexp_gets_the_generic_line(self):
+    def test_logsumexp_line_matches_pointwise(self):
         p, x, d = self._ray("logsumexp")
         line = restrict(p, x, d)
-        assert isinstance(line, RayLine)
-        for t in (0.0, 0.3, -1.2):
+        assert isinstance(line, LogSumExpLine)
+        for t in (-1.2, 0.3, 4.0):
             y = x + t * d
-            assert line.value(t) == p.value(y)
-            assert line.slope(t) == float(p.gradient(y) @ d)
+            assert line.value(t) == pytest.approx(p.value(y), rel=1e-12)
+            assert line.slope(t) == pytest.approx(float(p.gradient(y) @ d), rel=1e-12)
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_logsumexp_line_is_charged_like_the_generic_line(self, held):
+        p, x, d = self._ray("logsumexp")
+        f, g = (p.value(x), p.gradient(x)) if held else (None, None)
+        fused = CountingObjective(p)
+        generic = CountingObjective(ValueAndGradientOnly(p))
+        lines = [restrict(c, x, d, f, g) for c in (fused, generic)]
+        assert isinstance(lines[1], RayLine)
+        queries = [("value", 0.0), ("slope", 0.0), ("gradient", 0.0), ("value", 0.5),
+                   ("slope", 0.5), ("gradient", 0.5), ("slope", 0.5), ("value", 0.5),
+                   ("slope", 1.0), ("value", 2.0), ("gradient", 1.0), ("gradient", 0.0),
+                   ("value", 0.0)]
+        for query, t in queries:
+            for line in lines:
+                getattr(line, query)(t)
+            assert (fused.n_value, fused.n_grad) == (generic.n_value, generic.n_grad)
+        assert (fused.n_value, fused.n_grad) == ((3, 3) if held else (5, 4))
+
+    @pytest.mark.parametrize("query,pointwise", [
+        ("value", "value"), ("slope", "gradient"), ("gradient", "gradient")])
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_logsumexp_line_overflow_is_the_pointwise_error(self, query, pointwise):
+        p, x, d = self._ray("logsumexp")
+        with pytest.raises(NumericError) as expected:
+            getattr(p, pointwise)(x + 1e200 * d)
+        with pytest.raises(NumericError) as raised:
+            getattr(restrict(p, x, d), query)(1e200)
+        assert str(raised.value) == str(expected.value)
 
     def test_dispatch_is_on_the_attribute(self):
         p, x, d = self._ray("quadratic")

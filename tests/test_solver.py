@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import NaNGradientAfter, Toy
+from conftest import NaNGradientAfter, Toy, ValueAndGradientOnly
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
                           generate_instance, me_step, minimize, run_method,
@@ -146,28 +146,20 @@ class TestKrylovPlaneOracle:
         assert run.iterations == oracle_iterations
 
 
-class ValueAndGradientOnly:
-    """Exposes only dimension, value and gradient, so every query along a ray
-    takes the generic line even when the wrapped objective has a cheaper one."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    @property
-    def dimension(self):
-        return self.inner.dimension
-
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        return self.inner.gradient(x)
+def assert_same_run(fast, generic):
+    # x and f are compared relative to 1 + |.|: f crosses zero on the way to
+    # a quadratic's minimum, and x goes to 0 on log-sum-exp
+    assert fast.termination is generic.termination is Termination.CONVERGED
+    assert fast.iterations == generic.iterations
+    assert [r.branch for r in fast.iterates] == [r.branch for r in generic.iterates]
+    for a, b in zip(fast.iterates, generic.iterates):
+        assert np.linalg.norm(a.x - b.x) <= 1e-6 * (1.0 + np.linalg.norm(b.x))
+        assert abs(a.f - b.f) <= 1e-6 * (1.0 + abs(b.f))
 
 
 class TestFastPathMatchesGeneric:
-    # a quadratic's own line restriction must reproduce the iterates of the
-    # generic value/gradient line; x and f are compared relative to 1 + |.|
-    # because f crosses zero on the way to its minimum
+    # an objective's own line restriction must reproduce the iterates of the
+    # generic value/gradient line
     @pytest.mark.parametrize("variant,n,kappa,seed", [
         *[(Variant.SEMILINE_MIN, 100, kappa, seed)
           for kappa in (10.0, 1000.0) for seed in (0, 1, 2)],
@@ -179,26 +171,20 @@ class TestFastPathMatchesGeneric:
     def test_quadratic_iterates(self, variant, n, kappa, seed):
         p, x0 = generate_instance("quadratic", n, seed, GenParams(kappa=kappa))
         cfg = SolverConfig(epsilon=0.01, max_iterations=2000, variant=variant)
+        assert_same_run(minimize(p, x0, cfg), minimize(ValueAndGradientOnly(p), x0, cfg))
+
+    # the log-sum-exp line is charged what the generic line would be, so the
+    # counts must match too
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (50, 1000) for seed in (0, 1, 2)])
+    def test_logsumexp_iterates(self, variant, n, seed):
+        p, x0 = generate_instance("logsumexp", n, seed)
+        cfg = SolverConfig(epsilon=1e-8, variant=variant)
         fast = minimize(p, x0, cfg)
         generic = minimize(ValueAndGradientOnly(p), x0, cfg)
-        assert fast.termination is generic.termination is Termination.CONVERGED
-        assert fast.iterations == generic.iterations
-        assert [r.branch for r in fast.iterates] == [r.branch for r in generic.iterates]
-        for a, b in zip(fast.iterates, generic.iterates):
-            assert np.linalg.norm(a.x - b.x) <= 1e-6 * (1.0 + np.linalg.norm(b.x))
-            assert abs(a.f - b.f) <= 1e-6 * (1.0 + abs(b.f))
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_logsumexp_bit_identical(self, variant):
-        p, x0 = generate_instance("logsumexp", 50, 4)
-        cfg = SolverConfig(epsilon=1e-8, variant=variant)
-        direct = minimize(p, x0, cfg)
-        generic = minimize(ValueAndGradientOnly(p), x0, cfg)
-        assert (direct.iterations, direct.n_value_evals, direct.n_grad_evals) == (
-            generic.iterations, generic.n_value_evals, generic.n_grad_evals)
-        for a, b in zip(direct.iterates, generic.iterates):
-            assert np.array_equal(a.x, b.x)
-            assert a.f == b.f and a.branch == b.branch
+        assert (fast.n_value_evals, fast.n_grad_evals) == (
+            generic.n_value_evals, generic.n_grad_evals)
+        assert_same_run(fast, generic)
 
 
 class CallCounter:
@@ -252,7 +238,8 @@ def test_evaluations_per_iteration_budget():
 class TestPinnedLogSumExpRuns:
     # recorded when every one-dimensional search moved onto the one
     # root-finding kernel; a change to a search's arithmetic shows here
-    # first (the pins also hold numpy's exp and log rounding on this platform)
+    # first (the pins also hold numpy's exp and log rounding on this platform);
+    # they run on the generic line, whose arithmetic is the pointwise one
     @pytest.mark.parametrize("variant,iterations,digest", [
         (Variant.SEMILINE_MIN, 9,
          "864777358bcc9481a7f4a2808781480bb1256288b32511590bf0259d0803237b"),
@@ -261,7 +248,7 @@ class TestPinnedLogSumExpRuns:
     ])
     def test_iterates_bit_identical(self, variant, iterations, digest):
         p, x0 = generate_instance("logsumexp", 50, 4)
-        run = minimize(p, x0, SolverConfig(epsilon=1e-8, variant=variant))
+        run = minimize(ValueAndGradientOnly(p), x0, SolverConfig(epsilon=1e-8, variant=variant))
         assert run.termination is Termination.CONVERGED
         assert run.iterations == iterations
         x_bytes = b"".join(r.x.tobytes() for r in run.iterates)
@@ -422,6 +409,34 @@ def test_numeric_error_at_the_start_ends_the_run(method, problem, x0, f, message
     final = run.iterates[-1]
     assert np.array_equal(final.x, x0)
     assert np.array_equal([final.f, final.grad_norm], [f, np.nan], equal_nan=True)
+
+
+# f and grad f are finite at x0 = 1e150 (1, ..., 1); at the first point a
+# search tries along -grad f, f and the slope overflow, the gradient does not
+HEAVY_PENALTY = LogSumExpProblem(np.ones(5), np.full(5, 1000.0))
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["own-line", "generic-line"])
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflow_along_the_first_line_ends_the_run(generic):
+    obj = ValueAndGradientOnly(HEAVY_PENALTY) if generic else HEAVY_PENALTY
+    run = minimize(obj, np.full(5, 1e150))
+    assert run.termination is Termination.NUMERIC_ERROR
+    assert run.message == "log-sum-exp value is not finite despite shifting"
+    assert run.iterations == 0
+
+
+@pytest.mark.parametrize("method", ["bb-long", "gd"])
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_slope_of_a_finite_gradient_is_no_error(method):
+    # the generic line's slope there is a dot product that overflows; its
+    # gradient is finite, so the exact step goes on and the run converges
+    x0 = np.full(5, 1e150)
+    own = run_method(method, HEAVY_PENALTY, x0)
+    generic = run_method(method, ValueAndGradientOnly(HEAVY_PENALTY), x0)
+    assert own.termination is generic.termination is Termination.CONVERGED
+    assert (own.iterations, own.n_value_evals, own.n_grad_evals) == (
+        generic.iterations, generic.n_value_evals, generic.n_grad_evals)
 
 
 @pytest.mark.parametrize("method", ["me", "bb-long", "bb-short", "gd"])
