@@ -79,13 +79,13 @@ def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
     """
     x = np.asarray(x, dtype=float)
     g = obj.gradient(x) if grad is None else np.asarray(grad, dtype=float)
-    if float(np.linalg.norm(g)) == 0.0:
+    gg = float(g @ g)
+    if gg == 0.0:
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
     line = restrict(obj, x, -g, f_x, g)
     f0 = line.value(0.0) if f_x is None else float(f_x)
     tol = _TOL * (1.0 + abs(f0))
     noise_floor = 32.0 * _EPS * (1.0 + abs(f0))
-    gg = float(g @ g)
     r = 0.0
 
     def secant_slope(t):

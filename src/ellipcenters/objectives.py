@@ -13,7 +13,11 @@ optional ``along(x, d, f, g)`` method.  Both families do: once a quadratic's
 line holds grad f(x) and Ad, every query along it costs O(1); a log-sum-exp
 line shares one set of exponential weights among the queries at one t and
 takes a slope without forming the gradient.  Any other objective gets the
-generic line over its own ``value`` and ``gradient``.
+generic line over its own ``value`` and ``gradient``.  ``turn(obj, line,
+t, x, e)`` starts a line through x, the point at t on ``line``, along a new
+direction e: a quadratic's line hands over its value and gradient at t, so
+the new line costs the one product Ae; any other line falls back to
+``restrict(obj, x, e)``.
 ``CountingObjective`` counts every query an objective answers, pointwise or
 along such a line; the log-sum-exp line is charged what the generic line
 would be.
@@ -93,7 +97,9 @@ class QuadraticProblem:
         """The parabola t -> f(x + t d), from the product Ad.
 
         ``f`` and ``g`` are the value and gradient at x when the caller holds
-        them; the product Ax is taken only when one of them is missing.
+        them; the product Ax is taken only when one of them is missing.  A
+        line through a point on another line needs no Ax either: take it
+        with ``QuadraticLine.turn``.
         """
         n = self.dimension
         x = _check_point(x, n)
@@ -103,7 +109,7 @@ class QuadraticProblem:
             # the same expressions as value and gradient, so value(0.0) == value(x)
             f = float(0.5 * (x @ ax) - self.b @ x) if f is None else f
             g = ax - self.b if g is None else g
-        return QuadraticLine(float(f), np.asarray(g, dtype=float), d, self.a @ d)
+        return QuadraticLine(self.a, float(f), np.asarray(g, dtype=float), d)
 
     def solution(self) -> np.ndarray:
         """The unique minimizer, from a direct linear solve."""
@@ -181,14 +187,15 @@ class QuadraticLine:
     Its gradient g0 + t Ad is affine in t, so no query needs a matrix product.
     """
 
-    __slots__ = ("f0", "gd", "dad", "g0", "ad")
+    __slots__ = ("a", "f0", "gd", "dad", "g0", "ad")
 
-    def __init__(self, f0: float, g0: np.ndarray, d: np.ndarray, ad: np.ndarray):
+    def __init__(self, a: np.ndarray, f0: float, g0: np.ndarray, d: np.ndarray):
+        self.a = a
         self.f0 = f0
+        self.ad = a @ d
         self.gd = float(g0 @ d)
-        self.dad = float(d @ ad)
+        self.dad = float(d @ self.ad)
         self.g0 = g0
-        self.ad = ad
 
     def value(self, t: float) -> float:
         return self.f0 + t * (self.gd + 0.5 * t * self.dad)
@@ -198,6 +205,12 @@ class QuadraticLine:
 
     def gradient(self, t: float) -> np.ndarray:
         return self.g0 + t * self.ad
+
+    def turn(self, t: float, x: np.ndarray, e: np.ndarray) -> "QuadraticLine":
+        """The parabola through this line's point at t along e, from
+        ``value(t)``, ``gradient(t)`` and the one product Ae.  ``x`` is the
+        caller's copy of that point, which the parabola does not need."""
+        return QuadraticLine(self.a, self.value(t), self.gradient(t), e)
 
 
 class LogSumExpLine:
@@ -328,6 +341,17 @@ def restrict(obj, x, d, f=None, g=None):
     return RayLine(obj, x, d, f, g)
 
 
+def turn(obj, line, t: float, x, e):
+    """The line s -> f(x + s e) through x, the point at t on ``line``.
+
+    Uses the line's own ``turn(t, x, e)`` when it has one, which starts the
+    new line from what the old one knows at t; else ``restrict(obj, x, e)``,
+    which starts it from x.
+    """
+    turned = getattr(line, "turn", None)
+    return restrict(obj, x, e) if turned is None else turned(t, x, e)
+
+
 class CountingObjective:
     """Pass-through wrapper that counts value and gradient evaluations.
 
@@ -393,6 +417,10 @@ class _CountedLine:
         if self._charged("gradient", t):
             self.counter.n_grad += 1
         return self.line.gradient(t)
+
+    def turn(self, t: float, x, e) -> "_CountedLine":
+        # the turned line is charged like any other line of the objective
+        return _CountedLine(self.counter, turn(self.counter.inner, self.line, t, x, e))
 
 
 def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:

@@ -22,7 +22,7 @@ from .errors import DegeneratePlaneError, NumericError
 from .geometry import build_frame, center_direction
 from .levelstep import find_level_step
 from .linesearch import MAX_EXPANSIONS, minimize_on_ray
-from .objectives import CountingObjective, restrict
+from .objectives import CountingObjective, turn
 
 _NAN = float("nan")
 
@@ -100,12 +100,22 @@ class SolverRun:
         return self.n_value_evals + self.n_grad_evals
 
 
-def _nonfinite_message(f: float, gnorm: float) -> str:
-    """Why a run cannot go on from a point with value f and gradient norm
-    gnorm, or "" when both are finite."""
+def _norm(g: np.ndarray) -> float:
+    """|g|, rescaled by max |g_i| when the sum of squares overflows although
+    every entry of g is finite."""
+    gnorm = float(np.linalg.norm(g))
+    if gnorm == math.inf and np.all(np.isfinite(g)):
+        scale = float(np.abs(g).max())
+        gnorm = scale * float(np.linalg.norm(g / scale))
+    return gnorm
+
+
+def _nonfinite_message(f: float, g: np.ndarray, gnorm: float) -> str:
+    """Why a run cannot go on from a point with value f and gradient g of
+    norm gnorm, or "" when f and every entry of g are finite."""
     if not math.isfinite(f):
         return "non-finite objective value"
-    if not math.isfinite(gnorm):
+    if not (math.isfinite(gnorm) or np.all(np.isfinite(g))):
         return "non-finite gradient"
     return ""
 
@@ -155,7 +165,8 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     except DegeneratePlaneError:
         f_base = obj.value(base)
         return base, f_base, None, dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base)
-    line = restrict(obj, base, d)
+    # the midpoint is the level line's point at t/2
+    line = turn(obj, level.line, 0.5 * level.t, base, d)
     f_base = line.value(0.0)
     v, f_v = semiline_search(line, cfg.variant, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d
@@ -190,9 +201,9 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
     try:
         f = counted.value(x)
         g = counted.gradient(x)
-        gnorm = float(np.linalg.norm(g))
         while True:
-            message = _nonfinite_message(f, gnorm)
+            gnorm = _norm(g)
+            message = _nonfinite_message(f, g, gnorm)
             if message:
                 termination = Termination.NUMERIC_ERROR
                 break
@@ -209,7 +220,6 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
                 g_next = counted.gradient(x_next)
             records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, **fields))
             x, f, g = x_next, f_next, g_next
-            gnorm = float(np.linalg.norm(g))
     except NumericError as exc:
         termination = Termination.NUMERIC_ERROR
         message = str(exc)

@@ -10,7 +10,7 @@ from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem,
 from conftest import ValueAndGradientOnly
 from ellipcenters import NumericError
 from ellipcenters.objectives import (CountingObjective, LogSumExpLine, QuadraticLine,
-                                     RayLine, restrict)
+                                     RayLine, restrict, turn)
 
 
 class TestQuadratic:
@@ -251,6 +251,66 @@ class TestRestriction:
         assert matrix.products == 1  # Ad alone
         restrict(p, x, d, f)
         assert matrix.products == 3  # Ax and Ad
+
+
+class TestTurn:
+    # the semiline of an ellipse step turns off the level line at the chord
+    # midpoint: a point at t on a line through x along d, headed along e
+    T = 0.4
+
+    @classmethod
+    def _turned(cls, obj, p, x, d):
+        """The line through the point at T along a fresh direction e, by a
+        turn off the line through x along d and by a new restriction."""
+        e = np.random.default_rng(6).standard_normal(p.dimension)
+        base = x + cls.T * d
+        line = restrict(obj, x, d, p.value(x), p.gradient(x))
+        return turn(obj, line, cls.T, base, e), restrict(obj, base, e)
+
+    def test_quadratic_turn_matches_a_new_restriction(self, count_products):
+        p, x, d = TestRestriction._ray("quadratic")
+        e = np.random.default_rng(6).standard_normal(p.dimension)
+        f, g = p.value(x), p.gradient(x)
+        matrix = count_products(p)
+        turned = turn(p, restrict(p, x, d, f, g), self.T, x + self.T * d, e)
+        assert isinstance(turned, QuadraticLine)
+        assert matrix.products == 2  # Ad for the first line, Ae for the turn
+        fresh = restrict(p, x + self.T * d, e)
+        for v in (-0.5, 0.0, 0.3, 1.0, 4.0):
+            assert turned.value(v) == pytest.approx(fresh.value(v), rel=1e-12)
+            assert turned.slope(v) == pytest.approx(fresh.slope(v), rel=1e-12)
+            g = fresh.gradient(v)
+            assert np.linalg.norm(turned.gradient(v) - g) <= 1e-12 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("kind,generic", [
+        ("logsumexp", False), ("logsumexp", True), ("quadratic", True)])
+    def test_other_lines_take_a_new_restriction(self, kind, generic):
+        p, x, d = TestRestriction._ray(kind)
+        obj = ValueAndGradientOnly(p) if generic else p
+        turned, fresh = self._turned(obj, p, x, d)
+        assert type(turned) is type(fresh)
+        for v in (-0.5, 0.0, 0.3, 1.0, 4.0):
+            assert turned.value(v) == fresh.value(v)
+            assert turned.slope(v) == fresh.slope(v)
+            assert np.array_equal(turned.gradient(v), fresh.gradient(v))
+
+    @pytest.mark.parametrize("kind,generic", [
+        ("quadratic", False), ("logsumexp", False), ("quadratic", True)])
+    def test_turn_is_charged_like_a_new_restriction(self, kind, generic):
+        p, x, d = TestRestriction._ray(kind)
+        obj = ValueAndGradientOnly(p) if generic else p
+        counters = [CountingObjective(obj), CountingObjective(obj)]
+        turned, _ = self._turned(counters[0], p, x, d)
+        _, fresh = self._turned(counters[1], p, x, d)
+        assert [(c.n_value, c.n_grad) for c in counters] == [(0, 0), (0, 0)]
+        queries = [("value", 0.0), ("slope", 0.0), ("gradient", 0.0), ("value", 0.5),
+                   ("slope", 0.5), ("gradient", 0.5), ("value", 0.5), ("slope", 1.0)]
+        for query, v in queries:
+            for line in (turned, fresh):
+                getattr(line, query)(v)
+            assert (counters[0].n_value, counters[0].n_grad) == (
+                counters[1].n_value, counters[1].n_grad)
+        assert counters[0].n_value + counters[0].n_grad > 0
 
 
 class TestGenerateInstance:

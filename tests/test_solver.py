@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +146,21 @@ class TestKrylovPlaneOracle:
             oracle_iterations += 1
         assert run.iterations == oracle_iterations
 
+    # the counts the plane oracle above gives at epsilon = 1e-9
+    @pytest.mark.parametrize("seed,iterations", [(0, 2607), (1, 2297), (2, 2263)])
+    def test_carried_gradient_tracks_the_fresh_one(self, seed, iterations):
+        # every gradient after the start is carried along the lines an
+        # iteration searched, never recomputed as A x - b, so rounding could
+        # pile up over thousands of iterations
+        epsilon = 1e-9
+        p, x0 = generate_instance("quadratic", 100, seed, GenParams(kappa=1000.0))
+        run = minimize(p, x0, SolverConfig(epsilon=epsilon, max_iterations=5000))
+        assert run.termination is Termination.CONVERGED
+        assert run.iterations == iterations
+        assert np.linalg.norm(p.a @ run.x_final - p.b) <= epsilon
+        for rec in run.iterates:
+            assert abs(rec.grad_norm - np.linalg.norm(p.a @ rec.x - p.b)) <= 1e-11
+
 
 def assert_same_run(fast, generic):
     # x and f are compared relative to 1 + |.|: f crosses zero on the way to
@@ -210,10 +226,11 @@ class CallCounter:
 
 class TestMatvecBudget:
     # an ellipse iteration on a quadratic takes A grad f(x) for the level
-    # line, and A base and A d for the semiline; every gradient along the
-    # way comes from those lines
+    # line and A d for the semiline, which turns off the level line at the
+    # chord midpoint; every value and gradient along the way comes from
+    # those lines
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_three_products_per_ellipse_iteration(self, variant, count_products):
+    def test_two_products_per_ellipse_iteration(self, variant, count_products):
         p, x0 = generate_instance("quadratic", 40, 1, GenParams(kappa=10))
         matrix = count_products(p)
         obj = CallCounter(p)
@@ -221,7 +238,7 @@ class TestMatvecBudget:
         assert run.termination is Termination.CONVERGED
         assert run.iterations >= 5
         assert all(r.branch == "ellipse" for r in run.iterates[:-1])
-        assert matrix.products == 2 + 3 * run.iterations
+        assert matrix.products == 2 + 2 * run.iterations
         assert obj.calls == {"value": 1, "gradient": 1}
 
 
@@ -423,6 +440,28 @@ def test_overflow_along_the_first_line_ends_the_run(generic):
     run = minimize(obj, np.full(5, 1e150))
     assert run.termination is Termination.NUMERIC_ERROR
     assert run.message == "log-sum-exp value is not finite despite shifting"
+    assert run.iterations == 0
+
+
+@pytest.mark.parametrize("obj,x0", [
+    # max |g_i| = 1.2e154: |g|^2 overflows, |g| = 1.4e154 does not
+    (LogSumExpProblem(np.ones(5), np.ones(5)), 2e153 * np.linspace(0.5, 1.5, 5)),
+    # g = (1.5e308, 1.5e308) is finite, |g| is not
+    (Toy(lambda x: 7.5e307 * float(x @ x), lambda x: 1.5e308 * x), np.ones(2)),
+], ids=["square-overflows", "norm-overflows"])
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_finite_gradient_with_an_overflowing_norm_is_no_error(obj, x0):
+    # f and every entry of g are finite, so the run goes on
+    run = minimize(obj, x0)
+    assert run.iterates[0].grad_norm == pytest.approx(math.hypot(*obj.gradient(x0)), rel=1e-14)
+    assert run.termination is Termination.CONVERGED
+
+
+def test_infinite_gradient_entry_named():
+    run = minimize(Toy(lambda x: float(x @ x), lambda x: np.array([np.inf, 0.0])),
+                   np.array([1.0, 2.0]))
+    assert run.termination is Termination.NUMERIC_ERROR
+    assert run.message == "non-finite gradient"
     assert run.iterations == 0
 
 
