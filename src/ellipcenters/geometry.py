@@ -12,6 +12,9 @@ in closed form; the conic is an ellipse exactly when a > b^2, which bounds
 m by an explicit threshold.  The centers of all admissible ellipses line up
 on a semiline through the chord midpoint, and ``center_direction`` lifts
 that semiline's direction back to ambient coordinates.
+
+Since y = x - t g, the chord is t g: ``build_frame`` takes the frame from
+inner products of g and grad f(y), and forms no level-point or unit vector.
 """
 from __future__ import annotations
 
@@ -30,56 +33,61 @@ class ConicClass(Enum):
     HYPERBOLA = "hyperbola"
 
 
+def scaled_sumsq(v: np.ndarray) -> tuple[float, float]:
+    """(|v / s|^2, s): s = max |v_i| if v . v overflows and v is finite, else 1."""
+    vv = float(v @ v)
+    if vv != math.inf or not np.all(np.isfinite(v)):
+        return vv, 1.0
+    s = float(np.abs(v).max())
+    return float((v / s) @ (v / s)), s
+
+
 @dataclass(frozen=True)
 class LocalFrame:
-    """Orthonormal frame of the working plane at the level point y.
+    """The working plane at the level point y = x - t g, held as inner products.
 
-    ``e1`` is the unit chord direction (x - y)/|x - y|, ``e2`` the unit
-    vector along the component of -grad f(y) orthogonal to the chord.
-    ``lam`` is the chord length and theta the angle between the chord and
-    -grad f(y).
+    The chord x - y is t g, so e1 = g / |g| and ``lam`` = t |g|.  ``w`` =
+    (g . g_y / g . g) g - g_y is the part of -grad f(y) orthogonal to the
+    chord, e2 = w / |w|, and theta the angle between chord and -grad f(y).
     """
 
-    e1: np.ndarray
-    e2: np.ndarray
+    g: np.ndarray
+    w: np.ndarray
+    gnorm: float
+    wnorm: float
     lam: float
     cos_theta: float
     sin_theta: float
 
 
-def build_frame(x, y, grad_y) -> LocalFrame:
-    """Frame of the plane through x, y spanned with the gradient at y.
+def build_frame(g, t: float, grad_y) -> LocalFrame:
+    """Frame of the plane through x and y = x - t g spanned with the
+    gradient at y, from g . g, g . g_y, g_y . g_y and the one vector w;
+    products that overflow are taken over g and grad_y / their max |entry|.
 
     Raises DegeneratePlaneError when grad_y is numerically collinear with
-    the chord (sin(theta) <= 1e-8, or its part orthogonal to the chord
-    vanishes relative to |grad_y|); the caller falls back to the midpoint.
+    the chord (sin(theta) <= 1e-8, or |w| <= 1e-12 |grad_y|); the caller
+    falls back to the midpoint.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    g = np.asarray(g, dtype=float)
     grad_y = np.asarray(grad_y, dtype=float)
-    diff = x - y
-    lam = float(np.linalg.norm(diff))
-    if lam == 0.0:
-        raise ValueError("x and y coincide; the chord direction is undefined")
-    gnorm = float(np.linalg.norm(grad_y))
-    if gnorm == 0.0:
-        raise ValueError("zero gradient at the level point")
+    gg, sg = scaled_sumsq(g)
+    yy, sy = scaled_sumsq(grad_y)
+    if not t > 0.0 or gg == 0.0 or yy == 0.0:
+        raise ValueError("the chord or the gradient at the level point vanishes")
+    gy = float(g @ grad_y) if sg == sy == 1.0 else float((g / sg) @ (grad_y / sy))
     # rounding can push the normalized inner product marginally outside [-1, 1]
-    cos_theta = float(np.clip(diff @ (-grad_y) / (lam * gnorm), -1.0, 1.0))
+    cos_theta = min(1.0, max(-1.0, -gy / (math.sqrt(gg) * math.sqrt(yy))))
     sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-    w = -grad_y + (float(diff @ grad_y) / lam**2) * diff
-    wnorm = float(np.linalg.norm(w))
-    if sin_theta <= 1e-8 or wnorm <= 1e-12 * gnorm:
+    w = g * (gy / gg * (sy / sg)) - grad_y
+    ww, sw = scaled_sumsq(w)
+    wnorm = sw * math.sqrt(ww)
+    if sin_theta <= 1e-8 or wnorm <= 1e-12 * sy * math.sqrt(yy):
         raise DegeneratePlaneError(
             "gradient at the level point is collinear with the chord"
         )
-    return LocalFrame(
-        e1=diff / lam,
-        e2=w / wnorm,
-        lam=lam,
-        cos_theta=cos_theta,
-        sin_theta=sin_theta,
-    )
+    gnorm = sg * math.sqrt(gg)
+    return LocalFrame(g, w, gnorm, wnorm, t * gnorm, cos_theta, sin_theta)
 
 
 @dataclass(frozen=True)
@@ -163,16 +171,19 @@ def conic_center(coef: ConicCoefficients, lam: float) -> tuple[float, float]:
 def center_direction(frame: LocalFrame) -> np.ndarray:
     """Ambient direction of the semiline of ellipse centers.
 
-    The semiline is {(x + y)/2 + v * d : v >= 0} with
-    d = e2 - (sin theta / (2 cos theta)) e1.  Requires cos theta > 0; a
-    tangential gradient (cos theta <= 1e-12) leaves the direction undefined
-    and raises DegeneratePlaneError.
+    The semiline is {(x + y)/2 + v * d : v >= 0} with d = e2 - (sin theta /
+    (2 cos theta)) e1, one array formed from g and w.  Requires cos theta >
+    0; a tangential gradient (cos theta <= 1e-12) leaves the direction
+    undefined and raises DegeneratePlaneError.
     """
     if frame.cos_theta <= 1e-12:
         raise DegeneratePlaneError(
             "gradient at the level point is orthogonal to the chord"
         )
-    return frame.e2 - (frame.sin_theta / (2.0 * frame.cos_theta)) * frame.e1
+    d = frame.g * (-frame.sin_theta / (2.0 * frame.cos_theta) * (frame.wnorm / frame.gnorm))
+    d += frame.w
+    d /= frame.wnorm
+    return d
 
 
 @dataclass

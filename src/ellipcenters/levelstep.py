@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, StationaryPointError
+from .geometry import scaled_sumsq
 from .linesearch import find_root
 from .objectives import restrict
 
@@ -46,29 +47,22 @@ _TOL = 1e-10  # relative tolerance of the level equation
 class LevelStepResult:
     """Outcome of the root search.
 
-    ``t`` is the positive step, ``y = x - t grad`` the same-level point,
-    ``level_residual`` the remaining f(y) - f(x), and ``line`` the
-    restriction of f to x - t grad that the search queried
+    ``t`` is the positive step along ``-g`` from ``x``, ``level_residual``
+    the remaining f(y) - f(x) at the level point ``y = x - t g``, and
+    ``line`` the restriction of f to x - t g that the search queried
     (``line.gradient(t)`` is the gradient at y).  Count evaluations by
     passing a ``CountingObjective``.
     """
 
     t: float
-    y: np.ndarray
+    x: np.ndarray
+    g: np.ndarray
     level_residual: float
     line: object
 
-
-def _slope_root(line, x, g, f0, t):
-    """Root of <grad f(x - t g), g> = -|g|^2, i.e. of line.slope(t) - |g|^2,
-    from the bracket start t.
-
-    ``line`` is the restriction of f to x - t g that the value search used.
-    """
-    gg = float(g @ g)
-    t, _ = find_root(lambda s: line.slope(s) - gg, -2.0 * gg, t, ftol=2.0 * _TOL * gg, xtol=_TOL)
-    residual = line.value(t) - f0
-    return LevelStepResult(float(t), x - t * g, float(residual), line)
+    @property
+    def y(self) -> np.ndarray:
+        return self.x - self.t * self.g
 
 
 def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
@@ -76,10 +70,11 @@ def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
     """Find the unique t > 0 with f(x - t grad) = f(x) to 1e-10 (1 + |f(x)|).
 
     ``t_init`` seeds the bracket (pass the previous step to warm-start).
+    Both equations are solved in units of (max |g_i|)^2 where |g|^2 overflows.
     """
     x = np.asarray(x, dtype=float)
     g = obj.gradient(x) if grad is None else np.asarray(grad, dtype=float)
-    gg = float(g @ g)
+    gg, scale = scaled_sumsq(g)
     if gg == 0.0:
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
     line = restrict(obj, x, -g, f_x, g)
@@ -94,11 +89,15 @@ def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
         # the first-order decrease and the scale of f
         nonlocal r
         r = line.value(t) - f0
-        return 0.0 if abs(r) <= max(noise_floor, _TOL * min(gg * t, 1.0 + abs(f0))) else r / t
+        small = abs(r) <= max(noise_floor, _TOL * min(gg * t * scale * scale, 1.0 + abs(f0)))
+        return 0.0 if small else r / t / scale / scale
 
     t, _ = find_root(secant_slope, -gg, t_init, ftol=0.0, xtol=0.0, what="objective value")
-    if gg * t <= _SLOPE_SWITCH * noise_floor:
-        return _slope_root(line, x, g, f0, t)
-    if abs(r) > tol:
+    if gg * t * scale * scale <= _SLOPE_SWITCH * noise_floor:
+        # the slope equation <grad f(x - t g), g> = -|g|^2, on the same line
+        t, _ = find_root(lambda s: line.slope(s) / scale / scale - gg, -2.0 * gg, t,
+                         ftol=2.0 * _TOL * gg, xtol=_TOL)
+        r = line.value(t) - f0
+    elif abs(r) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
-    return LevelStepResult(float(t), x - t * g, float(r), line)
+    return LevelStepResult(float(t), x, g, float(r), line)

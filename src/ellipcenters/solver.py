@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneratePlaneError, NumericError
-from .geometry import build_frame, center_direction
+from .geometry import build_frame, center_direction, scaled_sumsq
 from .levelstep import find_level_step
 from .linesearch import MAX_EXPANSIONS, minimize_on_ray
 from .objectives import CountingObjective, turn
@@ -100,16 +100,6 @@ class SolverRun:
         return self.n_value_evals + self.n_grad_evals
 
 
-def _norm(g: np.ndarray) -> float:
-    """|g|, rescaled by max |g_i| when the sum of squares overflows although
-    every entry of g is finite."""
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == math.inf and np.all(np.isfinite(g)):
-        scale = float(np.abs(g).max())
-        gnorm = scale * float(np.linalg.norm(g / scale))
-    return gnorm
-
-
 def _nonfinite_message(f: float, g: np.ndarray, gnorm: float) -> str:
     """Why a run cannot go on from a point with value f and gradient g of
     norm gnorm, or "" when f and every entry of g are finite."""
@@ -147,20 +137,19 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     the step's ``IterateRecord`` fields (t, v, branch, f_mid).  ``f_x`` and
     ``grad_x`` are the value and gradient at x when the caller holds them.
 
-    Guarantees f(x_next) <= f((x + y)/2) < f(x); the midpoint branch is taken
-    whenever the gradient at the level point is collinear with the chord or
-    tangential to it.
+    Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
+    when the gradient at the level point is collinear with or tangential to
+    the chord, and raises NumericError when the midpoint rounds onto x.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     level = find_level_step(obj, x, grad=grad_x, f_x=f_x,
                             t_init=1.0 if warm_t is None else warm_t)
-    y = level.y
-    if np.array_equal(y, x):
+    base = x - (0.5 * level.t) * level.g
+    if np.array_equal(base, x):
         raise NumericError("the level step collapsed onto x below float resolution")
-    base = 0.5 * (x + y)
     try:
-        frame = build_frame(x, y, level.line.gradient(level.t))
+        frame = build_frame(level.g, level.t, level.line.gradient(level.t))
         d = center_direction(frame)
     except DegeneratePlaneError:
         f_base = obj.value(base)
@@ -202,7 +191,8 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
         f = counted.value(x)
         g = counted.gradient(x)
         while True:
-            gnorm = _norm(g)
+            gg, scale = scaled_sumsq(g)
+            gnorm = scale * math.sqrt(gg)
             message = _nonfinite_message(f, g, gnorm)
             if message:
                 termination = Termination.NUMERIC_ERROR

@@ -119,10 +119,12 @@ class TestCenter:
 
 
 class TestFrame:
+    # x = (2, 0), y = 0: the chord x - y = t g with g = (1, 0), t = 2
     def test_worked_example(self):
-        frame = build_frame(np.array([2.0, 0.0]), np.zeros(2), np.array([-1.0, -1.0]))
-        assert np.allclose(frame.e2, [0.0, 1.0], atol=1e-15)
+        frame = build_frame(np.array([1.0, 0.0]), 2.0, np.array([-1.0, -1.0]))
+        assert np.allclose(frame.w / frame.wnorm, [0.0, 1.0], atol=1e-15)
         assert frame.cos_theta == pytest.approx(1.0 / math.sqrt(2.0))
+        assert frame.sin_theta == pytest.approx(1.0 / math.sqrt(2.0))
         assert frame.lam == pytest.approx(2.0)
         d = center_direction(frame)
         assert np.allclose(d, [-0.5, 1.0], atol=1e-12)
@@ -131,51 +133,63 @@ class TestFrame:
         # points (x+y)/2 + v d have local coordinates (1 - v/2, v), i.e. they
         # satisfy u = lam/2 - (tan theta / 2) v with lam = 2, tan theta = 1
         x = np.array([2.0, 0.0])
-        y = np.zeros(2)
-        frame = build_frame(x, y, np.array([-1.0, -1.0]))
+        g = np.array([0.5, 0.0])
+        y = x - 4.0 * g
+        frame = build_frame(g, 4.0, np.array([-1.0, -1.0]))
         d = center_direction(frame)
+        e1 = g / np.linalg.norm(g)
+        e2 = frame.w / frame.wnorm
         for v in (0.0, 0.35, 1.7):
             point = 0.5 * (x + y) + v * d
-            u_coord = (point - y) @ frame.e1
-            v_coord = (point - y) @ frame.e2
-            assert u_coord == pytest.approx(1.0 - v / 2.0, abs=1e-12)
-            assert v_coord == pytest.approx(v, abs=1e-12)
+            assert (point - y) @ e1 == pytest.approx(1.0 - v / 2.0, abs=1e-12)
+            assert (point - y) @ e2 == pytest.approx(v, abs=1e-12)
 
     def test_orthogonalization_identities(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            x = rng.standard_normal(6)
-            y = rng.standard_normal(6)
             g = rng.standard_normal(6)
+            t = float(rng.uniform(0.1, 10.0))
+            grad_y = rng.standard_normal(6)
             try:
-                frame = build_frame(x, y, g)
+                frame = build_frame(g, t, grad_y)
             except DegeneratePlaneError:
                 continue
-            assert abs(frame.e2 @ (x - y)) <= 1e-12 * np.linalg.norm(x - y)
-            assert abs(frame.e1 @ frame.e2) <= 1e-12
-            assert np.linalg.norm(frame.e1) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(frame.e2) == pytest.approx(1.0, abs=1e-12)
+            gnorm = np.linalg.norm(g)
+            assert abs(frame.w @ g) <= 1e-12 * frame.wnorm * gnorm
+            assert frame.wnorm == pytest.approx(np.linalg.norm(frame.w), rel=1e-15)
+            assert frame.gnorm == pytest.approx(gnorm, rel=1e-15)
+            assert frame.lam == pytest.approx(t * gnorm, rel=1e-15)
             assert frame.cos_theta**2 + frame.sin_theta**2 == pytest.approx(1.0, abs=1e-12)
-            assert frame.e2 @ (-g) >= -1e-12  # acute angle with the downhill direction
+            # |w| = sin(theta) |grad_y|, the part of -grad_y off the chord
+            assert frame.wnorm == pytest.approx(frame.sin_theta * np.linalg.norm(grad_y),
+                                                rel=1e-10)
+            assert frame.w @ (-grad_y) >= -1e-12  # acute angle with the downhill direction
 
     def test_collinear_gradient_signals_dependence(self):
-        x = np.array([1.0, 1.0])
-        y = np.zeros(2)
+        g = np.array([1.0, 1.0])
         with pytest.raises(DegeneratePlaneError):
-            build_frame(x, y, -(x - y))
+            build_frame(g, 1.0, -3.0 * g)
 
     def test_tangential_gradient_is_an_error(self):
-        x = np.array([2.0, 0.0])
-        frame = build_frame(x, np.zeros(2), np.array([0.0, -1.0]))  # orthogonal to chord
+        frame = build_frame(np.array([1.0, 0.0]), 2.0, np.array([0.0, -1.0]))
         assert frame.cos_theta == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(DegeneratePlaneError):
             center_direction(frame)
 
     def test_small_angle_limit_points_along_w(self):
-        x = np.array([2.0, 0.0])
-        frame = build_frame(x, np.zeros(2), np.array([-1.0, -1e-6]))
+        frame = build_frame(np.array([1.0, 0.0]), 2.0, np.array([-1.0, -1e-6]))
         d = center_direction(frame)
-        assert np.allclose(d, frame.e2, atol=1e-5)
+        assert np.allclose(d, frame.w / frame.wnorm, atol=1e-5)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_products_are_rescaled(self):
+        # the worked example's frame with g.g overflowing and grad_y at
+        # another scale, so the two vectors are rescaled by different factors
+        frame = build_frame(np.array([1e200, 0.0]), 2e-200, np.array([-1e150, -1e150]))
+        assert frame.cos_theta == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert frame.lam == pytest.approx(2.0, rel=1e-15)
+        assert frame.wnorm == pytest.approx(1e150, rel=1e-15)
+        assert np.allclose(center_direction(frame), [-0.5, 1.0], atol=1e-12)
 
 
 class TestConicProperties:

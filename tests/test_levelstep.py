@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import ValueAndGradientOnly
-from ellipcenters import (GenParams, NonCoerciveError, QuadraticProblem,
-                          StationaryPointError, find_level_step,
-                          generate_instance)
+from ellipcenters import (GenParams, LogSumExpProblem, NonCoerciveError,
+                          QuadraticProblem, StationaryPointError, build_frame,
+                          find_level_step, generate_instance)
 from ellipcenters.objectives import CountingObjective
 
 
@@ -146,3 +148,23 @@ def test_near_stationary_point_goes_to_the_slope_path_at_once():
     assert (fused.n_value, fused.n_grad) == (counted.n_value, counted.n_grad)
     assert own.t == pytest.approx(res.t, rel=1e-12)
     assert np.array_equal(own.line.gradient(own.t), p.gradient(own.y))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_gradient_square_is_rescaled():
+    # max |g_i| = 1.2e154, so |g|^2 overflows; the level equation is solved
+    # in units of (max |g_i|)^2, and the frame at y sees the true angle
+    p = LogSumExpProblem(np.ones(5), np.ones(5))
+    x = 2e153 * np.linspace(0.5, 1.5, 5)
+    fx = p.value(x)
+    counted = CountingObjective(p)
+    res = find_level_step(counted, x, grad=p.gradient(x), f_x=fx)
+    # in consistent units the first secant step lands on the root; from
+    # -|g|^2 = -inf at t = 0 the search would take a bisection step more
+    assert counted.n_value == 2
+    assert math.isfinite(res.t) and res.t > 0.0
+    assert abs(res.level_residual) <= 1e-10 * (1.0 + abs(fx))
+    assert abs(p.value(res.y) - fx) <= 1e-10 * (1.0 + abs(fx))
+    frame = build_frame(res.g, res.t, p.gradient(res.y))
+    assert frame.cos_theta == pytest.approx(0.889, abs=1e-3)
+    assert frame.sin_theta == pytest.approx(0.458, abs=1e-3)

@@ -7,8 +7,8 @@ import pytest
 from conftest import NaNGradientAfter, Toy, ValueAndGradientOnly
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
-                          generate_instance, me_step, minimize, run_method,
-                          semiline_search)
+                          find_level_step, generate_instance, me_step, minimize,
+                          run_method, semiline_search, solver)
 from ellipcenters.objectives import restrict
 
 
@@ -253,15 +253,19 @@ def test_evaluations_per_iteration_budget():
 
 
 class TestPinnedLogSumExpRuns:
-    # recorded when every one-dimensional search moved onto the one
-    # root-finding kernel; a change to a search's arithmetic shows here
-    # first (the pins also hold numpy's exp and log rounding on this platform);
-    # they run on the generic line, whose arithmetic is the pointwise one
+    # re-recorded when the ellipse step's frame was built from inner products
+    # of g and grad f(y) (iterations and f_final kept); a change to a search's
+    # or the frame's arithmetic shows here first (the pins also hold numpy's
+    # exp and log rounding on this platform); they run on the generic line,
+    # whose arithmetic is the pointwise one; the ids leave the digests out,
+    # so a re-pin keeps the tests' names
     @pytest.mark.parametrize("variant,iterations,digest", [
-        (Variant.SEMILINE_MIN, 9,
-         "864777358bcc9481a7f4a2808781480bb1256288b32511590bf0259d0803237b"),
-        (Variant.DECREASE_SEARCH, 10,
-         "fd28b417db0f40700d558d88d67f458970139a40d2925a2c88480926cd0f8c87"),
+        pytest.param(Variant.SEMILINE_MIN, 9,
+                     "9be5451590410068d146840d5f1719ce577979f16296f149a218beb005405343",
+                     id="semiline-min"),
+        pytest.param(Variant.DECREASE_SEARCH, 10,
+                     "b3118cb0586e185f781b81cee3471fb1aebd55d6d2a35068940e75790aa87457",
+                     id="decrease-search"),
     ])
     def test_iterates_bit_identical(self, variant, iterations, digest):
         p, x0 = generate_instance("logsumexp", 50, 4)
@@ -455,6 +459,34 @@ def test_finite_gradient_with_an_overflowing_norm_is_no_error(obj, x0):
     run = minimize(obj, x0)
     assert run.iterates[0].grad_norm == pytest.approx(math.hypot(*obj.gradient(x0)), rel=1e-14)
     assert run.termination is Termination.CONVERGED
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_frame_products_keep_the_ellipse_step(variant):
+    # at the first level point |g|^2 and |grad f(y)|^2 overflow; taken over
+    # rescaled vectors the frame has cos theta = 0.889 and sin theta = 0.458,
+    # an ordinary ellipse step, not a tangential gradient
+    p = LogSumExpProblem(np.ones(5), np.ones(5))
+    run = minimize(p, 2e153 * np.linspace(0.5, 1.5, 5), SolverConfig(variant=variant))
+    assert run.iterates[0].branch == "ellipse"
+    assert run.termination is Termination.CONVERGED
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_level_step_below_float_resolution_ends_the_run(variant, monkeypatch):
+    # a step so short that the midpoint x - (t/2) g rounds onto x
+    def shrunk(*args, **kwargs):
+        level = find_level_step(*args, **kwargs)
+        level.t *= 1e-30
+        return level
+
+    monkeypatch.setattr(solver, "find_level_step", shrunk)
+    p, x0 = generate_instance("quadratic", 6, 1, GenParams(kappa=10))
+    run = minimize(p, x0, SolverConfig(variant=variant, max_iterations=50))
+    assert run.termination is Termination.NUMERIC_ERROR
+    assert run.message == "the level step collapsed onto x below float resolution"
+    assert run.iterations == 0
 
 
 def test_infinite_gradient_entry_named():
