@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
+from .geometry import scaled_sumsq
 from .linesearch import minimize_on_ray
 from .objectives import restrict
 from .solver import SolverRun, descend
@@ -19,16 +20,20 @@ _STEP_CAP = 1e12  # convert pathological rounding into a clean numeric error
 
 
 def bb_step_size(s, g_diff, kind: str = "long") -> float:
-    """Spectral step from the displacement s and gradient change g_diff."""
+    """Spectral step from the displacement s and gradient change g_diff;
+    products that overflow are taken over s and g_diff / their max |entry|."""
     s = np.asarray(s, dtype=float)
     g_diff = np.asarray(g_diff, dtype=float)
-    sg = float(s @ g_diff)
+    ss, a = scaled_sumsq(s)
+    yy, b = scaled_sumsq(g_diff)
+    sg = float(s @ g_diff) if a == b == 1.0 else float((s / a) @ (g_diff / b))
     if sg <= 0.0:
         raise NumericError("nonpositive curvature along the last displacement")
+    # s.s = ss a^2, s.g_diff = sg a b and g_diff.g_diff = yy b^2
     if kind == "long":
-        tau = float(s @ s) / sg
+        tau = ss / sg * (a / b)
     elif kind == "short":
-        tau = sg / float(g_diff @ g_diff)
+        tau = sg / yy * (a / b)
     else:
         raise ValueError(f"unknown step kind {kind!r}")
     if not np.isfinite(tau) or tau > _STEP_CAP:

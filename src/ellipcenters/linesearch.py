@@ -93,7 +93,7 @@ def minimize_on_ray(line, v0: float = 1.0, rel_tol: float = 1e-8, h0: float | No
     """Minimize a convex function over v >= 0 along ``line``, from the bracket
     start v0, by solving ``line.slope(v) = 0`` to relative precision rel_tol.
 
-    ``h0`` is ``line.value(0.0)`` when the caller holds it.  Returns (v, the
+    ``h0`` is ``line.value(0.0)`` when the caller has it.  Returns (v, the
     value at v).  A line that does not descend at v = 0 (its slope there is
     nonnegative, or not a number) returns v = 0; the caller's gradient check
     then names a non-finite slope.  ``find_root`` raises the errors.

@@ -10,7 +10,7 @@ The searches along a ray ask ``restrict(obj, x, d)`` for the line
 ``t -> f(x + t d)``, which answers ``value(t)``, ``slope(t)`` and
 ``gradient(t)``.  An objective may offer a cheaper restriction through an
 optional ``along(x, d, f, g)`` method.  Both families do: once a quadratic's
-line holds grad f(x) and Ad, every query along it costs O(1); a log-sum-exp
+line has grad f(x) and Ad, every query along it costs O(1); a log-sum-exp
 line shares one set of exponential weights among the queries at one t and
 takes a slope without forming the gradient.  Any other objective gets the
 generic line over its own ``value`` and ``gradient``.  ``turn(obj, line,
@@ -19,8 +19,9 @@ direction e: a quadratic's line hands over its value and gradient at t, so
 the new line costs the one product Ae; any other line falls back to
 ``restrict(obj, x, e)``.
 ``CountingObjective`` counts every query an objective answers, pointwise or
-along such a line; the log-sum-exp line is charged what the generic line
-would be.
+along a line.  Along any line a query costs what the generic line would
+take, so a count measures the oracle queries the search made, not the line
+that answered them.
 """
 from __future__ import annotations
 
@@ -96,7 +97,7 @@ class QuadraticProblem:
     def along(self, x, d, f=None, g=None) -> "QuadraticLine":
         """The parabola t -> f(x + t d), from the product Ad.
 
-        ``f`` and ``g`` are the value and gradient at x when the caller holds
+        ``f`` and ``g`` are the value and gradient at x when the caller has
         them; the product Ax is taken only when one of them is missing.  A
         line through a point on another line needs no Ax either: take it
         with ``QuadraticLine.turn``.
@@ -171,7 +172,7 @@ class LogSumExpProblem:
 
     def along(self, x, d, f=None, g=None) -> "LogSumExpLine":
         """The line t -> f(x + t d); ``f`` and ``g`` are the value and
-        gradient at x when the caller holds them."""
+        gradient at x when the caller has them."""
         n = self.dimension
         return LogSumExpLine(self.alpha, self.beta, _check_point(x, n), _check_point(d, n),
                              None if f is None else float(f),
@@ -225,7 +226,7 @@ class LogSumExpLine:
     answers value(0) from f and the slope and gradient at 0 from g.
     """
 
-    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "f", "g", "_gt",
+    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "f", "g",
                  "_t", "_u", "_w", "_tmp", "_zmax", "_sw")
 
     def __init__(self, alpha, beta, x, d, f, g):
@@ -233,17 +234,8 @@ class LogSumExpLine:
         self.x, self.d = x, d
         self.ad, self.bd = alpha * d, beta * d
         self.f, self.g = f, g
-        self._gt = None if g is None else 0.0  # t of the last slope or gradient
         self._t = None  # t of u and w
         self._u, self._w, self._tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-
-    def holds(self, query: str, t: float) -> bool:
-        """Whether the generic line would answer ``query`` ("value", "slope"
-        or "gradient") at t without an evaluation: the value at 0 when handed
-        f, a slope or gradient at the t of the last one (0 when handed g)."""
-        if query == "value":
-            return t == 0.0 and self.f is not None
-        return t == self._gt
 
     def _weigh(self, t: float) -> None:
         if t != self._t:
@@ -268,7 +260,6 @@ class LogSumExpLine:
         return val
 
     def slope(self, t: float) -> float:
-        self._gt = t
         if t == 0.0 and self.g is not None:
             return float(self.g @ self.d)
         self._weigh(t)
@@ -281,7 +272,6 @@ class LogSumExpLine:
         return 2.0 * (float(self._w @ adu) / float(self._sw) + float(self.bd @ self._u))
 
     def gradient(self, t: float) -> np.ndarray:
-        self._gt = t
         if t == 0.0 and self.g is not None:
             return self.g
         self._weigh(t)
@@ -331,7 +321,7 @@ def restrict(obj, x, d, f=None, g=None):
     """The line t -> f(x + t d), with ``value(t)``, ``slope(t)`` and ``gradient(t)``.
 
     ``f`` and ``g`` are the value and gradient at x, when the caller already
-    holds them.  Uses the objective's own ``along(x, d, f, g)`` when it has
+    has them.  Uses the objective's own ``along(x, d, f, g)`` when it has
     one, else a ``RayLine`` that evaluates f and its gradient at each queried
     point, except at x itself when handed ``f`` and ``g``.
     """
@@ -355,11 +345,9 @@ def turn(obj, line, t: float, x, e):
 class CountingObjective:
     """Pass-through wrapper that counts value and gradient evaluations.
 
-    Along an objective's own line, each ``value(t)`` counts as one value
-    evaluation and each ``slope(t)`` or ``gradient(t)`` as one gradient
-    evaluation, except a query the line ``holds``.  The generic line counts
-    the pointwise calls it makes, so what it answers from the value and
-    gradient it was handed counts nothing.
+    Pointwise, each ``value(x)`` and ``gradient(x)`` counts one.  Along a
+    line, ``_CountedLine`` charges each query what the generic line would
+    take, whichever line answers it.
     """
 
     def __init__(self, inner):
@@ -380,46 +368,46 @@ class CountingObjective:
         return self.inner.gradient(x)
 
     def along(self, x, d, f=None, g=None):
-        along = getattr(self.inner, "along", None)
-        if along is None:  # the generic line already counts through self
-            return RayLine(self, x, d, f, g)
-        return _CountedLine(self, along(x, d, f, g))
+        return _CountedLine(self, restrict(self.inner, x, d, f, g), f is not None, g is not None)
 
 
 class _CountedLine:
-    """Charges the queries on an objective's own line to a counter.
+    """Charges the queries on a line to a counter by the generic line's rule.
 
-    A line with a ``holds(query, t)`` method is not charged for the queries
-    it says it holds; a line without one is charged every query.
+    A value at t = 0 is free when the line was handed f, and a slope or
+    gradient at the t of the last slope or gradient is free (t = 0 when the
+    line was handed g); every other query costs one evaluation.
     """
 
-    __slots__ = ("counter", "line", "holds")
+    __slots__ = ("counter", "line", "held_f", "_gt")
 
-    def __init__(self, counter: CountingObjective, line):
+    def __init__(self, counter: CountingObjective, line, held_f: bool = False,
+                 held_g: bool = False):
         self.counter = counter
         self.line = line
-        self.holds = getattr(line, "holds", None)
-
-    def _charged(self, query: str, t: float) -> bool:
-        return self.holds is None or not self.holds(query, t)
+        self.held_f = held_f
+        self._gt = 0.0 if held_g else None  # t of the last slope or gradient
 
     def value(self, t: float) -> float:
-        if self._charged("value", t):
+        if not (t == 0.0 and self.held_f):
             self.counter.n_value += 1
         return self.line.value(t)
 
-    def slope(self, t: float) -> float:
-        if self._charged("slope", t):
+    def _charge_gradient(self, t: float) -> None:
+        if t != self._gt:
             self.counter.n_grad += 1
+            self._gt = t
+
+    def slope(self, t: float) -> float:
+        self._charge_gradient(t)
         return self.line.slope(t)
 
     def gradient(self, t: float) -> np.ndarray:
-        if self._charged("gradient", t):
-            self.counter.n_grad += 1
+        self._charge_gradient(t)
         return self.line.gradient(t)
 
     def turn(self, t: float, x, e) -> "_CountedLine":
-        # the turned line is charged like any other line of the objective
+        # like the generic line through x along e, it starts with no f or g at x
         return _CountedLine(self.counter, turn(self.counter.inner, self.line, t, x, e))
 
 

@@ -135,7 +135,7 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     Returns ``(x_next, f_next, g_next, fields)``: g_next is the gradient at
     x_next when the semiline search took it, else None, and ``fields`` are
     the step's ``IterateRecord`` fields (t, v, branch, f_mid).  ``f_x`` and
-    ``grad_x`` are the value and gradient at x when the caller holds them.
+    ``grad_x`` are the value and gradient at x when the caller has them.
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
@@ -145,16 +145,15 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     x = np.asarray(x, dtype=float)
     level = find_level_step(obj, x, grad=grad_x, f_x=f_x,
                             t_init=1.0 if warm_t is None else warm_t)
-    base = x - (0.5 * level.t) * level.g
+    base = x - (0.5 * level.t) * level.g  # the level line's point at t/2
     if np.array_equal(base, x):
         raise NumericError("the level step collapsed onto x below float resolution")
     try:
         frame = build_frame(level.g, level.t, level.line.gradient(level.t))
         d = center_direction(frame)
     except DegeneratePlaneError:
-        f_base = obj.value(base)
+        f_base = level.line.value(0.5 * level.t)
         return base, f_base, None, dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base)
-    # the midpoint is the level line's point at t/2
     line = turn(obj, level.line, 0.5 * level.t, base, d)
     f_base = line.value(0.0)
     v, f_v = semiline_search(line, cfg.variant, scale=frame.lam, f_base=f_base)

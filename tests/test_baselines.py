@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import HOSTILE, NaNGradientAfter, Toy
-from ellipcenters import (GenParams, NumericError, QuadraticProblem,
+from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticProblem,
                           SolverConfig, Termination, Variant, bb_minimize,
                           bb_step_size, gd_exact_minimize, generate_instance,
                           minimize, run_method)
@@ -24,6 +24,15 @@ class TestBBStepSize:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             bb_step_size(np.ones(2), np.ones(2), "medium")
+
+    @pytest.mark.parametrize("kind", ["long", "short"])
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_products_give_the_rescaled_step(self, kind):
+        # s . s and s . g_diff overflow; the step does not
+        s = np.array([1.0, 1.0])
+        g_diff = np.array([1.0, 4.0])
+        tau = bb_step_size(1e160 * s, 1e160 * g_diff, kind)
+        assert tau == pytest.approx(bb_step_size(s, g_diff, kind), rel=1e-15)
 
 
 class TestBBMinimize:
@@ -57,6 +66,15 @@ class TestBBMinimize:
         run = bb_minimize(Concave(), np.array([1.0, 1.0]), max_iterations=50)
         assert run.termination is Termination.NUMERIC_ERROR
         assert run.message
+
+    @pytest.mark.parametrize("kind", ["long", "short"])
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_gradient_whose_square_overflows_converges(self, kind):
+        # max |g_i| = 1.2e154: s . s and s . g_diff of the first spectral
+        # step overflow, so the step is taken over rescaled vectors
+        p = LogSumExpProblem(np.ones(5), np.ones(5))
+        run = bb_minimize(p, 2e153 * np.linspace(0.5, 1.5, 5), kind)
+        assert run.termination is Termination.CONVERGED, run.message
 
     def test_converges_on_logsumexp(self):
         p, x0 = generate_instance("logsumexp", 100, 7)

@@ -165,14 +165,16 @@ class TestRestriction:
             assert line.value(t) == pytest.approx(p.value(y), rel=1e-12)
             assert line.slope(t) == pytest.approx(float(p.gradient(y) @ d), rel=1e-12)
 
+    # an objective's own line is charged what the generic line would take
     @pytest.mark.parametrize("held", [False, True])
-    def test_logsumexp_line_is_charged_like_the_generic_line(self, held):
-        p, x, d = self._ray("logsumexp")
+    @pytest.mark.parametrize("kind", ["logsumexp", "quadratic"])
+    def test_line_is_charged_like_the_generic_line(self, kind, held):
+        p, x, d = self._ray(kind)
         f, g = (p.value(x), p.gradient(x)) if held else (None, None)
         fused = CountingObjective(p)
         generic = CountingObjective(ValueAndGradientOnly(p))
         lines = [restrict(c, x, d, f, g) for c in (fused, generic)]
-        assert isinstance(lines[1], RayLine)
+        assert isinstance(lines[1].line, RayLine)
         queries = [("value", 0.0), ("slope", 0.0), ("gradient", 0.0), ("value", 0.5),
                    ("slope", 0.5), ("gradient", 0.5), ("slope", 0.5), ("value", 0.5),
                    ("slope", 1.0), ("value", 2.0), ("gradient", 1.0), ("gradient", 0.0),

@@ -189,7 +189,23 @@ class TestFastPathMatchesGeneric:
         cfg = SolverConfig(epsilon=0.01, max_iterations=2000, variant=variant)
         assert_same_run(minimize(p, x0, cfg), minimize(ValueAndGradientOnly(p), x0, cfg))
 
-    # the log-sum-exp line is charged what the generic line would be, so the
+    # every line is charged what the generic line would take, so a run
+    # through the quadratic's own line counts what the generic run counts;
+    # not at kappa = 1000 or at a tight eps, where the two lines' arithmetic
+    # lets the searches take different numbers of steps
+    @pytest.mark.parametrize("method,variant", [
+        ("me", Variant.SEMILINE_MIN), ("me", Variant.DECREASE_SEARCH),
+        ("bb-long", None), ("bb-short", None), ("gd", None)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quadratic_counts(self, method, variant, seed):
+        p, x0 = generate_instance("quadratic", 100, seed, GenParams(kappa=10.0))
+        kwargs = {} if variant is None else {"variant": variant}
+        fast, generic = (run_method(method, obj, x0, epsilon=0.01, **kwargs)
+                         for obj in (p, ValueAndGradientOnly(p)))
+        assert (fast.iterations, fast.n_value_evals, fast.n_grad_evals) == (
+            generic.iterations, generic.n_value_evals, generic.n_grad_evals)
+
+    # the log-sum-exp line computes what the generic line does, so the
     # counts must match too
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n,seed", [(n, seed) for n in (50, 1000) for seed in (0, 1, 2)])
