@@ -8,6 +8,8 @@ stopping rule, iteration-count convention and run record format.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericError
@@ -33,7 +35,8 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
     if kind == "long":
         tau = ss / sg * (a / b)
     elif kind == "short":
-        tau = sg / yy * (a / b)
+        # g_diff . g_diff underflows to 0 only under a step far past the cap
+        tau = sg / yy * (a / b) if yy > 0.0 else math.inf
     else:
         raise ValueError(f"unknown step kind {kind!r}")
     if not np.isfinite(tau) or tau > _STEP_CAP:

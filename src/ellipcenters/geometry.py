@@ -47,12 +47,14 @@ class LocalFrame:
     """The working plane at the level point y = x - t g, held as inner products.
 
     The chord x - y is t g, so e1 = g / |g| and ``lam`` = t |g|.  ``w`` =
-    (g . g_y / g . g) g - g_y is the part of -grad f(y) orthogonal to the
-    chord, e2 = w / |w|, and theta the angle between chord and -grad f(y).
+    k g - g_y with k = g . g_y / g . g is the part of -grad f(y) orthogonal
+    to the chord, e2 = w / |w|, and theta the angle between chord and
+    -grad f(y).
     """
 
     g: np.ndarray
     w: np.ndarray
+    k: float
     gnorm: float
     wnorm: float
     lam: float
@@ -66,8 +68,7 @@ def build_frame(g, t: float, grad_y) -> LocalFrame:
     products that overflow are taken over g and grad_y / their max |entry|.
 
     Raises DegeneratePlaneError when grad_y is numerically collinear with
-    the chord (sin(theta) <= 1e-8, or |w| <= 1e-12 |grad_y|); the caller
-    falls back to the midpoint.
+    the chord (|w| <= 1e-8 |grad_y|); the caller falls back to the midpoint.
     """
     g = np.asarray(g, dtype=float)
     grad_y = np.asarray(grad_y, dtype=float)
@@ -79,15 +80,17 @@ def build_frame(g, t: float, grad_y) -> LocalFrame:
     # rounding can push the normalized inner product marginally outside [-1, 1]
     cos_theta = min(1.0, max(-1.0, -gy / (math.sqrt(gg) * math.sqrt(yy))))
     sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-    w = g * (gy / gg * (sy / sg)) - grad_y
+    k = gy / gg * (sy / sg)
+    w = g * k - grad_y
     ww, sw = scaled_sumsq(w)
     wnorm = sw * math.sqrt(ww)
-    if sin_theta <= 1e-8 or wnorm <= 1e-12 * sy * math.sqrt(yy):
+    # |w| / |grad_y| is sin(theta) without the rounding of sqrt(1 - cos^2)
+    if wnorm <= 1e-8 * sy * math.sqrt(yy):
         raise DegeneratePlaneError(
             "gradient at the level point is collinear with the chord"
         )
     gnorm = sg * math.sqrt(gg)
-    return LocalFrame(g, w, gnorm, wnorm, t * gnorm, cos_theta, sin_theta)
+    return LocalFrame(g, w, k, gnorm, wnorm, t * gnorm, cos_theta, sin_theta)
 
 
 @dataclass(frozen=True)
@@ -180,10 +183,22 @@ def center_direction(frame: LocalFrame) -> np.ndarray:
         raise DegeneratePlaneError(
             "gradient at the level point is orthogonal to the chord"
         )
-    d = frame.g * (-frame.sin_theta / (2.0 * frame.cos_theta) * (frame.wnorm / frame.gnorm))
+    d = frame.g * _g_share(frame)
     d += frame.w
     d /= frame.wnorm
     return d
+
+
+def _g_share(frame: LocalFrame) -> float:
+    """c with center_direction(frame) = (c g + w) / |w|."""
+    return -frame.sin_theta / (2.0 * frame.cos_theta) * (frame.wnorm / frame.gnorm)
+
+
+def center_direction_coefficients(frame: LocalFrame) -> tuple[float, float]:
+    """(a, b) with center_direction(frame) = a g + b grad f(y) in exact
+    arithmetic: d = ((k + c) g - grad f(y)) / |w|.  Call it only on a frame
+    that ``center_direction`` accepts."""
+    return (frame.k + _g_share(frame)) / frame.wnorm, -1.0 / frame.wnorm
 
 
 @dataclass

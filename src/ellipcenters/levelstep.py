@@ -18,8 +18,9 @@ mirrors the slope at the near one) and second-order accurate in general.
 Slopes are computed from gradients, so their precision is relative rather
 than absolute and the switch restores full accuracy exactly where values
 give out.  The same kernel solves it.  Both searches query the one line
-``restrict(f, x, -grad f(x))``, and the result hands that line back, so the
-caller can take the gradient at the level point from it.
+``restrict(f, x, -grad f(x), turns=True)``, and the result hands that line
+back, so the caller can take the gradient at the level point from it and
+turn off it.
 
 Values pin the root only to about the rounding floor over t |g|^2, so the
 slope path takes over whenever the value root's first-order decrease
@@ -77,7 +78,7 @@ def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
     gg, scale = scaled_sumsq(g)
     if gg == 0.0:
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
-    line = restrict(obj, x, -g, f_x, g)
+    line = restrict(obj, x, -g, f_x, g, turns=True)
     f0 = line.value(0.0) if f_x is None else float(f_x)
     tol = _TOL * (1.0 + abs(f0))
     noise_floor = 32.0 * _EPS * (1.0 + abs(f0))

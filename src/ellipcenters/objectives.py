@@ -9,15 +9,17 @@ every run is reproducible, and they round-trip through plain JSON.
 The searches along a ray ask ``restrict(obj, x, d)`` for the line
 ``t -> f(x + t d)``, which answers ``value(t)``, ``slope(t)`` and
 ``gradient(t)``.  An objective may offer a cheaper restriction through an
-optional ``along(x, d, f, g)`` method.  Both families do: once a quadratic's
-line has grad f(x) and Ad, every query along it costs O(1); a log-sum-exp
-line shares one set of exponential weights among the queries at one t and
-takes a slope without forming the gradient.  Any other objective gets the
-generic line over its own ``value`` and ``gradient``.  ``turn(obj, line,
-t, x, e)`` starts a line through x, the point at t on ``line``, along a new
-direction e: a quadratic's line hands over its value and gradient at t, so
-the new line costs the one product Ae; any other line falls back to
-``restrict(obj, x, e)``.
+optional ``along(x, d, f, g, turns)`` method.  Both families do: once a
+quadratic's line has grad f(x) and Ad, every query along it costs O(1); a
+log-sum-exp line shares one set of exponential weights among the queries at
+one t and takes a slope without forming the gradient.  Any other objective
+gets the generic line over its own ``value`` and ``gradient``.
+``turn(obj, line, t, x, e, krylov)`` starts a line through x, the point at t
+on ``line``, along a new direction e = alpha d + gamma A d in the line's
+Krylov plane.  A quadratic's line restricted with ``turns=True`` holds A^2 d
+beside Ad, both from one pass over A (``matrix_powers``), so the new line
+takes Ae = alpha Ad + gamma A^2 d and the line's value and gradient at t
+with no product; any other line falls back to ``restrict(obj, x, e)``.
 ``CountingObjective`` counts every query an objective answers, pointwise or
 along a line.  Along any line a query costs what the generic line would
 take, so a count measures the oracle queries the search made, not the line
@@ -94,13 +96,13 @@ class QuadraticProblem:
         x = _check_point(x, self.dimension)
         return self.a @ x - self.b
 
-    def along(self, x, d, f=None, g=None) -> "QuadraticLine":
+    def along(self, x, d, f=None, g=None, turns=False) -> "QuadraticLine":
         """The parabola t -> f(x + t d), from the product Ad.
 
         ``f`` and ``g`` are the value and gradient at x when the caller has
-        them; the product Ax is taken only when one of them is missing.  A
-        line through a point on another line needs no Ax either: take it
-        with ``QuadraticLine.turn``.
+        them; the product Ax is taken only when one of them is missing.
+        With ``turns`` the line also holds A^2 d, taken in the same pass
+        over A, so that ``QuadraticLine.turn`` needs no product.
         """
         n = self.dimension
         x = _check_point(x, n)
@@ -110,7 +112,8 @@ class QuadraticProblem:
             # the same expressions as value and gradient, so value(0.0) == value(x)
             f = float(0.5 * (x @ ax) - self.b @ x) if f is None else f
             g = ax - self.b if g is None else g
-        return QuadraticLine(self.a, float(f), np.asarray(g, dtype=float), d)
+        ad, a2d = matrix_powers(self.a, d) if turns else (self.a @ d, None)
+        return QuadraticLine(float(f), np.asarray(g, dtype=float), d, ad, a2d)
 
     def solution(self) -> np.ndarray:
         """The unique minimizer, from a direct linear solve."""
@@ -170,9 +173,10 @@ class LogSumExpProblem:
             raise NumericError("log-sum-exp gradient is not finite despite shifting")
         return g
 
-    def along(self, x, d, f=None, g=None) -> "LogSumExpLine":
+    def along(self, x, d, f=None, g=None, turns=False) -> "LogSumExpLine":
         """The line t -> f(x + t d); ``f`` and ``g`` are the value and
-        gradient at x when the caller has them."""
+        gradient at x when the caller has them.  The line has no turn of its
+        own, so ``turns`` changes nothing."""
         n = self.dimension
         return LogSumExpLine(self.alpha, self.beta, _check_point(x, n), _check_point(d, n),
                              None if f is None else float(f),
@@ -182,20 +186,47 @@ class LogSumExpProblem:
         return np.zeros(self.dimension)
 
 
+PANEL_BYTES = 1 << 20  # row panels of A that fit in half of a 2 MiB L2 cache
+
+
+def matrix_powers(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A d, A (A d)) for a symmetric A, in one pass over A.
+
+    By symmetry A (A d) = sum_j A_j^T (A_j d) over the row panels A_j, so
+    each panel of about ``PANEL_BYTES`` is read from memory once and used
+    for both products while it is still in cache.  The panels are views of
+    A; a matrix that fits in one panel takes two plain products.
+    """
+    n = d.shape[0]
+    rows = max(1, PANEL_BYTES // (a.itemsize * n))
+    if rows >= n:
+        ad = a @ d
+        return ad, a @ ad
+    ad = np.empty(n)
+    a2d = np.zeros(n)
+    for i in range(0, n, rows):
+        panel = a[i:i + rows]
+        ad[i:i + rows] = part = panel @ d
+        a2d += part @ panel
+    return ad, a2d
+
+
 class QuadraticLine:
     """f0 + t <g0, d> + t^2 <d, Ad> / 2: a quadratic along x + t d.
 
-    Its gradient g0 + t Ad is affine in t, so no query needs a matrix product.
+    Its gradient g0 + t Ad is affine in t, so no query needs a matrix
+    product.  A line that holds A^2 d as well (``a2d``) can turn.
     """
 
-    __slots__ = ("a", "f0", "gd", "dad", "g0", "ad")
+    __slots__ = ("f0", "gd", "dad", "g0", "ad", "a2d")
 
-    def __init__(self, a: np.ndarray, f0: float, g0: np.ndarray, d: np.ndarray):
-        self.a = a
+    def __init__(self, f0: float, g0: np.ndarray, d: np.ndarray, ad: np.ndarray,
+                 a2d: np.ndarray | None = None):
         self.f0 = f0
-        self.ad = a @ d
+        self.ad = ad
+        self.a2d = a2d
         self.gd = float(g0 @ d)
-        self.dad = float(d @ self.ad)
+        self.dad = float(d @ ad)
         self.g0 = g0
 
     def value(self, t: float) -> float:
@@ -207,11 +238,17 @@ class QuadraticLine:
     def gradient(self, t: float) -> np.ndarray:
         return self.g0 + t * self.ad
 
-    def turn(self, t: float, x: np.ndarray, e: np.ndarray) -> "QuadraticLine":
-        """The parabola through this line's point at t along e, from
-        ``value(t)``, ``gradient(t)`` and the one product Ae.  ``x`` is the
-        caller's copy of that point, which the parabola does not need."""
-        return QuadraticLine(self.a, self.value(t), self.gradient(t), e)
+    def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "QuadraticLine":
+        """The parabola through this line's point at t along e = alpha d +
+        gamma A d, with (alpha, gamma) = ``krylov``, from ``value(t)``,
+        ``gradient(t)`` and Ae = alpha Ad + gamma A^2 d: no product.  ``x``
+        is the caller's copy of that point, which the parabola does not need.
+        """
+        if self.a2d is None:
+            raise ValueError("a quadratic line turns only when restricted with turns=True")
+        alpha, gamma = krylov
+        return QuadraticLine(self.value(t), self.gradient(t), e,
+                             alpha * self.ad + gamma * self.a2d)
 
 
 class LogSumExpLine:
@@ -317,29 +354,32 @@ class RayLine:
         return self._g
 
 
-def restrict(obj, x, d, f=None, g=None):
+def restrict(obj, x, d, f=None, g=None, turns=False):
     """The line t -> f(x + t d), with ``value(t)``, ``slope(t)`` and ``gradient(t)``.
 
     ``f`` and ``g`` are the value and gradient at x, when the caller already
-    has them.  Uses the objective's own ``along(x, d, f, g)`` when it has
-    one, else a ``RayLine`` that evaluates f and its gradient at each queried
-    point, except at x itself when handed ``f`` and ``g``.
+    has them; ``turns`` says the caller will ``turn`` off the line.  Uses the
+    objective's own ``along(x, d, f, g, turns)`` when it has one, else a
+    ``RayLine`` that evaluates f and its gradient at each queried point,
+    except at x itself when handed ``f`` and ``g``.
     """
     along = getattr(obj, "along", None)
     if along is not None:
-        return along(x, d, f, g)
+        return along(x, d, f, g, turns=turns)
     return RayLine(obj, x, d, f, g)
 
 
-def turn(obj, line, t: float, x, e):
+def turn(obj, line, t: float, x, e, krylov):
     """The line s -> f(x + s e) through x, the point at t on ``line``.
 
-    Uses the line's own ``turn(t, x, e)`` when it has one, which starts the
-    new line from what the old one knows at t; else ``restrict(obj, x, e)``,
-    which starts it from x.
+    ``krylov`` = (alpha, gamma) writes e as alpha d + gamma A d, where d is
+    ``line``'s direction and A the Hessian of a quadratic f.  Uses the line's
+    own ``turn(t, x, e, krylov)`` when it has one, which starts the new line
+    from what the old one knows at t; else ``restrict(obj, x, e)``, which
+    starts it from x and ignores ``krylov``.
     """
     turned = getattr(line, "turn", None)
-    return restrict(obj, x, e) if turned is None else turned(t, x, e)
+    return restrict(obj, x, e) if turned is None else turned(t, x, e, krylov)
 
 
 class CountingObjective:
@@ -367,8 +407,9 @@ class CountingObjective:
         self.n_grad += 1
         return self.inner.gradient(x)
 
-    def along(self, x, d, f=None, g=None):
-        return _CountedLine(self, restrict(self.inner, x, d, f, g), f is not None, g is not None)
+    def along(self, x, d, f=None, g=None, turns=False):
+        return _CountedLine(self, restrict(self.inner, x, d, f, g, turns),
+                            f is not None, g is not None)
 
 
 class _CountedLine:
@@ -406,9 +447,9 @@ class _CountedLine:
         self._charge_gradient(t)
         return self.line.gradient(t)
 
-    def turn(self, t: float, x, e) -> "_CountedLine":
+    def turn(self, t: float, x, e, krylov) -> "_CountedLine":
         # like the generic line through x along e, it starts with no f or g at x
-        return _CountedLine(self.counter, turn(self.counter.inner, self.line, t, x, e))
+        return _CountedLine(self.counter, turn(self.counter.inner, self.line, t, x, e, krylov))
 
 
 def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:

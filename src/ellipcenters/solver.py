@@ -19,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneratePlaneError, NumericError
-from .geometry import build_frame, center_direction, scaled_sumsq
+from .geometry import (build_frame, center_direction, center_direction_coefficients,
+                       scaled_sumsq)
 from .levelstep import find_level_step
 from .linesearch import MAX_EXPANSIONS, minimize_on_ray
 from .objectives import CountingObjective, turn
@@ -154,7 +155,10 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     except DegeneratePlaneError:
         f_base = level.line.value(0.5 * level.t)
         return base, f_base, None, dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base)
-    line = turn(obj, level.line, 0.5 * level.t, base, d)
+    # d = a g + b grad f(y), and the level line runs along -g with grad f(y)
+    # = g + t A(-g) on a quadratic, so d = -(a + b) (-g) + b t A(-g)
+    a, b = center_direction_coefficients(frame)
+    line = turn(obj, level.line, 0.5 * level.t, base, d, (-(a + b), b * level.t))
     f_base = line.value(0.0)
     v, f_v = semiline_search(line, cfg.variant, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d

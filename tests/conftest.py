@@ -1,24 +1,75 @@
 import numpy as np
 import pytest
 
+byte_bounds = getattr(np.lib, "array_utils", np).byte_bounds  # moved in numpy 2.0
+
+
+class Tally:
+    """Products taken with one matrix, and the passes they made over it.
+
+    A product streams the rows of the matrix it touches, except a product on
+    a row panel (a view of fewer rows than the matrix) right after one on
+    the same panel, whose rows are still in cache.  ``passes`` is the rows
+    streamed over the matrix's row count.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.start = byte_bounds(matrix)[0]
+        self.row_bytes = matrix.strides[0]
+        self.n = matrix.shape[0]
+        self.products = 0
+        self.rows = 0
+        self.last = None
+
+    def record(self, view: np.ndarray) -> None:
+        low, high = byte_bounds(view)
+        block = ((low - self.start) // self.row_bytes,
+                 (high - self.start - 1) // self.row_bytes + 1)
+        self.products += 1
+        if not (block == self.last and block[1] - block[0] < self.n):
+            self.rows += block[1] - block[0]
+        self.last = block
+
+    @property
+    def passes(self) -> float:
+        return self.rows / self.n
+
 
 class CountingMatrix(np.ndarray):
-    """A view of a matrix that counts its products ``m @ v`` and hands back
-    plain arrays, so nothing downstream is counted twice."""
+    """A view of a matrix that counts the products taken with it or with any
+    view of it, ``m @ v`` and ``v @ m`` alike (``np.matmul`` too), and hands
+    back plain arrays, so nothing downstream is counted twice."""
 
-    def __matmul__(self, other):
-        self.products += 1
-        return self.view(np.ndarray) @ other
+    def __array_finalize__(self, obj):
+        self.tally = getattr(obj, "tally", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = []
+        for operand in inputs:
+            if isinstance(operand, CountingMatrix):
+                if ufunc is np.matmul:
+                    operand.tally.record(operand)
+                operand = operand.view(np.ndarray)
+            plain.append(operand)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+    @property
+    def products(self) -> int:
+        return self.tally.products
+
+    @property
+    def passes(self) -> float:
+        return self.tally.passes
 
 
 @pytest.fixture
 def count_products():
     """Swap a quadratic's matrix for a counting view of the same data;
-    returns the view, whose ``products`` starts at 0."""
+    returns the view, whose ``products`` and ``passes`` start at 0."""
 
     def install(problem):
         view = problem.a.view(CountingMatrix)
-        view.products = 0
+        view.tally = Tally(problem.a)
         object.__setattr__(problem, "a", view)  # the dataclass is frozen
         return view
 

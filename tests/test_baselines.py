@@ -34,6 +34,13 @@ class TestBBStepSize:
         tau = bb_step_size(1e160 * s, 1e160 * g_diff, kind)
         assert tau == pytest.approx(bb_step_size(s, g_diff, kind), rel=1e-15)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_underflowing_gradient_change_is_a_numeric_error(self):
+        # g_diff . g_diff underflows to 0 while s . g_diff = 1e-10: the short
+        # step would be 1e330
+        with pytest.raises(NumericError, match="cap"):
+            bb_step_size([1e160], [1e-170], "short")
+
 
 class TestBBMinimize:
     def test_identity_quadratic_one_iteration(self):

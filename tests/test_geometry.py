@@ -7,6 +7,7 @@ from ellipcenters import (ConicClass, ConicCoefficients, DegeneratePlaneError,
                           build_frame, center_direction, classify_conic,
                           conic_center, conic_gradient, conic_value,
                           ellipse_bound, fit_conic, survey_geometry)
+from ellipcenters.geometry import center_direction_coefficients
 
 
 def fit_conic_reference(lam, m, n):
@@ -164,6 +165,21 @@ class TestFrame:
             assert frame.wnorm == pytest.approx(frame.sin_theta * np.linalg.norm(grad_y),
                                                 rel=1e-10)
             assert frame.w @ (-grad_y) >= -1e-12  # acute angle with the downhill direction
+
+    def test_direction_coefficients_rebuild_the_direction(self):
+        # the ellipse step turns the level line onto d = a g + b grad_y
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            g = rng.standard_normal(6)
+            grad_y = rng.standard_normal(6)
+            try:
+                frame = build_frame(g, float(rng.uniform(0.1, 10.0)), grad_y)
+                d = center_direction(frame)
+            except DegeneratePlaneError:
+                continue
+            a, b = center_direction_coefficients(frame)
+            tol = 1e-14 / (frame.sin_theta * frame.cos_theta) * np.linalg.norm(d)
+            assert np.linalg.norm(a * g + b * grad_y - d) <= tol
 
     def test_collinear_gradient_signals_dependence(self):
         g = np.array([1.0, 1.0])

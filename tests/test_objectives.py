@@ -9,8 +9,9 @@ from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem,
                           problem_from_dict, problem_to_dict, save_problem)
 from conftest import ValueAndGradientOnly
 from ellipcenters import NumericError
-from ellipcenters.objectives import (CountingObjective, LogSumExpLine, QuadraticLine,
-                                     RayLine, restrict, turn)
+from ellipcenters.objectives import (PANEL_BYTES, CountingObjective, LogSumExpLine,
+                                     QuadraticLine, RayLine, matrix_powers, restrict,
+                                     turn)
 
 
 class TestQuadratic:
@@ -255,34 +256,80 @@ class TestRestriction:
         assert matrix.products == 3  # Ax and Ad
 
 
+class TestMatrixPowers:
+    EDGE = math.isqrt(PANEL_BYTES // 8)  # the largest n whose matrix fits in one panel
+
+    @staticmethod
+    def _problem(n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        return QuadraticProblem(m + m.T, np.zeros(n)), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n", [1, 2, EDGE - 1, EDGE, EDGE + 1, 2 * EDGE + 3, 1000])
+    def test_pair_matches_two_products(self, n):
+        p, d = self._problem(n)
+        ad, a2d = matrix_powers(p.a, d)
+        ref = p.a @ d
+        ref2 = p.a @ ref
+        assert np.linalg.norm(ad - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(a2d - ref2) <= 1e-13 * np.linalg.norm(ref2)
+
+    @pytest.mark.parametrize("n,passes", [(EDGE, 2), (EDGE + 1, 1), (1000, 1)])
+    def test_one_sweep_over_panels(self, n, passes, count_products):
+        # a matrix that fits in one panel takes two plain products
+        p, d = self._problem(n)
+        matrix = count_products(p)
+        matrix_powers(p.a, d)
+        assert matrix.passes == passes
+
+
 class TestTurn:
     # the semiline of an ellipse step turns off the level line at the chord
-    # midpoint: a point at t on a line through x along d, headed along e
+    # midpoint: a point at t on a line through x along d, headed along
+    # e = alpha d + gamma A d
     T = 0.4
+    KRYLOV = (0.8, -0.3)
+
+    @classmethod
+    def _direction(cls, p, d):
+        """alpha d + gamma A d on a quadratic; on log-sum-exp, whose lines
+        take no coefficients, a fixed random vector in place of A d."""
+        h = p.a @ d if isinstance(p, QuadraticProblem) else (
+            np.random.default_rng(6).standard_normal(p.dimension))
+        return cls.KRYLOV[0] * d + cls.KRYLOV[1] * h
 
     @classmethod
     def _turned(cls, obj, p, x, d):
-        """The line through the point at T along a fresh direction e, by a
-        turn off the line through x along d and by a new restriction."""
-        e = np.random.default_rng(6).standard_normal(p.dimension)
+        """The line through the point at T along e, by a turn off the line
+        through x along d and by a new restriction."""
+        e = cls._direction(p, d)
         base = x + cls.T * d
-        line = restrict(obj, x, d, p.value(x), p.gradient(x))
-        return turn(obj, line, cls.T, base, e), restrict(obj, base, e)
+        line = restrict(obj, x, d, p.value(x), p.gradient(x), turns=True)
+        return turn(obj, line, cls.T, base, e, cls.KRYLOV), restrict(obj, base, e)
 
     def test_quadratic_turn_matches_a_new_restriction(self, count_products):
+        # at n = 400 the line's A d and A^2 d come from a sweep over two panels
+        for n in (30, 400):
+            p, x, d = TestRestriction._ray("quadratic", n)
+            e = self._direction(p, d)
+            f, g = p.value(x), p.gradient(x)
+            matrix = count_products(p)
+            line = restrict(p, x, d, f, g, turns=True)
+            products = matrix.products
+            turned = turn(p, line, self.T, x + self.T * d, e, self.KRYLOV)
+            assert isinstance(turned, QuadraticLine)
+            assert matrix.products == products  # Ae comes from Ad and A^2 d
+            fresh = restrict(p, x + self.T * d, e)
+            for v in (-0.5, 0.0, 0.3, 1.0, 4.0):
+                assert turned.value(v) == pytest.approx(fresh.value(v), rel=1e-12)
+                assert turned.slope(v) == pytest.approx(fresh.slope(v), rel=1e-12)
+                gv = fresh.gradient(v)
+                assert np.linalg.norm(turned.gradient(v) - gv) <= 1e-12 * np.linalg.norm(gv)
+
+    def test_quadratic_line_turns_only_when_asked(self):
         p, x, d = TestRestriction._ray("quadratic")
-        e = np.random.default_rng(6).standard_normal(p.dimension)
-        f, g = p.value(x), p.gradient(x)
-        matrix = count_products(p)
-        turned = turn(p, restrict(p, x, d, f, g), self.T, x + self.T * d, e)
-        assert isinstance(turned, QuadraticLine)
-        assert matrix.products == 2  # Ad for the first line, Ae for the turn
-        fresh = restrict(p, x + self.T * d, e)
-        for v in (-0.5, 0.0, 0.3, 1.0, 4.0):
-            assert turned.value(v) == pytest.approx(fresh.value(v), rel=1e-12)
-            assert turned.slope(v) == pytest.approx(fresh.slope(v), rel=1e-12)
-            g = fresh.gradient(v)
-            assert np.linalg.norm(turned.gradient(v) - g) <= 1e-12 * np.linalg.norm(g)
+        with pytest.raises(ValueError, match="turns=True"):
+            turn(p, restrict(p, x, d), self.T, x + self.T * d, d, (1.0, 0.0))
 
     @pytest.mark.parametrize("kind,generic", [
         ("logsumexp", False), ("logsumexp", True), ("quadratic", True)])

@@ -8,7 +8,7 @@ from conftest import NaNGradientAfter, Toy, ValueAndGradientOnly
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
                           find_level_step, generate_instance, me_step, minimize,
-                          run_method, semiline_search, solver)
+                          objectives, run_method, semiline_search, solver)
 from ellipcenters.objectives import restrict
 
 
@@ -236,25 +236,26 @@ class CallCounter:
         self.calls["gradient"] += 1
         return self.inner.gradient(x)
 
-    def along(self, x, d, f=None, g=None):
-        return self.inner.along(x, d, f, g)
+    def along(self, x, d, f=None, g=None, turns=False):
+        return self.inner.along(x, d, f, g, turns)
 
 
 class TestMatvecBudget:
-    # an ellipse iteration on a quadratic takes A grad f(x) for the level
-    # line and A d for the semiline, which turns off the level line at the
-    # chord midpoint; every value and gradient along the way comes from
-    # those lines
+    # an ellipse iteration on a quadratic takes A g and A^2 g for the level
+    # line in one sweep over A's row panels; the semiline turns off the level
+    # line at the chord midpoint with no product, and every value and
+    # gradient along the way comes from those lines
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_two_products_per_ellipse_iteration(self, variant, count_products):
-        p, x0 = generate_instance("quadratic", 40, 1, GenParams(kappa=10))
+    def test_one_pass_over_a_per_ellipse_iteration(self, variant, count_products):
+        p, x0 = generate_instance("quadratic", 600, 1, GenParams(kappa=10))
+        assert p.a.nbytes > 2 * objectives.PANEL_BYTES  # a sweep over three panels
         matrix = count_products(p)
         obj = CallCounter(p)
         run = minimize(obj, x0, SolverConfig(epsilon=1e-6, variant=variant))
         assert run.termination is Termination.CONVERGED
         assert run.iterations >= 5
         assert all(r.branch == "ellipse" for r in run.iterates[:-1])
-        assert matrix.products == 2 + 2 * run.iterations
+        assert matrix.passes == 2 + run.iterations  # Ax for f and for g at the start
         assert obj.calls == {"value": 1, "gradient": 1}
 
 
