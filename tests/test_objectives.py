@@ -276,7 +276,8 @@ class TestMatrixPowers:
 
     @pytest.mark.parametrize("n,passes", [(EDGE, 2), (EDGE + 1, 1), (1000, 1)])
     def test_one_sweep_over_panels(self, n, passes, count_products):
-        # a matrix that fits in one panel takes two plain products
+        # a matrix that fits in one panel is that panel, and the counter
+        # counts each product on the whole matrix as a pass
         p, d = self._problem(n)
         matrix = count_products(p)
         matrix_powers(p.a, d)
@@ -308,7 +309,7 @@ class TestTurn:
         return turn(obj, line, cls.T, base, e, cls.KRYLOV), restrict(obj, base, e)
 
     def test_quadratic_turn_matches_a_new_restriction(self, count_products):
-        # at n = 400 the line's A d and A^2 d come from a sweep over two panels
+        # at n = 400 the line's A d and A^2 d come from a sweep over three panels
         for n in (30, 400):
             p, x, d = TestRestriction._ray("quadratic", n)
             e = self._direction(p, d)

@@ -9,7 +9,9 @@ from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
                           find_level_step, generate_instance, me_step, minimize,
                           objectives, run_method, semiline_search, solver)
-from ellipcenters.objectives import restrict
+from ellipcenters.geometry import (build_frame, center_direction,
+                                   center_direction_coefficients)
+from ellipcenters.objectives import QuadraticLine, restrict, turn
 
 
 class TestMeStep:
@@ -248,7 +250,7 @@ class TestMatvecBudget:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_one_pass_over_a_per_ellipse_iteration(self, variant, count_products):
         p, x0 = generate_instance("quadratic", 600, 1, GenParams(kappa=10))
-        assert p.a.nbytes > 2 * objectives.PANEL_BYTES  # a sweep over three panels
+        assert p.a.nbytes > 2 * objectives.PANEL_BYTES  # a sweep over three panels or more
         matrix = count_products(p)
         obj = CallCounter(p)
         run = minimize(obj, x0, SolverConfig(epsilon=1e-6, variant=variant))
@@ -257,6 +259,52 @@ class TestMatvecBudget:
         assert all(r.branch == "ellipse" for r in run.iterates[:-1])
         assert matrix.passes == 2 + run.iterations  # Ax for f and for g at the start
         assert obj.calls == {"value": 1, "gradient": 1}
+
+
+
+class TestNearCollinearTurn:
+    # g near an eigenvector of A makes grad f(y) nearly collinear with the
+    # chord; the turned line's Ae then cancels between A g and A^2 g, and is
+    # held to the line that takes A e as a product
+    EPS = float(np.finfo(float).eps)
+
+    @staticmethod
+    def _step(kappa, sin_theta):
+        """An ellipse step's frame, direction and turned line from a point
+        whose gradient is an eigenvector of A but for a part of about
+        ``sin_theta``; f has its minimum 0 at the origin."""
+        n = 30
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+        a = (q * np.geomspace(1.0, kappa, n)) @ q.T
+        p = QuadraticProblem(0.5 * (a + a.T), np.zeros(n))
+        x = q[:, 0] + sin_theta / (2.0 * kappa * (kappa - 1.0)) * q[:, -1]
+        level = find_level_step(p, x)
+        t = level.t
+        frame = build_frame(level.g, t, level.line.gradient(t))
+        d = center_direction(frame)
+        ca, cb = center_direction_coefficients(frame)
+        turned = turn(p, level.line, 0.5 * t, x - 0.5 * t * level.g, d, (-(ca + cb), cb * t))
+        return p, level, frame, d, turned
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("kappa", [10.0, 1000.0])
+    @pytest.mark.parametrize("sin_theta", [1e-6, 1e-7])
+    def test_turned_line_keeps_the_products_accuracy(self, sin_theta, kappa, variant):
+        p, level, frame, d, turned = self._step(kappa, sin_theta)
+        sin = frame.wnorm / np.linalg.norm(level.line.gradient(level.t))
+        assert 0.5 * sin_theta <= sin <= 2.0 * sin_theta
+        # the same line, with A d from a product
+        mid = 0.5 * level.t
+        product = QuadraticLine(level.line.value(mid), level.line.gradient(mid), d, p.a @ d)
+        assert (np.linalg.norm(turned.ad - product.ad)
+                <= 4.0 * self.EPS / sin * np.linalg.norm(product.ad))
+        v, _ = semiline_search(turned, variant, scale=frame.lam, f_base=turned.value(0.0))
+        assert v > 0.0
+        # v is of order sin theta |g| / (d . Ad), which undoes the 1 / sin theta
+        assert (np.linalg.norm(turned.gradient(v) - product.gradient(v))
+                <= 4.0 * self.EPS * np.linalg.norm(level.g))
+        most = product.gd ** 2 / (2.0 * product.dad)  # the largest decrease along d
+        assert abs(turned.value(v) - product.value(v)) <= 4.0 * self.EPS / sin * most
 
 
 def test_evaluations_per_iteration_budget():
