@@ -45,14 +45,18 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
 
 
 def _exact_step(counted, x, f, g, v0: float):
-    """Step length minimizing f along -g, the root of the slope along it.
+    """Step length tau minimizing f along -g, the root of the slope along it,
+    from the bracket start v0.
 
-    Returns (tau, f at x - tau g, the line searched); ``line.gradient(tau)``
-    is the gradient at the new point.
+    The search runs along -g / s, with s = max |g_i| where |g|^2 overflows
+    and s = 1 otherwise, so its slope at x stays finite.  Returns (tau, x -
+    tau g, and the value and gradient there).
     """
-    line = restrict(counted, x, -g, f, g)
-    tau, f_next = minimize_on_ray(line, v0=v0, rel_tol=1e-10, h0=f)
-    return tau, f_next, line
+    _, s = scaled_sumsq(g)
+    d = g / -s
+    line = restrict(counted, x, d, f, g)
+    v, f_next = minimize_on_ray(line, v0=v0 * s, rel_tol=1e-10, h0=f)
+    return v / s, x + v * d, f_next, line.gradient(v)
 
 
 def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
@@ -66,13 +70,14 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
     def step(counted, x, f, g):
         nonlocal prev
         if prev is None:
-            tau, f_next, line = _exact_step(counted, x, f, g, v0=1.0)
-            g_next = line.gradient(tau)
+            tau, x_next, f_next, g_next = _exact_step(counted, x, f, g, v0=1.0)
         else:
             tau = bb_step_size(x - prev[0], g - prev[1], kind)
-            f_next = g_next = None
+            x_next = x - tau * g
+            f_next = counted.value(x_next)
+            g_next = counted.gradient(x_next)
         prev = (x, g)
-        return x - tau * g, f_next, g_next, dict(t=tau, branch=branch)
+        return x_next, f_next, g_next, dict(t=tau, branch=branch)
 
     return descend(obj, x0, step, epsilon, max_iterations)
 
@@ -86,8 +91,8 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
         nonlocal warm
         # the slope at x comes from g, so it is -|g|^2 < 0 and the search
         # runs; a NaN slope inside it raises, which ends the run
-        tau, f_next, line = _exact_step(counted, x, f, g, v0=warm)
+        tau, x_next, f_next, g_next = _exact_step(counted, x, f, g, v0=warm)
         warm = tau
-        return x - tau * g, f_next, line.gradient(tau), dict(t=tau, branch="gd")
+        return x_next, f_next, g_next, dict(t=tau, branch="gd")
 
     return descend(obj, x0, step, epsilon, max_iterations)

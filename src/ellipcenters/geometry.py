@@ -10,8 +10,8 @@ descent ray from y -- with prescribed tangency: the curve is normal to the
 chord at x and normal to the ray at y.  Those constraints pin (a, b, c, d)
 in closed form; the conic is an ellipse exactly when a > b^2, which bounds
 m by an explicit threshold.  The centers of all admissible ellipses line up
-on a semiline through the chord midpoint, and ``center_direction`` lifts
-that semiline's direction back to ambient coordinates.
+on a semiline through the chord midpoint, and ``center_direction`` writes
+that semiline's direction in ambient coordinates as a g + b grad f(y).
 
 Since y = x - t g, the chord is t g: ``build_frame`` takes the frame from
 inner products of g and grad f(y), and forms no level-point or unit vector.
@@ -46,14 +46,12 @@ def scaled_sumsq(v: np.ndarray) -> tuple[float, float]:
 class LocalFrame:
     """The working plane at the level point y = x - t g, held as inner products.
 
-    The chord x - y is t g, so e1 = g / |g| and ``lam`` = t |g|.  ``w`` =
-    k g - g_y with k = g . g_y / g . g is the part of -grad f(y) orthogonal
-    to the chord, e2 = w / |w|, and theta the angle between chord and
-    -grad f(y).
+    The chord x - y is t g, so e1 = g / |g| and ``lam`` = t |g|.  The part
+    of -grad f(y) orthogonal to the chord is w = k g - grad f(y) with k =
+    g . grad f(y) / g . g, so e2 = w / |w|; theta is the angle between the
+    chord and -grad f(y).
     """
 
-    g: np.ndarray
-    w: np.ndarray
     k: float
     gnorm: float
     wnorm: float
@@ -64,8 +62,8 @@ class LocalFrame:
 
 def build_frame(g, t: float, grad_y) -> LocalFrame:
     """Frame of the plane through x and y = x - t g spanned with the
-    gradient at y, from g . g, g . g_y, g_y . g_y and the one vector w;
-    products that overflow are taken over g and grad_y / their max |entry|.
+    gradient at y, from g . g, g . g_y, g_y . g_y and |w|; products that
+    overflow are taken over g and grad_y / their max |entry|.
 
     Raises DegeneratePlaneError when grad_y is numerically collinear with
     the chord (|w| <= 1e-8 |grad_y|); the caller falls back to the midpoint.
@@ -81,8 +79,7 @@ def build_frame(g, t: float, grad_y) -> LocalFrame:
     cos_theta = min(1.0, max(-1.0, -gy / (math.sqrt(gg) * math.sqrt(yy))))
     sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
     k = gy / gg * (sy / sg)
-    w = g * k - grad_y
-    ww, sw = scaled_sumsq(w)
+    ww, sw = scaled_sumsq(g * k - grad_y)
     wnorm = sw * math.sqrt(ww)
     # |w| / |grad_y| is sin(theta) without the rounding of sqrt(1 - cos^2)
     if wnorm <= 1e-8 * sy * math.sqrt(yy):
@@ -90,7 +87,7 @@ def build_frame(g, t: float, grad_y) -> LocalFrame:
             "gradient at the level point is collinear with the chord"
         )
     gnorm = sg * math.sqrt(gg)
-    return LocalFrame(g, w, k, gnorm, wnorm, t * gnorm, cos_theta, sin_theta)
+    return LocalFrame(k, gnorm, wnorm, t * gnorm, cos_theta, sin_theta)
 
 
 @dataclass(frozen=True)
@@ -171,34 +168,22 @@ def conic_center(coef: ConicCoefficients, lam: float) -> tuple[float, float]:
     return u, v
 
 
-def center_direction(frame: LocalFrame) -> np.ndarray:
-    """Ambient direction of the semiline of ellipse centers.
+def center_direction(frame: LocalFrame) -> tuple[float, float]:
+    """Direction of the semiline of ellipse centers, as the coefficients
+    (a, b) of d = a g + b grad f(y).
 
     The semiline is {(x + y)/2 + v * d : v >= 0} with d = e2 - (sin theta /
-    (2 cos theta)) e1, one array formed from g and w.  Requires cos theta >
-    0; a tangential gradient (cos theta <= 1e-12) leaves the direction
-    undefined and raises DegeneratePlaneError.
+    (2 cos theta)) e1, which is ((k + c) g - grad f(y)) / |w| for c =
+    -(sin theta / (2 cos theta)) |w| / |g|.  Requires cos theta > 0; a
+    tangential gradient (cos theta <= 1e-12) leaves the direction undefined
+    and raises DegeneratePlaneError.
     """
     if frame.cos_theta <= 1e-12:
         raise DegeneratePlaneError(
             "gradient at the level point is orthogonal to the chord"
         )
-    d = frame.g * _g_share(frame)
-    d += frame.w
-    d /= frame.wnorm
-    return d
-
-
-def _g_share(frame: LocalFrame) -> float:
-    """c with center_direction(frame) = (c g + w) / |w|."""
-    return -frame.sin_theta / (2.0 * frame.cos_theta) * (frame.wnorm / frame.gnorm)
-
-
-def center_direction_coefficients(frame: LocalFrame) -> tuple[float, float]:
-    """(a, b) with center_direction(frame) = a g + b grad f(y) in exact
-    arithmetic: d = ((k + c) g - grad f(y)) / |w|.  Call it only on a frame
-    that ``center_direction`` accepts."""
-    return (frame.k + _g_share(frame)) / frame.wnorm, -1.0 / frame.wnorm
+    c = -frame.sin_theta / (2.0 * frame.cos_theta) * (frame.wnorm / frame.gnorm)
+    return (frame.k + c) / frame.wnorm, -1.0 / frame.wnorm
 
 
 @dataclass

@@ -14,12 +14,12 @@ quadratic's line has grad f(x) and Ad, every query along it costs O(1); a
 log-sum-exp line shares one set of exponential weights among the queries at
 one t and takes a slope without forming the gradient.  Any other objective
 gets the generic line over its own ``value`` and ``gradient``.
-``turn(obj, line, t, x, e, krylov)`` starts a line through x, the point at t
-on ``line``, along a new direction e = alpha d + gamma A d in the line's
-Krylov plane.  A quadratic's line restricted with ``turns=True`` holds A^2 d
-beside Ad, both from one pass over A (``matrix_powers``), so the new line
-takes Ae = alpha Ad + gamma A^2 d and the line's value and gradient at t
-with no product; any other line falls back to ``restrict(obj, x, e)``.
+Every line's ``turn(t, x, e, krylov)`` starts a line through x, its point at
+t, along a new direction e = alpha d + gamma A d in its Krylov plane.  A
+quadratic's line restricted with ``turns=True`` holds A^2 d beside Ad, both
+from one pass over A (``matrix_powers``), so the new line takes Ae = alpha
+Ad + gamma A^2 d and the line's value and gradient at t with no product;
+every other line restarts at x along e, as ``restrict(obj, x, e)`` would.
 ``CountingObjective`` counts every query an objective answers, pointwise or
 along a line.  Along any line a query costs what the generic line would
 take, so a count measures the oracle queries the search made, not the line
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -62,7 +63,7 @@ class QuadraticProblem:
     """f(x) = 0.5 x'Ax - b'x with A symmetric positive definite.
 
     ``mu`` is the smallest eigenvalue of A when known (always set for
-    generated instances).
+    generated instances): None or a finite positive number.
     """
 
     a: np.ndarray
@@ -81,6 +82,12 @@ class QuadraticProblem:
         scale = float(np.abs(a).max()) or 1.0
         if float(np.abs(a - a.T).max()) > 1e-12 * scale:
             raise ValueError("matrix must be symmetric")
+        mu = self.mu
+        if mu is not None:
+            if (isinstance(mu, bool) or not isinstance(mu, numbers.Real)
+                    or not 0.0 < mu < math.inf):
+                raise ValueError("mu must be None or a finite positive number")
+            object.__setattr__(self, "mu", float(mu))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -175,8 +182,8 @@ class LogSumExpProblem:
 
     def along(self, x, d, f=None, g=None, turns=False) -> "LogSumExpLine":
         """The line t -> f(x + t d); ``f`` and ``g`` are the value and
-        gradient at x when the caller has them.  The line has no turn of its
-        own, so ``turns`` changes nothing."""
+        gradient at x when the caller has them.  The line turns by
+        restarting, so ``turns`` changes nothing."""
         n = self.dimension
         return LogSumExpLine(self.alpha, self.beta, _check_point(x, n), _check_point(d, n),
                              None if f is None else float(f),
@@ -329,6 +336,10 @@ class LogSumExpLine:
             raise NumericError("log-sum-exp gradient is not finite despite shifting")
         return g
 
+    def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "LogSumExpLine":
+        """The line through x, the point at t, along e, started afresh."""
+        return LogSumExpLine(self.alpha, self.beta, x, e, None, None)
+
 
 class RayLine:
     """t -> f(x + t d) through the objective's own value and gradient.
@@ -361,12 +372,16 @@ class RayLine:
             self._t, self._g = t, self.obj.gradient(self.x + t * self.d)
         return self._g
 
+    def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "RayLine":
+        """The line through x, the point at t, along e, started afresh."""
+        return RayLine(self.obj, x, e)
+
 
 def restrict(obj, x, d, f=None, g=None, turns=False):
     """The line t -> f(x + t d), with ``value(t)``, ``slope(t)`` and ``gradient(t)``.
 
     ``f`` and ``g`` are the value and gradient at x, when the caller already
-    has them; ``turns`` says the caller will ``turn`` off the line.  Uses the
+    has them; ``turns`` says the caller will turn off the line.  Uses the
     objective's own ``along(x, d, f, g, turns)`` when it has one, else a
     ``RayLine`` that evaluates f and its gradient at each queried point,
     except at x itself when handed ``f`` and ``g``.
@@ -375,19 +390,6 @@ def restrict(obj, x, d, f=None, g=None, turns=False):
     if along is not None:
         return along(x, d, f, g, turns=turns)
     return RayLine(obj, x, d, f, g)
-
-
-def turn(obj, line, t: float, x, e, krylov):
-    """The line s -> f(x + s e) through x, the point at t on ``line``.
-
-    ``krylov`` = (alpha, gamma) writes e as alpha d + gamma A d, where d is
-    ``line``'s direction and A the Hessian of a quadratic f.  Uses the line's
-    own ``turn(t, x, e, krylov)`` when it has one, which starts the new line
-    from what the old one knows at t; else ``restrict(obj, x, e)``, which
-    starts it from x and ignores ``krylov``.
-    """
-    turned = getattr(line, "turn", None)
-    return restrict(obj, x, e) if turned is None else turned(t, x, e, krylov)
 
 
 class CountingObjective:
@@ -457,7 +459,7 @@ class _CountedLine:
 
     def turn(self, t: float, x, e, krylov) -> "_CountedLine":
         # like the generic line through x along e, it starts with no f or g at x
-        return _CountedLine(self.counter, turn(self.counter.inner, self.line, t, x, e, krylov))
+        return _CountedLine(self.counter, self.line.turn(t, x, e, krylov))
 
 
 def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:
@@ -562,13 +564,16 @@ def problem_from_dict(doc: dict):
     """Inverse of problem_to_dict.  Returns (problem, x0_or_None).
 
     Raises ValueError on a document that is not an object, names an unknown
-    kind or lacks a field.
+    kind, lacks a field, or holds an ``n`` that is not a positive integer or
+    not the data's dimension, or data the problem rejects.
     """
     if not isinstance(doc, dict):
         raise ValueError("a problem document must be a JSON object")
     kind = doc.get("kind")
     try:
-        n = int(doc["n"])
+        n = doc["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError("n must be a positive integer")
         if kind == "quadratic":
             a = np.asarray(doc["matrix"], dtype=float).reshape(n, n)
             problem = QuadraticProblem(a, np.asarray(doc["b"], dtype=float), mu=doc.get("mu"))
@@ -577,6 +582,8 @@ def problem_from_dict(doc: dict):
                                        np.asarray(doc["beta"], dtype=float))
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
+        if problem.dimension != n:
+            raise ValueError(f"n = {n} does not match the problem data")
     except KeyError as exc:
         raise ValueError(f"problem document lacks {exc.args[0]!r}") from None
     x0 = doc.get("x0")

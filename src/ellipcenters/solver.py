@@ -19,11 +19,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneratePlaneError, NumericError
-from .geometry import (build_frame, center_direction, center_direction_coefficients,
-                       scaled_sumsq)
+from .geometry import build_frame, center_direction, scaled_sumsq
 from .levelstep import find_level_step
 from .linesearch import MAX_EXPANSIONS, minimize_on_ray
-from .objectives import CountingObjective, turn
+from .objectives import CountingObjective
 
 _NAN = float("nan")
 
@@ -133,10 +132,10 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
             *, f_x: float | None = None, grad_x=None):
     """One ellipse-center step from x, in ``descend``'s step protocol.
 
-    Returns ``(x_next, f_next, g_next, fields)``: g_next is the gradient at
-    x_next when the semiline search took it, else None, and ``fields`` are
-    the step's ``IterateRecord`` fields (t, v, branch, f_mid).  ``f_x`` and
-    ``grad_x`` are the value and gradient at x when the caller has them.
+    Returns ``(x_next, f_next, g_next, fields)``: the value and gradient at
+    x_next, and the step's ``IterateRecord`` fields (t, v, branch, f_mid).
+    ``f_x`` and ``grad_x`` are the value and gradient at x when the caller
+    has them.
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
@@ -146,19 +145,22 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     x = np.asarray(x, dtype=float)
     level = find_level_step(obj, x, grad=grad_x, f_x=f_x,
                             t_init=1.0 if warm_t is None else warm_t)
-    base = x - (0.5 * level.t) * level.g  # the level line's point at t/2
+    mid = 0.5 * level.t
+    base = x - mid * level.g  # the level line's point at t/2
     if np.array_equal(base, x):
         raise NumericError("the level step collapsed onto x below float resolution")
+    grad_y = level.line.gradient(level.t)
     try:
-        frame = build_frame(level.g, level.t, level.line.gradient(level.t))
-        d = center_direction(frame)
+        frame = build_frame(level.g, level.t, grad_y)
+        a, b = center_direction(frame)
     except DegeneratePlaneError:
-        f_base = level.line.value(0.5 * level.t)
-        return base, f_base, None, dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base)
-    # d = a g + b grad f(y), and the level line runs along -g with grad f(y)
-    # = g + t A(-g) on a quadratic, so d = -(a + b) (-g) + b t A(-g)
-    a, b = center_direction_coefficients(frame)
-    line = turn(obj, level.line, 0.5 * level.t, base, d, (-(a + b), b * level.t))
+        f_base = level.line.value(mid)
+        return (base, f_base, level.line.gradient(mid),
+                dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base))
+    d = a * level.g + b * grad_y
+    # the level line runs along -g with grad f(y) = g + t A(-g) on a
+    # quadratic, so d = -(a + b) (-g) + b t A(-g)
+    line = level.line.turn(mid, base, d, (-(a + b), b * level.t))
     f_base = line.value(0.0)
     v, f_v = semiline_search(line, cfg.variant, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d
@@ -172,12 +174,11 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
     ``step(counted, x, f, g)`` returns ``(x_next, f_next, g_next, fields)``;
     ``counted`` is the counting view of obj that the step must query, and
     ``fields`` are the step's ``IterateRecord`` fields besides x, f and
-    grad_norm.  A ``None`` for f_next or g_next is evaluated at x_next, the
-    value first.  The stopping test runs before each step, so a start point
-    that already satisfies it reports zero iterations.  Numeric failures, at
-    the start point too, end the run with the partial trace instead of
-    raising; an epsilon that is not positive or a max_iterations below 1
-    raises ValueError.
+    grad_norm; the loop itself evaluates only the start point.  The stopping
+    test runs before each step, so a start point that already satisfies it
+    reports zero iterations.  Numeric failures, at the start point too, end
+    the run with the partial trace instead of raising; an epsilon that is not
+    positive or a max_iterations below 1 raises ValueError.
     """
     if not epsilon > 0.0:
         raise ValueError("stopping tolerance must be positive")
@@ -207,10 +208,6 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
                 termination = Termination.MAX_ITERATIONS
                 break
             x_next, f_next, g_next, fields = step(counted, x, f, g)
-            if f_next is None:
-                f_next = counted.value(x_next)
-            if g_next is None:
-                g_next = counted.gradient(x_next)
             records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, **fields))
             x, f, g = x_next, f_next, g_next
     except NumericError as exc:

@@ -228,6 +228,15 @@ class TestGDExact:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert run.termination is Termination.CONVERGED
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_gradient_whose_square_overflows_converges(self):
+        # max |g_i| = 1.2e154: |g|^2 and the slope -|g|^2 along -g overflow,
+        # so the exact step searches along -g / max |g_i|
+        p = LogSumExpProblem(np.ones(5), np.ones(5))
+        run = gd_exact_minimize(p, 2e153 * np.linspace(0.5, 1.5, 5))
+        assert run.termination is Termination.CONVERGED, run.message
+        assert run.iterates[1].f < run.iterates[0].f
+
     def test_ill_conditioned_needs_more_iterations_than_me(self):
         # classic elongated-valley start: gd zigzags, the ellipse step does not
         p = QuadraticProblem(np.diag([1.0, 100.0]), np.zeros(2))

@@ -150,6 +150,29 @@ def test_problem_file_with_nan_data_is_user_error(tmp_path, capsys, kind, field,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+MU_MESSAGE = "mu must be None or a finite positive number"
+N_MESSAGE = "n must be a positive integer"
+
+
+@pytest.mark.parametrize("kind,field,bad,message", [
+    *[("quadratic", "mu", bad, MU_MESSAGE)
+      for bad in ("abc", -1.0, 0.0, float("nan"), float("inf"), True, [1, 2])],
+    *[(kind, "n", bad, N_MESSAGE)
+      for kind in ("quadratic", "logsumexp") for bad in (2.5, 2.0, "2", True, 0)],
+    ("logsumexp", "n", 3, "n = 3 does not match the problem data"),
+])
+def test_problem_file_with_a_bad_scalar_is_user_error(tmp_path, capsys, kind, field, bad,
+                                                      message):
+    problem, _ = generate_instance(kind, 2, 2, GenParams(kappa=10))
+    doc = problem_to_dict(problem)  # no x0, whose length would also catch a wrong n
+    doc[field] = bad
+    path = tmp_path / "bad-scalar.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--problem-file", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_problem_document_must_be_an_object():
     with pytest.raises(ValueError, match="JSON object"):
         problem_from_dict([1, 2, 3])

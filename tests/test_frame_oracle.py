@@ -86,7 +86,8 @@ def test_frame_matches_the_chord_construction(n, seed, x_exp, g_exp, lam_exp, gy
     assert abs(frame.cos_theta - cos) <= 1e-12 * cond
     assert abs(frame.sin_theta - sin) <= 1e-12 * cond
     try:
-        d_new = center_direction(frame)
+        a, b = center_direction(frame)
+        d_new = a * g + b * grad_y
     except DegeneratePlaneError:
         d_new = None
     if far(cos, COS_MIN, band):

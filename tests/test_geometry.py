@@ -7,7 +7,6 @@ from ellipcenters import (ConicClass, ConicCoefficients, DegeneratePlaneError,
                           build_frame, center_direction, classify_conic,
                           conic_center, conic_gradient, conic_value,
                           ellipse_bound, fit_conic, survey_geometry)
-from ellipcenters.geometry import center_direction_coefficients
 
 
 def fit_conic_reference(lam, m, n):
@@ -119,16 +118,29 @@ class TestCenter:
             conic_center(coef, 2.0)
 
 
+def direction(g, grad_y):
+    """The frame's center direction d = a g + b grad_y as a vector."""
+    a, b = center_direction(build_frame(g, 1.0, grad_y))
+    return a * np.asarray(g) + b * np.asarray(grad_y)
+
+
+def unit_normal(g, grad_y):
+    """e2: the unit part of -grad_y orthogonal to g, by projection."""
+    w = (grad_y @ g) / (g @ g) * g - grad_y
+    return w / np.linalg.norm(w)
+
+
 class TestFrame:
     # x = (2, 0), y = 0: the chord x - y = t g with g = (1, 0), t = 2
     def test_worked_example(self):
-        frame = build_frame(np.array([1.0, 0.0]), 2.0, np.array([-1.0, -1.0]))
-        assert np.allclose(frame.w / frame.wnorm, [0.0, 1.0], atol=1e-15)
+        g, grad_y = np.array([1.0, 0.0]), np.array([-1.0, -1.0])
+        frame = build_frame(g, 2.0, grad_y)
+        assert frame.wnorm == pytest.approx(1.0, rel=1e-15)
         assert frame.cos_theta == pytest.approx(1.0 / math.sqrt(2.0))
         assert frame.sin_theta == pytest.approx(1.0 / math.sqrt(2.0))
         assert frame.lam == pytest.approx(2.0)
-        d = center_direction(frame)
-        assert np.allclose(d, [-0.5, 1.0], atol=1e-12)
+        a, b = center_direction(frame)
+        assert np.allclose(a * g + b * grad_y, [-0.5, 1.0], atol=1e-12)
 
     def test_semiline_local_coordinates(self):
         # points (x+y)/2 + v d have local coordinates (1 - v/2, v), i.e. they
@@ -136,10 +148,10 @@ class TestFrame:
         x = np.array([2.0, 0.0])
         g = np.array([0.5, 0.0])
         y = x - 4.0 * g
-        frame = build_frame(g, 4.0, np.array([-1.0, -1.0]))
-        d = center_direction(frame)
+        grad_y = np.array([-1.0, -1.0])
+        d = direction(g, grad_y)
         e1 = g / np.linalg.norm(g)
-        e2 = frame.w / frame.wnorm
+        e2 = unit_normal(g, grad_y)
         for v in (0.0, 0.35, 1.7):
             point = 0.5 * (x + y) + v * d
             assert (point - y) @ e1 == pytest.approx(1.0 - v / 2.0, abs=1e-12)
@@ -156,28 +168,31 @@ class TestFrame:
             except DegeneratePlaneError:
                 continue
             gnorm = np.linalg.norm(g)
-            assert abs(frame.w @ g) <= 1e-12 * frame.wnorm * gnorm
-            assert frame.wnorm == pytest.approx(np.linalg.norm(frame.w), rel=1e-15)
+            w = frame.k * g - grad_y
+            assert abs(w @ g) <= 1e-12 * frame.wnorm * gnorm
+            assert frame.wnorm == pytest.approx(np.linalg.norm(w), rel=1e-15)
             assert frame.gnorm == pytest.approx(gnorm, rel=1e-15)
             assert frame.lam == pytest.approx(t * gnorm, rel=1e-15)
             assert frame.cos_theta**2 + frame.sin_theta**2 == pytest.approx(1.0, abs=1e-12)
             # |w| = sin(theta) |grad_y|, the part of -grad_y off the chord
             assert frame.wnorm == pytest.approx(frame.sin_theta * np.linalg.norm(grad_y),
                                                 rel=1e-10)
-            assert frame.w @ (-grad_y) >= -1e-12  # acute angle with the downhill direction
+            assert w @ (-grad_y) >= -1e-12  # acute angle with the downhill direction
 
     def test_direction_coefficients_rebuild_the_direction(self):
-        # the ellipse step turns the level line onto d = a g + b grad_y
+        # a g + b grad_y is d = e2 - (sin theta / (2 cos theta)) e1, with e1
+        # and e2 built from the vectors
         rng = np.random.default_rng(12)
         for _ in range(100):
             g = rng.standard_normal(6)
             grad_y = rng.standard_normal(6)
             try:
                 frame = build_frame(g, float(rng.uniform(0.1, 10.0)), grad_y)
-                d = center_direction(frame)
+                a, b = center_direction(frame)
             except DegeneratePlaneError:
                 continue
-            a, b = center_direction_coefficients(frame)
+            tan_half = frame.sin_theta / (2.0 * frame.cos_theta)
+            d = unit_normal(g, grad_y) - tan_half * g / np.linalg.norm(g)
             tol = 1e-14 / (frame.sin_theta * frame.cos_theta) * np.linalg.norm(d)
             assert np.linalg.norm(a * g + b * grad_y - d) <= tol
 
@@ -193,19 +208,20 @@ class TestFrame:
             center_direction(frame)
 
     def test_small_angle_limit_points_along_w(self):
-        frame = build_frame(np.array([1.0, 0.0]), 2.0, np.array([-1.0, -1e-6]))
-        d = center_direction(frame)
-        assert np.allclose(d, frame.w / frame.wnorm, atol=1e-5)
+        g, grad_y = np.array([1.0, 0.0]), np.array([-1.0, -1e-6])
+        assert np.allclose(direction(g, grad_y), unit_normal(g, grad_y), atol=1e-5)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_products_are_rescaled(self):
         # the worked example's frame with g.g overflowing and grad_y at
         # another scale, so the two vectors are rescaled by different factors
-        frame = build_frame(np.array([1e200, 0.0]), 2e-200, np.array([-1e150, -1e150]))
+        g, grad_y = np.array([1e200, 0.0]), np.array([-1e150, -1e150])
+        frame = build_frame(g, 2e-200, grad_y)
         assert frame.cos_theta == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert frame.lam == pytest.approx(2.0, rel=1e-15)
         assert frame.wnorm == pytest.approx(1e150, rel=1e-15)
-        assert np.allclose(center_direction(frame), [-0.5, 1.0], atol=1e-12)
+        a, b = center_direction(frame)
+        assert np.allclose(a * g + b * grad_y, [-0.5, 1.0], atol=1e-12)
 
 
 class TestConicProperties:

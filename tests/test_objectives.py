@@ -10,8 +10,7 @@ from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem,
 from conftest import ValueAndGradientOnly
 from ellipcenters import NumericError
 from ellipcenters.objectives import (PANEL_BYTES, CountingObjective, LogSumExpLine,
-                                     QuadraticLine, RayLine, matrix_powers, restrict,
-                                     turn)
+                                     QuadraticLine, RayLine, matrix_powers, restrict)
 
 
 class TestQuadratic:
@@ -306,7 +305,7 @@ class TestTurn:
         e = cls._direction(p, d)
         base = x + cls.T * d
         line = restrict(obj, x, d, p.value(x), p.gradient(x), turns=True)
-        return turn(obj, line, cls.T, base, e, cls.KRYLOV), restrict(obj, base, e)
+        return line.turn(cls.T, base, e, cls.KRYLOV), restrict(obj, base, e)
 
     def test_quadratic_turn_matches_a_new_restriction(self, count_products):
         # at n = 400 the line's A d and A^2 d come from a sweep over three panels
@@ -317,7 +316,7 @@ class TestTurn:
             matrix = count_products(p)
             line = restrict(p, x, d, f, g, turns=True)
             products = matrix.products
-            turned = turn(p, line, self.T, x + self.T * d, e, self.KRYLOV)
+            turned = line.turn(self.T, x + self.T * d, e, self.KRYLOV)
             assert isinstance(turned, QuadraticLine)
             assert matrix.products == products  # Ae comes from Ad and A^2 d
             fresh = restrict(p, x + self.T * d, e)
@@ -330,7 +329,7 @@ class TestTurn:
     def test_quadratic_line_turns_only_when_asked(self):
         p, x, d = TestRestriction._ray("quadratic")
         with pytest.raises(ValueError, match="turns=True"):
-            turn(p, restrict(p, x, d), self.T, x + self.T * d, d, (1.0, 0.0))
+            restrict(p, x, d).turn(self.T, x + self.T * d, d, (1.0, 0.0))
 
     @pytest.mark.parametrize("kind,generic", [
         ("logsumexp", False), ("logsumexp", True), ("quadratic", True)])
@@ -437,3 +436,9 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             problem_from_dict({"kind": "cubic", "n": 2})
+
+    @pytest.mark.parametrize("mu", [None, 0.5, 2])
+    def test_mu_roundtrips_as_a_float_or_none(self, mu):
+        problem = QuadraticProblem(np.eye(2), np.zeros(2), mu=mu)
+        back, _ = problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
+        assert back.mu == mu and (mu is None or type(back.mu) is float)

@@ -9,9 +9,8 @@ from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
                           find_level_step, generate_instance, me_step, minimize,
                           objectives, run_method, semiline_search, solver)
-from ellipcenters.geometry import (build_frame, center_direction,
-                                   center_direction_coefficients)
-from ellipcenters.objectives import QuadraticLine, restrict, turn
+from ellipcenters.geometry import build_frame, center_direction
+from ellipcenters.objectives import QuadraticLine, restrict
 
 
 class TestMeStep:
@@ -47,6 +46,43 @@ class TestMeStep:
             assert np.linalg.norm(g_next - g) <= 1e-12 * np.linalg.norm(g)
         else:  # the generic line evaluates at the same bits as x_next
             assert np.array_equal(g_next, g)
+
+    @staticmethod
+    def _axis_start(kind):
+        """A start whose gradient is an eigenvector of A, or on log-sum-exp
+        lies on a coordinate axis, so that grad f(y) is collinear with the
+        chord and the step takes the midpoint branch."""
+        if kind == "quadratic":
+            return QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2)), np.array([1.0, 0.0])
+        p, _ = generate_instance("logsumexp", 10, 3)
+        return p, np.eye(10)[0] * 1.5
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+    def test_midpoint_gradient_comes_from_the_level_line(self, kind):
+        p, x = self._axis_start(kind)
+        x_next, f_next, g_next, fields = me_step(p, x)
+        assert fields["branch"] == "midpoint"
+        level = find_level_step(p, x)
+        mid = 0.5 * level.t
+        assert np.array_equal(x_next, x - mid * level.g)
+        assert f_next == fields["f_mid"] == level.line.value(mid)
+        assert np.array_equal(g_next, level.line.gradient(mid))
+        g = p.gradient(x_next)
+        if kind == "quadratic":
+            assert np.linalg.norm(g_next - g) <= 1e-12 * np.linalg.norm(level.g)
+        else:  # the line's point at t/2 has the midpoint's bits
+            assert np.array_equal(g_next, g)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("kind,n_value,n_grad", [
+        ("quadratic", 4, 3), ("logsumexp", 7, 3)])
+    def test_midpoint_run_counts(self, kind, n_value, n_grad, variant):
+        # the midpoint's gradient costs one evaluation, as a pointwise one did
+        p, x = self._axis_start(kind)
+        run = minimize(p, x, SolverConfig(epsilon=1e-8, variant=variant))
+        assert [r.branch for r in run.iterates] == ["midpoint", "final"]
+        assert run.termination is Termination.CONVERGED
+        assert (run.n_value_evals, run.n_grad_evals) == (n_value, n_grad)
 
     def test_level_point_gradient_never_uphill_along_ray(self):
         # the ray re-crosses the level set going uphill, so the gradients at
@@ -280,10 +316,11 @@ class TestNearCollinearTurn:
         x = q[:, 0] + sin_theta / (2.0 * kappa * (kappa - 1.0)) * q[:, -1]
         level = find_level_step(p, x)
         t = level.t
-        frame = build_frame(level.g, t, level.line.gradient(t))
-        d = center_direction(frame)
-        ca, cb = center_direction_coefficients(frame)
-        turned = turn(p, level.line, 0.5 * t, x - 0.5 * t * level.g, d, (-(ca + cb), cb * t))
+        grad_y = level.line.gradient(t)
+        frame = build_frame(level.g, t, grad_y)
+        ca, cb = center_direction(frame)
+        d = ca * level.g + cb * grad_y
+        turned = level.line.turn(0.5 * t, x - 0.5 * t * level.g, d, (-(ca + cb), cb * t))
         return p, level, frame, d, turned
 
     @pytest.mark.parametrize("variant", list(Variant))
@@ -318,18 +355,18 @@ def test_evaluations_per_iteration_budget():
 
 
 class TestPinnedLogSumExpRuns:
-    # re-recorded when the ellipse step's frame was built from inner products
-    # of g and grad f(y) (iterations and f_final kept); a change to a search's
-    # or the frame's arithmetic shows here first (the pins also hold numpy's
+    # re-recorded when the ellipse step's direction became a g + b grad f(y)
+    # (iterations and f_final kept); a change to a search's or the frame's
+    # arithmetic shows here first (the pins also hold numpy's
     # exp and log rounding on this platform); they run on the generic line,
     # whose arithmetic is the pointwise one; the ids leave the digests out,
     # so a re-pin keeps the tests' names
     @pytest.mark.parametrize("variant,iterations,digest", [
         pytest.param(Variant.SEMILINE_MIN, 9,
-                     "9be5451590410068d146840d5f1719ce577979f16296f149a218beb005405343",
+                     "b79b36092a7054113ebd47efd95b4dfd3c1e399d1eec1a91c182ce60661fe7c8",
                      id="semiline-min"),
         pytest.param(Variant.DECREASE_SEARCH, 10,
-                     "b3118cb0586e185f781b81cee3471fb1aebd55d6d2a35068940e75790aa87457",
+                     "ec77a05f7c0ca0a034e67fcb70d92570e431c85bfbfbaa5814185031e93813e1",
                      id="decrease-search"),
     ])
     def test_iterates_bit_identical(self, variant, iterations, digest):
