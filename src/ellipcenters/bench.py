@@ -47,15 +47,20 @@ class BenchConfig:
     methods: tuple[str, ...] = DEFAULT_METHODS
     params: GenParams = field(default_factory=GenParams)
     max_iterations: int = 1000
-    variant: Variant = Variant.SEMILINE_MIN
+    variant: Variant = Variant.SEMILINE_MIN  # or its name
 
     def __post_init__(self):
         if not self.sizes:
             raise ValueError("need at least one problem size")
+        if len(set(self.sizes)) < len(self.sizes):
+            raise ValueError("problem sizes must be distinct")
         if self.instances_per_size < 1:
             raise ValueError("need at least one instance per size")
         if not self.methods:
             raise ValueError("need at least one method")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError("methods must be distinct")
+        object.__setattr__(self, "variant", Variant(self.variant))
 
 
 @dataclass

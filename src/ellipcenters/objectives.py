@@ -107,18 +107,15 @@ class QuadraticProblem:
         """The parabola t -> f(x + t d), from the product Ad.
 
         ``f`` and ``g`` are the value and gradient at x when the caller has
-        them; the product Ax is taken only when one of them is missing.
+        them; ``value`` and ``gradient`` fill in the one that is missing.
         With ``turns`` the line also holds A^2 d, taken in the same pass
         over A, so that ``QuadraticLine.turn`` needs no product.
         """
         n = self.dimension
         x = _check_point(x, n)
         d = _check_point(d, n)
-        if f is None or g is None:
-            ax = self.a @ x
-            # the same expressions as value and gradient, so value(0.0) == value(x)
-            f = float(0.5 * (x @ ax) - self.b @ x) if f is None else f
-            g = ax - self.b if g is None else g
+        f = self.value(x) if f is None else f
+        g = self.gradient(x) if g is None else g
         ad, a2d = matrix_powers(self.a, d) if turns else (self.a @ d, None)
         return QuadraticLine(float(f), np.asarray(g, dtype=float), d, ad, a2d)
 
@@ -181,12 +178,11 @@ class LogSumExpProblem:
         return g
 
     def along(self, x, d, f=None, g=None, turns=False) -> "LogSumExpLine":
-        """The line t -> f(x + t d); ``f`` and ``g`` are the value and
-        gradient at x when the caller has them.  The line turns by
-        restarting, so ``turns`` changes nothing."""
+        """The line t -> f(x + t d); ``g`` is the gradient at x when the
+        caller has it.  The line needs no value at x, so ``f`` is not read,
+        and it turns by restarting, so ``turns`` changes nothing."""
         n = self.dimension
         return LogSumExpLine(self.alpha, self.beta, _check_point(x, n), _check_point(d, n),
-                             None if f is None else float(f),
                              None if g is None else np.asarray(g, dtype=float))
 
     def solution(self) -> np.ndarray:
@@ -274,18 +270,18 @@ class LogSumExpLine:
     slope or gradient at that t reuses them.  A slope needs no gradient
     vector: 2 (sum w alpha d u / sum w + sum beta d u).  The gradient takes
     the pointwise ``gradient``'s operations in the same order, so it equals
-    ``gradient(x + t d)`` bit for bit.  Handed ``f`` and ``g``, the line
-    answers value(0) from f and the slope and gradient at 0 from g.
+    ``gradient(x + t d)`` bit for bit.  Handed ``g``, the line answers the
+    slope and gradient at 0 from it.
     """
 
-    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "f", "g",
+    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "g",
                  "_t", "_u", "_w", "_tmp", "_zmax", "_sw")
 
-    def __init__(self, alpha, beta, x, d, f, g):
+    def __init__(self, alpha, beta, x, d, g):
         self.alpha, self.beta = alpha, beta
         self.x, self.d = x, d
         self.ad, self.bd = alpha * d, beta * d
-        self.f, self.g = f, g
+        self.g = g
         self._t = None  # t of u and w
         self._u, self._w, self._tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
 
@@ -302,8 +298,6 @@ class LogSumExpLine:
             self._t, self._zmax, self._sw = t, zmax, w.sum()
 
     def value(self, t: float) -> float:
-        if t == 0.0 and self.f is not None:
-            return self.f
         self._weigh(t)
         sq = np.multiply(self._u, self._u, out=self._tmp)
         val = float(self._zmax) + float(np.log(self._sw)) + float(self.beta @ sq)
@@ -338,30 +332,26 @@ class LogSumExpLine:
 
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "LogSumExpLine":
         """The line through x, the point at t, along e, started afresh."""
-        return LogSumExpLine(self.alpha, self.beta, x, e, None, None)
+        return LogSumExpLine(self.alpha, self.beta, x, e, None)
 
 
 class RayLine:
     """t -> f(x + t d) through the objective's own value and gradient.
 
-    Handed ``f`` and ``g``, the value and gradient at x, it answers
-    ``value(0)`` from f and starts out holding g as its gradient at t = 0.
-    It keeps the last gradient it took, so the gradient at the point a slope
-    search ended on costs nothing more.
+    Handed ``g``, the gradient at x, it starts out holding g as its
+    gradient at t = 0.  It keeps the last gradient it took, so the gradient
+    at the point a slope search ended on costs nothing more.
     """
 
-    __slots__ = ("obj", "x", "d", "f", "_t", "_g")
+    __slots__ = ("obj", "x", "d", "_t", "_g")
 
-    def __init__(self, obj, x: np.ndarray, d: np.ndarray, f=None, g=None):
+    def __init__(self, obj, x: np.ndarray, d: np.ndarray, g=None):
         self.obj = obj
         self.x = x
         self.d = d
-        self.f = f
         self._t, self._g = (None, None) if g is None else (0.0, g)
 
     def value(self, t: float) -> float:
-        if t == 0.0 and self.f is not None:
-            return self.f
         return self.obj.value(self.x + t * self.d)
 
     def slope(self, t: float) -> float:
@@ -384,12 +374,12 @@ def restrict(obj, x, d, f=None, g=None, turns=False):
     has them; ``turns`` says the caller will turn off the line.  Uses the
     objective's own ``along(x, d, f, g, turns)`` when it has one, else a
     ``RayLine`` that evaluates f and its gradient at each queried point,
-    except at x itself when handed ``f`` and ``g``.
+    except the gradient at x itself when handed ``g``.
     """
     along = getattr(obj, "along", None)
     if along is not None:
         return along(x, d, f, g, turns=turns)
-    return RayLine(obj, x, d, f, g)
+    return RayLine(obj, x, d, g)
 
 
 class CountingObjective:
@@ -418,30 +408,25 @@ class CountingObjective:
         return self.inner.gradient(x)
 
     def along(self, x, d, f=None, g=None, turns=False):
-        return _CountedLine(self, restrict(self.inner, x, d, f, g, turns),
-                            f is not None, g is not None)
+        return _CountedLine(self, restrict(self.inner, x, d, f, g, turns), g is not None)
 
 
 class _CountedLine:
     """Charges the queries on a line to a counter by the generic line's rule.
 
-    A value at t = 0 is free when the line was handed f, and a slope or
-    gradient at the t of the last slope or gradient is free (t = 0 when the
-    line was handed g); every other query costs one evaluation.
+    A slope or gradient at the t of the last slope or gradient is free (t = 0
+    when the line was handed g); every other query costs one evaluation.
     """
 
-    __slots__ = ("counter", "line", "held_f", "_gt")
+    __slots__ = ("counter", "line", "_gt")
 
-    def __init__(self, counter: CountingObjective, line, held_f: bool = False,
-                 held_g: bool = False):
+    def __init__(self, counter: CountingObjective, line, held_g: bool = False):
         self.counter = counter
         self.line = line
-        self.held_f = held_f
         self._gt = 0.0 if held_g else None  # t of the last slope or gradient
 
     def value(self, t: float) -> float:
-        if not (t == 0.0 and self.held_f):
-            self.counter.n_value += 1
+        self.counter.n_value += 1
         return self.line.value(t)
 
     def _charge_gradient(self, t: float) -> None:
@@ -458,7 +443,7 @@ class _CountedLine:
         return self.line.gradient(t)
 
     def turn(self, t: float, x, e, krylov) -> "_CountedLine":
-        # like the generic line through x along e, it starts with no f or g at x
+        # like the generic line through x along e, it starts with no g at x
         return _CountedLine(self.counter, self.line.turn(t, x, e, krylov))
 
 
@@ -467,8 +452,8 @@ def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:
 
     Returns max_i |g_i - (f(x + h e_i) - f(x - h e_i)) / 2h| / (1 + |g_i|).
     """
-    if h <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("step must be finite and positive")
     x = _check_point(x, obj.dimension)
     g = obj.gradient(x)
     worst = 0.0
@@ -484,28 +469,23 @@ def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:
 class GenParams:
     """Knobs for random instance generation."""
 
-    kappa: float = 1000.0          # condition-number target for quadratics
-    weight_low: float = 0.5        # weight range for the log-sum-exp family
-    weight_high: float = 1.5
-    max_quadratic_dim: int = 8000  # memory guard for the dense n x n matrix
+    kappa: float = 1000.0  # condition-number target for quadratics
 
     def __post_init__(self):
-        if self.kappa < 1.0:
-            raise ValueError("condition-number target must be >= 1")
-        if not (0.0 < self.weight_low <= self.weight_high):
-            raise ValueError("weight range must be positive and ordered")
-        if self.max_quadratic_dim < 1:
-            raise ValueError("matrix dimension guard must be positive")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError("condition-number target must be finite and >= 1")
 
 
 KINDS = ("quadratic", "logsumexp")
+WEIGHTS = (0.5, 1.5)      # range of the log-sum-exp weights
+MAX_QUADRATIC_DIM = 8000  # memory guard for the dense n x n matrix
 
 
 def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = None):
     """Seeded random instance of the given family plus a Gaussian start point.
 
     Quadratics get a spectrum drawn log-uniformly from [1, kappa] under a
-    random rotation; log-sum-exp weights are uniform in the configured range.
+    random rotation; log-sum-exp weights are uniform in ``WEIGHTS``.
     The same (kind, n, seed, params) always reproduces the same instance and
     the same start point, bit for bit.
 
@@ -518,10 +498,10 @@ def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = N
     params = params or GenParams()
     rng = np.random.default_rng(seed)
     if kind == "quadratic":
-        if n > params.max_quadratic_dim:
+        if n > MAX_QUADRATIC_DIM:
             raise ValueError(
                 f"dense quadratic of dimension {n} exceeds the memory guard "
-                f"({params.max_quadratic_dim}); raise max_quadratic_dim to allow it"
+                f"({MAX_QUADRATIC_DIM})"
             )
         spectrum = np.exp(rng.uniform(0.0, np.log(params.kappa), n))
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
@@ -533,8 +513,8 @@ def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = N
         b = rng.standard_normal(n)
         problem = QuadraticProblem(a, b, mu=float(spectrum.min()))
     else:
-        alpha = rng.uniform(params.weight_low, params.weight_high, n)
-        beta = rng.uniform(params.weight_low, params.weight_high, n)
+        alpha = rng.uniform(*WEIGHTS, n)
+        beta = rng.uniform(*WEIGHTS, n)
         problem = LogSumExpProblem(alpha, beta)
     x0 = rng.standard_normal(n)
     return problem, x0

@@ -44,7 +44,10 @@ class Termination(Enum):
 class SolverConfig:
     epsilon: float = 0.01            # stop at the first iterate with |grad f| <= epsilon
     max_iterations: int = 1000
-    variant: Variant = Variant.SEMILINE_MIN
+    variant: Variant = Variant.SEMILINE_MIN  # or its name
+
+    def __post_init__(self):
+        object.__setattr__(self, "variant", Variant(self.variant))
 
 
 @dataclass
@@ -112,9 +115,9 @@ def _nonfinite_message(f: float, g: np.ndarray, gnorm: float) -> str:
 
 def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
-    at ``scale``; ``f_base`` is the value at v = 0.  Returns (v, f at that
-    point)."""
-    if variant is Variant.SEMILINE_MIN:
+    at ``scale``; ``f_base`` is the value at v = 0.  ``variant`` is a
+    ``Variant`` or its name.  Returns (v, f at that point)."""
+    if Variant(variant) is Variant.SEMILINE_MIN:
         v, fv = minimize_on_ray(line, v0=scale, rel_tol=1e-8, h0=f_base)
         if fv > f_base:  # no decrease above rounding: stay at the midpoint
             return 0.0, f_base
@@ -128,20 +131,19 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
     return 0.0, f_base
 
 
-def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None,
+def me_step(obj, x, variant: Variant = Variant.SEMILINE_MIN, warm_t: float | None = None,
             *, f_x: float | None = None, grad_x=None):
     """One ellipse-center step from x, in ``descend``'s step protocol.
 
     Returns ``(x_next, f_next, g_next, fields)``: the value and gradient at
     x_next, and the step's ``IterateRecord`` fields (t, v, branch, f_mid).
-    ``f_x`` and ``grad_x`` are the value and gradient at x when the caller
-    has them.
+    ``variant`` picks the point on the semiline of centers, and ``f_x`` and
+    ``grad_x`` are the value and gradient at x when the caller has them.
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
     the chord, and raises NumericError when the midpoint rounds onto x.
     """
-    cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     level = find_level_step(obj, x, grad=grad_x, f_x=f_x,
                             t_init=1.0 if warm_t is None else warm_t)
@@ -162,7 +164,7 @@ def me_step(obj, x, cfg: SolverConfig | None = None, warm_t: float | None = None
     # quadratic, so d = -(a + b) (-g) + b t A(-g)
     line = level.line.turn(mid, base, d, (-(a + b), b * level.t))
     f_base = line.value(0.0)
-    v, f_v = semiline_search(line, cfg.variant, scale=frame.lam, f_base=f_base)
+    v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else base + v * d
     return x_next, f_v, line.gradient(v), dict(t=level.t, v=v, branch="ellipse", f_mid=f_base)
 
@@ -224,7 +226,7 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
 
     def step(counted, x, f, g):
         nonlocal warm_t
-        x_next, f_next, g_next, fields = me_step(counted, x, cfg, warm_t, f_x=f, grad_x=g)
+        x_next, f_next, g_next, fields = me_step(counted, x, cfg.variant, warm_t, f_x=f, grad_x=g)
         warm_t = fields["t"]
         return x_next, f_next, g_next, fields
 

@@ -6,7 +6,7 @@ import pytest
 
 import ellipcenters.bench as bench_mod
 from ellipcenters import (BenchConfig, BenchRecord, GenParams, SolverRun,
-                          Termination, emit_table, run_benchmark)
+                          Termination, Variant, emit_table, run_benchmark)
 from ellipcenters.solver import IterateRecord
 
 
@@ -77,6 +77,26 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(BenchConfig(kind="logsumexp", sizes=(5,),
                                       methods=("newton",)))
+
+    @pytest.mark.parametrize("field,value", [("sizes", (5, 8, 5)), ("methods", ("me", "me"))])
+    def test_duplicate_sizes_or_methods_rejected(self, field, value):
+        with pytest.raises(ValueError, match="distinct"):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_variant_given_by_name_runs_that_variant(self, variant):
+        def counts(variant):
+            cfg = small_config(sizes=(50,), instances_per_size=1, epsilon=1e-6,
+                               base_seed=1, methods=("me",), variant=variant)
+            return [(d.iterations, d.run.n_value_evals, d.run.n_grad_evals, d.final_value)
+                    for d in run_benchmark(cfg)[1]]
+
+        cfg = small_config(variant=variant.value)
+        assert cfg.variant is variant
+        assert counts(variant.value) == counts(variant)
+        assert counts(Variant.SEMILINE_MIN) != counts(Variant.DECREASE_SEARCH)
+        with pytest.raises(ValueError):
+            small_config(variant="golden-section")
 
 
 class TestEmitTable:

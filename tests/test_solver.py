@@ -511,6 +511,27 @@ def test_stopping_rule_validated(method, epsilon, max_iterations):
         run_method(method, p, x0, epsilon, max_iterations)
 
 
+def _run_key(run):
+    return run.iterations, run.n_value_evals, run.n_grad_evals, run.f_final
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_variant_given_by_name_runs_that_variant(variant):
+    p, x0 = generate_instance("logsumexp", 50, 1)
+    runs = {v: _run_key(minimize(p, x0, SolverConfig(epsilon=1e-6, variant=v)))
+            for v in Variant}
+    assert runs[Variant.SEMILINE_MIN] != runs[Variant.DECREASE_SEARCH]
+    cfg = SolverConfig(epsilon=1e-6, variant=variant.value)
+    assert cfg.variant is variant
+    assert _run_key(minimize(p, x0, cfg)) == runs[variant]
+    assert _run_key(run_method("me", p, x0, 1e-6, variant=variant.value)) == runs[variant]
+
+
+def test_unknown_variant_name_is_rejected():
+    with pytest.raises(ValueError):
+        SolverConfig(variant="golden-section")
+
+
 def _raising_gradient(x):
     raise NumericError("gradient overflow")
 
