@@ -74,8 +74,7 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
         else:
             tau = bb_step_size(x - prev[0], g - prev[1], kind)
             x_next = x - tau * g
-            f_next = counted.value(x_next)
-            g_next = counted.gradient(x_next)
+            f_next, g_next = counted.value_and_gradient(x_next)
         prev = (x, g)
         return x_next, f_next, g_next, dict(t=tau, branch=branch)
 

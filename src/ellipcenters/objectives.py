@@ -14,6 +14,8 @@ quadratic's line has grad f(x) and Ad, every query along it costs O(1); a
 log-sum-exp line shares one set of exponential weights among the queries at
 one t and takes a slope without forming the gradient.  Any other objective
 gets the generic line over its own ``value`` and ``gradient``.
+An objective may also offer ``value_and_gradient(x)``, the pair at one
+point for less than the two calls: a quadratic's takes one product Ax.
 Every line's ``turn(t, x, e, krylov)`` starts a line through x, its point at
 t, along a new direction e = alpha d + gamma A d in its Krylov plane.  A
 quadratic's line restricted with ``turns=True`` holds A^2 d beside Ad, both
@@ -103,6 +105,12 @@ class QuadraticProblem:
         x = _check_point(x, self.dimension)
         return self.a @ x - self.b
 
+    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
+        """``(value(x), gradient(x))`` bit for bit, from one product Ax."""
+        x = _check_point(x, self.dimension)
+        ax = self.a @ x
+        return float(0.5 * (x @ ax) - self.b @ x), ax - self.b
+
     def along(self, x, d, f=None, g=None, turns=False) -> "QuadraticLine":
         """The parabola t -> f(x + t d), from the product Ad.
 
@@ -161,19 +169,19 @@ class LogSumExpProblem:
         sq = x * x
         z = self.alpha * sq
         # shift by the max exponent so exp never overflows
-        zmax = float(z.max())
-        val = zmax + float(np.log(np.exp(z - zmax).sum())) + float(self.beta @ sq)
-        if not np.isfinite(val):
+        zmax = float(np.maximum.reduce(z))
+        val = zmax + float(np.log(np.add.reduce(np.exp(z - zmax)))) + float(self.beta @ sq)
+        if not math.isfinite(val):
             raise NumericError("log-sum-exp value is not finite despite shifting")
         return val
 
     def gradient(self, x) -> np.ndarray:
         x = _check_point(x, self.dimension)
         z = self.alpha * x * x
-        w = np.exp(z - z.max())
-        w /= w.sum()
+        w = np.exp(z - np.maximum.reduce(z))
+        w /= np.add.reduce(w)
         g = 2.0 * x * (self.alpha * w + self.beta)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("log-sum-exp gradient is not finite despite shifting")
         return g
 
@@ -280,7 +288,7 @@ class LogSumExpLine:
     def __init__(self, alpha, beta, x, d, g):
         self.alpha, self.beta = alpha, beta
         self.x, self.d = x, d
-        self.ad, self.bd = alpha * d, beta * d
+        self.ad = self.bd = None  # alpha d and beta d, on the first slope
         self.g = g
         self._t = None  # t of u and w
         self._u, self._w, self._tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
@@ -292,10 +300,10 @@ class LogSumExpLine:
             u += self.x
             w = np.multiply(self.alpha, u, out=self._w)
             w *= u
-            zmax = w.max()
+            zmax = np.maximum.reduce(w)
             w -= zmax
             np.exp(w, out=w)
-            self._t, self._zmax, self._sw = t, zmax, w.sum()
+            self._t, self._zmax, self._sw = t, zmax, np.add.reduce(w)
 
     def value(self, t: float) -> float:
         self._weigh(t)
@@ -314,6 +322,8 @@ class LogSumExpLine:
         # line returns it
         if not math.isfinite(self._zmax):
             raise NumericError("log-sum-exp gradient is not finite despite shifting")
+        if self.ad is None:
+            self.ad, self.bd = self.alpha * self.d, self.beta * self.d
         adu = np.multiply(self.ad, self._u, out=self._tmp)
         return 2.0 * (float(self._w @ adu) / float(self._sw) + float(self.bd @ self._u))
 
@@ -326,7 +336,7 @@ class LogSumExpLine:
         scale += self.beta
         g = 2.0 * self._u
         g *= scale
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("log-sum-exp gradient is not finite despite shifting")
         return g
 
@@ -407,6 +417,15 @@ class CountingObjective:
         self.n_grad += 1
         return self.inner.gradient(x)
 
+    def value_and_gradient(self, x):
+        """One value and one gradient, by the inner objective's own pair if it has one."""
+        both = getattr(self.inner, "value_and_gradient", None)
+        if both is None:
+            return self.value(x), self.gradient(x)
+        self.n_value += 1
+        self.n_grad += 1
+        return both(x)
+
     def along(self, x, d, f=None, g=None, turns=False):
         return _CountedLine(self, restrict(self.inner, x, d, f, g, turns), g is not None)
 
@@ -450,7 +469,8 @@ class _CountedLine:
 def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:
     """Max relative mismatch between the analytic gradient and central differences.
 
-    Returns max_i |g_i - (f(x + h e_i) - f(x - h e_i)) / 2h| / (1 + |g_i|).
+    Returns max_i |g_i - (f(x + h e_i) - f(x - h e_i)) / 2h| / (1 + |g_i|),
+    and raises NumericError on a term that is not finite (f overflows).
     """
     if not 0.0 < h < math.inf:
         raise ValueError("step must be finite and positive")
@@ -461,7 +481,10 @@ def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:
         step = np.zeros_like(x)
         step[i] = h
         diff = (obj.value(x + step) - obj.value(x - step)) / (2.0 * h)
-        worst = max(worst, abs(g[i] - diff) / (1.0 + abs(g[i])))
+        err = abs(g[i] - diff) / (1.0 + abs(g[i]))
+        if not math.isfinite(err):
+            raise NumericError(f"gradient check is not finite at coordinate {i}")
+        worst = max(worst, err)
     return worst
 
 

@@ -149,7 +149,7 @@ def me_step(obj, x, variant: Variant = Variant.SEMILINE_MIN, warm_t: float | Non
                             t_init=1.0 if warm_t is None else warm_t)
     mid = 0.5 * level.t
     base = x - mid * level.g  # the level line's point at t/2
-    if np.array_equal(base, x):
+    if (base == x).all():
         raise NumericError("the level step collapsed onto x below float resolution")
     grad_y = level.line.gradient(level.t)
     try:
@@ -194,8 +194,11 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
     records: list[IterateRecord] = []
     f = gnorm = _NAN  # what the start point leaves unevaluated when it raises
     try:
-        f = counted.value(x)
-        g = counted.gradient(x)
+        if hasattr(obj, "value_and_gradient"):
+            f, g = counted.value_and_gradient(x)
+        else:  # f stays on the terminal record when the gradient raises
+            f = counted.value(x)
+            g = counted.gradient(x)
         while True:
             gg, scale = scaled_sumsq(g)
             gnorm = scale * math.sqrt(gg)

@@ -74,6 +74,13 @@ def test_gradcheck_passes(capsys):
     assert "max relative gradient error" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_gradcheck_with_an_overflowing_step_fails(capsys):
+    code = main(["gradcheck", "--problem", "f1", "--n", "4", "--step", "1e300"])
+    assert code == 2
+    assert "gradient check is not finite" in capsys.readouterr().err
+
+
 def test_verify_geometry_writes_csv(tmp_path):
     out = tmp_path / "geometry.csv"
     code = main(["verify-geometry", "--samples", "100", "--seed", "1",

@@ -30,6 +30,16 @@ class TestQuadratic:
         assert value == pytest.approx(-0.625)
         assert np.linalg.norm(grad) < 1e-14
 
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_value_and_gradient_is_the_pair_bit_for_bit(self, n, count_products):
+        p, x0 = generate_instance("quadratic", n, 5, GenParams(kappa=100))
+        f, g = p.value(x0), p.gradient(x0)
+        matrix = count_products(p)
+        f_both, g_both = p.value_and_gradient(list(x0))
+        assert matrix.products == 1
+        assert f_both.hex() == f.hex()
+        assert g_both.tobytes() == g.tobytes()
+
     def test_gradient_zero_when_b_is_ax(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 5))
@@ -138,6 +148,14 @@ class TestCheckGradient:
             rng = np.random.default_rng(42)
             for _ in range(20):
                 assert check_gradient(p, rng.standard_normal(n), 1e-6) <= 1e-5
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_difference_is_an_error(self):
+        # f(x +- h e_0) overflow to inf, so the difference is inf - inf = NaN,
+        # which max() would drop as if the gradient matched
+        p, _ = generate_instance("quadratic", 4, 0, GenParams(kappa=10))
+        with pytest.raises(NumericError, match="not finite at coordinate 0"):
+            check_gradient(p, np.ones(4), 1e300)
 
 
 class TestRestriction:

@@ -293,8 +293,20 @@ class TestMatvecBudget:
         assert run.termination is Termination.CONVERGED
         assert run.iterations >= 5
         assert all(r.branch == "ellipse" for r in run.iterates[:-1])
-        assert matrix.passes == 2 + run.iterations  # Ax for f and for g at the start
+        # the wrapper has no value_and_gradient: Ax for f and for g at the start
+        assert matrix.passes == 2 + run.iterations
         assert obj.calls == {"value": 1, "gradient": 1}
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_one_product_at_the_start_point(self, variant, count_products):
+        # the quadratic's own value_and_gradient gives f and g from one Ax
+        p, x0 = generate_instance("quadratic", 600, 1, GenParams(kappa=10))
+        matrix = count_products(p)
+        run = minimize(p, x0, SolverConfig(epsilon=1e-6, variant=variant))
+        assert run.termination is Termination.CONVERGED
+        assert run.iterations >= 5
+        assert all(r.branch == "ellipse" for r in run.iterates[:-1])
+        assert matrix.passes == 1 + run.iterations
 
 
 
@@ -397,6 +409,56 @@ class TestPinnedBaselineRuns:
         assert (run.iterations, run.n_value_evals, run.n_grad_evals) == (
             iterations, n_value, n_grad)
         assert run.f_final.hex() == "0x1.f4bd2b7ac1bafp+1"
+
+
+def _pin_id(pin):
+    method, variant = pin[:2]
+    return method if variant is None else f"{method}-{variant.value}"
+
+
+class TestPinnedFastLineRuns:
+    # the objectives' own lines and pointwise pairs, unwrapped, so a change to
+    # their arithmetic or to which products they take shows here; recorded
+    # before the start point took one product and log-sum-exp lines took
+    # their scaled directions lazily, which moved none of these bits
+    LSE = [
+        ("me", Variant.SEMILINE_MIN, 11, 52, 58, "0x1.ba18a998fffa0p+2",
+         "0f8c8046ae1d9c83693aac11f8c98e91c1c9867401fb040ff261eeebb65bf2ab"),
+        ("me", Variant.DECREASE_SEARCH, 13, 200, 31, "0x1.ba18a998fffa0p+2",
+         "fe35b459e47164fe9b7c4627e82dbcbe7bcb19122ed56133a699e87814ca22c3"),
+    ]
+    QUADRATIC = [
+        ("me", Variant.SEMILINE_MIN, 187, 760, 783, "-0x1.3c6fc01a4160ap+4",
+         "21e4ac1329f854c3fa8b34c3ef71294537e5fa3a2ab8d424f0477105a4809154"),
+        ("me", Variant.DECREASE_SEARCH, 172, 791, 374, "-0x1.3c6fc01a4164ep+4",
+         "e06c0cfcb9247ded0c64f9223d4b8ab81b524636825fbc23fd9392fffd510b46"),
+        ("bb-long", None, 111, 112, 113, "-0x1.3c6fc01a41654p+4",
+         "d572472d98cb52556c4738821daf4f5b8bcb5dede987d6e0ed003c9572a4ea1e"),
+        ("bb-short", None, 97, 98, 99, "-0x1.3c6fc01a4162fp+4",
+         "49d05e5b6eb8ffc7fbd0e3caa93903316874875b0fd7ee196083088745a972b0"),
+        ("gd", None, 699, 700, 1399, "-0x1.3c6fc01a4164ap+4",
+         "33249c9706c27f0ac956a0f9e734d4ae76e4059e9c93f06a76ceb0d9643f521b"),
+    ]
+
+    @staticmethod
+    def _check(problem, x0, epsilon, pin):
+        method, variant, iterations, n_value, n_grad, f_final, digest = pin
+        kwargs = {} if variant is None else {"variant": variant}
+        run = run_method(method, problem, x0, epsilon, **kwargs)
+        assert run.termination is Termination.CONVERGED
+        assert (run.iterations, run.n_value_evals, run.n_grad_evals) == (
+            iterations, n_value, n_grad)
+        assert run.f_final.hex() == f_final
+        x_bytes = b"".join(r.x.tobytes() for r in run.iterates)
+        assert hashlib.sha256(x_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize("pin", LSE, ids=_pin_id)
+    def test_logsumexp(self, pin):
+        self._check(*generate_instance("logsumexp", 1000, 7), 1e-8, pin)
+
+    @pytest.mark.parametrize("pin", QUADRATIC, ids=_pin_id)
+    def test_quadratic(self, pin):
+        self._check(*generate_instance("quadratic", 200, 3, GenParams(kappa=100)), 1e-6, pin)
 
 
 class InfiniteAtStart:
