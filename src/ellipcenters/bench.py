@@ -15,26 +15,25 @@ import time
 from dataclasses import dataclass, field
 
 from .baselines import bb_minimize, gd_exact_minimize
-from .objectives import GenParams, generate_instance
+from .objectives import KINDS, GenParams, generate_instance
 from .solver import SolverConfig, SolverRun, Termination, Variant, minimize
 
+METHODS = ("me", "bb-long", "bb-short", "gd")
 DEFAULT_METHODS = ("me", "bb-long", "bb-short")
 
 
 def run_method(method: str, problem, x0, epsilon: float = 0.01,
                max_iterations: int = 1000,
                variant: Variant = Variant.SEMILINE_MIN) -> SolverRun:
-    """Run one named method on a problem from x0."""
+    """Run one named method, one of ``METHODS``, on a problem from x0."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if method == "me":
         cfg = SolverConfig(epsilon=epsilon, max_iterations=max_iterations, variant=variant)
         return minimize(problem, x0, cfg)
-    if method == "bb-long":
-        return bb_minimize(problem, x0, "long", epsilon, max_iterations)
-    if method == "bb-short":
-        return bb_minimize(problem, x0, "short", epsilon, max_iterations)
     if method == "gd":
         return gd_exact_minimize(problem, x0, epsilon, max_iterations)
-    raise ValueError(f"unknown method {method!r}")
+    return bb_minimize(problem, x0, method.removeprefix("bb-"), epsilon, max_iterations)
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,28 @@ class BenchConfig:
     variant: Variant = Variant.SEMILINE_MIN  # or its name
 
     def __post_init__(self):
+        # reject a bad config before the first instance is solved
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown problem kind {self.kind!r}")
         if not self.sizes:
             raise ValueError("need at least one problem size")
+        if min(self.sizes) < 1:
+            raise ValueError("problem sizes must be at least 1")
         if len(set(self.sizes)) < len(self.sizes):
             raise ValueError("problem sizes must be distinct")
         if self.instances_per_size < 1:
             raise ValueError("need at least one instance per size")
         if not self.methods:
             raise ValueError("need at least one method")
+        for method in self.methods:
+            if method not in METHODS:
+                raise ValueError(f"unknown method {method!r}")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError("methods must be distinct")
+        if not self.epsilon > 0.0:
+            raise ValueError("stopping tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("need at least one iteration")
         object.__setattr__(self, "variant", Variant(self.variant))
 
 

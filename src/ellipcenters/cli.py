@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchConfig, emit_table, run_benchmark, run_method
+from .bench import DEFAULT_METHODS, METHODS, BenchConfig, emit_table, run_benchmark, run_method
 from .errors import NumericError
 from .geometry import survey_geometry
 from .objectives import GenParams, check_gradient, generate_instance, load_problem
@@ -148,7 +148,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--seed", type=int, help="seed of the generated instance")
     solve.add_argument("--kappa", type=float, default=1000.0,
                        help="condition-number target for generated quadratics (default %(default)s)")
-    solve.add_argument("--method", choices=["me", "bb-long", "bb-short", "gd"],
+    solve.add_argument("--method", choices=METHODS,
                        default="me", help="solver to run (default %(default)s)")
     solve.add_argument("--variant", choices=[v.value for v in Variant],
                        default=Variant.SEMILINE_MIN.value,
@@ -170,10 +170,8 @@ def build_parser() -> _Parser:
                        help="stopping tolerance (default %(default)s)")
     bench.add_argument("--seed", type=int, default=0,
                        help="base seed; instance i uses seed + i (default %(default)s)")
-    bench.add_argument("--methods", nargs="+",
-                       choices=["me", "bb-long", "bb-short", "gd"],
-                       default=["me", "bb-long", "bb-short"],
-                       help="methods to compare (default: me bb-long bb-short)")
+    bench.add_argument("--methods", nargs="+", choices=METHODS, default=DEFAULT_METHODS,
+                       help=f"methods to compare (default: {' '.join(DEFAULT_METHODS)})")
     bench.add_argument("--kappa", type=float, default=1000.0,
                        help="condition-number target for f1 (default %(default)s)")
     bench.add_argument("--max-iterations", type=int, default=1000,

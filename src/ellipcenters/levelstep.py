@@ -56,32 +56,23 @@ class LevelStepResult:
     """
 
     t: float
-    x: np.ndarray
-    g: np.ndarray
     level_residual: float
     line: object
 
-    @property
-    def y(self) -> np.ndarray:
-        return self.x - self.t * self.g
 
-
-def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
-                    t_init: float = 1.0) -> LevelStepResult:
-    """Find the unique t > 0 with f(x - t grad) = f(x) to 1e-10 (1 + |f(x)|).
+def find_level_step(obj, x, f_x: float, g, t_init: float) -> LevelStepResult:
+    """Find the unique t > 0 with f(x - t g) = f(x) to 1e-10 (1 + |f(x)|),
+    from the value ``f_x`` and gradient ``g`` at x.
 
     ``t_init`` seeds the bracket (pass the previous step to warm-start).
     Both equations are solved in units of (max |g_i|)^2 where |g|^2 overflows.
     """
-    x = np.asarray(x, dtype=float)
-    g = obj.gradient(x) if grad is None else np.asarray(grad, dtype=float)
     gg, scale = scaled_sumsq(g)
     if gg == 0.0:
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
     line = restrict(obj, x, -g, f_x, g, turns=True)
-    f0 = line.value(0.0) if f_x is None else float(f_x)
-    tol = _TOL * (1.0 + abs(f0))
-    noise_floor = 32.0 * _EPS * (1.0 + abs(f0))
+    tol = _TOL * (1.0 + abs(f_x))
+    noise_floor = 32.0 * _EPS * (1.0 + abs(f_x))
     r = 0.0
 
     def secant_slope(t):
@@ -89,8 +80,8 @@ def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
         # r counts as 0 within rounding, or within _TOL of the smaller of
         # the first-order decrease and the scale of f
         nonlocal r
-        r = line.value(t) - f0
-        small = abs(r) <= max(noise_floor, _TOL * min(gg * t * scale * scale, 1.0 + abs(f0)))
+        r = line.value(t) - f_x
+        small = abs(r) <= max(noise_floor, _TOL * min(gg * t * scale * scale, 1.0 + abs(f_x)))
         return 0.0 if small else r / t / scale / scale
 
     t, _ = find_root(secant_slope, -gg, t_init, ftol=0.0, xtol=0.0, what="objective value")
@@ -98,7 +89,7 @@ def find_level_step(obj, x, *, grad=None, f_x: float | None = None,
         # the slope equation <grad f(x - t g), g> = -|g|^2, on the same line
         t, _ = find_root(lambda s: line.slope(s) / scale / scale - gg, -2.0 * gg, t,
                          ftol=2.0 * _TOL * gg, xtol=_TOL)
-        r = line.value(t) - f0
+        r = line.value(t) - f_x
     elif abs(r) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
-    return LevelStepResult(float(t), x, g, float(r), line)
+    return LevelStepResult(float(t), float(r), line)

@@ -89,17 +89,17 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str
     return t, f
 
 
-def minimize_on_ray(line, v0: float = 1.0, rel_tol: float = 1e-8, h0: float | None = None):
+def minimize_on_ray(line, v0: float, rel_tol: float, *, h0: float):
     """Minimize a convex function over v >= 0 along ``line``, from the bracket
     start v0, by solving ``line.slope(v) = 0`` to relative precision rel_tol.
 
-    ``h0`` is ``line.value(0.0)`` when the caller has it.  Returns (v, the
-    value at v).  A line that does not descend at v = 0 (its slope there is
-    nonnegative, or not a number) returns v = 0; the caller's gradient check
-    then names a non-finite slope.  ``find_root`` raises the errors.
+    ``h0`` is ``line.value(0.0)``.  Returns (v, the value at v).  A line that
+    does not descend at v = 0 (its slope there is nonnegative, or not a
+    number) returns (0, h0); the caller's gradient check then names a
+    non-finite slope.  ``find_root`` raises the errors.
     """
     s0 = line.slope(0.0)
     if not s0 < 0.0:
-        return 0.0, line.value(0.0) if h0 is None else h0
+        return 0.0, h0
     v, _ = find_root(line.slope, s0, v0, ftol=rel_tol * -s0, xtol=rel_tol)
     return v, line.value(v)

@@ -131,35 +131,33 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
     return 0.0, f_base
 
 
-def me_step(obj, x, variant: Variant = Variant.SEMILINE_MIN, warm_t: float | None = None,
-            *, f_x: float | None = None, grad_x=None):
+def me_step(obj, x, f_x: float, g, variant: Variant, t_init: float):
     """One ellipse-center step from x, in ``descend``'s step protocol.
 
-    Returns ``(x_next, f_next, g_next, fields)``: the value and gradient at
-    x_next, and the step's ``IterateRecord`` fields (t, v, branch, f_mid).
-    ``variant`` picks the point on the semiline of centers, and ``f_x`` and
-    ``grad_x`` are the value and gradient at x when the caller has them.
+    ``f_x`` and ``g`` are the value and gradient at x, ``variant`` picks the
+    point on the semiline of centers, and ``t_init`` seeds the level step's
+    bracket.  Returns ``(x_next, f_next, g_next, fields)``: the value and
+    gradient at x_next, and the step's ``IterateRecord`` fields (t, v,
+    branch, f_mid).
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
     the chord, and raises NumericError when the midpoint rounds onto x.
     """
-    x = np.asarray(x, dtype=float)
-    level = find_level_step(obj, x, grad=grad_x, f_x=f_x,
-                            t_init=1.0 if warm_t is None else warm_t)
+    level = find_level_step(obj, x, f_x, g, t_init)
     mid = 0.5 * level.t
-    base = x - mid * level.g  # the level line's point at t/2
+    base = x - mid * g  # the level line's point at t/2
     if (base == x).all():
         raise NumericError("the level step collapsed onto x below float resolution")
     grad_y = level.line.gradient(level.t)
     try:
-        frame = build_frame(level.g, level.t, grad_y)
+        frame = build_frame(g, level.t, grad_y)
         a, b = center_direction(frame)
     except DegeneratePlaneError:
         f_base = level.line.value(mid)
         return (base, f_base, level.line.gradient(mid),
                 dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base))
-    d = a * level.g + b * grad_y
+    d = a * g + b * grad_y
     # the level line runs along -g with grad f(y) = g + t A(-g) on a
     # quadratic, so d = -(a + b) (-g) + b t A(-g)
     line = level.line.turn(mid, base, d, (-(a + b), b * level.t))
@@ -225,11 +223,11 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
 def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
     """Run the ellipse-center iteration from x0 until |grad f| <= epsilon."""
     cfg = cfg or SolverConfig()
-    warm_t = None
+    warm_t = 1.0
 
     def step(counted, x, f, g):
         nonlocal warm_t
-        x_next, f_next, g_next, fields = me_step(counted, x, cfg.variant, warm_t, f_x=f, grad_x=g)
+        x_next, f_next, g_next, fields = me_step(counted, x, f, g, cfg.variant, warm_t)
         warm_t = fields["t"]
         return x_next, f_next, g_next, fields
 

@@ -205,8 +205,9 @@ def test_criterion_7_level_step_correctness():
             for _ in range(5):
                 x = rng.standard_normal(n)
                 fx = problem.value(x)
-                res = find_level_step(problem, x)
-                residual = abs(problem.value(res.y) - fx)
+                g = problem.gradient(x)
+                res = find_level_step(problem, x, fx, g, 1.0)
+                residual = abs(problem.value(x - res.t * g) - fx)
                 worst = max(worst, residual / (1.0 + abs(fx)))
                 assert res.t > 0.0
                 assert residual <= 1e-10 * (1.0 + abs(fx))

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ellipcenters.bench as bench_mod
 from ellipcenters import (BenchConfig, BenchRecord, GenParams, SolverRun,
-                          Termination, Variant, emit_table, run_benchmark)
+                          Termination, Variant, emit_table, generate_instance,
+                          run_benchmark)
 from ellipcenters.solver import IterateRecord
 
 
@@ -77,6 +79,32 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(BenchConfig(kind="logsumexp", sizes=(5,),
                                       methods=("newton",)))
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(kind="quadratics"), "unknown problem kind 'quadratics'"),
+        (dict(methods=("me", "bb-long", "gd ")), "unknown method 'gd '"),
+        (dict(sizes=(5, 0)), "problem sizes must be at least 1"),
+        (dict(epsilon=0.0), "stopping tolerance must be positive"),
+        (dict(epsilon=float("nan")), "stopping tolerance must be positive"),
+        (dict(max_iterations=0), "need at least one iteration"),
+    ], ids=["kind", "method", "size", "epsilon-zero", "epsilon-nan", "max-iterations"])
+    def test_bad_config_rejected_when_built(self, overrides, message, monkeypatch):
+        # the error comes before any instance is generated or solved
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a bad config reached the protocol")
+
+        monkeypatch.setattr(bench_mod, "generate_instance", unreachable)
+        monkeypatch.setattr(bench_mod, "run_method", unreachable)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_benchmark(small_config(**overrides))
+
+    def test_method_names_are_kept_in_one_place(self):
+        _, details = run_benchmark(small_config(sizes=(5,), instances_per_size=1,
+                                                methods=bench_mod.METHODS))
+        assert [d.method for d in details] == list(bench_mod.METHODS)
+        assert all(d.termination == "converged" for d in details)
+        with pytest.raises(ValueError, match="unknown method 'newton'"):
+            bench_mod.run_method("newton", *generate_instance("logsumexp", 3, 0))
 
     @pytest.mark.parametrize("field,value", [("sizes", (5, 8, 5)), ("methods", ("me", "me"))])
     def test_duplicate_sizes_or_methods_rejected(self, field, value):

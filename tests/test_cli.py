@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ellipcenters import (GenParams, LogSumExpProblem, generate_instance,
+from ellipcenters import (GenParams, bench, LogSumExpProblem, generate_instance,
                           problem_from_dict, problem_to_dict, save_problem)
 from ellipcenters.cli import main
 
@@ -228,3 +228,15 @@ def test_bench_duplicates_are_user_error(capsys, option, values, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_bench_rejects_a_bad_size_before_solving(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bad size reached the protocol")
+
+    monkeypatch.setattr(bench, "generate_instance", unreachable)
+    assert main(["bench", "--problem", "f2", "--sizes", "2000", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: problem sizes must be at least 1\n"
+

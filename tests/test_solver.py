@@ -17,20 +17,22 @@ class TestMeStep:
     def test_radial_symmetry_takes_midpoint_to_minimizer(self):
         p = QuadraticProblem(np.eye(3), np.zeros(3))
         x = np.array([1.0, -2.0, 0.5])
-        x_next, _, _, fields = me_step(p, x)
+        x_next, _, _, fields = me_step(p, x, p.value(x), p.gradient(x), Variant.SEMILINE_MIN, 1.0)
         assert fields["branch"] == "midpoint"  # grad at y = -x is collinear
         assert np.linalg.norm(x_next) <= 1e-8
 
     def test_two_dimensional_quadratic_one_shot(self):
         p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))
-        x_next, _, _, fields = me_step(p, np.array([1.0, 1.0]))
+        x = np.array([1.0, 1.0])
+        x_next, _, _, fields = me_step(p, x, p.value(x), p.gradient(x), Variant.SEMILINE_MIN, 1.0)
         assert fields["branch"] == "ellipse"
         assert np.linalg.norm(x_next) <= 1e-10
 
     def test_descent_contract_both_branches(self):
         for kind in ("quadratic", "logsumexp"):
             p, x0 = generate_instance(kind, 10, 3, GenParams(kappa=100))
-            x_next, f_next, _, fields = me_step(p, x0)
+            x_next, f_next, _, fields = me_step(p, x0, p.value(x0), p.gradient(x0),
+                                                Variant.SEMILINE_MIN, 1.0)
             f0 = p.value(x0)
             assert f_next <= fields["f_mid"]
             assert fields["f_mid"] < f0
@@ -39,7 +41,8 @@ class TestMeStep:
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
     def test_next_gradient_comes_from_the_searched_line(self, kind):
         p, x0 = generate_instance(kind, 10, 3, GenParams(kappa=100))
-        x_next, _, g_next, fields = me_step(p, x0)
+        x_next, _, g_next, fields = me_step(p, x0, p.value(x0), p.gradient(x0),
+                                            Variant.SEMILINE_MIN, 1.0)
         assert fields["branch"] == "ellipse"
         g = p.gradient(x_next)
         if kind == "quadratic":
@@ -60,16 +63,17 @@ class TestMeStep:
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
     def test_midpoint_gradient_comes_from_the_level_line(self, kind):
         p, x = self._axis_start(kind)
-        x_next, f_next, g_next, fields = me_step(p, x)
+        fx, gx = p.value(x), p.gradient(x)
+        x_next, f_next, g_next, fields = me_step(p, x, fx, gx, Variant.SEMILINE_MIN, 1.0)
         assert fields["branch"] == "midpoint"
-        level = find_level_step(p, x)
+        level = find_level_step(p, x, fx, gx, 1.0)
         mid = 0.5 * level.t
-        assert np.array_equal(x_next, x - mid * level.g)
+        assert np.array_equal(x_next, x - mid * gx)
         assert f_next == fields["f_mid"] == level.line.value(mid)
         assert np.array_equal(g_next, level.line.gradient(mid))
         g = p.gradient(x_next)
         if kind == "quadratic":
-            assert np.linalg.norm(g_next - g) <= 1e-12 * np.linalg.norm(level.g)
+            assert np.linalg.norm(g_next - g) <= 1e-12 * np.linalg.norm(gx)
         else:  # the line's point at t/2 has the midpoint's bits
             assert np.array_equal(g_next, g)
 
@@ -92,7 +96,7 @@ class TestMeStep:
             g = p.gradient(x)
             if np.linalg.norm(g) <= 0.01:
                 break
-            x_next, _, _, fields = me_step(p, x)
+            x_next, _, _, fields = me_step(p, x, p.value(x), g, Variant.SEMILINE_MIN, 1.0)
             assert p.gradient(x - fields["t"] * g) @ g <= 1e-9
             x = x_next
 
@@ -326,20 +330,21 @@ class TestNearCollinearTurn:
         a = (q * np.geomspace(1.0, kappa, n)) @ q.T
         p = QuadraticProblem(0.5 * (a + a.T), np.zeros(n))
         x = q[:, 0] + sin_theta / (2.0 * kappa * (kappa - 1.0)) * q[:, -1]
-        level = find_level_step(p, x)
+        g = p.gradient(x)
+        level = find_level_step(p, x, p.value(x), g, 1.0)
         t = level.t
         grad_y = level.line.gradient(t)
-        frame = build_frame(level.g, t, grad_y)
+        frame = build_frame(g, t, grad_y)
         ca, cb = center_direction(frame)
-        d = ca * level.g + cb * grad_y
-        turned = level.line.turn(0.5 * t, x - 0.5 * t * level.g, d, (-(ca + cb), cb * t))
-        return p, level, frame, d, turned
+        d = ca * g + cb * grad_y
+        turned = level.line.turn(0.5 * t, x - 0.5 * t * g, d, (-(ca + cb), cb * t))
+        return p, g, level, frame, d, turned
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("kappa", [10.0, 1000.0])
     @pytest.mark.parametrize("sin_theta", [1e-6, 1e-7])
     def test_turned_line_keeps_the_products_accuracy(self, sin_theta, kappa, variant):
-        p, level, frame, d, turned = self._step(kappa, sin_theta)
+        p, g, level, frame, d, turned = self._step(kappa, sin_theta)
         sin = frame.wnorm / np.linalg.norm(level.line.gradient(level.t))
         assert 0.5 * sin_theta <= sin <= 2.0 * sin_theta
         # the same line, with A d from a product
@@ -351,7 +356,7 @@ class TestNearCollinearTurn:
         assert v > 0.0
         # v is of order sin theta |g| / (d . Ad), which undoes the 1 / sin theta
         assert (np.linalg.norm(turned.gradient(v) - product.gradient(v))
-                <= 4.0 * self.EPS * np.linalg.norm(level.g))
+                <= 4.0 * self.EPS * np.linalg.norm(g))
         most = product.gd ** 2 / (2.0 * product.dad)  # the largest decrease along d
         assert abs(turned.value(v) - product.value(v)) <= 4.0 * self.EPS / sin * most
 

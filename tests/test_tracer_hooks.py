@@ -22,7 +22,9 @@ def test_target_is_a_callable_module_attribute(module, attr):
 
 
 def test_ray_search_keeps_its_h0_parameter():
-    assert "h0" in inspect.signature(minimize_on_ray).parameters
+    # keyword-only, so that no caller can pass it by position
+    h0 = inspect.signature(minimize_on_ray).parameters["h0"]
+    assert h0.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_every_target_is_called_through_its_module(monkeypatch):
