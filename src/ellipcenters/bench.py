@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .baselines import bb_minimize, gd_exact_minimize
-from .objectives import KINDS, GenParams, generate_instance
+from .objectives import KINDS, MAX_QUADRATIC_DIM, GenParams, generate_instance
 from .solver import SolverConfig, SolverRun, Termination, Variant, minimize
 
 METHODS = ("me", "bb-long", "bb-short", "gd")
@@ -56,6 +56,8 @@ class BenchConfig:
             raise ValueError("need at least one problem size")
         if min(self.sizes) < 1:
             raise ValueError("problem sizes must be at least 1")
+        if self.kind == "quadratic" and max(self.sizes) > MAX_QUADRATIC_DIM:
+            raise ValueError(f"quadratic sizes must be at most {MAX_QUADRATIC_DIM}")
         if len(set(self.sizes)) < len(self.sizes):
             raise ValueError("problem sizes must be distinct")
         if self.instances_per_size < 1:

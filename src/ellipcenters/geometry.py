@@ -79,7 +79,9 @@ def build_frame(g, t: float, grad_y) -> LocalFrame:
     cos_theta = min(1.0, max(-1.0, -gy / (math.sqrt(gg) * math.sqrt(yy))))
     sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
     k = gy / gg * (sy / sg)
-    ww, sw = scaled_sumsq(g * k - grad_y)
+    w = g * k
+    w -= grad_y  # in place: one n-vector
+    ww, sw = scaled_sumsq(w)
     wnorm = sw * math.sqrt(ww)
     # |w| / |grad_y| is sin(theta) without the rounding of sqrt(1 - cos^2)
     if wnorm <= 1e-8 * sy * math.sqrt(yy):

@@ -132,6 +132,22 @@ class QuadraticProblem:
         return np.linalg.solve(self.a, self.b)
 
 
+_EXP_FLOOR = 700.0  # numpy's exp leaves its fast path below about -708
+
+
+def _shifted_exp(z: np.ndarray):
+    """(exp(z - zmax) in place of z, zmax) for zmax = max z, the shift that
+    keeps exp from overflowing.  Exponents below -_EXP_FLOOR are raised to
+    it: the largest weight is exactly 1, and weights below e^-700 beside it
+    change neither their sum nor, with beta >= 0.5, a gradient.  Every z is
+    at least 0, so only a zmax above the floor takes that pass."""
+    zmax = np.maximum.reduce(z)
+    z -= zmax
+    if zmax > _EXP_FLOOR:
+        np.maximum(z, -_EXP_FLOOR, out=z)
+    return np.exp(z, out=z), zmax
+
+
 @dataclass(frozen=True)
 class LogSumExpProblem:
     """f(x) = ln(sum_i exp(alpha_i x_i^2)) + sum_i beta_i x_i^2.
@@ -167,18 +183,15 @@ class LogSumExpProblem:
     def value(self, x) -> float:
         x = _check_point(x, self.dimension)
         sq = x * x
-        z = self.alpha * sq
-        # shift by the max exponent so exp never overflows
-        zmax = float(np.maximum.reduce(z))
-        val = zmax + float(np.log(np.add.reduce(np.exp(z - zmax)))) + float(self.beta @ sq)
+        w, zmax = _shifted_exp(self.alpha * sq)
+        val = float(zmax) + float(np.log(np.add.reduce(w))) + float(self.beta @ sq)
         if not math.isfinite(val):
             raise NumericError("log-sum-exp value is not finite despite shifting")
         return val
 
     def gradient(self, x) -> np.ndarray:
         x = _check_point(x, self.dimension)
-        z = self.alpha * x * x
-        w = np.exp(z - np.maximum.reduce(z))
+        w = _shifted_exp(self.alpha * x * x)[0]
         w /= np.add.reduce(w)
         g = 2.0 * x * (self.alpha * w + self.beta)
         if not np.isfinite(g).all():
@@ -279,30 +292,31 @@ class LogSumExpLine:
     vector: 2 (sum w alpha d u / sum w + sum beta d u).  The gradient takes
     the pointwise ``gradient``'s operations in the same order, so it equals
     ``gradient(x + t d)`` bit for bit.  Handed ``g``, the line answers the
-    slope and gradient at 0 from it.
+    slope and gradient at 0 from it.  A turn hands the buffers on to the
+    new line; queried again, this line takes new ones.
     """
 
     __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "g",
                  "_t", "_u", "_w", "_tmp", "_zmax", "_sw")
 
-    def __init__(self, alpha, beta, x, d, g):
+    def __init__(self, alpha, beta, x, d, g, buffers=(None, None, None)):
         self.alpha, self.beta = alpha, beta
         self.x, self.d = x, d
         self.ad = self.bd = None  # alpha d and beta d, on the first slope
         self.g = g
         self._t = None  # t of u and w
-        self._u, self._w, self._tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+        self._u, self._w, self._tmp = buffers  # on the first weighing when None
 
     def _weigh(self, t: float) -> None:
         if t != self._t:
             self._t = None  # until both buffers hold t
+            if self._u is None:
+                self._u, self._w, self._tmp = (np.empty_like(self.x) for _ in range(3))
             u = np.multiply(self.d, t, out=self._u)
             u += self.x
             w = np.multiply(self.alpha, u, out=self._w)
             w *= u
-            zmax = np.maximum.reduce(w)
-            w -= zmax
-            np.exp(w, out=w)
+            w, zmax = _shifted_exp(w)
             self._t, self._zmax, self._sw = t, zmax, np.add.reduce(w)
 
     def value(self, t: float) -> float:
@@ -341,8 +355,9 @@ class LogSumExpLine:
         return g
 
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "LogSumExpLine":
-        """The line through x, the point at t, along e, started afresh."""
-        return LogSumExpLine(self.alpha, self.beta, x, e, None)
+        """The line through x, the point at t, along e, started afresh in this line's buffers."""
+        buffers, self._t, self._u = (self._u, self._w, self._tmp), None, None
+        return LogSumExpLine(self.alpha, self.beta, x, e, None, buffers)
 
 
 class RayLine:

@@ -131,6 +131,13 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
     return 0.0, f_base
 
 
+def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a x + y in one new array, with the bits of ``a * x + y``."""
+    out = np.multiply(x, a)
+    out += y
+    return out
+
+
 def me_step(obj, x, f_x: float, g, variant: Variant, t_init: float):
     """One ellipse-center step from x, in ``descend``'s step protocol.
 
@@ -146,7 +153,7 @@ def me_step(obj, x, f_x: float, g, variant: Variant, t_init: float):
     """
     level = find_level_step(obj, x, f_x, g, t_init)
     mid = 0.5 * level.t
-    base = x - mid * g  # the level line's point at t/2
+    base = _axpy(-mid, g, x)  # the level line's point at t/2
     if (base == x).all():
         raise NumericError("the level step collapsed onto x below float resolution")
     grad_y = level.line.gradient(level.t)
@@ -157,13 +164,13 @@ def me_step(obj, x, f_x: float, g, variant: Variant, t_init: float):
         f_base = level.line.value(mid)
         return (base, f_base, level.line.gradient(mid),
                 dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base))
-    d = a * g + b * grad_y
+    d = _axpy(a, g, b * grad_y)
     # the level line runs along -g with grad f(y) = g + t A(-g) on a
     # quadratic, so d = -(a + b) (-g) + b t A(-g)
     line = level.line.turn(mid, base, d, (-(a + b), b * level.t))
     f_base = line.value(0.0)
     v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base)
-    x_next = base if v == 0.0 else base + v * d
+    x_next = base if v == 0.0 else _axpy(v, d, base)
     return x_next, f_v, line.gradient(v), dict(t=level.t, v=v, branch="ellipse", f_mid=f_base)
 
 

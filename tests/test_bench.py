@@ -9,6 +9,7 @@ import ellipcenters.bench as bench_mod
 from ellipcenters import (BenchConfig, BenchRecord, GenParams, SolverRun,
                           Termination, Variant, emit_table, generate_instance,
                           run_benchmark)
+from ellipcenters.objectives import MAX_QUADRATIC_DIM
 from ellipcenters.solver import IterateRecord
 
 
@@ -84,10 +85,12 @@ class TestRunBenchmark:
         (dict(kind="quadratics"), "unknown problem kind 'quadratics'"),
         (dict(methods=("me", "bb-long", "gd ")), "unknown method 'gd '"),
         (dict(sizes=(5, 0)), "problem sizes must be at least 1"),
+        (dict(kind="quadratic", sizes=(5, MAX_QUADRATIC_DIM + 1)),
+         f"quadratic sizes must be at most {MAX_QUADRATIC_DIM}"),
         (dict(epsilon=0.0), "stopping tolerance must be positive"),
         (dict(epsilon=float("nan")), "stopping tolerance must be positive"),
         (dict(max_iterations=0), "need at least one iteration"),
-    ], ids=["kind", "method", "size", "epsilon-zero", "epsilon-nan", "max-iterations"])
+    ], ids=["kind", "method", "size", "quadratic-size", "epsilon-zero", "epsilon-nan", "max-iterations"])
     def test_bad_config_rejected_when_built(self, overrides, message, monkeypatch):
         # the error comes before any instance is generated or solved
         def unreachable(*args, **kwargs):

@@ -240,3 +240,14 @@ def test_bench_rejects_a_bad_size_before_solving(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == "error: problem sizes must be at least 1\n"
 
+
+def test_bench_rejects_a_quadratic_size_past_the_memory_guard(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a size past the memory guard reached the protocol")
+
+    monkeypatch.setattr(bench, "generate_instance", unreachable)
+    assert main(["bench", "--problem", "f1", "--sizes", "100", "9000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: quadratic sizes must be at most 8000\n"
+

@@ -380,6 +380,123 @@ class TestTurn:
         assert counters[0].n_value + counters[0].n_grad > 0
 
 
+def _unfloored_weights(z):
+    """exp(z - max z) by plain numpy, however slow or small."""
+    zmax = np.maximum.reduce(z)
+    return zmax, np.exp(z - zmax)
+
+
+class TestExpFloor:
+    # Far out on this ray the largest exponent alpha u^2 passes 700 and the
+    # shifted ones run below -700: at 9.5 some are subnormal after exp and
+    # some just above it, at 10 and 12 most underflow to 0.  Raising them to
+    # -700 must change no bit of any answer.
+    TS = (9.5, 10.0, 12.0)
+
+    @staticmethod
+    def _ray():
+        return TestRestriction._ray("logsumexp", 200)
+
+    def test_ray_reaches_past_the_floor(self):
+        p, x, d = self._ray()
+        tiny = np.finfo(float).tiny
+        low = []
+        for t in self.TS:
+            u = d * t + x
+            zmax, w = _unfloored_weights(p.alpha * u * u)
+            assert zmax > 700.0
+            low.extend(w[w < math.exp(-700.0)])
+        low = np.array(low)
+        # weights that underflow, that are subnormal, and normal ones below e^-700
+        assert (low == 0.0).any() and ((0.0 < low) & (low < tiny)).any() and (low >= tiny).any()
+
+    def test_line_answers_as_unfloored_numpy(self):
+        p, x, d = self._ray()
+        line = restrict(p, x, d)
+        for t in self.TS:
+            u = d * t
+            u += x  # the line's own order
+            zmax, w = _unfloored_weights(p.alpha * u * u)
+            sw = np.add.reduce(w)
+            value = float(zmax) + float(np.log(sw)) + float(p.beta @ (u * u))
+            slope = 2.0 * (float(w @ (p.alpha * d * u)) / float(sw) + float((p.beta * d) @ u))
+            gradient = 2.0 * u * (p.alpha * (w / sw) + p.beta)
+            assert line.slope(t) == slope
+            assert line.value(t) == value
+            assert np.array_equal(line.gradient(t), gradient)
+
+    def test_pointwise_answers_as_unfloored_numpy(self):
+        p, x, d = self._ray()
+        for t in self.TS:
+            u = x + t * d
+            sq = u * u
+            zmax, w = _unfloored_weights(p.alpha * sq)
+            value = float(zmax) + float(np.log(np.add.reduce(w))) + float(p.beta @ sq)
+            zmax, w = _unfloored_weights(p.alpha * u * u)
+            gradient = 2.0 * u * (p.alpha * (w / np.add.reduce(w)) + p.beta)
+            assert p.value(u) == value
+            assert np.array_equal(p.gradient(u), gradient)
+
+    def test_no_weight_below_the_floor(self):
+        p, x, d = self._ray()
+        line = restrict(p, x, d)
+        for t in self.TS:
+            line.value(t)
+            assert line._w.min() >= math.exp(-700.0)
+            assert line._w.max() == 1.0
+
+
+class TestBufferHandOff:
+    # a log-sum-exp line hands its buffers on to the line it turns into
+    @staticmethod
+    def _turn(p, line, x, d):
+        e = TestTurn._direction(p, d)
+        return line.turn(TestTurn.T, x + TestTurn.T * d, e, TestTurn.KRYLOV), e
+
+    def test_turned_line_holds_the_buffers(self):
+        p, x, d = TestRestriction._ray("logsumexp")
+        line = restrict(p, x, d, p.value(x), p.gradient(x), turns=True)
+        line.value(0.7)
+        buffers = (line._u, line._w, line._tmp)
+        turned, _ = self._turn(p, line, x, d)
+        assert all(a is b for a, b in zip((turned._u, turned._w, turned._tmp), buffers))
+
+    def test_lines_answer_as_fresh_ones_after_the_turn(self):
+        p, x, d = TestRestriction._ray("logsumexp")
+        line = restrict(p, x, d, p.value(x), p.gradient(x), turns=True)
+        line.value(0.7)
+        line.slope(0.7)
+        turned, e = self._turn(p, line, x, d)
+        pairs = [(line, restrict(p, x, d)), (turned, restrict(p, x + TestTurn.T * d, e))]
+        # each query alternates between the lines, so that a buffer they
+        # shared would show in the next
+        for t in (0.7, 0.3, -1.0):
+            for old, fresh in pairs:
+                assert old.value(t) == fresh.value(t)
+            for old, fresh in pairs:
+                assert old.slope(t) == fresh.slope(t)
+            for old, fresh in pairs:
+                assert np.array_equal(old.gradient(t), fresh.gradient(t))
+
+    def test_counts_after_the_turn_are_the_generic_lines(self):
+        p, x, d = TestRestriction._ray("logsumexp")
+        counters = [CountingObjective(p), CountingObjective(ValueAndGradientOnly(p))]
+        lines = [restrict(c, x, d, p.value(x), p.gradient(x), turns=True) for c in counters]
+        assert isinstance(lines[0].line, LogSumExpLine)
+        for line in lines:
+            line.value(0.5)
+            line.slope(0.5)
+        lines += [self._turn(p, line, x, d)[0] for line in lines]
+        queries = [("value", 0.5), ("slope", 0.5), ("gradient", 0.5), ("slope", 0.0),
+                   ("gradient", 0.0), ("value", 1.0)]
+        for query, t in queries:
+            for line in lines:
+                getattr(line, query)(t)
+            assert (counters[0].n_value, counters[0].n_grad) == (
+                counters[1].n_value, counters[1].n_grad)
+        assert (counters[0].n_value, counters[0].n_grad) == (5, 4)
+
+
 class TestGenerateInstance:
     def test_deterministic_bit_for_bit(self):
         a1, x1 = generate_instance("quadratic", 8, 5)

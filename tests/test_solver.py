@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,32 @@ class TestMatvecBudget:
         assert all(r.branch == "ellipse" for r in run.iterates[:-1])
         assert matrix.passes == 1 + run.iterations
 
+
+
+class TestVectorBudget:
+    # The most n-vectors one log-sum-exp ellipse step holds at once, as
+    # tracemalloc sees numpy's buffers: 11.17 under semiline-min and 9.17
+    # under decrease-search, since each step vector is one new array and a
+    # turn hands the line's buffers on.  At n = 10^4 the vectors dwarf every
+    # other allocation; the first step from seed 0 takes the ellipse branch.
+    N = 10_000
+
+    @pytest.mark.parametrize("variant,budget", [
+        (Variant.SEMILINE_MIN, 11.5), (Variant.DECREASE_SEARCH, 9.5)])
+    def test_peak_of_one_step(self, variant, budget):
+        p, x = generate_instance("logsumexp", self.N, 0)
+        f, g = p.value(x), p.gradient(x)
+        counted = objectives.CountingObjective(p)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fields = me_step(counted, x, f, g, variant, 1.0)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fields["branch"] == "ellipse"
+        assert (peak - before) / (8 * self.N) <= budget
 
 
 class TestNearCollinearTurn:
