@@ -16,7 +16,7 @@ from .errors import NumericError
 from .geometry import scaled_sumsq
 from .linesearch import minimize_on_ray
 from .objectives import restrict
-from .solver import SolverRun, descend
+from .solver import SolverConfig, SolverRun, descend
 
 _STEP_CAP = 1e12  # convert pathological rounding into a clean numeric error
 
@@ -59,8 +59,8 @@ def _exact_step(counted, x, f, g, v0: float):
     return v / s, x + v * d, f_next, line.gradient(v)
 
 
-def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
-                max_iterations: int = 1000) -> SolverRun:
+def bb_minimize(obj, x0, kind: str = "long", epsilon: float = SolverConfig.epsilon,
+                max_iterations: int = SolverConfig.max_iterations) -> SolverRun:
     """Spectral-step descent; the first step uses an exact line search."""
     if kind not in ("long", "short"):
         raise ValueError(f"unknown step kind {kind!r}")
@@ -78,11 +78,11 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = 0.01,
         prev = (x, g)
         return x_next, f_next, g_next, dict(t=tau, branch=branch)
 
-    return descend(obj, x0, step, epsilon, max_iterations)
+    return descend(obj, x0, step, SolverConfig(epsilon, max_iterations))
 
 
-def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
-                      max_iterations: int = 1000) -> SolverRun:
+def gd_exact_minimize(obj, x0, epsilon: float = SolverConfig.epsilon,
+                      max_iterations: int = SolverConfig.max_iterations) -> SolverRun:
     """Steepest descent with an exact line search at every step."""
     warm = 1.0
 
@@ -94,4 +94,4 @@ def gd_exact_minimize(obj, x0, epsilon: float = 0.01,
         warm = tau
         return x_next, f_next, g_next, dict(t=tau, branch="gd")
 
-    return descend(obj, x0, step, epsilon, max_iterations)
+    return descend(obj, x0, step, SolverConfig(epsilon, max_iterations))

@@ -22,15 +22,14 @@ METHODS = ("me", "bb-long", "bb-short", "gd")
 DEFAULT_METHODS = ("me", "bb-long", "bb-short")
 
 
-def run_method(method: str, problem, x0, epsilon: float = 0.01,
-               max_iterations: int = 1000,
-               variant: Variant = Variant.SEMILINE_MIN) -> SolverRun:
+def run_method(method: str, problem, x0, epsilon: float = SolverConfig.epsilon,
+               max_iterations: int = SolverConfig.max_iterations,
+               variant: Variant = SolverConfig.variant) -> SolverRun:
     """Run one named method, one of ``METHODS``, on a problem from x0."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "me":
-        cfg = SolverConfig(epsilon=epsilon, max_iterations=max_iterations, variant=variant)
-        return minimize(problem, x0, cfg)
+        return minimize(problem, x0, SolverConfig(epsilon, max_iterations, variant))
     if method == "gd":
         return gd_exact_minimize(problem, x0, epsilon, max_iterations)
     return bb_minimize(problem, x0, method.removeprefix("bb-"), epsilon, max_iterations)
@@ -41,12 +40,12 @@ class BenchConfig:
     kind: str                       # "quadratic" or "logsumexp"
     sizes: tuple[int, ...]
     instances_per_size: int = 10
-    epsilon: float = 0.01
+    epsilon: float = SolverConfig.epsilon
     base_seed: int = 0
     methods: tuple[str, ...] = DEFAULT_METHODS
     params: GenParams = field(default_factory=GenParams)
-    max_iterations: int = 1000
-    variant: Variant = Variant.SEMILINE_MIN  # or its name
+    max_iterations: int = SolverConfig.max_iterations
+    variant: Variant = SolverConfig.variant  # or its name
 
     def __post_init__(self):
         # reject a bad config before the first instance is solved
@@ -69,11 +68,8 @@ class BenchConfig:
                 raise ValueError(f"unknown method {method!r}")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError("methods must be distinct")
-        if not self.epsilon > 0.0:
-            raise ValueError("stopping tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-        object.__setattr__(self, "variant", Variant(self.variant))
+        solver = SolverConfig(self.epsilon, self.max_iterations, self.variant)
+        object.__setattr__(self, "variant", solver.variant)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .bench import DEFAULT_METHODS, METHODS, BenchConfig, emit_table, run_benchm
 from .errors import NumericError
 from .geometry import survey_geometry
 from .objectives import GenParams, check_gradient, generate_instance, load_problem
-from .solver import Variant
+from .solver import SolverConfig, Variant
 
 _PROBLEM_KINDS = {"f1": "quadratic", "f2": "logsumexp"}
 _SURVEY_COLUMNS = ["lambda", "theta", "m", "a", "b", "c", "d",
@@ -67,8 +67,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("need either --problem-file or --problem, --n and --seed")
         kind = _PROBLEM_KINDS[args.problem]
         problem, x0 = generate_instance(kind, args.n, args.seed, GenParams(kappa=args.kappa))
-    run = run_method(args.method, problem, x0, args.epsilon, args.max_iterations,
-                     Variant(args.variant))
+    run = run_method(args.method, problem, x0, args.epsilon, args.max_iterations, args.variant)
     if args.trace:
         _write_trace(args.trace, run)
     print(f"method={args.method} n={problem.dimension} termination={run.termination.value} "
@@ -90,7 +89,7 @@ def _cmd_bench(args) -> int:
         methods=tuple(args.methods),
         params=GenParams(kappa=args.kappa),
         max_iterations=args.max_iterations,
-        variant=Variant(args.variant),
+        variant=args.variant,
     )
     records, details = run_benchmark(cfg)
     _write_text(args.out, emit_table(records, fmt=args.format, timing=args.timing))
@@ -134,51 +133,49 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst <= args.tol else 2
 
 
+def _run_options() -> argparse.ArgumentParser:
+    """The options that solve and bench share, with their owners' defaults."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--kappa", type=float, default=GenParams.kappa,
+                     help="condition-number target for generated quadratics (default %(default)s)")
+    run.add_argument("--variant", choices=[v.value for v in Variant],
+                     default=SolverConfig.variant.value,
+                     help="semiline rule for the me method (default %(default)s)")
+    run.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
+                     help="gradient-norm stopping tolerance (default %(default)s)")
+    run.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations,
+                     help="iteration cap per run (default %(default)s)")
+    return run
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ellipcenters",
                      description="Ellipse-center solver, baselines and benchmarks "
                                  "for strongly convex minimization.")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_options = _run_options()
 
-    solve = sub.add_parser("solve", help="minimize one problem instance")
+    solve = sub.add_parser("solve", parents=[run_options], help="minimize one problem instance")
     solve.add_argument("--problem-file", help="JSON problem document")
     solve.add_argument("--problem", choices=sorted(_PROBLEM_KINDS),
                        help="generate an instance of this family instead")
     solve.add_argument("--n", type=int, help="dimension of the generated instance")
     solve.add_argument("--seed", type=int, help="seed of the generated instance")
-    solve.add_argument("--kappa", type=float, default=1000.0,
-                       help="condition-number target for generated quadratics (default %(default)s)")
     solve.add_argument("--method", choices=METHODS,
                        default="me", help="solver to run (default %(default)s)")
-    solve.add_argument("--variant", choices=[v.value for v in Variant],
-                       default=Variant.SEMILINE_MIN.value,
-                       help="semiline rule for the me method (default %(default)s)")
-    solve.add_argument("--epsilon", type=float, default=0.01,
-                       help="gradient-norm stopping tolerance (default %(default)s)")
-    solve.add_argument("--max-iterations", type=int, default=1000,
-                       help="iteration cap (default %(default)s)")
     solve.add_argument("--trace", help="write the per-iteration trace CSV here")
     solve.set_defaults(func=_cmd_solve)
 
-    bench = sub.add_parser("bench", help="run the benchmark protocol")
+    bench = sub.add_parser("bench", parents=[run_options], help="run the benchmark protocol")
     bench.add_argument("--problem", choices=sorted(_PROBLEM_KINDS), required=True)
     bench.add_argument("--sizes", type=int, nargs="+", required=True,
                        help="problem sizes to run")
-    bench.add_argument("--instances", type=int, default=10,
+    bench.add_argument("--instances", type=int, default=BenchConfig.instances_per_size,
                        help="instances per size (default %(default)s)")
-    bench.add_argument("--epsilon", type=float, default=0.01,
-                       help="stopping tolerance (default %(default)s)")
-    bench.add_argument("--seed", type=int, default=0,
+    bench.add_argument("--seed", type=int, default=BenchConfig.base_seed,
                        help="base seed; instance i uses seed + i (default %(default)s)")
     bench.add_argument("--methods", nargs="+", choices=METHODS, default=DEFAULT_METHODS,
                        help=f"methods to compare (default: {' '.join(DEFAULT_METHODS)})")
-    bench.add_argument("--kappa", type=float, default=1000.0,
-                       help="condition-number target for f1 (default %(default)s)")
-    bench.add_argument("--max-iterations", type=int, default=1000,
-                       help="iteration cap per run (default %(default)s)")
-    bench.add_argument("--variant", choices=[v.value for v in Variant],
-                       default=Variant.SEMILINE_MIN.value,
-                       help="semiline rule for the me method (default %(default)s)")
     bench.add_argument("--out", help="write the table here instead of stdout")
     bench.add_argument("--format", choices=["csv", "markdown"], default="csv",
                        help="table format (default %(default)s)")
@@ -204,7 +201,7 @@ def build_parser() -> _Parser:
                            help="central-difference step (default %(default)s)")
     gradcheck.add_argument("--tol", type=float, default=1e-5,
                            help="acceptable relative error (default %(default)s)")
-    gradcheck.add_argument("--kappa", type=float, default=1000.0)
+    gradcheck.add_argument("--kappa", type=float, default=GenParams.kappa)
     gradcheck.set_defaults(func=_cmd_gradcheck)
     return parser
 

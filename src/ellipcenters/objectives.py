@@ -578,12 +578,20 @@ def problem_to_dict(problem, *, seed: int | None = None,
     return doc
 
 
+def _numbers(doc: dict, field: str) -> np.ndarray:
+    try:
+        return np.asarray(doc[field], dtype=float)
+    except (TypeError, ValueError):  # an object, a string, a ragged list
+        raise ValueError(f"{field} must be an array of numbers") from None
+
+
 def problem_from_dict(doc: dict):
     """Inverse of problem_to_dict.  Returns (problem, x0_or_None).
 
     Raises ValueError on a document that is not an object, names an unknown
     kind, lacks a field, or holds an ``n`` that is not a positive integer or
-    not the data's dimension, or data the problem rejects.
+    not the data's dimension, a data field or x0 that is not an array of
+    numbers, or data the problem rejects.
     """
     if not isinstance(doc, dict):
         raise ValueError("a problem document must be a JSON object")
@@ -593,11 +601,10 @@ def problem_from_dict(doc: dict):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
         if kind == "quadratic":
-            a = np.asarray(doc["matrix"], dtype=float).reshape(n, n)
-            problem = QuadraticProblem(a, np.asarray(doc["b"], dtype=float), mu=doc.get("mu"))
+            a = _numbers(doc, "matrix").reshape(n, n)
+            problem = QuadraticProblem(a, _numbers(doc, "b"), mu=doc.get("mu"))
         elif kind == "logsumexp":
-            problem = LogSumExpProblem(np.asarray(doc["alpha"], dtype=float),
-                                       np.asarray(doc["beta"], dtype=float))
+            problem = LogSumExpProblem(_numbers(doc, "alpha"), _numbers(doc, "beta"))
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
         if problem.dimension != n:
@@ -606,7 +613,7 @@ def problem_from_dict(doc: dict):
         raise ValueError(f"problem document lacks {exc.args[0]!r}") from None
     x0 = doc.get("x0")
     if x0 is not None:
-        x0 = _check_point(x0, n)
+        x0 = _check_point(_numbers(doc, "x0"), n)
     return problem, x0
 
 

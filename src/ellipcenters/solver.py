@@ -21,10 +21,13 @@ import numpy as np
 from .errors import DegeneratePlaneError, NumericError
 from .geometry import build_frame, center_direction, scaled_sumsq
 from .levelstep import find_level_step
-from .linesearch import MAX_EXPANSIONS, minimize_on_ray
+from .linesearch import minimize_on_ray
 from .objectives import CountingObjective
 
 _NAN = float("nan")
+# decrease-search halves v at most this often, down to 2^-59 of its first
+# sample; the cap is this rule's own, equal to the root finder's only in value
+_MAX_HALVINGS = 60
 
 
 class Variant(Enum):
@@ -46,7 +49,11 @@ class SolverConfig:
     max_iterations: int = 1000
     variant: Variant = Variant.SEMILINE_MIN  # or its name
 
-    def __post_init__(self):
+    def __post_init__(self):  # the one check of every method's stopping rule
+        if not self.epsilon > 0.0:  # NaN too
+            raise ValueError("stopping tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("need at least one iteration")
         object.__setattr__(self, "variant", Variant(self.variant))
 
 
@@ -123,7 +130,7 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
             return 0.0, f_base
         return v, fv
     v = scale
-    for _ in range(MAX_EXPANSIONS):
+    for _ in range(_MAX_HALVINGS):
         fv = line.value(v)
         if fv < f_base:
             return v, fv
@@ -174,9 +181,9 @@ def me_step(obj, x, f_x: float, g, variant: Variant, t_init: float):
     return x_next, f_v, line.gradient(v), dict(t=level.t, v=v, branch="ellipse", f_mid=f_base)
 
 
-def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
+def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     """The descent loop every method shares: run ``step`` from x0 until
-    |grad f| <= epsilon.
+    |grad f| <= cfg.epsilon or cfg.max_iterations steps are taken.
 
     ``step(counted, x, f, g)`` returns ``(x_next, f_next, g_next, fields)``;
     ``counted`` is the counting view of obj that the step must query, and
@@ -184,13 +191,8 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
     grad_norm; the loop itself evaluates only the start point.  The stopping
     test runs before each step, so a start point that already satisfies it
     reports zero iterations.  Numeric failures, at the start point too, end
-    the run with the partial trace instead of raising; an epsilon that is not
-    positive or a max_iterations below 1 raises ValueError.
+    the run with the partial trace instead of raising.
     """
-    if not epsilon > 0.0:
-        raise ValueError("stopping tolerance must be positive")
-    if max_iterations < 1:
-        raise ValueError("need at least one iteration")
     counted = CountingObjective(obj)
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
@@ -211,10 +213,10 @@ def descend(obj, x0, step, epsilon: float, max_iterations: int) -> SolverRun:
             if message:
                 termination = Termination.NUMERIC_ERROR
                 break
-            if gnorm <= epsilon:
+            if gnorm <= cfg.epsilon:
                 termination = Termination.CONVERGED
                 break
-            if len(records) >= max_iterations:
+            if len(records) >= cfg.max_iterations:
                 termination = Termination.MAX_ITERATIONS
                 break
             x_next, f_next, g_next, fields = step(counted, x, f, g)
@@ -238,4 +240,4 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
         warm_t = fields["t"]
         return x_next, f_next, g_next, fields
 
-    return descend(obj, x0, step, cfg.epsilon, cfg.max_iterations)
+    return descend(obj, x0, step, cfg)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 import ellipcenters.bench as bench_mod
-from ellipcenters import (BenchConfig, BenchRecord, GenParams, SolverRun,
-                          Termination, Variant, emit_table, generate_instance,
-                          run_benchmark)
+from ellipcenters import (BenchConfig, BenchRecord, GenParams, SolverConfig, SolverRun,
+                          Termination, Variant, bb_minimize, emit_table,
+                          gd_exact_minimize, generate_instance, run_benchmark)
+from ellipcenters.cli import build_parser
 from ellipcenters.objectives import MAX_QUADRATIC_DIM
 from ellipcenters.solver import IterateRecord
 
@@ -108,6 +110,28 @@ class TestRunBenchmark:
         assert all(d.termination == "converged" for d in details)
         with pytest.raises(ValueError, match="unknown method 'newton'"):
             bench_mod.run_method("newton", *generate_instance("logsumexp", 3, 0))
+
+    def test_run_setting_defaults_are_kept_in_one_place(self):
+        solver, gen = SolverConfig(), GenParams()
+        stopping = dict(epsilon=solver.epsilon, max_iterations=solver.max_iterations)
+
+        def defaults(fn):
+            return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                    if name in ("epsilon", "max_iterations", "variant")}
+
+        assert defaults(bench_mod.run_method) == dict(stopping, variant=solver.variant)
+        assert defaults(bb_minimize) == defaults(gd_exact_minimize) == stopping
+        cfg = BenchConfig(kind="logsumexp", sizes=(5,))
+        assert (cfg.epsilon, cfg.max_iterations, cfg.variant, cfg.params) == (
+            solver.epsilon, solver.max_iterations, solver.variant, gen)
+        parser = build_parser()
+        solve = parser.parse_args(["solve"])
+        bench = parser.parse_args(["bench", "--problem", "f2", "--sizes", "5"])
+        for args in (solve, bench):
+            assert (args.epsilon, args.max_iterations, args.variant, args.kappa) == (
+                solver.epsilon, solver.max_iterations, solver.variant.value, gen.kappa)
+        assert (bench.instances, bench.seed) == (cfg.instances_per_size, cfg.base_seed)
+        assert parser.parse_args(["gradcheck", "--problem", "f2"]).kappa == gen.kappa
 
     @pytest.mark.parametrize("field,value", [("sizes", (5, 8, 5)), ("methods", ("me", "me"))])
     def test_duplicate_sizes_or_methods_rejected(self, field, value):

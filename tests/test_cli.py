@@ -180,6 +180,21 @@ def test_problem_file_with_a_bad_scalar_is_user_error(tmp_path, capsys, kind, fi
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind,field", [
+    ("quadratic", "matrix"), ("quadratic", "b"), ("logsumexp", "alpha"),
+    ("logsumexp", "beta"), ("quadratic", "x0"),
+])
+def test_problem_file_with_an_object_for_an_array_is_user_error(tmp_path, capsys, kind, field):
+    problem, x0 = generate_instance(kind, 2, 2, GenParams(kappa=10))
+    doc = problem_to_dict(problem, x0=x0)
+    doc[field] = {"a": 1}
+    path = tmp_path / "object-for-array.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--problem-file", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {field} must be an array of numbers\n"
+
+
 def test_problem_document_must_be_an_object():
     with pytest.raises(ValueError, match="JSON object"):
         problem_from_dict([1, 2, 3])

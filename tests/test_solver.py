@@ -626,6 +626,16 @@ def test_unknown_variant_name_is_rejected():
         SolverConfig(variant="golden-section")
 
 
+@pytest.mark.parametrize("settings,message", [
+    *[(dict(epsilon=bad), "stopping tolerance must be positive")
+      for bad in (0.0, -1.0, float("nan"))],
+    (dict(max_iterations=0), "need at least one iteration"),
+], ids=["epsilon-zero", "epsilon-negative", "epsilon-nan", "max-iterations-zero"])
+def test_bad_stopping_rule_rejected_when_built(settings, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverConfig(**settings)
+
+
 def _raising_gradient(x):
     raise NumericError("gradient overflow")
 
