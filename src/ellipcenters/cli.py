@@ -57,6 +57,8 @@ def _write_trace(path: str, run) -> None:
 
 
 def _cmd_solve(args) -> int:
+    # a bad stopping rule fails before an instance is built or read
+    cfg = SolverConfig(args.epsilon, args.max_iterations, args.variant)
     if args.problem_file:
         problem, x0 = load_problem(args.problem_file)
         if x0 is None:
@@ -67,7 +69,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("need either --problem-file or --problem, --n and --seed")
         kind = _PROBLEM_KINDS[args.problem]
         problem, x0 = generate_instance(kind, args.n, args.seed, GenParams(kappa=args.kappa))
-    run = run_method(args.method, problem, x0, args.epsilon, args.max_iterations, args.variant)
+    run = run_method(args.method, problem, x0, cfg.epsilon, cfg.max_iterations, cfg.variant)
     if args.trace:
         _write_trace(args.trace, run)
     print(f"method={args.method} n={problem.dimension} termination={run.termination.value} "

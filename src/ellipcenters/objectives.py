@@ -14,8 +14,12 @@ quadratic's line has grad f(x) and Ad, every query along it costs O(1); a
 log-sum-exp line shares one set of exponential weights among the queries at
 one t and takes a slope without forming the gradient.  Any other objective
 gets the generic line over its own ``value`` and ``gradient``.
+A log-sum-exp point and line share one exponent rule, (alpha u) u, one
+weighing, one value and one gradient, so a line's value and gradient at
+t = 0 are the pointwise ones bit for bit.
 An objective may also offer ``value_and_gradient(x)``, the pair at one
-point for less than the two calls: a quadratic's takes one product Ax.
+point for less than the two calls: a quadratic's takes one product Ax,
+and its ``value`` and ``gradient`` are the halves of that pair.
 Every line's ``turn(t, x, e, krylov)`` starts a line through x, its point at
 t, along a new direction e = alpha d + gamma A d in its Krylov plane.  A
 quadratic's line restricted with ``turns=True`` holds A^2 d beside Ad, both
@@ -98,15 +102,13 @@ class QuadraticProblem:
         return self.b.shape[0]
 
     def value(self, x) -> float:
-        x = _check_point(x, self.dimension)
-        return float(0.5 * (x @ (self.a @ x)) - self.b @ x)
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x) -> np.ndarray:
-        x = _check_point(x, self.dimension)
-        return self.a @ x - self.b
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        """``(value(x), gradient(x))`` bit for bit, from one product Ax."""
+        """The value and the gradient at x, from one product Ax."""
         x = _check_point(x, self.dimension)
         ax = self.a @ x
         return float(0.5 * (x @ ax) - self.b @ x), ax - self.b
@@ -135,17 +137,41 @@ class QuadraticProblem:
 _EXP_FLOOR = 700.0  # numpy's exp leaves its fast path below about -708
 
 
-def _shifted_exp(z: np.ndarray):
-    """(exp(z - zmax) in place of z, zmax) for zmax = max z, the shift that
+def _lse_weigh(alpha, u, w):
+    """(zmax, sum w) for w = exp(z - zmax), written into ``w``, where
+    z = (alpha u) u, the one exponent rule, and zmax = max z, the shift that
     keeps exp from overflowing.  Exponents below -_EXP_FLOOR are raised to
     it: the largest weight is exactly 1, and weights below e^-700 beside it
     change neither their sum nor, with beta >= 0.5, a gradient.  Every z is
     at least 0, so only a zmax above the floor takes that pass."""
+    z = np.multiply(alpha, u, out=w)
+    z *= u
     zmax = np.maximum.reduce(z)
     z -= zmax
     if zmax > _EXP_FLOOR:
         np.maximum(z, -_EXP_FLOOR, out=z)
-    return np.exp(z, out=z), zmax
+    np.exp(z, out=z)
+    return zmax, np.add.reduce(z)
+
+
+def _lse_value(zmax, sw, beta, u, tmp) -> float:
+    """zmax + ln(sum w) + beta . (u u), with u u formed in ``tmp``."""
+    val = float(zmax) + float(np.log(sw)) + float(beta @ np.multiply(u, u, out=tmp))
+    if not math.isfinite(val):
+        raise NumericError("log-sum-exp value is not finite despite shifting")
+    return val
+
+
+def _lse_gradient(alpha, beta, u, w, sw, tmp) -> np.ndarray:
+    """2 u (alpha w / sum w + beta), with the bracket formed in ``tmp`` (or ``w``)."""
+    scale = np.divide(w, sw, out=tmp)
+    scale *= alpha
+    scale += beta
+    g = 2.0 * u
+    g *= scale
+    if not np.isfinite(g).all():
+        raise NumericError("log-sum-exp gradient is not finite despite shifting")
+    return g
 
 
 @dataclass(frozen=True)
@@ -182,21 +208,15 @@ class LogSumExpProblem:
 
     def value(self, x) -> float:
         x = _check_point(x, self.dimension)
-        sq = x * x
-        w, zmax = _shifted_exp(self.alpha * sq)
-        val = float(zmax) + float(np.log(np.add.reduce(w))) + float(self.beta @ sq)
-        if not math.isfinite(val):
-            raise NumericError("log-sum-exp value is not finite despite shifting")
-        return val
+        w = np.empty_like(x)
+        zmax, sw = _lse_weigh(self.alpha, x, w)
+        return _lse_value(zmax, sw, self.beta, x, w)
 
     def gradient(self, x) -> np.ndarray:
         x = _check_point(x, self.dimension)
-        w = _shifted_exp(self.alpha * x * x)[0]
-        w /= np.add.reduce(w)
-        g = 2.0 * x * (self.alpha * w + self.beta)
-        if not np.isfinite(g).all():
-            raise NumericError("log-sum-exp gradient is not finite despite shifting")
-        return g
+        w = np.empty_like(x)
+        sw = _lse_weigh(self.alpha, x, w)[1]
+        return _lse_gradient(self.alpha, self.beta, x, w, sw, w)
 
     def along(self, x, d, f=None, g=None, turns=False) -> "LogSumExpLine":
         """The line t -> f(x + t d); ``g`` is the gradient at x when the
@@ -287,13 +307,15 @@ class LogSumExpLine:
     """ln(sum_i exp(alpha_i u_i^2)) + sum_i beta_i u_i^2 along u = x + t d.
 
     The first query at a t computes u and the shifted weights
-    w = exp(alpha u^2 - max) once, into buffers the line owns, and a value,
-    slope or gradient at that t reuses them.  A slope needs no gradient
-    vector: 2 (sum w alpha d u / sum w + sum beta d u).  The gradient takes
-    the pointwise ``gradient``'s operations in the same order, so it equals
-    ``gradient(x + t d)`` bit for bit.  Handed ``g``, the line answers the
-    slope and gradient at 0 from it.  A turn hands the buffers on to the
-    new line; queried again, this line takes new ones.
+    w = exp((alpha u) u - max) once, into buffers the line owns, and a
+    value, slope or gradient at that t reuses them.  The weighing, the value
+    and the gradient run the pointwise ones' code, so the line's value and
+    gradient at t are ``value(x + t d)`` and ``gradient(x + t d)`` bit for
+    bit, and at t = 0 ``value(x)`` and ``gradient(x)``.  A slope needs no
+    gradient vector: 2 (sum w alpha d u / sum w + sum beta d u), its own
+    sum, which agrees with ``gradient . d`` to rounding.  Handed ``g``, the
+    line answers the slope and gradient at 0 from it.  A turn hands the
+    buffers on to the new line; queried again, this line takes new ones.
     """
 
     __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "g",
@@ -314,18 +336,12 @@ class LogSumExpLine:
                 self._u, self._w, self._tmp = (np.empty_like(self.x) for _ in range(3))
             u = np.multiply(self.d, t, out=self._u)
             u += self.x
-            w = np.multiply(self.alpha, u, out=self._w)
-            w *= u
-            w, zmax = _shifted_exp(w)
-            self._t, self._zmax, self._sw = t, zmax, np.add.reduce(w)
+            self._zmax, self._sw = _lse_weigh(self.alpha, u, self._w)
+            self._t = t
 
     def value(self, t: float) -> float:
         self._weigh(t)
-        sq = np.multiply(self._u, self._u, out=self._tmp)
-        val = float(self._zmax) + float(np.log(self._sw)) + float(self.beta @ sq)
-        if not math.isfinite(val):
-            raise NumericError("log-sum-exp value is not finite despite shifting")
-        return val
+        return _lse_value(self._zmax, self._sw, self.beta, self._u, self._tmp)
 
     def slope(self, t: float) -> float:
         if t == 0.0 and self.g is not None:
@@ -345,14 +361,7 @@ class LogSumExpLine:
         if t == 0.0 and self.g is not None:
             return self.g
         self._weigh(t)
-        scale = np.divide(self._w, self._sw, out=self._tmp)
-        scale *= self.alpha
-        scale += self.beta
-        g = 2.0 * self._u
-        g *= scale
-        if not np.isfinite(g).all():
-            raise NumericError("log-sum-exp gradient is not finite despite shifting")
-        return g
+        return _lse_gradient(self.alpha, self.beta, self._u, self._w, self._sw, self._tmp)
 
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "LogSumExpLine":
         """The line through x, the point at t, along e, started afresh in this line's buffers."""

@@ -266,3 +266,16 @@ def test_bench_rejects_a_quadratic_size_past_the_memory_guard(capsys, monkeypatc
     assert captured.out == ""
     assert captured.err == "error: quadratic sizes must be at most 8000\n"
 
+
+@pytest.mark.parametrize("option,message", [
+    ("--epsilon", "stopping tolerance must be positive"),
+    ("--max-iterations", "need at least one iteration"),
+], ids=["epsilon", "max-iterations"])
+def test_solve_checks_the_stopping_rule_before_the_instance(capsys, option, message):
+    # n = 9000 is past the quadratic memory guard: a check after generation
+    # would name the guard instead
+    code = main(["solve", "--problem", "f1", "--n", "9000", "--seed", "0", option, "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -160,8 +160,8 @@ class TestCheckGradient:
 
 class TestRestriction:
     @staticmethod
-    def _ray(kind, n=30):
-        p, x = generate_instance(kind, n, 1, GenParams(kappa=100))
+    def _ray(kind, n=30, seed=1):
+        p, x = generate_instance(kind, n, seed, GenParams(kappa=100))
         return p, x, np.random.default_rng(5).standard_normal(n)
 
     def test_quadratic_line_matches_pointwise(self):
@@ -183,6 +183,18 @@ class TestRestriction:
             y = x + t * d
             assert line.value(t) == pytest.approx(p.value(y), rel=1e-12)
             assert line.slope(t) == pytest.approx(float(p.gradient(y) @ d), rel=1e-12)
+        # the line runs the pointwise code, so at t = 0 it answers the same
+        # bits; at this point the exponents alpha (x x) and (alpha x) x give
+        # values one ulp apart
+        p, x, d = self._ray("logsumexp", 5, 2)
+        g = p.gradient(x)
+        line = restrict(p, x, d)
+        assert line.value(0.0) == p.value(x)
+        assert line.gradient(0.0).tobytes() == g.tobytes()
+        # the slope is its own sum over the weights, not gradient . d; a line
+        # handed g answers it from g, as every search along -g restricts it
+        assert line.slope(0.0) == pytest.approx(float(g @ d), rel=1e-14)
+        assert restrict(p, x, d, g=g).slope(0.0) == float(g @ d)
 
     # an objective's own line is charged what the generic line would take
     @pytest.mark.parametrize("held", [False, True])
@@ -429,11 +441,10 @@ class TestExpFloor:
         p, x, d = self._ray()
         for t in self.TS:
             u = x + t * d
-            sq = u * u
-            zmax, w = _unfloored_weights(p.alpha * sq)
-            value = float(zmax) + float(np.log(np.add.reduce(w))) + float(p.beta @ sq)
             zmax, w = _unfloored_weights(p.alpha * u * u)
-            gradient = 2.0 * u * (p.alpha * (w / np.add.reduce(w)) + p.beta)
+            sw = np.add.reduce(w)
+            value = float(zmax) + float(np.log(sw)) + float(p.beta @ (u * u))
+            gradient = 2.0 * u * (p.alpha * (w / sw) + p.beta)
             assert p.value(u) == value
             assert np.array_equal(p.gradient(u), gradient)
 
