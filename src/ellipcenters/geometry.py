@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegeneratePlaneError
+from .errors import DegeneratePlaneError, NumericError
 
 
 class ConicClass(Enum):
@@ -72,8 +72,10 @@ def build_frame(g, t: float, grad_y) -> LocalFrame:
     grad_y = np.asarray(grad_y, dtype=float)
     gg, sg = scaled_sumsq(g)
     yy, sy = scaled_sumsq(grad_y)
-    if not t > 0.0 or gg == 0.0 or yy == 0.0:
-        raise ValueError("the chord or the gradient at the level point vanishes")
+    if not t > 0.0 or gg == 0.0:
+        raise ValueError("the chord vanishes")
+    if yy == 0.0:  # f(y) = f(x) > f*, so no strongly convex f gets here
+        raise NumericError("the gradient at the level point vanishes")
     gy = float(g @ grad_y) if sg == sy == 1.0 else float((g / sg) @ (grad_y / sy))
     # rounding can push the normalized inner product marginally outside [-1, 1]
     cos_theta = min(1.0, max(-1.0, -gy / (math.sqrt(gg) * math.sqrt(yy))))

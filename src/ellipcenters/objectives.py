@@ -14,7 +14,7 @@ quadratic's line has grad f(x) and Ad, every query along it costs O(1); a
 log-sum-exp line shares one set of exponential weights among the queries at
 one t and takes a slope without forming the gradient.  Any other objective
 gets the generic line over its own ``value`` and ``gradient``.
-A log-sum-exp point and line share one exponent rule, (alpha u) u, one
+A log-sum-exp point and line share one exponent rule, alpha (u u), one
 weighing, one value and one gradient, so a line's value and gradient at
 t = 0 are the pointwise ones bit for bit.
 An objective may also offer ``value_and_gradient(x)``, the pair at one
@@ -135,41 +135,42 @@ class QuadraticProblem:
 
 
 _EXP_FLOOR = 700.0  # numpy's exp leaves its fast path below about -708
+_SHIFT_ABOVE = 500.0  # exponents up to this leave n e^z far from overflow
 
 
-def _lse_weigh(alpha, u, w):
-    """(zmax, sum w) for w = exp(z - zmax), written into ``w``, where
-    z = (alpha u) u, the one exponent rule, and zmax = max z, the shift that
-    keeps exp from overflowing.  Exponents below -_EXP_FLOOR are raised to
-    it: the largest weight is exactly 1, and weights below e^-700 beside it
-    change neither their sum nor, with beta >= 0.5, a gradient.  Every z is
-    at least 0, so only a zmax above the floor takes that pass."""
-    z = np.multiply(alpha, u, out=w)
-    z *= u
+def _lse_weigh(alpha, u, w, uu):
+    """(shift, sum w) for w = exp(z - shift) in ``w``, where z = alpha (u u),
+    the one exponent rule, with u u in ``uu`` (which may be ``w``).  Every z
+    is at least 0, so exp runs unshifted on its fast path up to max z =
+    _SHIFT_ABOVE.  Past it (or at a NaN) the shift is max z, and exponents
+    below -_EXP_FLOOR are raised to it: beside a largest weight of 1, weights
+    below e^-700 change neither the sum nor, with beta >= 0.5, a gradient."""
+    z = np.multiply(alpha, np.multiply(u, u, out=uu), out=w)
     zmax = np.maximum.reduce(z)
-    z -= zmax
-    if zmax > _EXP_FLOOR:
+    shift = 0.0 if zmax <= _SHIFT_ABOVE else zmax
+    if shift:
+        z -= shift
         np.maximum(z, -_EXP_FLOOR, out=z)
     np.exp(z, out=z)
-    return zmax, np.add.reduce(z)
+    return shift, np.add.reduce(z)
 
 
-def _lse_value(zmax, sw, beta, u, tmp) -> float:
-    """zmax + ln(sum w) + beta . (u u), with u u formed in ``tmp``."""
-    val = float(zmax) + float(np.log(sw)) + float(beta @ np.multiply(u, u, out=tmp))
+def _lse_value(shift, sw, beta, uu) -> float:
+    """shift + ln(sum w) + beta . (u u), from the u u that ``uu`` holds."""
+    val = float(shift) + float(np.log(sw)) + float(np.dot(beta, uu))
     if not math.isfinite(val):
         raise NumericError("log-sum-exp value is not finite despite shifting")
     return val
 
 
-def _lse_gradient(alpha, beta, u, w, sw, tmp) -> np.ndarray:
-    """2 u (alpha w / sum w + beta), with the bracket formed in ``tmp`` (or ``w``)."""
-    scale = np.divide(w, sw, out=tmp)
-    scale *= alpha
-    scale += beta
-    g = 2.0 * u
-    g *= scale
-    if not np.isfinite(g).all():
+def _lse_gradient(alpha, beta, u, w, sw) -> np.ndarray:
+    """2 u (w alpha / sum w + beta) in a new array; g . g is finite only when g is."""
+    g = np.multiply(w, alpha)
+    g *= 1.0 / sw
+    g += beta
+    g *= u
+    g += g
+    if not (math.isfinite(np.dot(g, g)) or np.isfinite(g).all()):
         raise NumericError("log-sum-exp gradient is not finite despite shifting")
     return g
 
@@ -208,15 +209,15 @@ class LogSumExpProblem:
 
     def value(self, x) -> float:
         x = _check_point(x, self.dimension)
-        w = np.empty_like(x)
-        zmax, sw = _lse_weigh(self.alpha, x, w)
-        return _lse_value(zmax, sw, self.beta, x, w)
+        w, uu = np.empty_like(x), np.empty_like(x)
+        shift, sw = _lse_weigh(self.alpha, x, w, uu)
+        return _lse_value(shift, sw, self.beta, uu)
 
     def gradient(self, x) -> np.ndarray:
         x = _check_point(x, self.dimension)
         w = np.empty_like(x)
-        sw = _lse_weigh(self.alpha, x, w)[1]
-        return _lse_gradient(self.alpha, self.beta, x, w, sw, w)
+        sw = _lse_weigh(self.alpha, x, w, w)[1]
+        return _lse_gradient(self.alpha, self.beta, x, w, sw)
 
     def along(self, x, d, f=None, g=None, turns=False) -> "LogSumExpLine":
         """The line t -> f(x + t d); ``g`` is the gradient at x when the
@@ -306,20 +307,20 @@ class QuadraticLine:
 class LogSumExpLine:
     """ln(sum_i exp(alpha_i u_i^2)) + sum_i beta_i u_i^2 along u = x + t d.
 
-    The first query at a t computes u and the shifted weights
-    w = exp((alpha u) u - max) once, into buffers the line owns, and a
-    value, slope or gradient at that t reuses them.  The weighing, the value
-    and the gradient run the pointwise ones' code, so the line's value and
-    gradient at t are ``value(x + t d)`` and ``gradient(x + t d)`` bit for
-    bit, and at t = 0 ``value(x)`` and ``gradient(x)``.  A slope needs no
-    gradient vector: 2 (sum w alpha d u / sum w + sum beta d u), its own
-    sum, which agrees with ``gradient . d`` to rounding.  Handed ``g``, the
-    line answers the slope and gradient at 0 from it.  A turn hands the
-    buffers on to the new line; queried again, this line takes new ones.
+    The first query at a t computes u, u u and w = exp(alpha (u u) - shift)
+    once, into buffers the line owns; a value, slope or gradient at that t
+    reuses them, and a value reads u u until a slope writes over it.  The
+    weighing, the value and the gradient run the pointwise ones' code, so
+    the line's value and gradient at t are ``value(x + t d)`` and
+    ``gradient(x + t d)`` bit for bit, and at t = 0 ``value(x)`` and
+    ``gradient(x)``.  A slope needs no gradient vector: 2 (sum w alpha d u /
+    sum w + sum beta d u), its own sum, which agrees with ``gradient . d`` to
+    rounding.  Handed ``g``, the line answers the slope and gradient at 0
+    from it.  A turn hands the buffers on; queried again, this line takes new ones.
     """
 
     __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "g",
-                 "_t", "_u", "_w", "_tmp", "_zmax", "_sw")
+                 "_t", "_u", "_w", "_tmp", "_uu", "_shift", "_sw")
 
     def __init__(self, alpha, beta, x, d, g, buffers=(None, None, None)):
         self.alpha, self.beta = alpha, beta
@@ -331,37 +332,44 @@ class LogSumExpLine:
 
     def _weigh(self, t: float) -> None:
         if t != self._t:
-            self._t = None  # until both buffers hold t
+            self._t = None  # until the buffers hold t
             if self._u is None:
                 self._u, self._w, self._tmp = (np.empty_like(self.x) for _ in range(3))
-            u = np.multiply(self.d, t, out=self._u)
-            u += self.x
-            self._zmax, self._sw = _lse_weigh(self.alpha, u, self._w)
-            self._t = t
+            if t == 0.0:
+                np.copyto(self._u, self.x)
+            else:
+                np.add(np.multiply(self.d, t, out=self._u), self.x, out=self._u)
+            self._shift, self._sw = _lse_weigh(self.alpha, self._u, self._w, self._tmp)
+            self._t = self._uu = t  # _uu: the t whose u u _tmp holds
 
     def value(self, t: float) -> float:
         self._weigh(t)
-        return _lse_value(self._zmax, self._sw, self.beta, self._u, self._tmp)
+        if self._uu != t:  # a slope at t wrote over u u
+            np.multiply(self._u, self._u, out=self._tmp)
+            self._uu = t
+        return _lse_value(self._shift, self._sw, self.beta, self._tmp)
 
     def slope(self, t: float) -> float:
         if t == 0.0 and self.g is not None:
-            return float(self.g @ self.d)
+            return float(np.dot(self.g, self.d))
         self._weigh(t)
         # the gradient is not finite exactly when the weights are not; a slope
         # that overflows from a finite gradient is returned, as the generic
         # line returns it
-        if not math.isfinite(self._zmax):
+        if not math.isfinite(self._sw):
             raise NumericError("log-sum-exp gradient is not finite despite shifting")
         if self.ad is None:
             self.ad, self.bd = self.alpha * self.d, self.beta * self.d
+        self._uu = None
         adu = np.multiply(self.ad, self._u, out=self._tmp)
-        return 2.0 * (float(self._w @ adu) / float(self._sw) + float(self.bd @ self._u))
+        return 2.0 * (float(np.dot(self._w, adu)) / float(self._sw)
+                      + float(np.dot(self.bd, self._u)))
 
     def gradient(self, t: float) -> np.ndarray:
         if t == 0.0 and self.g is not None:
             return self.g
         self._weigh(t)
-        return _lse_gradient(self.alpha, self.beta, self._u, self._w, self._sw, self._tmp)
+        return _lse_gradient(self.alpha, self.beta, self._u, self._w, self._sw)
 
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "LogSumExpLine":
         """The line through x, the point at t, along e, started afresh in this line's buffers."""

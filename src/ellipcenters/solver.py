@@ -156,7 +156,7 @@ def me_step(obj, x, f_x: float, g, variant: Variant, t_init: float):
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
-    the chord, and raises NumericError when the midpoint rounds onto x.
+    the chord; raises NumericError when it vanishes or the midpoint rounds onto x.
     """
     level = find_level_step(obj, x, f_x, g, t_init)
     mid = 0.5 * level.t

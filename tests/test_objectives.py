@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem,
+from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem, SolverConfig,
+                          Termination, minimize,
                           check_gradient, generate_instance, load_problem,
                           problem_from_dict, problem_to_dict, save_problem)
 from conftest import ValueAndGradientOnly
@@ -183,9 +186,9 @@ class TestRestriction:
             y = x + t * d
             assert line.value(t) == pytest.approx(p.value(y), rel=1e-12)
             assert line.slope(t) == pytest.approx(float(p.gradient(y) @ d), rel=1e-12)
-        # the line runs the pointwise code, so at t = 0 it answers the same
-        # bits; at this point the exponents alpha (x x) and (alpha x) x give
-        # values one ulp apart
+        # the line runs the pointwise code on a copy of x, so at t = 0 it
+        # answers the same bits; at this point the exponent rules alpha (x x)
+        # and (alpha x) x give values one ulp apart, so two rules would show
         p, x, d = self._ray("logsumexp", 5, 2)
         g = p.gradient(x)
         line = restrict(p, x, d)
@@ -398,6 +401,16 @@ def _unfloored_weights(z):
     return zmax, np.exp(z - zmax)
 
 
+def _unfloored_answers(p, u):
+    """The value and gradient at u by plain numpy, from the exponents
+    alpha (u u) shifted by their max, as the kernels form them past 500."""
+    zmax, w = _unfloored_weights(p.alpha * (u * u))
+    sw = np.add.reduce(w)
+    value = float(zmax) + float(np.log(sw)) + float(np.dot(p.beta, u * u))
+    gradient = u * (w * p.alpha * (1.0 / sw) + p.beta)
+    return zmax, w, sw, value, gradient + gradient
+
+
 class TestExpFloor:
     # Far out on this ray the largest exponent alpha u^2 passes 700 and the
     # shifted ones run below -700: at 9.5 some are subnormal after exp and
@@ -415,7 +428,7 @@ class TestExpFloor:
         low = []
         for t in self.TS:
             u = d * t + x
-            zmax, w = _unfloored_weights(p.alpha * u * u)
+            zmax, w = _unfloored_weights(p.alpha * (u * u))
             assert zmax > 700.0
             low.extend(w[w < math.exp(-700.0)])
         low = np.array(low)
@@ -428,11 +441,9 @@ class TestExpFloor:
         for t in self.TS:
             u = d * t
             u += x  # the line's own order
-            zmax, w = _unfloored_weights(p.alpha * u * u)
-            sw = np.add.reduce(w)
-            value = float(zmax) + float(np.log(sw)) + float(p.beta @ (u * u))
-            slope = 2.0 * (float(w @ (p.alpha * d * u)) / float(sw) + float((p.beta * d) @ u))
-            gradient = 2.0 * u * (p.alpha * (w / sw) + p.beta)
+            zmax, w, sw, value, gradient = _unfloored_answers(p, u)
+            slope = 2.0 * (float(np.dot(w, p.alpha * d * u)) / float(sw)
+                           + float(np.dot(p.beta * d, u)))
             assert line.slope(t) == slope
             assert line.value(t) == value
             assert np.array_equal(line.gradient(t), gradient)
@@ -441,10 +452,7 @@ class TestExpFloor:
         p, x, d = self._ray()
         for t in self.TS:
             u = x + t * d
-            zmax, w = _unfloored_weights(p.alpha * u * u)
-            sw = np.add.reduce(w)
-            value = float(zmax) + float(np.log(sw)) + float(p.beta @ (u * u))
-            gradient = 2.0 * u * (p.alpha * (w / sw) + p.beta)
+            _, _, _, value, gradient = _unfloored_answers(p, u)
             assert p.value(u) == value
             assert np.array_equal(p.gradient(u), gradient)
 
@@ -455,6 +463,97 @@ class TestExpFloor:
             line.value(t)
             assert line._w.min() >= math.exp(-700.0)
             assert line._w.max() == 1.0
+
+
+_LD = np.longdouble
+
+
+def _long_double_answers(p, u):
+    """The value and gradient at u in long double, from shifted weights."""
+    alpha, beta, u = (v.astype(_LD) for v in (p.alpha, p.beta, u))
+    z = alpha * u * u
+    zmax = z.max()
+    w = np.exp(z - zmax)
+    sw = w.sum()
+    return zmax + np.log(sw) + (beta * u * u).sum(), 2 * u * (alpha * w / sw + beta)
+
+
+class TestLogSumExpAccuracy:
+    # x0 scaled from 1e-6 to 25 puts max z on both sides of the shift at
+    # 500.  Measured worst: 1.83 ulp on a value, 2.09 eps on |g - g_ref| /
+    # |g_ref| (the rounding of sum w enters every entry alike) and 0.72 eps
+    # on a slope's error over |g| |d|, before and after the exponents became
+    # alpha (u u); the bounds are 3 ulp, 4 eps and 4 eps, pointwise and
+    # along a line alike
+    EPS = float(np.finfo(float).eps)
+    SCALES = np.geomspace(1e-6, 25.0, 12)
+
+    @pytest.mark.skipif(np.finfo(_LD).eps >= 1e-18, reason="long double is no wider than double")
+    @pytest.mark.parametrize("n", [10, 1000, 10_000])
+    def test_against_long_double(self, n):
+        p, x0 = generate_instance("logsumexp", n, 3)
+        d = np.random.default_rng(n).standard_normal(n)
+        shifted = set()
+        for scale in self.SCALES:
+            x, e = scale * x0, scale * d
+            line = restrict(p, x, e)
+            for t in (0.0, 0.3, -0.7):
+                u = e * t + x  # the line's own point
+                value, gradient = _long_double_answers(p, u)
+                gnorm = float(np.sqrt((gradient * gradient).sum()))
+                first = line.value(t)
+                for v in (first, p.value(u)):
+                    assert abs(_LD(v) - value) <= 3.0 * np.spacing(v)
+                for g in (line.gradient(t), p.gradient(u)):
+                    assert float(np.sqrt(((g - gradient) ** 2).sum())) <= 4.0 * self.EPS * gnorm
+                slope_error = abs(_LD(line.slope(t)) - (gradient * e).sum())
+                assert slope_error <= 4.0 * self.EPS * gnorm * np.linalg.norm(e)
+                assert line.value(t) == first  # u u formed again after the slope
+            # at t = 0 the line weighs a copy of x: the pointwise bits
+            assert line.value(0.0) == p.value(x)
+            assert np.array_equal(line.gradient(0.0), p.gradient(x))
+            shifted.add(bool((p.alpha * (x * x)).max() > 500.0))
+        assert shifted == {False, True}
+
+    @pytest.mark.parametrize("variant", ["semiline-min", "decrease-search"])
+    def test_far_start_raises_no_warning(self, variant):
+        # |x_i| about 30: max z starts near 1600, past the shift and the
+        # floor, and falls below 500 on the way to the minimizer
+        p, x0 = generate_instance("logsumexp", 1000, 2)
+        x = 30.0 * np.sign(x0) * (1.0 + 0.05 * np.tanh(x0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run = minimize(p, x, SolverConfig(epsilon=1e-8, variant=variant))
+        assert run.termination is Termination.CONVERGED
+        assert (p.alpha * (x * x)).max() > 1000.0
+
+
+class TestQueryAllocations:
+    # a line's queries at a new t work in the line's own buffers: a value or
+    # a slope allocates less than one n-vector, a gradient its result alone
+    N = 10_000
+
+    @staticmethod
+    def _peak(query, t) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            query(t)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_line_queries_allocate_no_temporaries(self):
+        p, x = generate_instance("logsumexp", self.N, 0)
+        line = restrict(p, x, -p.gradient(x))
+        line.slope(0.5)  # the buffers, alpha d and beta d
+        vector = 8 * self.N
+        assert self._peak(line.value, 0.1) < vector
+        assert self._peak(line.value, 0.0) < vector
+        assert self._peak(line.slope, 0.2) < vector
+        assert self._peak(line.value, 0.2) < vector  # u u formed again
+        assert vector <= self._peak(line.gradient, 0.3) < vector + vector // 8
 
 
 class TestBufferHandOff:
