@@ -28,7 +28,7 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
     g_diff = np.asarray(g_diff, dtype=float)
     ss, a = scaled_sumsq(s)
     yy, b = scaled_sumsq(g_diff)
-    sg = float(s @ g_diff) if a == b == 1.0 else float((s / a) @ (g_diff / b))
+    sg = float(s.dot(g_diff)) if a == b == 1.0 else float((s / a).dot(g_diff / b))
     if sg <= 0.0:
         raise NumericError("nonpositive curvature along the last displacement")
     # s.s = ss a^2, s.g_diff = sg a b and g_diff.g_diff = yy b^2
@@ -44,15 +44,14 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
     return tau
 
 
-def _exact_step(counted, x, f, g, v0: float):
+def _exact_step(counted, x, f, g, s: float, v0: float):
     """Step length tau minimizing f along -g, the root of the slope along it,
     from the bracket start v0.
 
     The search runs along -g / s, with s = max |g_i| where |g|^2 overflows
-    and s = 1 otherwise, so its slope at x stays finite.  Returns (tau, x -
-    tau g, and the value and gradient there).
+    and s = 1 otherwise (``scaled_sumsq``'s scale), so its slope at x stays
+    finite.  Returns (tau, x - tau g, and the value and gradient there).
     """
-    _, s = scaled_sumsq(g)
     d = g / -s
     line = restrict(counted, x, d, f, g)
     v, f_next = minimize_on_ray(line, v0=v0 * s, rel_tol=1e-10, h0=f)
@@ -67,10 +66,10 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = SolverConfig.epsil
     branch = f"bb-{kind}"
     prev = None  # (x, g) where the last step started
 
-    def step(counted, x, f, g):
+    def step(counted, x, f, g, g_sumsq):
         nonlocal prev
         if prev is None:
-            tau, x_next, f_next, g_next = _exact_step(counted, x, f, g, v0=1.0)
+            tau, x_next, f_next, g_next = _exact_step(counted, x, f, g, g_sumsq[1], 1.0)
         else:
             tau = bb_step_size(x - prev[0], g - prev[1], kind)
             x_next = x - tau * g
@@ -86,11 +85,11 @@ def gd_exact_minimize(obj, x0, epsilon: float = SolverConfig.epsilon,
     """Steepest descent with an exact line search at every step."""
     warm = 1.0
 
-    def step(counted, x, f, g):
+    def step(counted, x, f, g, g_sumsq):
         nonlocal warm
         # the slope at x comes from g, so it is -|g|^2 < 0 and the search
         # runs; a NaN slope inside it raises, which ends the run
-        tau, x_next, f_next, g_next = _exact_step(counted, x, f, g, v0=warm)
+        tau, x_next, f_next, g_next = _exact_step(counted, x, f, g, g_sumsq[1], warm)
         warm = tau
         return x_next, f_next, g_next, dict(t=tau, branch="gd")
 

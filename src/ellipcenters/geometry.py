@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +36,14 @@ class ConicClass(Enum):
 
 def scaled_sumsq(v: np.ndarray) -> tuple[float, float]:
     """(|v / s|^2, s): s = max |v_i| if v . v overflows and v is finite, else 1."""
-    vv = float(v @ v)
+    vv = float(v.dot(v))
     if vv != math.inf or not np.all(np.isfinite(v)):
         return vv, 1.0
     s = float(np.abs(v).max())
-    return float((v / s) @ (v / s)), s
+    return float((v / s).dot(v / s)), s
 
 
-@dataclass(frozen=True)
-class LocalFrame:
+class LocalFrame(NamedTuple):
     """The working plane at the level point y = x - t g, held as inner products.
 
     The chord x - y is t g, so e1 = g / |g| and ``lam`` = t |g|.  The part
@@ -60,23 +60,24 @@ class LocalFrame:
     sin_theta: float
 
 
-def build_frame(g, t: float, grad_y) -> LocalFrame:
+def build_frame(g, g_sumsq, t: float, grad_y) -> LocalFrame:
     """Frame of the plane through x and y = x - t g spanned with the
-    gradient at y, from g . g, g . g_y, g_y . g_y and |w|; products that
-    overflow are taken over g and grad_y / their max |entry|.
+    gradient at y, from g . g, g . g_y, g_y . g_y and |w|, where ``g_sumsq``
+    is ``scaled_sumsq(g)``; products that overflow are taken over g and
+    grad_y / their max |entry|.
 
     Raises DegeneratePlaneError when grad_y is numerically collinear with
     the chord (|w| <= 1e-8 |grad_y|); the caller falls back to the midpoint.
     """
-    g = np.asarray(g, dtype=float)
-    grad_y = np.asarray(grad_y, dtype=float)
-    gg, sg = scaled_sumsq(g)
+    gg, sg = g_sumsq
     yy, sy = scaled_sumsq(grad_y)
     if not t > 0.0 or gg == 0.0:
         raise ValueError("the chord vanishes")
+    if not math.isfinite(yy):  # a NaN or infinite entry
+        raise NumericError("non-finite gradient at the level point")
     if yy == 0.0:  # f(y) = f(x) > f*, so no strongly convex f gets here
         raise NumericError("the gradient at the level point vanishes")
-    gy = float(g @ grad_y) if sg == sy == 1.0 else float((g / sg) @ (grad_y / sy))
+    gy = float(g.dot(grad_y)) if sg == sy == 1.0 else float((g / sg).dot(grad_y / sy))
     # rounding can push the normalized inner product marginally outside [-1, 1]
     cos_theta = min(1.0, max(-1.0, -gy / (math.sqrt(gg) * math.sqrt(yy))))
     sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, StationaryPointError
-from .geometry import scaled_sumsq
 from .linesearch import find_root
 from .objectives import restrict
 
@@ -60,14 +59,16 @@ class LevelStepResult:
     line: object
 
 
-def find_level_step(obj, x, f_x: float, g, t_init: float) -> LevelStepResult:
+def find_level_step(obj, x, f_x: float, g, g_sumsq, t_init: float) -> LevelStepResult:
     """Find the unique t > 0 with f(x - t g) = f(x) to 1e-10 (1 + |f(x)|),
-    from the value ``f_x`` and gradient ``g`` at x.
+    from the value ``f_x`` and gradient ``g`` at x, and (|g / s|^2, s) =
+    ``geometry.scaled_sumsq(g)``.
 
     ``t_init`` seeds the bracket (pass the previous step to warm-start).
-    Both equations are solved in units of (max |g_i|)^2 where |g|^2 overflows.
+    Both equations are solved in units of s^2, where s = max |g_i| if |g|^2
+    overflows and 1 otherwise.
     """
-    gg, scale = scaled_sumsq(g)
+    gg, scale = g_sumsq
     if gg == 0.0:
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
     line = restrict(obj, x, -g, f_x, g, turns=True)

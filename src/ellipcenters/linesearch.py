@@ -38,43 +38,28 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str
     expansion, and NumericError after ``MAX_EVALS`` evaluations of phi or on a
     NaN, named as a non-finite ``what``.
     """
-    evals = 0
-
-    def call(s):
-        nonlocal evals
-        if evals >= MAX_EVALS:
-            raise NumericError("one-dimensional search exceeded its evaluation budget")
-        evals += 1
-        val = float(phi(s))
-        if math.isnan(val):
-            raise NumericError(f"non-finite {what}")
-        return val
-
     lo, f_lo = 0.0, phi0
-    hi = t if (t > 0.0 and math.isfinite(t)) else 1.0
-    f_hi = call(hi)
-    expansions = 0
-    while f_hi < 0.0 and -f_hi > ftol:
-        if expansions == MAX_EXPANSIONS:
-            raise NonCoerciveError(
-                f"the objective looks unbounded below along the ray: the search "
-                f"still descended after {MAX_EXPANSIONS} bracket expansions")
-        # extrapolate the secant through the last two points, at most doubling
-        step = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else math.inf
-        lo, f_lo = hi, f_hi
-        hi = step if hi < step < 2.0 * hi else 2.0 * hi
-        expansions += 1
-        f_hi = call(hi)
-    t, f = hi, f_hi
-    side = 0
-    while abs(f) > ftol and hi - lo > xtol * hi:
-        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < t < hi:  # an infinite or rounded-off secant step
-            t = 0.5 * (lo + hi)
-            if not lo < t < hi:
-                break
-        f = call(t)
-        if f < 0.0:
+    t = t if (t > 0.0 and math.isfinite(t)) else 1.0
+    hi = f_hi = None  # the bracket's upper end, once phi(t) stops descending
+    expansions = side = 0
+    for _ in range(MAX_EVALS):
+        f = float(phi(t))
+        if math.isnan(f):
+            raise NumericError(f"non-finite {what}")
+        if hi is None and f < 0.0 and -f > ftol:
+            if expansions == MAX_EXPANSIONS:
+                raise NonCoerciveError(
+                    f"the objective looks unbounded below along the ray: the search "
+                    f"still descended after {MAX_EXPANSIONS} bracket expansions")
+            # extrapolate the secant through the last two points, at most doubling
+            step = t - f * (t - lo) / (f - f_lo) if f > f_lo else math.inf
+            lo, f_lo = t, f
+            t = step if t < step < 2.0 * t else 2.0 * t
+            expansions += 1
+            continue
+        if hi is None:
+            hi, f_hi = t, f
+        elif f < 0.0:
             if side < 0:
                 m = 1.0 - f / f_lo
                 f_hi *= m if m > 0.0 else 0.5
@@ -86,7 +71,14 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str
                 f_lo *= m if m > 0.0 else 0.5
             hi, f_hi = t, f
             side = 1
-    return t, f
+        if not (abs(f) > ftol and hi - lo > xtol * hi):
+            return t, f
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < t < hi:  # an infinite or rounded-off secant step
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                return t, f
+    raise NumericError("one-dimensional search exceeded its evaluation budget")
 
 
 def minimize_on_ray(line, v0: float, rel_tol: float, *, h0: float):

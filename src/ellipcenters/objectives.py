@@ -111,7 +111,7 @@ class QuadraticProblem:
         """The value and the gradient at x, from one product Ax."""
         x = _check_point(x, self.dimension)
         ax = self.a @ x
-        return float(0.5 * (x @ ax) - self.b @ x), ax - self.b
+        return float(0.5 * x.dot(ax) - self.b.dot(x)), ax - self.b
 
     def along(self, x, d, f=None, g=None, turns=False) -> "QuadraticLine":
         """The parabola t -> f(x + t d), from the product Ad.
@@ -121,7 +121,7 @@ class QuadraticProblem:
         With ``turns`` the line also holds A^2 d, taken in the same pass
         over A, so that ``QuadraticLine.turn`` needs no product.
         """
-        n = self.dimension
+        n = self.b.shape[0]
         x = _check_point(x, n)
         d = _check_point(d, n)
         f = self.value(x) if f is None else f
@@ -144,20 +144,23 @@ def _lse_weigh(alpha, u, w, uu):
     is at least 0, so exp runs unshifted on its fast path up to max z =
     _SHIFT_ABOVE.  Past it (or at a NaN) the shift is max z, and exponents
     below -_EXP_FLOOR are raised to it: beside a largest weight of 1, weights
-    below e^-700 change neither the sum nor, with beta >= 0.5, a gradient."""
-    z = np.multiply(alpha, np.multiply(u, u, out=uu), out=w)
-    zmax = np.maximum.reduce(z)
+    below e^-700 change neither the sum nor, with beta >= 0.5, a gradient.
+    The max is taken only when sum z = alpha . (u u), one dot and faster
+    than numpy's max, reaches _SHIFT_ABOVE - 1: below it, max z <= sum z
+    stays under _SHIFT_ABOVE through the dot's rounding."""
+    z = np.multiply(alpha, np.multiply(u, u, uu), w)
+    zmax = 0.0 if alpha.dot(uu) < _SHIFT_ABOVE - 1.0 else np.maximum.reduce(z)
     shift = 0.0 if zmax <= _SHIFT_ABOVE else zmax
     if shift:
         z -= shift
         np.maximum(z, -_EXP_FLOOR, out=z)
-    np.exp(z, out=z)
+    np.exp(z, z)
     return shift, np.add.reduce(z)
 
 
 def _lse_value(shift, sw, beta, uu) -> float:
     """shift + ln(sum w) + beta . (u u), from the u u that ``uu`` holds."""
-    val = float(shift) + float(np.log(sw)) + float(np.dot(beta, uu))
+    val = float(shift) + float(np.log(sw)) + float(beta.dot(uu))
     if not math.isfinite(val):
         raise NumericError("log-sum-exp value is not finite despite shifting")
     return val
@@ -170,7 +173,7 @@ def _lse_gradient(alpha, beta, u, w, sw) -> np.ndarray:
     g += beta
     g *= u
     g += g
-    if not (math.isfinite(np.dot(g, g)) or np.isfinite(g).all()):
+    if not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):
         raise NumericError("log-sum-exp gradient is not finite despite shifting")
     return g
 
@@ -209,13 +212,13 @@ class LogSumExpProblem:
 
     def value(self, x) -> float:
         x = _check_point(x, self.dimension)
-        w, uu = np.empty_like(x), np.empty_like(x)
+        w, uu = np.empty((2, x.shape[0]))
         shift, sw = _lse_weigh(self.alpha, x, w, uu)
         return _lse_value(shift, sw, self.beta, uu)
 
     def gradient(self, x) -> np.ndarray:
         x = _check_point(x, self.dimension)
-        w = np.empty_like(x)
+        w = np.empty(x.shape)
         sw = _lse_weigh(self.alpha, x, w, w)[1]
         return _lse_gradient(self.alpha, self.beta, x, w, sw)
 
@@ -223,7 +226,7 @@ class LogSumExpProblem:
         """The line t -> f(x + t d); ``g`` is the gradient at x when the
         caller has it.  The line needs no value at x, so ``f`` is not read,
         and it turns by restarting, so ``turns`` changes nothing."""
-        n = self.dimension
+        n = self.alpha.shape[0]
         return LogSumExpLine(self.alpha, self.beta, _check_point(x, n), _check_point(d, n),
                              None if g is None else np.asarray(g, dtype=float))
 
@@ -244,10 +247,13 @@ def matrix_powers(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     By symmetry A (A d) = sum_j A_j^T (A_j d) over the row panels A_j, so
     each panel of about ``PANEL_BYTES`` is read from memory once and used
     for both products while it is still in cache.  The panels are views of
-    A, and a matrix that fits in one panel is that panel.
+    A; a matrix that fits in one panel takes the two products whole.
     """
     n = d.shape[0]
     rows = max(1, PANEL_BYTES // (a.itemsize * n))
+    if rows >= n:
+        ad = a @ d
+        return ad, ad @ a
     ad = np.empty(n)
     a2d = np.zeros(n)
     for i in range(0, n, rows):
@@ -271,8 +277,8 @@ class QuadraticLine:
         self.f0 = f0
         self.ad = ad
         self.a2d = a2d
-        self.gd = float(g0 @ d)
-        self.dad = float(d @ ad)
+        self.gd = float(g0.dot(d))
+        self.dad = float(d.dot(ad))
         self.g0 = g0
 
     def value(self, t: float) -> float:
@@ -286,8 +292,8 @@ class QuadraticLine:
 
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "QuadraticLine":
         """The parabola through this line's point at t along e = alpha d +
-        gamma A d, with (alpha, gamma) = ``krylov``, from ``value(t)``,
-        ``gradient(t)`` and Ae = alpha Ad + gamma A^2 d: no product.  ``x``
+        gamma A d, with (alpha, gamma) = ``krylov``, from this line's value
+        and gradient at t and Ae = alpha Ad + gamma A^2 d: no product.  ``x``
         is the caller's copy of that point, which the parabola does not need.
 
         The two terms of Ae cancel as e nears d.  On the ellipse step alpha
@@ -300,8 +306,8 @@ class QuadraticLine:
         if self.a2d is None:
             raise ValueError("a quadratic line turns only when restricted with turns=True")
         alpha, gamma = krylov
-        return QuadraticLine(self.value(t), self.gradient(t), e,
-                             alpha * self.ad + gamma * self.a2d)
+        f_t = self.f0 + t * (self.gd + 0.5 * t * self.dad)  # value(t), inline
+        return QuadraticLine(f_t, self.g0 + t * self.ad, e, alpha * self.ad + gamma * self.a2d)
 
 
 class LogSumExpLine:
@@ -334,24 +340,24 @@ class LogSumExpLine:
         if t != self._t:
             self._t = None  # until the buffers hold t
             if self._u is None:
-                self._u, self._w, self._tmp = (np.empty_like(self.x) for _ in range(3))
+                self._u, self._w, self._tmp = np.empty((3, self.x.shape[0]))
             if t == 0.0:
-                np.copyto(self._u, self.x)
+                self._u[...] = self.x
             else:
-                np.add(np.multiply(self.d, t, out=self._u), self.x, out=self._u)
+                np.add(np.multiply(self.d, t, self._u), self.x, self._u)
             self._shift, self._sw = _lse_weigh(self.alpha, self._u, self._w, self._tmp)
             self._t = self._uu = t  # _uu: the t whose u u _tmp holds
 
     def value(self, t: float) -> float:
         self._weigh(t)
         if self._uu != t:  # a slope at t wrote over u u
-            np.multiply(self._u, self._u, out=self._tmp)
+            np.multiply(self._u, self._u, self._tmp)
             self._uu = t
         return _lse_value(self._shift, self._sw, self.beta, self._tmp)
 
     def slope(self, t: float) -> float:
         if t == 0.0 and self.g is not None:
-            return float(np.dot(self.g, self.d))
+            return float(self.g.dot(self.d))
         self._weigh(t)
         # the gradient is not finite exactly when the weights are not; a slope
         # that overflows from a finite gradient is returned, as the generic
@@ -361,9 +367,9 @@ class LogSumExpLine:
         if self.ad is None:
             self.ad, self.bd = self.alpha * self.d, self.beta * self.d
         self._uu = None
-        adu = np.multiply(self.ad, self._u, out=self._tmp)
-        return 2.0 * (float(np.dot(self._w, adu)) / float(self._sw)
-                      + float(np.dot(self.bd, self._u)))
+        adu = np.multiply(self.ad, self._u, self._tmp)
+        return 2.0 * (float(self._w.dot(adu)) / float(self._sw)
+                      + float(self.bd.dot(self._u)))
 
     def gradient(self, t: float) -> np.ndarray:
         if t == 0.0 and self.g is not None:
@@ -480,17 +486,16 @@ class _CountedLine:
         self.counter.n_value += 1
         return self.line.value(t)
 
-    def _charge_gradient(self, t: float) -> None:
+    def slope(self, t: float) -> float:
         if t != self._gt:
             self.counter.n_grad += 1
             self._gt = t
-
-    def slope(self, t: float) -> float:
-        self._charge_gradient(t)
         return self.line.slope(t)
 
     def gradient(self, t: float) -> np.ndarray:
-        self._charge_gradient(t)
+        if t != self._gt:
+            self.counter.n_grad += 1
+            self._gt = t
         return self.line.gradient(t)
 
     def turn(self, t: float, x, e, krylov) -> "_CountedLine":

@@ -110,21 +110,13 @@ class SolverRun:
         return self.n_value_evals + self.n_grad_evals
 
 
-def _nonfinite_message(f: float, g: np.ndarray, gnorm: float) -> str:
-    """Why a run cannot go on from a point with value f and gradient g of
-    norm gnorm, or "" when f and every entry of g are finite."""
-    if not math.isfinite(f):
-        return "non-finite objective value"
-    if not (math.isfinite(gnorm) or np.all(np.isfinite(g))):
-        return "non-finite gradient"
-    return ""
-
-
 def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
     at ``scale``; ``f_base`` is the value at v = 0.  ``variant`` is a
     ``Variant`` or its name.  Returns (v, f at that point)."""
-    if Variant(variant) is Variant.SEMILINE_MIN:
+    if not isinstance(variant, Variant):
+        variant = Variant(variant)
+    if variant is Variant.SEMILINE_MIN:
         v, fv = minimize_on_ray(line, v0=scale, rel_tol=1e-8, h0=f_base)
         if fv > f_base:  # no decrease above rounding: stay at the midpoint
             return 0.0, f_base
@@ -145,52 +137,54 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def me_step(obj, x, f_x: float, g, variant: Variant, t_init: float):
+def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float):
     """One ellipse-center step from x, in ``descend``'s step protocol.
 
-    ``f_x`` and ``g`` are the value and gradient at x, ``variant`` picks the
-    point on the semiline of centers, and ``t_init`` seeds the level step's
-    bracket.  Returns ``(x_next, f_next, g_next, fields)``: the value and
-    gradient at x_next, and the step's ``IterateRecord`` fields (t, v,
-    branch, f_mid).
+    ``f_x`` and ``g`` are the value and gradient at x, ``g_sumsq`` is
+    ``scaled_sumsq(g)``, ``variant`` picks the point on the semiline of
+    centers, and ``t_init`` seeds the level step's bracket.  Returns
+    ``(x_next, f_next, g_next, fields)``: the value and gradient at x_next,
+    and the step's ``IterateRecord`` fields (t, v, branch, f_mid).
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
     the chord; raises NumericError when it vanishes or the midpoint rounds onto x.
     """
-    level = find_level_step(obj, x, f_x, g, t_init)
-    mid = 0.5 * level.t
+    level = find_level_step(obj, x, f_x, g, g_sumsq, t_init)
+    t, line = level.t, level.line
+    mid = 0.5 * t
     base = _axpy(-mid, g, x)  # the level line's point at t/2
-    if (base == x).all():
+    if np.logical_and.reduce(base == x):
         raise NumericError("the level step collapsed onto x below float resolution")
-    grad_y = level.line.gradient(level.t)
+    grad_y = line.gradient(t)
     try:
-        frame = build_frame(g, level.t, grad_y)
+        frame = build_frame(g, g_sumsq, t, grad_y)
         a, b = center_direction(frame)
     except DegeneratePlaneError:
-        f_base = level.line.value(mid)
-        return (base, f_base, level.line.gradient(mid),
-                dict(t=level.t, v=_NAN, branch="midpoint", f_mid=f_base))
+        f_base = line.value(mid)
+        return (base, f_base, line.gradient(mid),
+                {"t": t, "v": _NAN, "branch": "midpoint", "f_mid": f_base})
     d = _axpy(a, g, b * grad_y)
     # the level line runs along -g with grad f(y) = g + t A(-g) on a
     # quadratic, so d = -(a + b) (-g) + b t A(-g)
-    line = level.line.turn(mid, base, d, (-(a + b), b * level.t))
+    line = line.turn(mid, base, d, (-(a + b), b * t))
     f_base = line.value(0.0)
     v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base)
     x_next = base if v == 0.0 else _axpy(v, d, base)
-    return x_next, f_v, line.gradient(v), dict(t=level.t, v=v, branch="ellipse", f_mid=f_base)
+    return x_next, f_v, line.gradient(v), {"t": t, "v": v, "branch": "ellipse", "f_mid": f_base}
 
 
 def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     """The descent loop every method shares: run ``step`` from x0 until
     |grad f| <= cfg.epsilon or cfg.max_iterations steps are taken.
 
-    ``step(counted, x, f, g)`` returns ``(x_next, f_next, g_next, fields)``;
-    ``counted`` is the counting view of obj that the step must query, and
-    ``fields`` are the step's ``IterateRecord`` fields besides x, f and
-    grad_norm; the loop itself evaluates only the start point.  The stopping
-    test runs before each step, so a start point that already satisfies it
-    reports zero iterations.  Numeric failures, at the start point too, end
+    ``step(counted, x, f, g, g_sumsq)`` returns ``(x_next, f_next, g_next,
+    fields)``; ``counted`` is the counting view of obj that the step must
+    query, ``g_sumsq`` is ``scaled_sumsq(g)``, which the loop takes for the
+    norm, and ``fields`` are the step's ``IterateRecord`` fields besides x,
+    f and grad_norm; the loop itself evaluates only the start point.  The
+    stopping test runs before each step, so a start point that already
+    satisfies it reports zero iterations.  Numeric failures, at the start point too, end
     the run with the partial trace instead of raising.
     """
     counted = CountingObjective(obj)
@@ -200,6 +194,7 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
 
     records: list[IterateRecord] = []
     f = gnorm = _NAN  # what the start point leaves unevaluated when it raises
+    message = ""
     try:
         if hasattr(obj, "value_and_gradient"):
             f, g = counted.value_and_gradient(x)
@@ -207,9 +202,12 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
             f = counted.value(x)
             g = counted.gradient(x)
         while True:
-            gg, scale = scaled_sumsq(g)
+            gg, scale = g_sumsq = scaled_sumsq(g)
             gnorm = scale * math.sqrt(gg)
-            message = _nonfinite_message(f, g, gnorm)
+            if not math.isfinite(f):
+                message = "non-finite objective value"
+            elif not (math.isfinite(gnorm) or np.isfinite(g).all()):
+                message = "non-finite gradient"
             if message:
                 termination = Termination.NUMERIC_ERROR
                 break
@@ -219,7 +217,7 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
             if len(records) >= cfg.max_iterations:
                 termination = Termination.MAX_ITERATIONS
                 break
-            x_next, f_next, g_next, fields = step(counted, x, f, g)
+            x_next, f_next, g_next, fields = step(counted, x, f, g, g_sumsq)
             records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, **fields))
             x, f, g = x_next, f_next, g_next
     except NumericError as exc:
@@ -234,9 +232,9 @@ def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
     cfg = cfg or SolverConfig()
     warm_t = 1.0
 
-    def step(counted, x, f, g):
+    def step(counted, x, f, g, g_sumsq):
         nonlocal warm_t
-        x_next, f_next, g_next, fields = me_step(counted, x, f, g, cfg.variant, warm_t)
+        x_next, f_next, g_next, fields = me_step(counted, x, f, g, g_sumsq, cfg.variant, warm_t)
         warm_t = fields["t"]
         return x_next, f_next, g_next, fields
 

@@ -15,6 +15,7 @@ from ellipcenters import (BenchConfig, GenParams, SolverConfig, Termination,
                           check_gradient, find_level_step, gd_exact_minimize,
                           generate_instance, minimize, run_benchmark,
                           survey_geometry)
+from ellipcenters.geometry import scaled_sumsq
 
 EPS = 0.01  # the shared benchmark stopping tolerance
 
@@ -206,7 +207,7 @@ def test_criterion_7_level_step_correctness():
                 x = rng.standard_normal(n)
                 fx = problem.value(x)
                 g = problem.gradient(x)
-                res = find_level_step(problem, x, fx, g, 1.0)
+                res = find_level_step(problem, x, fx, g, scaled_sumsq(g), 1.0)
                 residual = abs(problem.value(x - res.t * g) - fx)
                 worst = max(worst, residual / (1.0 + abs(fx)))
                 assert res.t > 0.0

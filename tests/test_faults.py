@@ -73,13 +73,24 @@ METHODS = [("me", Variant.SEMILINE_MIN), ("me", Variant.DECREASE_SEARCH),
 NON_FINITE = {"nan", "+inf", "-inf", "nan-entry", "inf-entry"}
 
 
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("fault", ["nan-entry", "inf-entry"])
+def test_non_finite_gradient_at_the_level_point_ends_the_run(variant, fault):
+    # the first gradient after x0's is the one at the level point; the frame
+    # names it before it forms k g - grad f(y), where inf - inf would warn
+    # and a NaN would pass as a collinear gradient
+    p, x0 = generate_instance("quadratic", 5, 1, GenParams(100.0))
+    run = minimize(Faulty(p, fault, 2, True), x0, SolverConfig(epsilon=1e-8, variant=variant))
+    assert run.termination is Termination.NUMERIC_ERROR
+    assert run.message == "non-finite gradient at the level point"
+    assert run.iterations == 0
+
+
 # a slice of a 2240-run sweep (k = 0, 3, ..., 39), which raised only the
 # vanishing-gradient ValueError above before it became a NumericError
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
 @pytest.mark.parametrize("fault", [*Faulty.VALUE_FAULTS, *Faulty.GRADIENT_FAULTS])
 @pytest.mark.parametrize("persistent", [False, True], ids=["once", "from-k-on"])
-# an infinite gradient entry makes the frame's k g - grad f(y) take inf - inf
-@pytest.mark.filterwarnings("ignore:invalid value")
 def test_every_faulty_run_ends_in_a_termination(kind, fault, persistent):
     problem, x0 = PROBLEMS[kind]
     for at in (0, 3, 9, 21):

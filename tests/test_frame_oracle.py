@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from ellipcenters import DegeneratePlaneError, build_frame, center_direction
+from ellipcenters.geometry import scaled_sumsq
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -68,7 +69,7 @@ def test_frame_matches_the_chord_construction(n, seed, x_exp, g_exp, lam_exp, gy
     lam, cos, sin, w_rel, d = reference_frame(x, y, grad_y)
     spread = 1.0 + float(np.linalg.norm(x)) / lam  # the reference's chord error, in eps
     try:
-        frame = build_frame(g, t, grad_y)
+        frame = build_frame(g, scaled_sumsq(g), t, grad_y)
     except DegeneratePlaneError:
         frame = None
     # the reference's |w| / |grad_y| (the true sin theta) and cos theta

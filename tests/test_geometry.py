@@ -7,6 +7,7 @@ from ellipcenters import (ConicClass, ConicCoefficients, DegeneratePlaneError,
                           build_frame, center_direction, classify_conic,
                           conic_center, conic_gradient, conic_value,
                           ellipse_bound, fit_conic, survey_geometry)
+from ellipcenters.geometry import scaled_sumsq
 
 
 def fit_conic_reference(lam, m, n):
@@ -120,7 +121,7 @@ class TestCenter:
 
 def direction(g, grad_y):
     """The frame's center direction d = a g + b grad_y as a vector."""
-    a, b = center_direction(build_frame(g, 1.0, grad_y))
+    a, b = center_direction(build_frame(g, scaled_sumsq(g), 1.0, grad_y))
     return a * np.asarray(g) + b * np.asarray(grad_y)
 
 
@@ -134,7 +135,7 @@ class TestFrame:
     # x = (2, 0), y = 0: the chord x - y = t g with g = (1, 0), t = 2
     def test_worked_example(self):
         g, grad_y = np.array([1.0, 0.0]), np.array([-1.0, -1.0])
-        frame = build_frame(g, 2.0, grad_y)
+        frame = build_frame(g, scaled_sumsq(g), 2.0, grad_y)
         assert frame.wnorm == pytest.approx(1.0, rel=1e-15)
         assert frame.cos_theta == pytest.approx(1.0 / math.sqrt(2.0))
         assert frame.sin_theta == pytest.approx(1.0 / math.sqrt(2.0))
@@ -164,7 +165,7 @@ class TestFrame:
             t = float(rng.uniform(0.1, 10.0))
             grad_y = rng.standard_normal(6)
             try:
-                frame = build_frame(g, t, grad_y)
+                frame = build_frame(g, scaled_sumsq(g), t, grad_y)
             except DegeneratePlaneError:
                 continue
             gnorm = np.linalg.norm(g)
@@ -187,7 +188,7 @@ class TestFrame:
             g = rng.standard_normal(6)
             grad_y = rng.standard_normal(6)
             try:
-                frame = build_frame(g, float(rng.uniform(0.1, 10.0)), grad_y)
+                frame = build_frame(g, scaled_sumsq(g), float(rng.uniform(0.1, 10.0)), grad_y)
                 a, b = center_direction(frame)
             except DegeneratePlaneError:
                 continue
@@ -199,10 +200,11 @@ class TestFrame:
     def test_collinear_gradient_signals_dependence(self):
         g = np.array([1.0, 1.0])
         with pytest.raises(DegeneratePlaneError):
-            build_frame(g, 1.0, -3.0 * g)
+            build_frame(g, scaled_sumsq(g), 1.0, -3.0 * g)
 
     def test_tangential_gradient_is_an_error(self):
-        frame = build_frame(np.array([1.0, 0.0]), 2.0, np.array([0.0, -1.0]))
+        g = np.array([1.0, 0.0])
+        frame = build_frame(g, scaled_sumsq(g), 2.0, np.array([0.0, -1.0]))
         assert frame.cos_theta == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(DegeneratePlaneError):
             center_direction(frame)
@@ -216,7 +218,7 @@ class TestFrame:
         # the worked example's frame with g.g overflowing and grad_y at
         # another scale, so the two vectors are rescaled by different factors
         g, grad_y = np.array([1e200, 0.0]), np.array([-1e150, -1e150])
-        frame = build_frame(g, 2e-200, grad_y)
+        frame = build_frame(g, scaled_sumsq(g), 2e-200, grad_y)
         assert frame.cos_theta == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert frame.lam == pytest.approx(2.0, rel=1e-15)
         assert frame.wnorm == pytest.approx(1e150, rel=1e-15)

@@ -7,6 +7,7 @@ from conftest import ValueAndGradientOnly
 from ellipcenters import (GenParams, LogSumExpProblem, NonCoerciveError,
                           QuadraticProblem, StationaryPointError, build_frame,
                           find_level_step, generate_instance)
+from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.objectives import CountingObjective
 
 
@@ -15,7 +16,7 @@ def test_parabola_returns_mirror_point():
     p = QuadraticProblem(np.eye(1), np.zeros(1))
     x = np.array([1.0])
     g = p.gradient(x)
-    res = find_level_step(p, x, p.value(x), g, 1.0)
+    res = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
     y = x - res.t * g
     assert res.t == pytest.approx(2.0, abs=1e-8)
     assert y[0] == pytest.approx(-1.0, abs=1e-8)
@@ -25,7 +26,7 @@ def test_sphere_any_dimension_reflects_through_origin():
     p = QuadraticProblem(np.eye(5), np.zeros(5))
     x = np.array([0.3, -1.0, 2.0, 0.1, -0.4])
     g = p.gradient(x)
-    res = find_level_step(p, x, p.value(x), g, 1.0)
+    res = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
     y = x - res.t * g
     assert res.t == pytest.approx(2.0, abs=1e-8)
     assert np.allclose(y, -x, atol=1e-8)
@@ -35,7 +36,7 @@ def test_diagonal_quadratic_known_root():
     # level equality reduces to 32.5 t^2 - 17 t = 0, so t = 34/65
     p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))
     x = np.array([1.0, 1.0])
-    res = find_level_step(p, x, p.value(x), p.gradient(x), 1.0)
+    res = find_level_step(p, x, p.value(x), p.gradient(x), scaled_sumsq(p.gradient(x)), 1.0)
     assert res.t == pytest.approx(34.0 / 65.0, abs=1e-9)
 
 
@@ -47,7 +48,7 @@ def test_level_residual_within_tolerance(kind, n):
         x = rng.standard_normal(n)
         fx = p.value(x)
         g = p.gradient(x)
-        res = find_level_step(p, x, fx, g, 1.0)
+        res = find_level_step(p, x, fx, g, scaled_sumsq(g), 1.0)
         y = x - res.t * g
         assert res.t > 0.0
         assert abs(p.value(y) - fx) <= 1e-10 * (1.0 + abs(fx))
@@ -64,7 +65,7 @@ def test_midpoint_gain_quantified():
         x = rng.standard_normal(8)
         g = p.gradient(x)
         fx = p.value(x)
-        res = find_level_step(p, x, fx, g, 1.0)
+        res = find_level_step(p, x, fx, g, scaled_sumsq(g), 1.0)
         gain = p.mu * res.t**2 / 8.0 * float(g @ g)
         assert p.value(x - 0.5 * res.t * g) <= fx - gain + 1e-9 * (1.0 + abs(fx))
 
@@ -74,7 +75,7 @@ def test_interior_of_bracket_single_signed():
     x = np.random.default_rng(4).standard_normal(6)
     fx = p.value(x)
     g = p.gradient(x)
-    res = find_level_step(p, x, fx, g, 1.0)
+    res = find_level_step(p, x, fx, g, scaled_sumsq(g), 1.0)
     grid = np.linspace(0.0, res.t, 101)[1:-1]
     values = [p.value(x - s * g) - fx for s in grid]
     assert all(v <= 1e-12 * (1.0 + abs(fx)) for v in values)
@@ -86,8 +87,8 @@ def test_warm_start_and_evaluation_budget():
     x = np.random.default_rng(1).standard_normal(6)
     cold_count, warm_count = CountingObjective(p), CountingObjective(p)
     fx, g = p.value(x), p.gradient(x)
-    cold = find_level_step(cold_count, x, fx, g, 1.0)
-    warm = find_level_step(warm_count, x, fx, g, cold.t)
+    cold = find_level_step(cold_count, x, fx, g, scaled_sumsq(g), 1.0)
+    warm = find_level_step(warm_count, x, fx, g, scaled_sumsq(g), cold.t)
     assert warm.t == pytest.approx(cold.t, rel=1e-8)
     assert warm_count.n_value <= 2 * 60 + 90
     assert cold_count.n_value <= 2 * 60 + 90
@@ -97,7 +98,7 @@ def test_stationary_point_rejected():
     p = QuadraticProblem(np.eye(2), np.zeros(2))
     with pytest.raises(StationaryPointError):
         x = np.zeros(2)
-        find_level_step(p, x, p.value(x), p.gradient(x), 1.0)
+        find_level_step(p, x, p.value(x), p.gradient(x), scaled_sumsq(p.gradient(x)), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -110,7 +111,7 @@ def test_level_point_gradient_is_never_shorter_on_a_quadratic(seed):
     for _ in range(40):
         x = rng.standard_normal(30)
         g = p.gradient(x)
-        res = find_level_step(p, x, p.value(x), g, 1.0)
+        res = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
         y = x - res.t * g
         ratio = np.linalg.norm(p.gradient(y)) / np.linalg.norm(p.gradient(x))
         assert ratio >= 1.0 - 1e-9
@@ -128,7 +129,7 @@ def test_noncoercive_objective_detected():
 
     with pytest.raises(NonCoerciveError):
         f, x = Linear(), np.array([0.0, 0.0])
-        find_level_step(f, x, f.value(x), f.gradient(x), 1.0)
+        find_level_step(f, x, f.value(x), f.gradient(x), scaled_sumsq(f.gradient(x)), 1.0)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -138,7 +139,7 @@ def test_flat_region_switches_to_slope_equation(n):
     p = QuadraticProblem(np.eye(n), b)
     x = b + 1e-6  # gradient norm ~2e-6, f(x) ~ -1e12 n
     g = p.gradient(x)
-    res = find_level_step(p, x, p.value(x), g, 1.0)
+    res = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
     y = x - res.t * g
     # the slope equation is exact for quadratics, but the reported gradients
     # themselves lose ~4 digits to cancellation against the 1e6 shift
@@ -154,13 +155,13 @@ def test_near_stationary_point_goes_to_the_slope_path_at_once():
     x = 1e-9 * np.random.default_rng(0).standard_normal(20)
     counted = CountingObjective(ValueAndGradientOnly(p))
     g = p.gradient(x)
-    res = find_level_step(counted, x, p.value(x), g, 1.0)
+    res = find_level_step(counted, x, p.value(x), g, scaled_sumsq(g), 1.0)
     assert counted.n_value <= 3
     assert counted.n_grad > 0  # the slope path ran
     assert res.t.hex() == "0x1.bc0bb3f23389fp-1"
     assert np.array_equal(res.line.gradient(res.t), p.gradient(x - res.t * g))
     fused = CountingObjective(p)
-    own = find_level_step(fused, x, p.value(x), g, 1.0)
+    own = find_level_step(fused, x, p.value(x), g, scaled_sumsq(g), 1.0)
     assert (fused.n_value, fused.n_grad) == (counted.n_value, counted.n_grad)
     assert own.t == pytest.approx(res.t, rel=1e-12)
     assert np.array_equal(own.line.gradient(own.t), p.gradient(x - own.t * g))
@@ -175,7 +176,7 @@ def test_overflowing_gradient_square_is_rescaled():
     fx = p.value(x)
     counted = CountingObjective(p)
     g = p.gradient(x)
-    res = find_level_step(counted, x, fx, g, 1.0)
+    res = find_level_step(counted, x, fx, g, scaled_sumsq(g), 1.0)
     y = x - res.t * g
     # in consistent units the first secant step lands on the root; from
     # -|g|^2 = -inf at t = 0 the search would take a bisection step more
@@ -183,6 +184,6 @@ def test_overflowing_gradient_square_is_rescaled():
     assert math.isfinite(res.t) and res.t > 0.0
     assert abs(res.level_residual) <= 1e-10 * (1.0 + abs(fx))
     assert abs(p.value(y) - fx) <= 1e-10 * (1.0 + abs(fx))
-    frame = build_frame(g, res.t, p.gradient(y))
+    frame = build_frame(g, scaled_sumsq(g), res.t, p.gradient(y))
     assert frame.cos_theta == pytest.approx(0.889, abs=1e-3)
     assert frame.sin_theta == pytest.approx(0.458, abs=1e-3)

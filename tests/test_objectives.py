@@ -401,12 +401,16 @@ def _unfloored_weights(z):
     return zmax, np.exp(z - zmax)
 
 
-def _unfloored_answers(p, u):
-    """The value and gradient at u by plain numpy, from the exponents
-    alpha (u u) shifted by their max, as the kernels form them past 500."""
-    zmax, w = _unfloored_weights(p.alpha * (u * u))
+def _unfloored_answers(p, u, z=None):
+    """The value and gradient at u by plain numpy, from the exponents z
+    (alpha (u u) unless given) shifted by their max past 500, as the kernels
+    shift them, and raised to no floor."""
+    z = p.alpha * (u * u) if z is None else z
+    zmax = np.maximum.reduce(z)
+    shift = zmax if zmax > 500.0 else 0.0
+    w = np.exp(z - shift)
     sw = np.add.reduce(w)
-    value = float(zmax) + float(np.log(sw)) + float(np.dot(p.beta, u * u))
+    value = float(shift) + float(np.log(sw)) + float(np.dot(p.beta, u * u))
     gradient = u * (w * p.alpha * (1.0 / sw) + p.beta)
     return zmax, w, sw, value, gradient + gradient
 
@@ -415,8 +419,12 @@ class TestExpFloor:
     # Far out on this ray the largest exponent alpha u^2 passes 700 and the
     # shifted ones run below -700: at 9.5 some are subnormal after exp and
     # some just above it, at 10 and 12 most underflow to 0.  Raising them to
-    # -700 must change no bit of any answer.
+    # -700 must change no bit of any answer.  At ORDER_T, max z is 64.5 and
+    # no weight is shifted, and there the exponent orders (alpha u) u and
+    # alpha (u u) give other bits: at TS they do not, so the kernels' order
+    # is checked at ORDER_T.
     TS = (9.5, 10.0, 12.0)
+    ORDER_T = 2.8
 
     @staticmethod
     def _ray():
@@ -435,10 +443,18 @@ class TestExpFloor:
         # weights that underflow, that are subnormal, and normal ones below e^-700
         assert (low == 0.0).any() and ((0.0 < low) & (low < tiny)).any() and (low >= tiny).any()
 
+    def test_exponent_orders_differ_at_order_t(self):
+        p, x, d = self._ray()
+        u = x + self.ORDER_T * d
+        *_, value, gradient = _unfloored_answers(p, u)
+        *_, other_value, other_gradient = _unfloored_answers(p, u, (p.alpha * u) * u)
+        assert value != other_value
+        assert not np.array_equal(gradient, other_gradient)
+
     def test_line_answers_as_unfloored_numpy(self):
         p, x, d = self._ray()
         line = restrict(p, x, d)
-        for t in self.TS:
+        for t in (*self.TS, self.ORDER_T):
             u = d * t
             u += x  # the line's own order
             zmax, w, sw, value, gradient = _unfloored_answers(p, u)
@@ -450,7 +466,7 @@ class TestExpFloor:
 
     def test_pointwise_answers_as_unfloored_numpy(self):
         p, x, d = self._ray()
-        for t in self.TS:
+        for t in (*self.TS, self.ORDER_T):
             u = x + t * d
             _, _, _, value, gradient = _unfloored_answers(p, u)
             assert p.value(u) == value

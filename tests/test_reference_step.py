@@ -28,6 +28,7 @@ import pytest
 from ellipcenters import (GenParams, QuadraticProblem, SolverConfig, Variant,
                           conic_center, ellipse_bound, fit_conic, generate_instance,
                           me_step, minimize)
+from ellipcenters.geometry import scaled_sumsq
 
 brentq = pytest.importorskip("scipy.optimize").brentq
 
@@ -84,7 +85,7 @@ def _gaps(p, x, variant):
     """|x_next - x_ref| over the step and, each from its own midpoint, over
     the move along the semiline; and the reference's sin theta."""
     g = p.gradient(x)
-    x_next, _, _, fields = me_step(p, x, p.value(x), g, variant, 1.0)
+    x_next, _, _, fields = me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0)
     assert fields["branch"] == "ellipse"
     x_ref, base_ref, sin_theta = reference_step(p, x, variant)
     semiline = x_next - (x - 0.5 * fields["t"] * g)

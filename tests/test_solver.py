@@ -10,30 +10,35 @@ from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
                           find_level_step, generate_instance, me_step, minimize,
                           objectives, run_method, semiline_search, solver)
-from ellipcenters.geometry import build_frame, center_direction
+from ellipcenters.geometry import build_frame, center_direction, scaled_sumsq
 from ellipcenters.objectives import QuadraticLine, restrict
+
+
+def step_from(p, x, variant=Variant.SEMILINE_MIN):
+    """me_step from x, given the pointwise value and gradient there."""
+    g = p.gradient(x)
+    return me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0)
 
 
 class TestMeStep:
     def test_radial_symmetry_takes_midpoint_to_minimizer(self):
         p = QuadraticProblem(np.eye(3), np.zeros(3))
         x = np.array([1.0, -2.0, 0.5])
-        x_next, _, _, fields = me_step(p, x, p.value(x), p.gradient(x), Variant.SEMILINE_MIN, 1.0)
+        x_next, _, _, fields = step_from(p, x)
         assert fields["branch"] == "midpoint"  # grad at y = -x is collinear
         assert np.linalg.norm(x_next) <= 1e-8
 
     def test_two_dimensional_quadratic_one_shot(self):
         p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))
         x = np.array([1.0, 1.0])
-        x_next, _, _, fields = me_step(p, x, p.value(x), p.gradient(x), Variant.SEMILINE_MIN, 1.0)
+        x_next, _, _, fields = step_from(p, x)
         assert fields["branch"] == "ellipse"
         assert np.linalg.norm(x_next) <= 1e-10
 
     def test_descent_contract_both_branches(self):
         for kind in ("quadratic", "logsumexp"):
             p, x0 = generate_instance(kind, 10, 3, GenParams(kappa=100))
-            x_next, f_next, _, fields = me_step(p, x0, p.value(x0), p.gradient(x0),
-                                                Variant.SEMILINE_MIN, 1.0)
+            x_next, f_next, _, fields = step_from(p, x0)
             f0 = p.value(x0)
             assert f_next <= fields["f_mid"]
             assert fields["f_mid"] < f0
@@ -42,8 +47,7 @@ class TestMeStep:
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
     def test_next_gradient_comes_from_the_searched_line(self, kind):
         p, x0 = generate_instance(kind, 10, 3, GenParams(kappa=100))
-        x_next, _, g_next, fields = me_step(p, x0, p.value(x0), p.gradient(x0),
-                                            Variant.SEMILINE_MIN, 1.0)
+        x_next, _, g_next, fields = step_from(p, x0)
         assert fields["branch"] == "ellipse"
         g = p.gradient(x_next)
         if kind == "quadratic":
@@ -65,9 +69,9 @@ class TestMeStep:
     def test_midpoint_gradient_comes_from_the_level_line(self, kind):
         p, x = self._axis_start(kind)
         fx, gx = p.value(x), p.gradient(x)
-        x_next, f_next, g_next, fields = me_step(p, x, fx, gx, Variant.SEMILINE_MIN, 1.0)
+        x_next, f_next, g_next, fields = step_from(p, x)
         assert fields["branch"] == "midpoint"
-        level = find_level_step(p, x, fx, gx, 1.0)
+        level = find_level_step(p, x, fx, gx, scaled_sumsq(gx), 1.0)
         mid = 0.5 * level.t
         assert np.array_equal(x_next, x - mid * gx)
         assert f_next == fields["f_mid"] == level.line.value(mid)
@@ -97,7 +101,7 @@ class TestMeStep:
             g = p.gradient(x)
             if np.linalg.norm(g) <= 0.01:
                 break
-            x_next, _, _, fields = me_step(p, x, p.value(x), g, Variant.SEMILINE_MIN, 1.0)
+            x_next, _, _, fields = step_from(p, x)
             assert p.gradient(x - fields["t"] * g) @ g <= 1e-9
             x = x_next
 
@@ -333,7 +337,7 @@ class TestVectorBudget:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            fields = me_step(counted, x, f, g, variant, 1.0)[3]
+            fields = me_step(counted, x, f, g, scaled_sumsq(g), variant, 1.0)[3]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -358,10 +362,10 @@ class TestNearCollinearTurn:
         p = QuadraticProblem(0.5 * (a + a.T), np.zeros(n))
         x = q[:, 0] + sin_theta / (2.0 * kappa * (kappa - 1.0)) * q[:, -1]
         g = p.gradient(x)
-        level = find_level_step(p, x, p.value(x), g, 1.0)
+        level = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
         t = level.t
         grad_y = level.line.gradient(t)
-        frame = build_frame(g, t, grad_y)
+        frame = build_frame(g, scaled_sumsq(g), t, grad_y)
         ca, cb = center_direction(frame)
         d = ca * g + cb * grad_y
         turned = level.line.turn(0.5 * t, x - 0.5 * t * g, d, (-(ca + cb), cb * t))
