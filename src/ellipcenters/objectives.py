@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -138,29 +138,31 @@ _EXP_FLOOR = 700.0  # numpy's exp leaves its fast path below about -708
 _SHIFT_ABOVE = 500.0  # exponents up to this leave n e^z far from overflow
 
 
-def _lse_weigh(alpha, u, w, uu):
-    """(shift, sum w) for w = exp(z - shift) in ``w``, where z = alpha (u u),
-    the one exponent rule, with u u in ``uu`` (which may be ``w``).  Every z
-    is at least 0, so exp runs unshifted on its fast path up to max z =
-    _SHIFT_ABOVE.  Past it (or at a NaN) the shift is max z, and exponents
-    below -_EXP_FLOOR are raised to it: beside a largest weight of 1, weights
-    below e^-700 change neither the sum nor, with beta >= 0.5, a gradient.
-    The max is taken only when sum z = alpha . (u u), one dot and faster
-    than numpy's max, reaches _SHIFT_ABOVE - 1: below it, max z <= sum z
-    stays under _SHIFT_ABOVE through the dot's rounding."""
-    z = np.multiply(alpha, np.multiply(u, u, uu), w)
-    zmax = 0.0 if alpha.dot(uu) < _SHIFT_ABOVE - 1.0 else np.maximum.reduce(z)
+def _lse_weigh(alpha, beta, ratio, u, w, uu):
+    """(shift, sum w, beta . (u u)) for w = exp(z - shift) in ``w``, where
+    z = alpha (u u), the one exponent rule, with u u in ``uu`` (which may be
+    ``w``).  Every z is at least 0, so exp runs unshifted on its fast path
+    up to max z = _SHIFT_ABOVE.  Past it (or at a NaN) the shift is max z,
+    and exponents below -_EXP_FLOOR are raised to it: beside a largest
+    weight of 1, weights below e^-700 change neither the sum nor, with
+    beta >= 0.5, a gradient.  With ``ratio`` = max alpha_i / beta_i, max z
+    is at most ratio (beta . (u u)), the dot the value needs anyway, so the
+    max is taken only where that bound reaches _SHIFT_ABOVE - 2, which
+    leaves room for the rounding of both."""
+    bu = beta.dot(np.multiply(u, u, uu))
+    z = np.multiply(alpha, uu, w)
+    zmax = 0.0 if ratio * bu < _SHIFT_ABOVE - 2.0 else np.maximum.reduce(z)
     shift = 0.0 if zmax <= _SHIFT_ABOVE else zmax
     if shift:
         z -= shift
         np.maximum(z, -_EXP_FLOOR, out=z)
     np.exp(z, z)
-    return shift, np.add.reduce(z)
+    return shift, np.add.reduce(z), bu
 
 
-def _lse_value(shift, sw, beta, uu) -> float:
-    """shift + ln(sum w) + beta . (u u), from the u u that ``uu`` holds."""
-    val = float(shift) + float(np.log(sw)) + float(beta.dot(uu))
+def _lse_value(shift, sw, bu) -> float:
+    """shift + ln(sum w) + beta . (u u), the last taken by the weighing."""
+    val = float(shift) + float(np.log(sw)) + float(bu)
     if not math.isfinite(val):
         raise NumericError("log-sum-exp value is not finite despite shifting")
     return val
@@ -189,6 +191,8 @@ class LogSumExpProblem:
 
     alpha: np.ndarray
     beta: np.ndarray
+    # max alpha_i / beta_i, which bounds every exponent by beta . (u u)
+    ratio: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -201,6 +205,7 @@ class LogSumExpProblem:
             raise ValueError("all weights must be positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "ratio", float((alpha / beta).max()))
 
     @property
     def dimension(self) -> int:
@@ -213,13 +218,12 @@ class LogSumExpProblem:
     def value(self, x) -> float:
         x = _check_point(x, self.dimension)
         w, uu = np.empty((2, x.shape[0]))
-        shift, sw = _lse_weigh(self.alpha, x, w, uu)
-        return _lse_value(shift, sw, self.beta, uu)
+        return _lse_value(*_lse_weigh(self.alpha, self.beta, self.ratio, x, w, uu))
 
     def gradient(self, x) -> np.ndarray:
         x = _check_point(x, self.dimension)
         w = np.empty(x.shape)
-        sw = _lse_weigh(self.alpha, x, w, w)[1]
+        sw = _lse_weigh(self.alpha, self.beta, self.ratio, x, w, w)[1]
         return _lse_gradient(self.alpha, self.beta, x, w, sw)
 
     def along(self, x, d, f=None, g=None, turns=False) -> "LogSumExpLine":
@@ -227,8 +231,8 @@ class LogSumExpProblem:
         caller has it.  The line needs no value at x, so ``f`` is not read,
         and it turns by restarting, so ``turns`` changes nothing."""
         n = self.alpha.shape[0]
-        return LogSumExpLine(self.alpha, self.beta, _check_point(x, n), _check_point(d, n),
-                             None if g is None else np.asarray(g, dtype=float))
+        return LogSumExpLine(self.alpha, self.beta, self.ratio, _check_point(x, n),
+                             _check_point(d, n), None if g is None else np.asarray(g, dtype=float))
 
     def solution(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -313,23 +317,22 @@ class QuadraticLine:
 class LogSumExpLine:
     """ln(sum_i exp(alpha_i u_i^2)) + sum_i beta_i u_i^2 along u = x + t d.
 
-    The first query at a t computes u, u u and w = exp(alpha (u u) - shift)
-    once, into buffers the line owns; a value, slope or gradient at that t
-    reuses them, and a value reads u u until a slope writes over it.  The
-    weighing, the value and the gradient run the pointwise ones' code, so
-    the line's value and gradient at t are ``value(x + t d)`` and
-    ``gradient(x + t d)`` bit for bit, and at t = 0 ``value(x)`` and
-    ``gradient(x)``.  A slope needs no gradient vector: 2 (sum w alpha d u /
+    The first query at a t computes u, u u, beta . (u u) and w = exp(alpha
+    (u u) - shift) once, into buffers the line owns; a value, slope or
+    gradient at that t reuses them.  The weighing, the value and the
+    gradient run the pointwise ones' code, so the line's value and gradient
+    at t are ``value(x + t d)`` and ``gradient(x + t d)`` bit for bit, and
+    at t = 0 ``value(x)`` and ``gradient(x)``.  A slope needs no gradient vector: 2 (sum w alpha d u /
     sum w + sum beta d u), its own sum, which agrees with ``gradient . d`` to
     rounding.  Handed ``g``, the line answers the slope and gradient at 0
     from it.  A turn hands the buffers on; queried again, this line takes new ones.
     """
 
-    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "g",
-                 "_t", "_u", "_w", "_tmp", "_uu", "_shift", "_sw")
+    __slots__ = ("alpha", "beta", "ratio", "x", "d", "ad", "bd", "g",
+                 "_t", "_u", "_w", "_tmp", "_shift", "_sw", "_bu")
 
-    def __init__(self, alpha, beta, x, d, g, buffers=(None, None, None)):
-        self.alpha, self.beta = alpha, beta
+    def __init__(self, alpha, beta, ratio, x, d, g, buffers=(None, None, None)):
+        self.alpha, self.beta, self.ratio = alpha, beta, ratio
         self.x, self.d = x, d
         self.ad = self.bd = None  # alpha d and beta d, on the first slope
         self.g = g
@@ -345,15 +348,13 @@ class LogSumExpLine:
                 self._u[...] = self.x
             else:
                 np.add(np.multiply(self.d, t, self._u), self.x, self._u)
-            self._shift, self._sw = _lse_weigh(self.alpha, self._u, self._w, self._tmp)
-            self._t = self._uu = t  # _uu: the t whose u u _tmp holds
+            self._shift, self._sw, self._bu = _lse_weigh(
+                self.alpha, self.beta, self.ratio, self._u, self._w, self._tmp)
+            self._t = t
 
     def value(self, t: float) -> float:
         self._weigh(t)
-        if self._uu != t:  # a slope at t wrote over u u
-            np.multiply(self._u, self._u, self._tmp)
-            self._uu = t
-        return _lse_value(self._shift, self._sw, self.beta, self._tmp)
+        return _lse_value(self._shift, self._sw, self._bu)
 
     def slope(self, t: float) -> float:
         if t == 0.0 and self.g is not None:
@@ -366,7 +367,6 @@ class LogSumExpLine:
             raise NumericError("log-sum-exp gradient is not finite despite shifting")
         if self.ad is None:
             self.ad, self.bd = self.alpha * self.d, self.beta * self.d
-        self._uu = None
         adu = np.multiply(self.ad, self._u, self._tmp)
         return 2.0 * (float(self._w.dot(adu)) / float(self._sw)
                       + float(self.bd.dot(self._u)))
@@ -380,7 +380,7 @@ class LogSumExpLine:
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "LogSumExpLine":
         """The line through x, the point at t, along e, started afresh in this line's buffers."""
         buffers, self._t, self._u = (self._u, self._w, self._tmp), None, None
-        return LogSumExpLine(self.alpha, self.beta, x, e, None, buffers)
+        return LogSumExpLine(self.alpha, self.beta, self.ratio, x, e, None, buffers)
 
 
 class RayLine:
