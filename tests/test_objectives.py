@@ -481,6 +481,27 @@ class TestExpFloor:
             assert line._w.max() == 1.0
 
 
+class TestShiftBound:
+    # A weighing takes numpy's max only where ratio (beta . (u u)), which
+    # bounds max z, reaches 498.  One entry at the argmax of alpha / beta
+    # sets max z, so the bound is tight there, on both sides of 500: every
+    # answer must be the one of the rule that always takes the max.
+    ZMAX = (400.0, 497.0, 498.0, 499.0, 499.99, 500.0, 500.01, 501.0, 550.0, 650.0)
+
+    def test_answers_as_if_the_max_were_taken(self):
+        p, x, d = TestRestriction._ray("logsumexp", 50)
+        i = int(np.argmax(p.alpha / p.beta))
+        for zmax in self.ZMAX:
+            u = 1e-3 * d
+            u[i] = math.sqrt(zmax / p.alpha[i])
+            *_, value, gradient = _unfloored_answers(p, u)
+            assert p.value(u) == value
+            assert np.array_equal(p.gradient(u), gradient)
+            line = restrict(p, u, d)
+            assert line.value(0.0) == value
+            assert np.array_equal(line.gradient(0.0), gradient)
+
+
 _LD = np.longdouble
 
 
