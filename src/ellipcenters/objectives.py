@@ -322,10 +322,11 @@ class LogSumExpLine:
     gradient at that t reuses them.  The weighing, the value and the
     gradient run the pointwise ones' code, so the line's value and gradient
     at t are ``value(x + t d)`` and ``gradient(x + t d)`` bit for bit, and
-    at t = 0 ``value(x)`` and ``gradient(x)``.  A slope needs no gradient vector: 2 (sum w alpha d u /
-    sum w + sum beta d u), its own sum, which agrees with ``gradient . d`` to
-    rounding.  Handed ``g``, the line answers the slope and gradient at 0
-    from it.  A turn hands the buffers on; queried again, this line takes new ones.
+    at t = 0 ``value(x)`` and ``gradient(x)``.  A slope needs no gradient
+    vector: 2 (sum w alpha d u / sum w + sum beta d u), its own sum, which
+    agrees with ``gradient . d`` to rounding.  Handed ``g``, the line
+    answers the slope and gradient at 0 from it.  A turn hands the buffers
+    on; queried again, this line takes new ones.
     """
 
     __slots__ = ("alpha", "beta", "ratio", "x", "d", "ad", "bd", "g",

@@ -154,7 +154,7 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float):
     t, line = level.t, level.line
     mid = 0.5 * t
     base = _axpy(-mid, g, x)  # the level line's point at t/2
-    if np.logical_and.reduce(base == x):
+    if np.logical_and.reduce(base == x):  # ndarray.all runs a Python helper
         raise NumericError("the level step collapsed onto x below float resolution")
     grad_y = line.gradient(t)
     try:
