@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -117,13 +117,12 @@ class QuadraticProblem:
         """The parabola t -> f(x + t d), from the product Ad.
 
         ``f`` and ``g`` are the value and gradient at x when the caller has
-        them; ``value`` and ``gradient`` fill in the one that is missing.
-        With ``turns`` the line also holds A^2 d, taken in the same pass
-        over A, so that ``QuadraticLine.turn`` needs no product.
+        them; ``value`` and ``gradient``, which check x, fill in the one
+        that is missing, and the parabola reads x for nothing else.  With
+        ``turns`` the line also holds A^2 d, taken in the same pass over A,
+        so that ``QuadraticLine.turn`` needs no product.
         """
-        n = self.b.shape[0]
-        x = _check_point(x, n)
-        d = _check_point(d, n)
+        d = _check_point(d, self.b.shape[0])
         f = self.value(x) if f is None else f
         g = self.gradient(x) if g is None else g
         ad, a2d = matrix_powers(self.a, d) if turns else (self.a @ d, None)
@@ -138,20 +137,17 @@ _EXP_FLOOR = 700.0  # numpy's exp leaves its fast path below about -708
 _SHIFT_ABOVE = 500.0  # exponents up to this leave n e^z far from overflow
 
 
-def _lse_weigh(alpha, beta, ratio, u, w, uu):
+def _lse_weigh(alpha, beta, u, w, uu):
     """(shift, sum w, beta . (u u)) for w = exp(z - shift) in ``w``, where
     z = alpha (u u), the one exponent rule, with u u in ``uu`` (which may be
     ``w``).  Every z is at least 0, so exp runs unshifted on its fast path
     up to max z = _SHIFT_ABOVE.  Past it (or at a NaN) the shift is max z,
     and exponents below -_EXP_FLOOR are raised to it: beside a largest
     weight of 1, weights below e^-700 change neither the sum nor, with
-    beta >= 0.5, a gradient.  With ``ratio`` = max alpha_i / beta_i, max z
-    is at most ratio (beta . (u u)), the dot the value needs anyway, so the
-    max is taken only where that bound reaches _SHIFT_ABOVE - 2, which
-    leaves room for the rounding of both."""
+    beta >= 0.5, a gradient."""
     bu = beta.dot(np.multiply(u, u, uu))
     z = np.multiply(alpha, uu, w)
-    zmax = 0.0 if ratio * bu < _SHIFT_ABOVE - 2.0 else np.maximum.reduce(z)
+    zmax = np.maximum.reduce(z)
     shift = 0.0 if zmax <= _SHIFT_ABOVE else zmax
     if shift:
         z -= shift
@@ -191,8 +187,6 @@ class LogSumExpProblem:
 
     alpha: np.ndarray
     beta: np.ndarray
-    # max alpha_i / beta_i, which bounds every exponent by beta . (u u)
-    ratio: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -205,7 +199,6 @@ class LogSumExpProblem:
             raise ValueError("all weights must be positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "ratio", float((alpha / beta).max()))
 
     @property
     def dimension(self) -> int:
@@ -218,12 +211,12 @@ class LogSumExpProblem:
     def value(self, x) -> float:
         x = _check_point(x, self.dimension)
         w, uu = np.empty((2, x.shape[0]))
-        return _lse_value(*_lse_weigh(self.alpha, self.beta, self.ratio, x, w, uu))
+        return _lse_value(*_lse_weigh(self.alpha, self.beta, x, w, uu))
 
     def gradient(self, x) -> np.ndarray:
         x = _check_point(x, self.dimension)
         w = np.empty(x.shape)
-        sw = _lse_weigh(self.alpha, self.beta, self.ratio, x, w, w)[1]
+        sw = _lse_weigh(self.alpha, self.beta, x, w, w)[1]
         return _lse_gradient(self.alpha, self.beta, x, w, sw)
 
     def along(self, x, d, f=None, g=None, turns=False) -> "LogSumExpLine":
@@ -231,7 +224,7 @@ class LogSumExpProblem:
         caller has it.  The line needs no value at x, so ``f`` is not read,
         and it turns by restarting, so ``turns`` changes nothing."""
         n = self.alpha.shape[0]
-        return LogSumExpLine(self.alpha, self.beta, self.ratio, _check_point(x, n),
+        return LogSumExpLine(self.alpha, self.beta, _check_point(x, n),
                              _check_point(d, n), None if g is None else np.asarray(g, dtype=float))
 
     def solution(self) -> np.ndarray:
@@ -310,8 +303,8 @@ class QuadraticLine:
         if self.a2d is None:
             raise ValueError("a quadratic line turns only when restricted with turns=True")
         alpha, gamma = krylov
-        f_t = self.f0 + t * (self.gd + 0.5 * t * self.dad)  # value(t), inline
-        return QuadraticLine(f_t, self.g0 + t * self.ad, e, alpha * self.ad + gamma * self.a2d)
+        return QuadraticLine(self.value(t), self.gradient(t), e,
+                             alpha * self.ad + gamma * self.a2d)
 
 
 class LogSumExpLine:
@@ -329,11 +322,11 @@ class LogSumExpLine:
     on; queried again, this line takes new ones.
     """
 
-    __slots__ = ("alpha", "beta", "ratio", "x", "d", "ad", "bd", "g",
+    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "g",
                  "_t", "_u", "_w", "_tmp", "_shift", "_sw", "_bu")
 
-    def __init__(self, alpha, beta, ratio, x, d, g, buffers=(None, None, None)):
-        self.alpha, self.beta, self.ratio = alpha, beta, ratio
+    def __init__(self, alpha, beta, x, d, g, buffers=(None, None, None)):
+        self.alpha, self.beta = alpha, beta
         self.x, self.d = x, d
         self.ad = self.bd = None  # alpha d and beta d, on the first slope
         self.g = g
@@ -350,7 +343,7 @@ class LogSumExpLine:
             else:
                 np.add(np.multiply(self.d, t, self._u), self.x, self._u)
             self._shift, self._sw, self._bu = _lse_weigh(
-                self.alpha, self.beta, self.ratio, self._u, self._w, self._tmp)
+                self.alpha, self.beta, self._u, self._w, self._tmp)
             self._t = t
 
     def value(self, t: float) -> float:
@@ -381,7 +374,7 @@ class LogSumExpLine:
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "LogSumExpLine":
         """The line through x, the point at t, along e, started afresh in this line's buffers."""
         buffers, self._t, self._u = (self._u, self._w, self._tmp), None, None
-        return LogSumExpLine(self.alpha, self.beta, self.ratio, x, e, None, buffers)
+        return LogSumExpLine(self.alpha, self.beta, x, e, None, buffers)
 
 
 class RayLine:

@@ -482,10 +482,9 @@ class TestExpFloor:
 
 
 class TestShiftBound:
-    # A weighing takes numpy's max only where ratio (beta . (u u)), which
-    # bounds max z, reaches 498.  One entry at the argmax of alpha / beta
-    # sets max z, so the bound is tight there, on both sides of 500: every
-    # answer must be the one of the rule that always takes the max.
+    # A weighing shifts by max z only past 500.  One entry sets max z on
+    # both sides of that bound: every answer must be the reference's, bit
+    # for bit.
     ZMAX = (400.0, 497.0, 498.0, 499.0, 499.99, 500.0, 500.01, 501.0, 550.0, 650.0)
 
     def test_answers_as_if_the_max_were_taken(self):
