@@ -147,7 +147,7 @@ def _lse_weigh(alpha, beta, u, w, uu):
     beta >= 0.5, a gradient."""
     bu = beta.dot(np.multiply(u, u, uu))
     z = np.multiply(alpha, uu, w)
-    zmax = np.maximum.reduce(z)
+    zmax = z[z.argmax()]  # max z, NaN first; faster than np.maximum.reduce up to n = 10^4
     shift = 0.0 if zmax <= _SHIFT_ABOVE else zmax
     if shift:
         z -= shift
