@@ -38,7 +38,9 @@ from .errors import NumericError, StationaryPointError
 from .linesearch import find_root
 from .objectives import restrict
 
-_EPS = float(np.finfo(float).eps)
+# the level step's noise floor per unit of 1 + |f|: differences of f below
+# it count as rounding
+NOISE_FLOOR = 32.0 * float(np.finfo(float).eps)
 _SLOPE_SWITCH = 64.0  # rounding floors of decrease below which slopes take over
 _TOL = 1e-10  # relative tolerance of the level equation
 
@@ -73,7 +75,7 @@ def find_level_step(obj, x, f_x: float, g, g_sumsq, t_init: float) -> LevelStepR
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
     line = restrict(obj, x, -g, f_x, g, turns=True)
     tol = _TOL * (1.0 + abs(f_x))
-    noise_floor = 32.0 * _EPS * (1.0 + abs(f_x))
+    noise_floor = NOISE_FLOOR * (1.0 + abs(f_x))
     r = 0.0
 
     def secant_slope(t):

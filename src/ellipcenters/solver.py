@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegeneratePlaneError, NumericError
 from .geometry import build_frame, center_direction, scaled_sumsq
-from .levelstep import find_level_step
+from .levelstep import NOISE_FLOOR, find_level_step
 from .linesearch import minimize_on_ray
 from .objectives import CountingObjective
 
@@ -110,10 +110,16 @@ class SolverRun:
         return self.n_value_evals + self.n_grad_evals
 
 
-def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
+def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slope: float):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
-    at ``scale``; ``f_base`` is the value at v = 0.  ``variant`` is a
-    ``Variant`` or its name.  Returns (v, f at that point)."""
+    at ``scale``; ``f_base`` is the value and ``slope`` the slope (or an
+    estimate of it) at v = 0.  ``variant`` is a ``Variant`` or its name.
+    Returns (v, f at that point).
+
+    decrease-search stays at v = 0 once v |slope| is within the level
+    step's noise floor 32 eps (1 + |f_base|).  That is at least 32 times
+    f's own rounding eps |f_base|, so the search also drops decreases that
+    f shows (ROADMAP item 8 would scale the floor with f)."""
     if not isinstance(variant, Variant):
         variant = Variant(variant)
     if variant is Variant.SEMILINE_MIN:
@@ -122,7 +128,10 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float):
             return 0.0, f_base
         return v, fv
     v = scale
+    floor = NOISE_FLOOR * (1.0 + abs(f_base))
     for _ in range(_MAX_HALVINGS):
+        if v * abs(slope) <= floor:
+            break
         fv = line.value(v)
         if fv < f_base:
             return v, fv
@@ -169,7 +178,12 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float):
     # quadratic, so d = -(a + b) (-g) + b t A(-g)
     line = line.turn(mid, base, d, (-(a + b), b * t))
     f_base = line.value(0.0)
-    v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base)
+    # the slope along d at the midpoint, estimated as ((g + grad f(y)) / 2) . d
+    # (exact on a quadratic) from the frame with no n-vector pass: d =
+    # (c g + w) / |w| with g . w = 0 and c as center_direction takes it
+    slope = -0.5 * ((1.0 + frame.k) * frame.sin_theta / (2.0 * frame.cos_theta) * frame.gnorm
+                    + frame.wnorm)
+    v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base, slope=slope)
     x_next = base if v == 0.0 else _axpy(v, d, base)
     return x_next, f_v, line.gradient(v), {"t": t, "v": v, "branch": "ellipse", "f_mid": f_base}
 

@@ -6,7 +6,10 @@ that starts calling one (``ndarray.all``, ``np.dot``'s dispatcher) shows here.
 
 Pinned with 5% headroom.  Before the budget the same runs took 72.33
 (semiline-min) and 101.14 (decrease-search) calls per iteration on the
-quadratic, and 117.59 on the log-sum-exp runs.
+quadratic, and 117.59 on the log-sum-exp runs.  The quadratic
+decrease-search pin also moves with how many values a search takes: with
+no floor on its samples it takes 87.54, two for each of the 24 values an
+iteration samples.
 """
 import sys
 
@@ -38,10 +41,12 @@ def calls_per_iteration(runs):
 
 
 @pytest.mark.parametrize("variant,budget", [
-    (Variant.SEMILINE_MIN, 54.24), (Variant.DECREASE_SEARCH, 87.54)],
+    (Variant.SEMILINE_MIN, 54.24), (Variant.DECREASE_SEARCH, 46.62)],
     ids=["semiline-min", "decrease-search"])
 def test_quadratic_iteration(variant, budget):
-    # kappa 1000 at n = 10: 1361 and 1471 iterations, each O(1) per query
+    # kappa 1000 at n = 10: 1361 and 2149 iterations, each O(1) per query;
+    # decrease-search samples nothing below the level step's noise floor,
+    # where it took 24 values an iteration over 1471 iterations (87.54 calls)
     p, x0 = generate_instance("quadratic", 10, 0)
     cfg = SolverConfig(epsilon=1e-8, max_iterations=5000, variant=variant)
     assert calls_per_iteration([(p, x0, cfg)]) <= budget * HEADROOM

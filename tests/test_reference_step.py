@@ -11,7 +11,8 @@ conic, on which conic_center puts the centers of the conics at m = M/4 and
 would be lost near collinear frames: at sin theta = 1e-6 every conic with a
 double m has its center within 1e-18 lam of the midpoint.  semiline-min
 solves the slope along that line for zero with brentq; decrease-search
-halves v from lam until f falls below f at the midpoint.
+halves v from lam until f falls below f at the midpoint, and stays there
+once v |s| is within 32 eps (1 + |f|), s = ((g + grad f(y)) / 2) . d.
 
 Measured on the grid below, |x_next - x_ref| / |x_next - x| was at most
 3.95e-8 (quadratic, decrease-search) and 9.9e-9 (quadratic, semiline-min),
@@ -34,6 +35,7 @@ brentq = pytest.importorskip("scipy.optimize").brentq
 
 BOUND = 4e-7
 HALVINGS = 60
+EPS = float(np.finfo(float).eps)
 
 
 def _root(phi, hi):
@@ -72,7 +74,11 @@ def reference_step(p, x, variant):
         v = _root(slope, lam) if slope(0.0) < 0.0 else 0.0
     else:
         f_base, v = p.value(base), lam
+        slope = 0.5 * float((g + grad_y) @ d)
         for _ in range(HALVINGS):
+            if v * abs(slope) <= 32.0 * EPS * (1.0 + abs(f_base)):
+                v = 0.0
+                break
             if p.value(base + v * d) < f_base:
                 break
             v *= 0.5
@@ -82,16 +88,15 @@ def reference_step(p, x, variant):
 
 
 def _gaps(p, x, variant):
-    """|x_next - x_ref| over the step and, each from its own midpoint, over
-    the move along the semiline; and the reference's sin theta."""
+    """|x_next - x_ref| and |x_next - x|; the same two for the moves along
+    the semiline, each from its own midpoint; and the reference's sin theta."""
     g = p.gradient(x)
     x_next, _, _, fields = me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0)
     assert fields["branch"] == "ellipse"
     x_ref, base_ref, sin_theta = reference_step(p, x, variant)
     semiline = x_next - (x - 0.5 * fields["t"] * g)
-    return (np.linalg.norm(x_next - x_ref) / np.linalg.norm(x_next - x),
-            np.linalg.norm(semiline - (x_ref - base_ref)) / np.linalg.norm(semiline),
-            sin_theta)
+    return (np.linalg.norm(x_next - x_ref), np.linalg.norm(x_next - x),
+            np.linalg.norm(semiline - (x_ref - base_ref)), np.linalg.norm(semiline), sin_theta)
 
 
 GRID = [pytest.param("quadratic", 50, GenParams(kappa=100.0), id="quadratic-50"),
@@ -109,7 +114,8 @@ def test_step_matches_the_reference_along_runs(kind, n, params, variant):
         for rec in run.iterates[:-1]:
             if rec.branch != "ellipse" or rec.grad_norm < 1e-3:
                 continue
-            assert _gaps(p, rec.x, variant)[0] <= BOUND
+            gap, step = _gaps(p, rec.x, variant)[:2]
+            assert gap <= BOUND * step
             steps += 1
     assert steps >= 10
 
@@ -121,12 +127,14 @@ def test_step_matches_the_reference_near_collinear_frames(kappa, variant):
     # 1e-6 from the chord, as TestNearCollinearTurn builds the frame; the
     # chord midpoint is then within 1e-7 of the minimizer, and the move
     # along the semiline, 5e-8 (kappa 10) or 5e-10 (kappa 1000) long, is
-    # held to the bound on its own: measured at most 6.5e-8 of it
+    # held to the bound on its own: measured at most 6.5e-8 of it.  At kappa
+    # 1000 its decrease, about 3e-16, is below the level step's noise
+    # floor, and decrease-search stays at the midpoint
     n, sin_theta = 30, 1e-6
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
     a = (q * np.geomspace(1.0, kappa, n)) @ q.T
     p = QuadraticProblem(0.5 * (a + a.T), np.zeros(n))
     x = q[:, 0] + sin_theta / (2.0 * kappa * (kappa - 1.0)) * q[:, -1]
-    step_gap, semiline_gap, sin_ref = _gaps(p, x, variant)
+    gap, step, semiline_gap, semiline, sin_ref = _gaps(p, x, variant)
     assert 0.5 * sin_theta <= sin_ref <= 2.0 * sin_theta
-    assert step_gap <= BOUND and semiline_gap <= BOUND
+    assert gap <= BOUND * step and semiline_gap <= BOUND * semiline

@@ -109,7 +109,8 @@ class TestMeStep:
 def search(p, base, d, variant, scale=1.0):
     """The semiline search's v on the line {base + v d} of p, from v = scale."""
     line = restrict(p, base, d)
-    v, _ = semiline_search(line, variant, scale=scale, f_base=line.value(0.0))
+    v, _ = semiline_search(line, variant, scale=scale, f_base=line.value(0.0),
+                           slope=line.slope(0.0))
     return v
 
 
@@ -152,7 +153,7 @@ class TestSemilineSearch:
                 return 2.0 * (v - 0.5)
 
         assert semiline_search(FlatLine(), Variant.SEMILINE_MIN, scale=1.0,
-                               f_base=1.0) == (0.0, 1.0)
+                               f_base=1.0, slope=-1.0) == (0.0, 1.0)
 
 
 def krylov_plane_step(a, b, x):
@@ -383,13 +384,64 @@ class TestNearCollinearTurn:
         product = QuadraticLine(level.line.value(mid), level.line.gradient(mid), d, p.a @ d)
         assert (np.linalg.norm(turned.ad - product.ad)
                 <= 4.0 * self.EPS / sin * np.linalg.norm(product.ad))
-        v, _ = semiline_search(turned, variant, scale=frame.lam, f_base=turned.value(0.0))
+        f_base = turned.value(0.0)
+        v, _ = semiline_search(turned, variant, scale=frame.lam, f_base=f_base,
+                               slope=turned.slope(0.0))
+        # decrease-search stays at the midpoint where the decrease along d is
+        # below the level step's noise floor, as it is here but at kappa 10,
+        # sin 1e-6
+        assert v > 0.0 or variant is Variant.DECREASE_SEARCH
+        # the turned line is checked at semiline-min's v, whatever the
+        # variant: of order sin theta |g| / (d . Ad), which undoes the
+        # 1 / sin theta, and never 0, where both checks would hold trivially
+        v, _ = semiline_search(turned, Variant.SEMILINE_MIN, scale=frame.lam, f_base=f_base,
+                               slope=turned.slope(0.0))
         assert v > 0.0
-        # v is of order sin theta |g| / (d . Ad), which undoes the 1 / sin theta
         assert (np.linalg.norm(turned.gradient(v) - product.gradient(v))
                 <= 4.0 * self.EPS * np.linalg.norm(g))
         most = product.gd ** 2 / (2.0 * product.dad)  # the largest decrease along d
         assert abs(turned.value(v) - product.value(v)) <= 4.0 * self.EPS / sin * most
+
+
+class SampleLog:
+    """A line that records where its values are taken."""
+
+    def __init__(self, line):
+        self.line = line
+        self.at = []
+
+    def value(self, v):
+        self.at.append(v)
+        return self.line.value(v)
+
+
+def test_decrease_search_takes_no_sample_below_the_noise_floor(monkeypatch):
+    # no sample whose first-order decrease v |s| is within the level step's
+    # noise floor 32 eps (1 + |f_base|); at eps 1e-9 on this kappa = 1000
+    # quadratic the search without the floor took about 186,000 values,
+    # most of them there
+    eps = float(np.finfo(float).eps)
+    reach = []  # v |s| over the floor, at every value decrease-search takes
+    floored = 0  # searches that stopped at the floor
+    search = solver.semiline_search
+
+    def logged(line, variant, *, scale, f_base, slope):
+        nonlocal floored
+        log = SampleLog(line)
+        v, f_v = search(log, variant, scale=scale, f_base=f_base, slope=slope)
+        floor = 32.0 * eps * (1.0 + abs(f_base))
+        reach.extend(u * abs(slope) / floor for u in log.at)
+        floored += v == 0.0 and len(log.at) < 60  # short of the halving cap
+        return v, f_v
+
+    monkeypatch.setattr(solver, "semiline_search", logged)
+    p, x0 = generate_instance("quadratic", 100, 0)
+    run = minimize(p, x0, SolverConfig(epsilon=1e-9, max_iterations=10_000,
+                                       variant=Variant.DECREASE_SEARCH))
+    assert run.termination is Termination.CONVERGED
+    assert min(reach) > 1.0
+    assert floored > 1000
+    assert run.n_value_evals < 20_000
 
 
 def test_evaluations_per_iteration_budget():
@@ -405,7 +457,9 @@ def test_evaluations_per_iteration_budget():
 class TestPinnedLogSumExpRuns:
     # re-recorded when the ellipse step's direction became a g + b grad f(y),
     # and when the exponents became alpha (u u), shifted only past 500
-    # (iterations and f_final kept both times); a change to a search's or the frame's
+    # (iterations and f_final kept both times), and for decrease-search when
+    # it stopped sampling below the level step's noise floor (10 -> 11 iterations,
+    # f_final kept); a change to a search's or the frame's
     # arithmetic shows here first (the pins also hold numpy's
     # exp and log rounding on this platform); they run on the generic line,
     # whose arithmetic is the pointwise one; the ids leave the digests out,
@@ -414,8 +468,8 @@ class TestPinnedLogSumExpRuns:
         pytest.param(Variant.SEMILINE_MIN, 9,
                      "c64c3cbd8796de5e06c39cb6494481e5d3321d49a22dcc55da5aa77de77931a1",
                      id="semiline-min"),
-        pytest.param(Variant.DECREASE_SEARCH, 10,
-                     "9a22ccb2fa7d7dc7476b09efee37f6e94adc162d7f85f6163b4110de29ee933f",
+        pytest.param(Variant.DECREASE_SEARCH, 11,
+                     "ef2272b69209efb2c59cdc5957aa5a55f28e198563ee53db9962b37e6e6bd971",
                      id="decrease-search"),
     ])
     def test_iterates_bit_identical(self, variant, iterations, digest):
@@ -459,18 +513,21 @@ class TestPinnedFastLineRuns:
     # before the start point took one product and log-sum-exp lines took
     # their scaled directions lazily, which moved none of these bits; the
     # log-sum-exp digests re-recorded when the exponents became alpha (u u),
-    # shifted only past 500, which moved no count and no f_final
+    # shifted only past 500, which moved no count and no f_final; the
+    # decrease-search pins re-recorded when it stopped sampling below the
+    # level step's noise floor (log-sum-exp 200 -> 77 values, quadratic 172
+    # -> 189 iterations)
     LSE = [
         ("me", Variant.SEMILINE_MIN, 11, 52, 58, "0x1.ba18a998fffa0p+2",
          "74b2721c73943e6331a4e7441a0086e4549720633f7b6ec1196dd25c711d68af"),
-        ("me", Variant.DECREASE_SEARCH, 13, 200, 31, "0x1.ba18a998fffa0p+2",
-         "fbe44506de166cfd2737e851cb8c5fe9d8254666392f2c7d0ea89706da0514e9"),
+        ("me", Variant.DECREASE_SEARCH, 13, 77, 31, "0x1.ba18a998fffa0p+2",
+         "e53ef0fca3c11d635dd58895825fe5f905824505712e947c725562d4b039e112"),
     ]
     QUADRATIC = [
         ("me", Variant.SEMILINE_MIN, 187, 760, 783, "-0x1.3c6fc01a4160ap+4",
          "21e4ac1329f854c3fa8b34c3ef71294537e5fa3a2ab8d424f0477105a4809154"),
-        ("me", Variant.DECREASE_SEARCH, 172, 791, 374, "-0x1.3c6fc01a4164ep+4",
-         "e06c0cfcb9247ded0c64f9223d4b8ab81b524636825fbc23fd9392fffd510b46"),
+        ("me", Variant.DECREASE_SEARCH, 189, 827, 425, "-0x1.3c6fc01a41630p+4",
+         "3b9e04439daf0053e4afbc024cf105cc80802d9c3ec2f9afe5e63e2a2878ddbc"),
         ("bb-long", None, 111, 112, 113, "-0x1.3c6fc01a41654p+4",
          "d572472d98cb52556c4738821daf4f5b8bcb5dede987d6e0ed003c9572a4ea1e"),
         ("bb-short", None, 97, 98, 99, "-0x1.3c6fc01a4162fp+4",
