@@ -16,10 +16,9 @@ from .geometry import (ConicClass, ConicCoefficients, LocalFrame, build_frame,
                        survey_geometry)
 from .levelstep import LevelStepResult, find_level_step
 from .linesearch import minimize_on_ray
-from .objectives import (GenParams, LogSumExpProblem, Objective,
-                         QuadraticProblem, check_gradient, generate_instance,
-                         load_problem, problem_from_dict, problem_to_dict,
-                         save_problem)
+from .objectives import (GenParams, LogSumExpProblem, QuadraticProblem,
+                         check_gradient, generate_instance, load_problem,
+                         problem_from_dict, problem_to_dict, save_problem)
 from .solver import (IterateRecord, SolverConfig, SolverRun, Termination,
                      Variant, me_step, minimize, semiline_search)
 
@@ -29,7 +28,7 @@ __all__ = [
     "BenchConfig", "BenchRecord", "ConicClass", "ConicCoefficients",
     "DegeneratePlaneError", "GenParams", "IterateRecord", "LevelStepResult",
     "LocalFrame", "LogSumExpProblem", "NonCoerciveError",
-    "NumericError", "Objective", "QuadraticProblem", "RunDetail",
+    "NumericError", "QuadraticProblem", "RunDetail",
     "SolverConfig", "SolverRun", "StationaryPointError", "Termination",
     "Variant", "bb_minimize", "bb_step_size", "build_frame",
     "center_direction", "check_gradient", "classify_conic", "conic_center",

@@ -53,14 +53,14 @@ def _exact_step(counted, x, f, g, s: float, v0: float):
     finite.  Returns (tau, x - tau g, and the value and gradient there).
     """
     d = g / -s
-    line = restrict(counted, x, d, f, g)
+    line = restrict(counted, x, d, f, g, turns=False)
     v, f_next = minimize_on_ray(line, v0=v0 * s, rel_tol=1e-10, h0=f)
     return v / s, x + v * d, f_next, line.gradient(v)
 
 
-def bb_minimize(obj, x0, kind: str = "long", epsilon: float = SolverConfig.epsilon,
-                max_iterations: int = SolverConfig.max_iterations) -> SolverRun:
-    """Spectral-step descent; the first step uses an exact line search."""
+def bb_minimize(obj, x0, kind: str = "long", cfg: SolverConfig | None = None) -> SolverRun:
+    """Spectral-step descent under cfg's stopping rule; the first step uses
+    an exact line search."""
     if kind not in ("long", "short"):
         raise ValueError(f"unknown step kind {kind!r}")
     branch = f"bb-{kind}"
@@ -77,12 +77,12 @@ def bb_minimize(obj, x0, kind: str = "long", epsilon: float = SolverConfig.epsil
         prev = (x, g)
         return x_next, f_next, g_next, dict(t=tau, branch=branch)
 
-    return descend(obj, x0, step, SolverConfig(epsilon, max_iterations))
+    return descend(obj, x0, step, cfg or SolverConfig())
 
 
-def gd_exact_minimize(obj, x0, epsilon: float = SolverConfig.epsilon,
-                      max_iterations: int = SolverConfig.max_iterations) -> SolverRun:
-    """Steepest descent with an exact line search at every step."""
+def gd_exact_minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
+    """Steepest descent with an exact line search at every step, under
+    cfg's stopping rule."""
     warm = 1.0
 
     def step(counted, x, f, g, g_sumsq):
@@ -93,4 +93,4 @@ def gd_exact_minimize(obj, x0, epsilon: float = SolverConfig.epsilon,
         warm = tau
         return x_next, f_next, g_next, dict(t=tau, branch="gd")
 
-    return descend(obj, x0, step, SolverConfig(epsilon, max_iterations))
+    return descend(obj, x0, step, cfg or SolverConfig())

@@ -22,17 +22,15 @@ METHODS = ("me", "bb-long", "bb-short", "gd")
 DEFAULT_METHODS = ("me", "bb-long", "bb-short")
 
 
-def run_method(method: str, problem, x0, epsilon: float = SolverConfig.epsilon,
-               max_iterations: int = SolverConfig.max_iterations,
-               variant: Variant = SolverConfig.variant) -> SolverRun:
-    """Run one named method, one of ``METHODS``, on a problem from x0."""
+def run_method(method: str, problem, x0, cfg: SolverConfig | None = None) -> SolverRun:
+    """Run one named method, one of ``METHODS``, on a problem from x0 under cfg."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "me":
-        return minimize(problem, x0, SolverConfig(epsilon, max_iterations, variant))
+        return minimize(problem, x0, cfg)
     if method == "gd":
-        return gd_exact_minimize(problem, x0, epsilon, max_iterations)
-    return bb_minimize(problem, x0, method.removeprefix("bb-"), epsilon, max_iterations)
+        return gd_exact_minimize(problem, x0, cfg)
+    return bb_minimize(problem, x0, method.removeprefix("bb-"), cfg)
 
 
 @dataclass(frozen=True)
@@ -46,6 +44,8 @@ class BenchConfig:
     params: GenParams = field(default_factory=GenParams)
     max_iterations: int = SolverConfig.max_iterations
     variant: Variant = SolverConfig.variant  # or its name
+    # the stopping rule of every run, built once from the three fields above
+    _solver: SolverConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # reject a bad config before the first instance is solved
@@ -70,6 +70,7 @@ class BenchConfig:
             raise ValueError("methods must be distinct")
         solver = SolverConfig(self.epsilon, self.max_iterations, self.variant)
         object.__setattr__(self, "variant", solver.variant)
+        object.__setattr__(self, "_solver", solver)
 
 
 @dataclass
@@ -110,7 +111,7 @@ def _run_instance(cfg: BenchConfig, n: int, instance: int) -> list[RunDetail]:
     details = []
     for method in cfg.methods:
         start = time.perf_counter()
-        run = run_method(method, problem, x0, cfg.epsilon, cfg.max_iterations, cfg.variant)
+        run = run_method(method, problem, x0, cfg._solver)
         wall_ms = (time.perf_counter() - start) * 1e3
         details.append(RunDetail(
             method=method, n=n, instance=instance, seed=seed,

@@ -21,7 +21,7 @@ from .bench import DEFAULT_METHODS, METHODS, BenchConfig, emit_table, run_benchm
 from .errors import NumericError
 from .geometry import survey_geometry
 from .objectives import GenParams, check_gradient, generate_instance, load_problem
-from .solver import SolverConfig, Variant
+from .solver import SolverConfig, Termination, Variant
 
 _PROBLEM_KINDS = {"f1": "quadratic", "f2": "logsumexp"}
 _SURVEY_COLUMNS = ["lambda", "theta", "m", "a", "b", "c", "d",
@@ -69,7 +69,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("need either --problem-file or --problem, --n and --seed")
         kind = _PROBLEM_KINDS[args.problem]
         problem, x0 = generate_instance(kind, args.n, args.seed, GenParams(kappa=args.kappa))
-    run = run_method(args.method, problem, x0, cfg.epsilon, cfg.max_iterations, cfg.variant)
+    run = run_method(args.method, problem, x0, cfg)
     if args.trace:
         _write_trace(args.trace, run)
     print(f"method={args.method} n={problem.dimension} termination={run.termination.value} "
@@ -78,7 +78,7 @@ def _cmd_solve(args) -> int:
           f"grad_evals={run.n_grad_evals}")
     if run.message:
         print(f"note: {run.message}", file=sys.stderr)
-    return 2 if run.termination.value == "numeric-error" else 0
+    return 2 if run.termination is Termination.NUMERIC_ERROR else 0
 
 
 def _cmd_bench(args) -> int:

@@ -18,7 +18,8 @@ mirrors the slope at the near one) and second-order accurate in general.
 Slopes are computed from gradients, so their precision is relative rather
 than absolute and the switch restores full accuracy exactly where values
 give out.  The same kernel solves it.  Both searches query the one line
-``restrict(f, x, -grad f(x), turns=True)``, and the result hands that line
+``restrict(f, x, -g, f(x), g, turns=True)`` with g = grad f(x), built from
+the value and gradient the caller holds, and the result hands that line
 back, so the caller can take the gradient at the level point from it and
 turn off it.
 

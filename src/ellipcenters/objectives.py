@@ -6,14 +6,17 @@ expose ``dimension``, ``value(x)``, ``gradient(x)`` and a strong-convexity
 lower bound ``mu`` when it is known.  Instances are generated from seeds so
 every run is reproducible, and they round-trip through plain JSON.
 
-The searches along a ray ask ``restrict(obj, x, d)`` for the line
-``t -> f(x + t d)``, which answers ``value(t)``, ``slope(t)`` and
-``gradient(t)``.  An objective may offer a cheaper restriction through an
-optional ``along(x, d, f, g, turns)`` method.  Both families do: once a
-quadratic's line has grad f(x) and Ad, every query along it costs O(1); a
-log-sum-exp line shares one set of exponential weights among the queries at
-one t and takes a slope without forming the gradient.  Any other objective
-gets the generic line over its own ``value`` and ``gradient``.
+An objective is any object with ``dimension``, ``value(x)`` and
+``gradient(x)``.  The searches along a ray ask ``restrict(obj, x, d, f, g,
+turns)`` for the line ``t -> f(x + t d)``, built from the value f and the
+gradient g at x that the caller holds, which answers ``value(t)``,
+``slope(t)`` and ``gradient(t)``.  An objective may offer a cheaper
+restriction through an optional ``along(x, d, f, g, turns)`` method.  Both
+families do: once a quadratic's line has grad f(x) and Ad, every query along
+it costs O(1); a log-sum-exp line shares one set of exponential weights
+among the queries at one t and takes a slope without forming the gradient.
+Any other objective gets the generic line over its own ``value`` and
+``gradient``.
 A log-sum-exp point and line share one exponent rule, alpha (u u), one
 weighing, one value and one gradient, so a line's value and gradient at
 t = 0 are the pointwise ones bit for bit.
@@ -25,7 +28,8 @@ t, along a new direction e = alpha d + gamma A d in its Krylov plane.  A
 quadratic's line restricted with ``turns=True`` holds A^2 d beside Ad, both
 from one pass over A (``matrix_powers``), so the new line takes Ae = alpha
 Ad + gamma A^2 d and the line's value and gradient at t with no product;
-every other line restarts at x along e, as ``restrict(obj, x, e)`` would.
+every other line restarts at x along e, as ``restrict(obj, x, e, f, g,
+turns)`` would if it held no g.
 ``CountingObjective`` counts every query an objective answers, pointwise or
 along a line.  Along any line a query costs what the generic line would
 take, so a count measures the oracle queries the search made, not the line
@@ -38,23 +42,10 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import NumericError
-
-
-@runtime_checkable
-class Objective(Protocol):
-    """Evaluation contract shared by all problem classes."""
-
-    @property
-    def dimension(self) -> int: ...
-
-    def value(self, x: np.ndarray) -> float: ...
-
-    def gradient(self, x: np.ndarray) -> np.ndarray: ...
 
 
 def _check_point(x, n: int) -> np.ndarray:
@@ -113,18 +104,13 @@ class QuadraticProblem:
         ax = self.a @ x
         return float(0.5 * x.dot(ax) - self.b.dot(x)), ax - self.b
 
-    def along(self, x, d, f=None, g=None, turns=False) -> "QuadraticLine":
-        """The parabola t -> f(x + t d), from the product Ad.
-
-        ``f`` and ``g`` are the value and gradient at x when the caller has
-        them; ``value`` and ``gradient``, which check x, fill in the one
-        that is missing, and the parabola reads x for nothing else.  With
-        ``turns`` the line also holds A^2 d, taken in the same pass over A,
-        so that ``QuadraticLine.turn`` needs no product.
+    def along(self, x, d, f, g, turns) -> "QuadraticLine":
+        """The parabola t -> f(x + t d), from the value ``f`` and gradient
+        ``g`` at x and the product Ad; it does not read x.  With ``turns``
+        the line also holds A^2 d, taken in the same pass over A, so that
+        ``QuadraticLine.turn`` needs no product.
         """
         d = _check_point(d, self.b.shape[0])
-        f = self.value(x) if f is None else f
-        g = self.gradient(x) if g is None else g
         ad, a2d = matrix_powers(self.a, d) if turns else (self.a @ d, None)
         return QuadraticLine(float(f), np.asarray(g, dtype=float), d, ad, a2d)
 
@@ -219,13 +205,13 @@ class LogSumExpProblem:
         sw = _lse_weigh(self.alpha, self.beta, x, w, w)[1]
         return _lse_gradient(self.alpha, self.beta, x, w, sw)
 
-    def along(self, x, d, f=None, g=None, turns=False) -> "LogSumExpLine":
-        """The line t -> f(x + t d); ``g`` is the gradient at x when the
-        caller has it.  The line needs no value at x, so ``f`` is not read,
-        and it turns by restarting, so ``turns`` changes nothing."""
+    def along(self, x, d, f, g, turns) -> "LogSumExpLine":
+        """The line t -> f(x + t d) from the gradient ``g`` at x.  The line
+        needs no value at x, so ``f`` is not read, and it turns by
+        restarting, so ``turns`` changes nothing."""
         n = self.alpha.shape[0]
         return LogSumExpLine(self.alpha, self.beta, _check_point(x, n),
-                             _check_point(d, n), None if g is None else np.asarray(g, dtype=float))
+                             _check_point(d, n), np.asarray(g, dtype=float))
 
     def solution(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -270,7 +256,7 @@ class QuadraticLine:
     __slots__ = ("f0", "gd", "dad", "g0", "ad", "a2d")
 
     def __init__(self, f0: float, g0: np.ndarray, d: np.ndarray, ad: np.ndarray,
-                 a2d: np.ndarray | None = None):
+                 a2d: np.ndarray | None):
         self.f0 = f0
         self.ad = ad
         self.a2d = a2d
@@ -304,7 +290,7 @@ class QuadraticLine:
             raise ValueError("a quadratic line turns only when restricted with turns=True")
         alpha, gamma = krylov
         return QuadraticLine(self.value(t), self.gradient(t), e,
-                             alpha * self.ad + gamma * self.a2d)
+                             alpha * self.ad + gamma * self.a2d, None)
 
 
 class LogSumExpLine:
@@ -317,9 +303,10 @@ class LogSumExpLine:
     at t are ``value(x + t d)`` and ``gradient(x + t d)`` bit for bit, and
     at t = 0 ``value(x)`` and ``gradient(x)``.  A slope needs no gradient
     vector: 2 (sum w alpha d u / sum w + sum beta d u), its own sum, which
-    agrees with ``gradient . d`` to rounding.  Handed ``g``, the line
-    answers the slope and gradient at 0 from it.  A turn hands the buffers
-    on; queried again, this line takes new ones.
+    agrees with ``gradient . d`` to rounding.  Handed a ``g``, as ``along``
+    hands it the caller's, the line answers the slope and gradient at 0 from
+    it; a turn hands it None.  A turn hands the buffers on; queried again,
+    this line takes new ones.
     """
 
     __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "g",
@@ -381,13 +368,14 @@ class RayLine:
     """t -> f(x + t d) through the objective's own value and gradient.
 
     Handed ``g``, the gradient at x, it starts out holding g as its
-    gradient at t = 0.  It keeps the last gradient it took, so the gradient
-    at the point a slope search ended on costs nothing more.
+    gradient at t = 0; a turn starts it with None.  It keeps the last
+    gradient it took, so the gradient at the point a slope search ended on
+    costs nothing more.
     """
 
     __slots__ = ("obj", "x", "d", "_t", "_g")
 
-    def __init__(self, obj, x: np.ndarray, d: np.ndarray, g=None):
+    def __init__(self, obj, x: np.ndarray, d: np.ndarray, g):
         self.obj = obj
         self.x = x
         self.d = d
@@ -406,21 +394,21 @@ class RayLine:
 
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "RayLine":
         """The line through x, the point at t, along e, started afresh."""
-        return RayLine(self.obj, x, e)
+        return RayLine(self.obj, x, e, None)
 
 
-def restrict(obj, x, d, f=None, g=None, turns=False):
+def restrict(obj, x, d, f, g, turns):
     """The line t -> f(x + t d), with ``value(t)``, ``slope(t)`` and ``gradient(t)``.
 
-    ``f`` and ``g`` are the value and gradient at x, when the caller already
-    has them; ``turns`` says the caller will turn off the line.  Uses the
-    objective's own ``along(x, d, f, g, turns)`` when it has one, else a
-    ``RayLine`` that evaluates f and its gradient at each queried point,
-    except the gradient at x itself when handed ``g``.
+    ``f`` and ``g`` are the value and gradient at x that the caller holds;
+    ``turns`` says the caller will turn off the line.  Uses the objective's
+    own ``along(x, d, f, g, turns)`` when it has one, else a ``RayLine``
+    that evaluates f and its gradient at each queried point except x,
+    whose gradient is g.
     """
     along = getattr(obj, "along", None)
     if along is not None:
-        return along(x, d, f, g, turns=turns)
+        return along(x, d, f, g, turns)
     return RayLine(obj, x, d, g)
 
 
@@ -458,23 +446,24 @@ class CountingObjective:
         self.n_grad += 1
         return both(x)
 
-    def along(self, x, d, f=None, g=None, turns=False):
-        return _CountedLine(self, restrict(self.inner, x, d, f, g, turns), g is not None)
+    def along(self, x, d, f, g, turns):
+        return _CountedLine(self, restrict(self.inner, x, d, f, g, turns), 0.0)
 
 
 class _CountedLine:
     """Charges the queries on a line to a counter by the generic line's rule.
 
-    A slope or gradient at the t of the last slope or gradient is free (t = 0
-    when the line was handed g); every other query costs one evaluation.
+    A slope or gradient at the t of the last slope or gradient is free, and
+    every other query costs one evaluation.  ``gt`` is that t at the start:
+    0 on a line handed g, None on a turned one.
     """
 
     __slots__ = ("counter", "line", "_gt")
 
-    def __init__(self, counter: CountingObjective, line, held_g: bool = False):
+    def __init__(self, counter: CountingObjective, line, gt: float | None):
         self.counter = counter
         self.line = line
-        self._gt = 0.0 if held_g else None  # t of the last slope or gradient
+        self._gt = gt  # t of the last slope or gradient
 
     def value(self, t: float) -> float:
         self.counter.n_value += 1
@@ -494,10 +483,10 @@ class _CountedLine:
 
     def turn(self, t: float, x, e, krylov) -> "_CountedLine":
         # like the generic line through x along e, it starts with no g at x
-        return _CountedLine(self.counter, self.line.turn(t, x, e, krylov))
+        return _CountedLine(self.counter, self.line.turn(t, x, e, krylov), None)
 
 
-def check_gradient(obj: Objective, x, h: float = 1e-6) -> float:
+def check_gradient(obj, x, h: float = 1e-6) -> float:
     """Max relative mismatch between the analytic gradient and central differences.
 
     Returns max_i |g_i - (f(x + h e_i) - f(x - h e_i)) / 2h| / (1 + |g_i|),
@@ -540,8 +529,11 @@ def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = N
 
     Quadratics get a spectrum drawn log-uniformly from [1, kappa] under a
     random rotation; log-sum-exp weights are uniform in ``WEIGHTS``.
-    The same (kind, n, seed, params) always reproduces the same instance and
-    the same start point, bit for bit.
+    The same (kind, n, seed, params) reproduces the same instance and the
+    same start point, bit for bit, under a fixed BLAS thread count.  A
+    quadratic's QR factorization and products may round differently under
+    another count: with OpenBLAS, the instances at n = 100 and 1000 differ
+    between 1 and 2 threads.
 
     Returns (problem, x0).
     """

@@ -113,15 +113,12 @@ class SolverRun:
 def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slope: float):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
     at ``scale``; ``f_base`` is the value and ``slope`` the slope (or an
-    estimate of it) at v = 0.  ``variant`` is a ``Variant`` or its name.
-    Returns (v, f at that point).
+    estimate of it) at v = 0.  Returns (v, f at that point).
 
     decrease-search stays at v = 0 once v |slope| is within the level
     step's noise floor 32 eps (1 + |f_base|).  That is at least 32 times
     f's own rounding eps |f_base|, so the search also drops decreases that
     f shows (ROADMAP item 8 would scale the floor with f)."""
-    if not isinstance(variant, Variant):
-        variant = Variant(variant)
     if variant is Variant.SEMILINE_MIN:
         v, fv = minimize_on_ray(line, v0=scale, rel_tol=1e-8, h0=f_base)
         if fv > f_base:  # no decrease above rounding: stay at the midpoint

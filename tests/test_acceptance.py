@@ -185,7 +185,7 @@ def test_criterion_6_convergence_distance_bound():
                                 f"{run.iterations} (cap {cap})")
             margin = f"{name}: {run.iterations}/{cap} iterations"
             if kind == "quadratic":
-                gd = gd_exact_minimize(problem, x0, epsilon=EPS, max_iterations=cap)
+                gd = gd_exact_minimize(problem, x0, SolverConfig(epsilon=EPS, max_iterations=cap))
                 if gd.termination is Termination.CONVERGED:
                     failures.append(f"{name}: exact steepest descent converged "
                                     f"in {gd.iterations} within cap {cap}")

@@ -53,7 +53,7 @@ class TestBBMinimize:
     @pytest.mark.parametrize("kind", ["long", "short"])
     def test_steps_within_rayleigh_bounds(self, kind):
         p, x0 = generate_instance("quadratic", 20, 3, GenParams(kappa=100))
-        run = bb_minimize(p, x0, kind, epsilon=1e-4, max_iterations=500)
+        run = bb_minimize(p, x0, kind, SolverConfig(epsilon=1e-4, max_iterations=500))
         assert run.termination is Termination.CONVERGED
         eigs = np.linalg.eigvalsh(p.a)
         for rec in run.iterates[1:-1]:  # skip the line-search first step
@@ -70,7 +70,7 @@ class TestBBMinimize:
             def gradient(self, x):
                 return -2.0 * np.asarray(x)
 
-        run = bb_minimize(Concave(), np.array([1.0, 1.0]), max_iterations=50)
+        run = bb_minimize(Concave(), np.array([1.0, 1.0]), cfg=SolverConfig(max_iterations=50))
         assert run.termination is Termination.NUMERIC_ERROR
         assert run.message
 
@@ -134,7 +134,7 @@ class TestLineGradients:
     def test_gd_takes_one_product_per_iteration(self, count_products):
         p, x0 = generate_instance("quadratic", 30, 1, GenParams(kappa=10))
         matrix = count_products(p)
-        run = gd_exact_minimize(p, x0, epsilon=1e-6)
+        run = gd_exact_minimize(p, x0, SolverConfig(epsilon=1e-6))
         assert run.termination is Termination.CONVERGED
         assert matrix.products == 1 + run.iterations
 
@@ -142,7 +142,7 @@ class TestLineGradients:
     def test_bb_first_step_reuses_its_line(self, kind, count_products):
         p, x0 = generate_instance("quadratic", 30, 1, GenParams(kappa=10))
         matrix = count_products(p)
-        run = bb_minimize(p, x0, kind, epsilon=1e-6)
+        run = bb_minimize(p, x0, kind, SolverConfig(epsilon=1e-6))
         assert run.termination is Termination.CONVERGED
         # the start point and each spectral step take one product Ax, and
         # the exact first step one, A grad f(x)
@@ -204,8 +204,8 @@ class TestGDExact:
         ("bb-long", None), ("bb-short", None), ("gd", None),
     ], ids=["me-semiline-min", "me-decrease-search", "bb-long", "bb-short", "gd"])
     def test_hostile_input_is_a_numeric_error(self, method, variant, name):
-        run = run_method(method, HOSTILE[name], np.array([1.0, 1.0]), max_iterations=50,
-                         variant=variant or Variant.SEMILINE_MIN)
+        cfg = SolverConfig(max_iterations=50, variant=variant or Variant.SEMILINE_MIN)
+        run = run_method(method, HOSTILE[name], np.array([1.0, 1.0]), cfg)
         assert run.termination is Termination.NUMERIC_ERROR
         assert run.message
         assert run.iterations < 50
@@ -217,7 +217,7 @@ class TestGDExact:
 
     def test_successive_gradients_orthogonal(self):
         p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))
-        run = gd_exact_minimize(p, np.array([1.0, 1.0]), epsilon=1e-6)
+        run = gd_exact_minimize(p, np.array([1.0, 1.0]), SolverConfig(epsilon=1e-6))
         grads = [p.gradient(rec.x) for rec in run.iterates]
         for g_prev, g_next in zip(grads[:-1], grads[1:]):
             scale = 1.0 + np.linalg.norm(g_prev) * np.linalg.norm(g_next)
@@ -243,7 +243,7 @@ class TestGDExact:
         # classic elongated-valley start: gd zigzags, the ellipse step does not
         p = QuadraticProblem(np.diag([1.0, 100.0]), np.zeros(2))
         x0 = np.array([100.0, 1.0])
-        gd_run = gd_exact_minimize(p, x0, epsilon=1e-4, max_iterations=2000)
+        gd_run = gd_exact_minimize(p, x0, SolverConfig(epsilon=1e-4, max_iterations=2000))
         me_run = minimize(p, x0, SolverConfig(epsilon=1e-4))
         assert gd_run.iterations > me_run.iterations
         assert gd_run.iterations > 10

@@ -113,14 +113,15 @@ class TestRunBenchmark:
 
     def test_run_setting_defaults_are_kept_in_one_place(self):
         solver, gen = SolverConfig(), GenParams()
-        stopping = dict(epsilon=solver.epsilon, max_iterations=solver.max_iterations)
 
         def defaults(fn):
             return {name: p.default for name, p in inspect.signature(fn).parameters.items()
                     if name in ("epsilon", "max_iterations", "variant")}
 
-        assert defaults(bench_mod.run_method) == dict(stopping, variant=solver.variant)
-        assert defaults(bb_minimize) == defaults(gd_exact_minimize) == stopping
+        # every method takes the stopping rule as one SolverConfig, or its default
+        for fn in (bench_mod.run_method, bb_minimize, gd_exact_minimize):
+            assert defaults(fn) == {}
+            assert inspect.signature(fn).parameters["cfg"].default is None
         cfg = BenchConfig(kind="logsumexp", sizes=(5,))
         assert (cfg.epsilon, cfg.max_iterations, cfg.variant, cfg.params) == (
             solver.epsilon, solver.max_iterations, solver.variant, gen)

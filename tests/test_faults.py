@@ -97,7 +97,7 @@ def test_every_faulty_run_ends_in_a_termination(kind, fault, persistent):
         for method, variant in METHODS:
             obj = Faulty(problem, fault, at, persistent)
             kwargs = {} if variant is None else {"variant": variant}
-            run = run_method(method, obj, x0, 1e-8, 300, **kwargs)
+            run = run_method(method, obj, x0, SolverConfig(1e-8, 300, **kwargs))
             assert isinstance(run.termination, Termination)
             if run.termination is Termination.NUMERIC_ERROR:
                 assert run.message

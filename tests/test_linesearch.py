@@ -90,7 +90,7 @@ def test_quadratic_line_lands_on_the_closed_form(start):
     x, d = rng.standard_normal(6), rng.standard_normal(6)
     d *= -np.sign(p.gradient(x) @ d)  # a descent direction
     counted = CountingObjective(p)
-    line = counted.along(x, d)
+    line = counted.along(x, d, p.value(x), p.gradient(x), False)
     exact = -line.line.gd / line.line.dad
     v, _ = minimize_on_ray(line, v0=start * exact, rel_tol=1e-8, h0=p.value(x))
     assert v == pytest.approx(exact, rel=1e-12)

@@ -161,6 +161,15 @@ class TestCheckGradient:
             check_gradient(p, np.ones(4), 1e300)
 
 
+def _afresh(obj, p, x, d):
+    """The line of obj through x along d with no gradient held at x, as a
+    turn starts it: here a turn at t = 0 off the line through x along d,
+    with Krylov coefficients (1, 0), so that e = d.  ``p`` gives the value
+    and gradient at x that the first line is built from."""
+    line = restrict(obj, x, d, p.value(x), p.gradient(x), turns=True)
+    return line.turn(0.0, x, d, (1.0, 0.0))
+
+
 class TestRestriction:
     @staticmethod
     def _ray(kind, n=30, seed=1):
@@ -169,8 +178,9 @@ class TestRestriction:
 
     def test_quadratic_line_matches_pointwise(self):
         p, x, d = self._ray("quadratic")
-        line = p.along(x, d)
-        assert isinstance(restrict(p, x, d), QuadraticLine)
+        f, g = p.value(x), p.gradient(x)
+        line = p.along(x, d, f, g, False)
+        assert isinstance(restrict(p, x, d, f, g, turns=False), QuadraticLine)
         assert line.value(0.0) == p.value(x)  # bit for bit
         # the line's minimum is near t = 0.5; keep the slopes away from zero
         for t in (-0.5, 1e-3, 0.25, 1.0, 4.0):
@@ -180,7 +190,7 @@ class TestRestriction:
 
     def test_logsumexp_line_matches_pointwise(self):
         p, x, d = self._ray("logsumexp")
-        line = restrict(p, x, d)
+        line = restrict(p, x, d, p.value(x), p.gradient(x), turns=False)
         assert isinstance(line, LogSumExpLine)
         for t in (-1.2, 0.3, 4.0):
             y = x + t * d
@@ -191,23 +201,28 @@ class TestRestriction:
         # and (alpha x) x give values one ulp apart, so two rules would show
         p, x, d = self._ray("logsumexp", 5, 2)
         g = p.gradient(x)
-        line = restrict(p, x, d)
+        line = _afresh(p, p, x, d)
+        assert isinstance(line, LogSumExpLine)
         assert line.value(0.0) == p.value(x)
         assert line.gradient(0.0).tobytes() == g.tobytes()
         # the slope is its own sum over the weights, not gradient . d; a line
         # handed g answers it from g, as every search along -g restricts it
         assert line.slope(0.0) == pytest.approx(float(g @ d), rel=1e-14)
-        assert restrict(p, x, d, g=g).slope(0.0) == float(g @ d)
+        assert restrict(p, x, d, p.value(x), g, turns=False).slope(0.0) == float(g @ d)
 
-    # an objective's own line is charged what the generic line would take
+    # an objective's own line is charged what the generic line would take,
+    # whether it holds g (restricted) or not (turned)
     @pytest.mark.parametrize("held", [False, True])
     @pytest.mark.parametrize("kind", ["logsumexp", "quadratic"])
     def test_line_is_charged_like_the_generic_line(self, kind, held):
         p, x, d = self._ray(kind)
-        f, g = (p.value(x), p.gradient(x)) if held else (None, None)
         fused = CountingObjective(p)
         generic = CountingObjective(ValueAndGradientOnly(p))
-        lines = [restrict(c, x, d, f, g) for c in (fused, generic)]
+        if held:
+            f, g = p.value(x), p.gradient(x)
+            lines = [restrict(c, x, d, f, g, turns=False) for c in (fused, generic)]
+        else:
+            lines = [TestTurn._turned(c, p, x, d)[0] for c in (fused, generic)]
         assert isinstance(lines[1].line, RayLine)
         queries = [("value", 0.0), ("slope", 0.0), ("gradient", 0.0), ("value", 0.5),
                    ("slope", 0.5), ("gradient", 0.5), ("slope", 0.5), ("value", 0.5),
@@ -227,7 +242,7 @@ class TestRestriction:
         with pytest.raises(NumericError) as expected:
             getattr(p, pointwise)(x + 1e200 * d)
         with pytest.raises(NumericError) as raised:
-            getattr(restrict(p, x, d), query)(1e200)
+            getattr(restrict(p, x, d, p.value(x), p.gradient(x), turns=False), query)(1e200)
         assert str(raised.value) == str(expected.value)
 
     def test_dispatch_is_on_the_attribute(self):
@@ -238,20 +253,22 @@ class TestRestriction:
             value = staticmethod(p.value)
             gradient = staticmethod(p.gradient)
 
-        assert isinstance(restrict(ValueAndGradientOnly(), x, d), RayLine)
+        line = restrict(ValueAndGradientOnly(), x, d, p.value(x), p.gradient(x), turns=False)
+        assert isinstance(line, RayLine)
 
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
     def test_counting_objective_counts_each_query(self, kind):
         p, x, d = self._ray(kind)
+        f, g = p.value(x), p.gradient(x)
         counted = CountingObjective(p)
-        line = restrict(counted, x, d)
+        line = restrict(counted, x, d, f, g, turns=False)
         assert (counted.n_value, counted.n_grad) == (0, 0)
         for t in (0.0, 0.5, 1.0):
             line.value(t)
         line.slope(0.5)
         line.slope(2.0)
         assert (counted.n_value, counted.n_grad) == (3, 2)
-        assert line.value(0.7) == restrict(p, x, d).value(0.7)
+        assert line.value(0.7) == restrict(p, x, d, f, g, turns=False).value(0.7)
         line.gradient(0.5)
         assert (counted.n_value, counted.n_grad) == (4, 3)
 
@@ -259,7 +276,7 @@ class TestRestriction:
     def test_line_from_the_callers_value_and_gradient(self, kind):
         p, x, d = self._ray(kind)
         f, g = p.value(x), p.gradient(x)
-        line = restrict(p, x, d, f, g)
+        line = restrict(p, x, d, f, g, turns=False)
         assert line.value(0.0) == f
         for t in (-0.5, 0.0, 0.25, 1.0, 4.0):
             y = x + t * d
@@ -273,7 +290,7 @@ class TestRestriction:
         p, x, d = self._ray("logsumexp")
         f, g = p.value(x), p.gradient(x)
         counted = CountingObjective(p)
-        line = restrict(counted, x, d, f, g)
+        line = restrict(counted, x, d, f, g, turns=False)
         assert line.slope(0.0) == float(g @ d)
         assert line.gradient(0.0) is g
         assert (counted.n_value, counted.n_grad) == (0, 0)
@@ -282,10 +299,8 @@ class TestRestriction:
         p, x, d = self._ray("quadratic")
         f, g = p.value(x), p.gradient(x)
         matrix = count_products(p)
-        restrict(p, x, d, f, g)
+        restrict(p, x, d, f, g, turns=False)
         assert matrix.products == 1  # Ad alone
-        restrict(p, x, d, f)
-        assert matrix.products == 3  # Ax and Ad
 
 
 class TestMatrixPowers:
@@ -334,11 +349,11 @@ class TestTurn:
     @classmethod
     def _turned(cls, obj, p, x, d):
         """The line through the point at T along e, by a turn off the line
-        through x along d and by a new restriction."""
+        through x along d and started afresh there."""
         e = cls._direction(p, d)
         base = x + cls.T * d
         line = restrict(obj, x, d, p.value(x), p.gradient(x), turns=True)
-        return line.turn(cls.T, base, e, cls.KRYLOV), restrict(obj, base, e)
+        return line.turn(cls.T, base, e, cls.KRYLOV), _afresh(obj, p, base, e)
 
     def test_quadratic_turn_matches_a_new_restriction(self, count_products):
         # at n = 400 the line's A d and A^2 d come from a sweep over three panels
@@ -352,7 +367,8 @@ class TestTurn:
             turned = line.turn(self.T, x + self.T * d, e, self.KRYLOV)
             assert isinstance(turned, QuadraticLine)
             assert matrix.products == products  # Ae comes from Ad and A^2 d
-            fresh = restrict(p, x + self.T * d, e)
+            y = x + self.T * d
+            fresh = restrict(p, y, e, p.value(y), p.gradient(y), turns=False)
             for v in (-0.5, 0.0, 0.3, 1.0, 4.0):
                 assert turned.value(v) == pytest.approx(fresh.value(v), rel=1e-12)
                 assert turned.slope(v) == pytest.approx(fresh.slope(v), rel=1e-12)
@@ -362,7 +378,8 @@ class TestTurn:
     def test_quadratic_line_turns_only_when_asked(self):
         p, x, d = TestRestriction._ray("quadratic")
         with pytest.raises(ValueError, match="turns=True"):
-            restrict(p, x, d).turn(self.T, x + self.T * d, d, (1.0, 0.0))
+            line = restrict(p, x, d, p.value(x), p.gradient(x), turns=False)
+            line.turn(self.T, x + self.T * d, d, (1.0, 0.0))
 
     @pytest.mark.parametrize("kind,generic", [
         ("logsumexp", False), ("logsumexp", True), ("quadratic", True)])
@@ -453,7 +470,7 @@ class TestExpFloor:
 
     def test_line_answers_as_unfloored_numpy(self):
         p, x, d = self._ray()
-        line = restrict(p, x, d)
+        line = restrict(p, x, d, p.value(x), p.gradient(x), turns=False)
         for t in (*self.TS, self.ORDER_T):
             u = d * t
             u += x  # the line's own order
@@ -474,7 +491,7 @@ class TestExpFloor:
 
     def test_no_weight_below_the_floor(self):
         p, x, d = self._ray()
-        line = restrict(p, x, d)
+        line = restrict(p, x, d, p.value(x), p.gradient(x), turns=False)
         for t in self.TS:
             line.value(t)
             assert line._w.min() >= math.exp(-700.0)
@@ -496,7 +513,7 @@ class TestShiftBound:
             *_, value, gradient = _unfloored_answers(p, u)
             assert p.value(u) == value
             assert np.array_equal(p.gradient(u), gradient)
-            line = restrict(p, u, d)
+            line = _afresh(p, p, u, d)
             assert line.value(0.0) == value
             assert np.array_equal(line.gradient(0.0), gradient)
 
@@ -532,7 +549,7 @@ class TestLogSumExpAccuracy:
         shifted = set()
         for scale in self.SCALES:
             x, e = scale * x0, scale * d
-            line = restrict(p, x, e)
+            line = _afresh(p, p, x, e)
             for t in (0.0, 0.3, -0.7):
                 u = e * t + x  # the line's own point
                 value, gradient = _long_double_answers(p, u)
@@ -582,7 +599,8 @@ class TestQueryAllocations:
 
     def test_line_queries_allocate_no_temporaries(self):
         p, x = generate_instance("logsumexp", self.N, 0)
-        line = restrict(p, x, -p.gradient(x))
+        g = p.gradient(x)
+        line = restrict(p, x, -g, p.value(x), g, turns=False)
         line.slope(0.5)  # the buffers, alpha d and beta d
         vector = 8 * self.N
         assert self._peak(line.value, 0.1) < vector
@@ -613,7 +631,9 @@ class TestBufferHandOff:
         line.value(0.7)
         line.slope(0.7)
         turned, e = self._turn(p, line, x, d)
-        pairs = [(line, restrict(p, x, d)), (turned, restrict(p, x + TestTurn.T * d, e))]
+        y = x + TestTurn.T * d
+        pairs = [(line, restrict(p, x, d, p.value(x), p.gradient(x), turns=False)),
+                 (turned, restrict(p, y, e, p.value(y), p.gradient(y), turns=False))]
         # each query alternates between the lines, so that a buffer they
         # shared would show in the next
         for t in (0.7, 0.3, -1.0):

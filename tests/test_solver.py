@@ -108,7 +108,7 @@ class TestMeStep:
 
 def search(p, base, d, variant, scale=1.0):
     """The semiline search's v on the line {base + v d} of p, from v = scale."""
-    line = restrict(p, base, d)
+    line = restrict(p, base, d, p.value(base), p.gradient(base), turns=False)
     v, _ = semiline_search(line, variant, scale=scale, f_base=line.value(0.0),
                            slope=line.slope(0.0))
     return v
@@ -248,7 +248,7 @@ class TestFastPathMatchesGeneric:
     def test_quadratic_counts(self, method, variant, seed):
         p, x0 = generate_instance("quadratic", 100, seed, GenParams(kappa=10.0))
         kwargs = {} if variant is None else {"variant": variant}
-        fast, generic = (run_method(method, obj, x0, epsilon=0.01, **kwargs)
+        fast, generic = (run_method(method, obj, x0, SolverConfig(epsilon=0.01, **kwargs))
                          for obj in (p, ValueAndGradientOnly(p)))
         assert (fast.iterations, fast.n_value_evals, fast.n_grad_evals) == (
             generic.iterations, generic.n_value_evals, generic.n_grad_evals)
@@ -284,7 +284,7 @@ class CallCounter:
         self.calls["gradient"] += 1
         return self.inner.gradient(x)
 
-    def along(self, x, d, f=None, g=None, turns=False):
+    def along(self, x, d, f, g, turns):
         return self.inner.along(x, d, f, g, turns)
 
 
@@ -381,7 +381,8 @@ class TestNearCollinearTurn:
         assert 0.5 * sin_theta <= sin <= 2.0 * sin_theta
         # the same line, with A d from a product
         mid = 0.5 * level.t
-        product = QuadraticLine(level.line.value(mid), level.line.gradient(mid), d, p.a @ d)
+        product = QuadraticLine(level.line.value(mid), level.line.gradient(mid), d, p.a @ d,
+                                None)
         assert (np.linalg.norm(turned.ad - product.ad)
                 <= 4.0 * self.EPS / sin * np.linalg.norm(product.ad))
         f_base = turned.value(0.0)
@@ -495,7 +496,7 @@ class TestPinnedBaselineRuns:
     def test_counts_and_final_value(self, method, iterations, n_value, n_grad,
                                     termination):
         p, x0 = generate_instance("logsumexp", 50, 4)
-        run = run_method(method, p, x0, epsilon=1e-8)
+        run = run_method(method, p, x0, SolverConfig(epsilon=1e-8))
         assert run.termination is termination
         assert (run.iterations, run.n_value_evals, run.n_grad_evals) == (
             iterations, n_value, n_grad)
@@ -540,7 +541,7 @@ class TestPinnedFastLineRuns:
     def _check(problem, x0, epsilon, pin):
         method, variant, iterations, n_value, n_grad, f_final, digest = pin
         kwargs = {} if variant is None else {"variant": variant}
-        run = run_method(method, problem, x0, epsilon, **kwargs)
+        run = run_method(method, problem, x0, SolverConfig(epsilon, **kwargs))
         assert run.termination is Termination.CONVERGED
         assert (run.iterations, run.n_value_evals, run.n_grad_evals) == (
             iterations, n_value, n_grad)
@@ -663,10 +664,10 @@ class TestMinimize:
 @pytest.mark.parametrize("epsilon,max_iterations",
                          [(0.0, 50), (-1.0, 50), (float("nan"), 50), (0.01, 0)])
 def test_stopping_rule_validated(method, epsilon, max_iterations):
-    # the one descent loop checks the stopping rule for every method
+    # one SolverConfig checks the stopping rule for every method
     p, x0 = generate_instance("quadratic", 6, 1, GenParams(kappa=10))
     with pytest.raises(ValueError):
-        run_method(method, p, x0, epsilon, max_iterations)
+        run_method(method, p, x0, SolverConfig(epsilon, max_iterations))
 
 
 def _run_key(run):
@@ -682,7 +683,7 @@ def test_variant_given_by_name_runs_that_variant(variant):
     cfg = SolverConfig(epsilon=1e-6, variant=variant.value)
     assert cfg.variant is variant
     assert _run_key(minimize(p, x0, cfg)) == runs[variant]
-    assert _run_key(run_method("me", p, x0, 1e-6, variant=variant.value)) == runs[variant]
+    assert _run_key(run_method("me", p, x0, cfg)) == runs[variant]
 
 
 def test_unknown_variant_name_is_rejected():
