@@ -25,12 +25,15 @@ turn off it.
 
 Values pin the root only to about the rounding floor over t |g|^2, so the
 slope path takes over whenever the value root's first-order decrease
-t |g|^2 is within 64 rounding floors.  Where the decrease cannot show in f
-at all, the value search stops at its first point, whose residual is
-rounding noise, and the switch costs one value.
+t |g|^2 is within 64 rounding floors.  The warm start decides first: when
+its own decrease is within them, the slope path starts from it and no value
+is taken.  Otherwise, where the decrease cannot show in f at all, the value
+search stops at its first point, whose residual is rounding noise, and the
+switch costs one value.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +58,10 @@ class LevelStepResult:
     ``line`` the restriction of f to x - t g that the search queried
     (``line.gradient(t)`` is the gradient at y).  Count evaluations by
     passing a ``CountingObjective``.
+
+    ``level_residual`` is NaN when the slope path found t: there |f(y) -
+    f(x)| is within about 64 noise floors, far inside the tolerance, and f
+    cannot resolve it, so no value is spent on reading it.
     """
 
     t: float
@@ -67,7 +74,10 @@ def find_level_step(obj, x, f_x: float, g, g_sumsq, t_init: float) -> LevelStepR
     from the value ``f_x`` and gradient ``g`` at x, and (|g / s|^2, s) =
     ``geometry.scaled_sumsq(g)``.
 
-    ``t_init`` seeds the bracket (pass the previous step to warm-start).
+    ``t_init`` seeds the bracket (pass the previous step to warm-start).  A
+    positive, finite ``t_init`` whose decrease |g|^2 t_init is within the
+    slope regime starts the slope path with no value query; any other
+    starts the value search, from 1.0 if it is not positive and finite.
     Both equations are solved in units of s^2, where s = max |g_i| if |g|^2
     overflows and 1 otherwise.
     """
@@ -88,12 +98,14 @@ def find_level_step(obj, x, f_x: float, g, g_sumsq, t_init: float) -> LevelStepR
         small = abs(r) <= max(noise_floor, _TOL * min(gg * t * scale * scale, 1.0 + abs(f_x)))
         return 0.0 if small else r / t / scale / scale
 
-    t, _ = find_root(secant_slope, -gg, t_init, ftol=0.0, xtol=0.0, what="objective value")
+    t = t_init
+    if not (0.0 < t < math.inf and gg * t * scale * scale <= _SLOPE_SWITCH * noise_floor):
+        t, _ = find_root(secant_slope, -gg, t_init, ftol=0.0, xtol=0.0, what="objective value")
     if gg * t * scale * scale <= _SLOPE_SWITCH * noise_floor:
         # the slope equation <grad f(x - t g), g> = -|g|^2, on the same line
         t, _ = find_root(lambda s: line.slope(s) / scale / scale - gg, -2.0 * gg, t,
                          ftol=2.0 * _TOL * gg, xtol=_TOL)
-        r = line.value(t) - f_x
+        r = math.nan
     elif abs(r) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
     return LevelStepResult(float(t), float(r), line)

@@ -113,7 +113,8 @@ class SolverRun:
 def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slope: float):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
     at ``scale``; ``f_base`` is the value and ``slope`` the slope (or an
-    estimate of it) at v = 0.  Returns (v, f at that point).
+    estimate of it) at v = 0.  Returns (v, f at that point).  Raises
+    ValueError when ``variant`` is not a ``Variant`` member (a name too).
 
     decrease-search stays at v = 0 once v |slope| is within the level
     step's noise floor 32 eps (1 + |f_base|).  That is at least 32 times
@@ -124,6 +125,8 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
         if fv > f_base:  # no decrease above rounding: stay at the midpoint
             return 0.0, f_base
         return v, fv
+    if variant is not Variant.DECREASE_SEARCH:
+        raise ValueError(f"variant must be a Variant member, not {variant!r}")
     v = scale
     floor = NOISE_FLOOR * (1.0 + abs(f_base))
     for _ in range(_MAX_HALVINGS):

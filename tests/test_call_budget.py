@@ -9,7 +9,8 @@ Pinned with 5% headroom.  Before the budget the same runs took 72.33
 quadratic, and 117.59 on the log-sum-exp runs.  The quadratic
 decrease-search pin also moves with how many values a search takes: with
 no floor on its samples it takes 87.54, two for each of the 24 values an
-iteration samples.
+iteration samples.  Both quadratic pins fell when the level step stopped
+taking values in its slope regime: 54.24 -> 52.02 and 46.62 -> 42.56.
 """
 import sys
 
@@ -41,7 +42,7 @@ def calls_per_iteration(runs):
 
 
 @pytest.mark.parametrize("variant,budget", [
-    (Variant.SEMILINE_MIN, 54.24), (Variant.DECREASE_SEARCH, 46.62)],
+    (Variant.SEMILINE_MIN, 52.02), (Variant.DECREASE_SEARCH, 42.56)],
     ids=["semiline-min", "decrease-search"])
 def test_quadratic_iteration(variant, budget):
     # kappa 1000 at n = 10: 1361 and 2149 iterations, each O(1) per query;

@@ -8,6 +8,7 @@ from ellipcenters import (GenParams, LogSumExpProblem, NonCoerciveError,
                           QuadraticProblem, StationaryPointError, build_frame,
                           find_level_step, generate_instance)
 from ellipcenters.geometry import scaled_sumsq
+from ellipcenters.levelstep import NOISE_FLOOR
 from ellipcenters.objectives import CountingObjective
 
 
@@ -149,7 +150,7 @@ def test_flat_region_switches_to_slope_equation(n):
 
 def test_near_stationary_point_goes_to_the_slope_path_at_once():
     # at |x| ~ 1e-9 the dip t |g|^2 sits below f's rounding floor at any t,
-    # so the value search stops on its first residual, which is rounding noise
+    # so the warm start already lies in the slope regime
     # (the t pin is taken on the generic line, whose arithmetic is pointwise)
     p, _ = generate_instance("logsumexp", 20, 3)
     x = 1e-9 * np.random.default_rng(0).standard_normal(20)
@@ -187,3 +188,44 @@ def test_overflowing_gradient_square_is_rescaled():
     frame = build_frame(g, scaled_sumsq(g), res.t, p.gradient(y))
     assert frame.cos_theta == pytest.approx(0.889, abs=1e-3)
     assert frame.sin_theta == pytest.approx(0.458, abs=1e-3)
+
+
+def _deep_in_the_slope_regime(kind):
+    """A family's instance and a point 1e-10 from its minimizer, where
+    t |g|^2 at t = 1 is below one noise floor of f."""
+    p, _ = generate_instance(kind, 20, 3, GenParams(kappa=10))
+    x_star = np.linalg.solve(p.a, p.b) if kind == "quadratic" else np.zeros(20)
+    x = x_star + 1e-10 * np.random.default_rng(0).standard_normal(20)
+    fx, g = p.value(x), p.gradient(x)
+    assert float(g @ g) <= NOISE_FLOOR * (1.0 + abs(fx))
+    return p, x, fx, g
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["own-line", "generic"])
+@pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+def test_warm_start_in_the_slope_regime_takes_no_value(kind, generic):
+    # values cannot resolve the root there, so none is taken: the search
+    # runs on slopes from t_init, and the residual it would read is NaN
+    p, x, fx, g = _deep_in_the_slope_regime(kind)
+    counted = CountingObjective(ValueAndGradientOnly(p) if generic else p)
+    res = find_level_step(counted, x, fx, g, scaled_sumsq(g), 1.0)
+    assert counted.n_value == 0 and counted.n_grad > 0
+    assert math.isnan(res.level_residual)
+    assert abs(p.value(x - res.t * g) - fx) <= 1e-10 * (1.0 + abs(fx))
+    if kind == "quadratic":
+        # the slope equation's root is 2 |g|^2 / g'Ag; pointwise gradients
+        # lose about 9 digits to the cancellation of Ax against b here
+        assert res.t == pytest.approx(2.0 * (g @ g) / (g @ p.a @ g), rel=1e-6)
+
+
+@pytest.mark.parametrize("t_init", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+def test_only_a_positive_finite_warm_start_skips_the_value_search(kind, t_init):
+    # any other t_init seeds the value search at 1.0, whose first residual
+    # is rounding noise, and the slope path then starts where it stopped
+    p, x, fx, g = _deep_in_the_slope_regime(kind)
+    counted = CountingObjective(p)
+    res = find_level_step(counted, x, fx, g, scaled_sumsq(g), t_init)
+    assert counted.n_value == 1
+    assert math.isnan(res.level_residual)
+    assert res.t == find_level_step(p, x, fx, g, scaled_sumsq(g), 1.0).t
