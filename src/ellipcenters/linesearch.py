@@ -73,11 +73,12 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str
             side = 1
         if not (abs(f) > ftol and hi - lo > xtol * hi):
             return t, f
-        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < t < hi:  # an infinite or rounded-off secant step
-            t = 0.5 * (lo + hi)
-            if not lo < t < hi:
+        step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < step < hi:  # an infinite or rounded-off secant step
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:  # no float between the ends: stop at t
                 return t, f
+        t = step
     raise NumericError("one-dimensional search exceeded its evaluation budget")
 
 

@@ -62,8 +62,10 @@ class IterateRecord:
     """One visited point and the step taken from it.
 
     ``t`` is the level step, ``v`` the distance moved along the semiline,
-    ``f_mid`` the value at the chord midpoint; they are NaN on records that
-    carry no such step (baseline methods, the terminal record).  ``branch``
+    ``f_mid`` the value at the chord midpoint and ``lam`` the chord length
+    t |g|, where the semiline search starts; they are NaN on records that
+    carry no such step (baseline methods, the terminal record; ``v`` and
+    ``lam`` on midpoint steps too).  ``branch``
     is "ellipse" or "midpoint" for solver steps ("midpoint" means the
     degeneracy test fired), the method name for baselines, and "final" on
     the terminal record.
@@ -76,6 +78,7 @@ class IterateRecord:
     v: float = _NAN
     branch: str = ""
     f_mid: float = _NAN
+    lam: float = _NAN
 
 
 @dataclass
@@ -110,16 +113,25 @@ class SolverRun:
         return self.n_value_evals + self.n_grad_evals
 
 
-def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slope: float):
+def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slope: float,
+                    first: int):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
     at ``scale``; ``f_base`` is the value and ``slope`` the slope (or an
     estimate of it) at v = 0.  Returns (v, f at that point).  Raises
     ValueError when ``variant`` is not a ``Variant`` member (a name too).
 
-    decrease-search stays at v = 0 once v |slope| is within the level
-    step's noise floor 32 eps (1 + |f_base|).  That is at least 32 times
-    f's own rounding eps |f_base|, so the search also drops decreases that
-    f shows (ROADMAP item 8 would scale the floor with f)."""
+    decrease-search returns the first of the samples v_k = scale 2^-k,
+    k = 0, 1, ..., below f_base, or (0, f_base) without one.  It samples no
+    k >= ``_MAX_HALVINGS`` and no v_k |slope| within the level step's noise
+    floor 32 eps (1 + |f_base|).  That is at least 32 times f's own rounding
+    eps |f_base|, so the search also drops decreases that f shows (ROADMAP
+    item 8 would scale the floor with f).  ``first`` is the last search's
+    k: the search starts at k = max(first - 1, 0), or at the last k it may
+    sample, and steps back while the sample at k - 1 is below f_base too,
+    or on until a sample is.  On a convex f, whose samples below f_base are
+    all those past some k, that is the first sample below f_base; on any f
+    it is one whose predecessor, if any, is not, or (0, f_base).  Halving
+    and doubling v keep the bits of repeated halving while v is normal."""
     if variant is Variant.SEMILINE_MIN:
         v, fv = minimize_on_ray(line, v0=scale, rel_tol=1e-8, h0=f_base)
         if fv > f_base:  # no decrease above rounding: stay at the midpoint
@@ -127,15 +139,25 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
         return v, fv
     if variant is not Variant.DECREASE_SEARCH:
         raise ValueError(f"variant must be a Variant member, not {variant!r}")
-    v = scale
+    s = abs(slope)
     floor = NOISE_FLOOR * (1.0 + abs(f_base))
-    for _ in range(_MAX_HALVINGS):
-        if v * abs(slope) <= floor:
+    if scale * s <= floor:
+        return 0.0, f_base
+    v, k = scale, 0
+    while k < min(first - 1, _MAX_HALVINGS - 1) and not 0.5 * v * s <= floor:
+        v, k = 0.5 * v, k + 1
+    fv = line.value(v)
+    if fv < f_base:  # back towards scale while the sample there beats f_base too
+        while k > 0 and (fu := line.value(2.0 * v)) < f_base:
+            v, fv, k = 2.0 * v, fu, k - 1
+        return v, fv
+    for k in range(k + 1, _MAX_HALVINGS):
+        v *= 0.5
+        if v * s <= floor:
             break
         fv = line.value(v)
         if fv < f_base:
             return v, fv
-        v *= 0.5
     return 0.0, f_base
 
 
@@ -146,14 +168,15 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float):
+def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, first: int):
     """One ellipse-center step from x, in ``descend``'s step protocol.
 
     ``f_x`` and ``g`` are the value and gradient at x, ``g_sumsq`` is
     ``scaled_sumsq(g)``, ``variant`` picks the point on the semiline of
-    centers, and ``t_init`` seeds the level step's bracket.  Returns
+    centers, ``t_init`` seeds the level step's bracket, and ``first`` is
+    where decrease-search starts (see ``semiline_search``).  Returns
     ``(x_next, f_next, g_next, fields)``: the value and gradient at x_next,
-    and the step's ``IterateRecord`` fields (t, v, branch, f_mid).
+    and the step's ``IterateRecord`` fields (t, v, branch, f_mid, lam).
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
@@ -172,7 +195,7 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float):
     except DegeneratePlaneError:
         f_base = line.value(mid)
         return (base, f_base, line.gradient(mid),
-                {"t": t, "v": _NAN, "branch": "midpoint", "f_mid": f_base})
+                {"t": t, "v": _NAN, "branch": "midpoint", "f_mid": f_base, "lam": _NAN})
     d = _axpy(a, g, b * grad_y)
     # the level line runs along -g with grad f(y) = g + t A(-g) on a
     # quadratic, so d = -(a + b) (-g) + b t A(-g)
@@ -183,9 +206,11 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float):
     # (c g + w) / |w| with g . w = 0 and c as center_direction takes it
     slope = -0.5 * ((1.0 + frame.k) * frame.sin_theta / (2.0 * frame.cos_theta) * frame.gnorm
                     + frame.wnorm)
-    v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base, slope=slope)
+    v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base, slope=slope,
+                             first=first)
     x_next = base if v == 0.0 else _axpy(v, d, base)
-    return x_next, f_v, line.gradient(v), {"t": t, "v": v, "branch": "ellipse", "f_mid": f_base}
+    return (x_next, f_v, line.gradient(v),
+            {"t": t, "v": v, "branch": "ellipse", "f_mid": f_base, "lam": frame.lam})
 
 
 def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
@@ -244,12 +269,17 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
 def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
     """Run the ellipse-center iteration from x0 until |grad f| <= epsilon."""
     cfg = cfg or SolverConfig()
-    warm_t = 1.0
+    warm_t, first = 1.0, 0
 
     def step(counted, x, f, g, g_sumsq):
-        nonlocal warm_t
-        x_next, f_next, g_next, fields = me_step(counted, x, f, g, g_sumsq, cfg.variant, warm_t)
-        warm_t = fields["t"]
+        nonlocal warm_t, first
+        x_next, f_next, g_next, fields = me_step(counted, x, f, g, g_sumsq, cfg.variant,
+                                                 warm_t, first)
+        warm_t, v = fields["t"], fields["v"]
+        # decrease-search's v is lam 2^-k, and a step without a sampled
+        # decrease keeps the last k (semiline-min ignores first)
+        if v > 0.0:
+            first = 1 - math.frexp(v / fields["lam"])[1]
         return x_next, f_next, g_next, fields
 
     return descend(obj, x0, step, cfg)

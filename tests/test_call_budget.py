@@ -11,6 +11,9 @@ decrease-search pin also moves with how many values a search takes: with
 no floor on its samples it takes 87.54, two for each of the 24 values an
 iteration samples.  Both quadratic pins fell when the level step stopped
 taking values in its slope regime: 54.24 -> 52.02 and 46.62 -> 42.56.
+The protocol-shaped pin fell from 85.30 to 81.70 when decrease-search
+started next to the last step's first success; the quadratic
+decrease-search runs take the same calls either way.
 """
 import sys
 
@@ -57,4 +60,4 @@ def test_protocol_shaped_logsumexp_iteration():
     # the benchmark protocol's ME runs at n = 100: 44 iterations over seeds 0-9
     cfg = SolverConfig(epsilon=0.01, variant=Variant.DECREASE_SEARCH)
     runs = [(*generate_instance("logsumexp", 100, seed), cfg) for seed in range(10)]
-    assert calls_per_iteration(runs) <= 85.30 * HEADROOM
+    assert calls_per_iteration(runs) <= 81.70 * HEADROOM

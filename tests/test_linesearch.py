@@ -79,6 +79,24 @@ def test_unbounded_ray_named_within_the_expansion_cap():
     assert line.slopes == 1 + 1 + MAX_EXPANSIONS
 
 
+def test_collapsed_bracket_returns_the_last_point_evaluated():
+    # a unit step at c never meets ftol = 0, so each search ends when no
+    # float lies between the bracket ends; the midpoint of the last pair
+    # rounds onto one of them, which need not be the point phi was last
+    # evaluated at (141 of these 200 searches returned phi at the other end;
+    # c = 0.9 returned 0.8999999999999999 with phi = 1)
+    for c in np.linspace(0.1, 0.9, 200).tolist():
+        seen = []
+
+        def phi(t):
+            seen.append(t)
+            return 1.0 if t >= c else -1.0
+
+        t, f = find_root(phi, -1.0, 1.0, ftol=0.0, xtol=0.0)
+        assert (t, f) == (seen[-1], phi(t)), c
+        assert math.nextafter(t, 0.0) < c <= math.nextafter(t, 2.0)
+
+
 @pytest.mark.parametrize("start", [0.6, 1.0, 1.7, 50.0])
 def test_quadratic_line_lands_on_the_closed_form(start):
     # the slope of a parabola is affine, so the first secant step, between

@@ -91,7 +91,7 @@ def _gaps(p, x, variant):
     """|x_next - x_ref| and |x_next - x|; the same two for the moves along
     the semiline, each from its own midpoint; and the reference's sin theta."""
     g = p.gradient(x)
-    x_next, _, _, fields = me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0)
+    x_next, _, _, fields = me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0, 0)
     assert fields["branch"] == "ellipse"
     x_ref, base_ref, sin_theta = reference_step(p, x, variant)
     semiline = x_next - (x - 0.5 * fields["t"] * g)

@@ -17,7 +17,7 @@ from ellipcenters.objectives import QuadraticLine, restrict
 def step_from(p, x, variant=Variant.SEMILINE_MIN):
     """me_step from x, given the pointwise value and gradient there."""
     g = p.gradient(x)
-    return me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0)
+    return me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0, 0)
 
 
 class TestMeStep:
@@ -110,7 +110,7 @@ def search(p, base, d, variant, scale=1.0):
     """The semiline search's v on the line {base + v d} of p, from v = scale."""
     line = restrict(p, base, d, p.value(base), p.gradient(base), turns=False)
     v, _ = semiline_search(line, variant, scale=scale, f_base=line.value(0.0),
-                           slope=line.slope(0.0))
+                           slope=line.slope(0.0), first=0)
     return v
 
 
@@ -153,7 +153,7 @@ class TestSemilineSearch:
                 return 2.0 * (v - 0.5)
 
         assert semiline_search(FlatLine(), Variant.SEMILINE_MIN, scale=1.0,
-                               f_base=1.0, slope=-1.0) == (0.0, 1.0)
+                               f_base=1.0, slope=-1.0, first=0) == (0.0, 1.0)
 
     @pytest.mark.parametrize("variant", ["semiline-min", "decrease-search", None])
     def test_a_variant_that_is_not_a_member_is_named(self, variant):
@@ -346,7 +346,7 @@ class TestVectorBudget:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            fields = me_step(counted, x, f, g, scaled_sumsq(g), variant, 1.0)[3]
+            fields = me_step(counted, x, f, g, scaled_sumsq(g), variant, 1.0, 0)[3]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -395,7 +395,7 @@ class TestNearCollinearTurn:
                 <= 4.0 * self.EPS / sin * np.linalg.norm(product.ad))
         f_base = turned.value(0.0)
         v, _ = semiline_search(turned, variant, scale=frame.lam, f_base=f_base,
-                               slope=turned.slope(0.0))
+                               slope=turned.slope(0.0), first=0)
         # decrease-search stays at the midpoint where the decrease along d is
         # below the level step's noise floor, as it is here but at kappa 10,
         # sin 1e-6
@@ -404,7 +404,7 @@ class TestNearCollinearTurn:
         # variant: of order sin theta |g| / (d . Ad), which undoes the
         # 1 / sin theta, and never 0, where both checks would hold trivially
         v, _ = semiline_search(turned, Variant.SEMILINE_MIN, scale=frame.lam, f_base=f_base,
-                               slope=turned.slope(0.0))
+                               slope=turned.slope(0.0), first=0)
         assert v > 0.0
         assert (np.linalg.norm(turned.gradient(v) - product.gradient(v))
                 <= 4.0 * self.EPS * np.linalg.norm(g))
@@ -434,13 +434,14 @@ def test_decrease_search_takes_no_sample_below_the_noise_floor(monkeypatch):
     floored = 0  # searches that stopped at the floor
     search = solver.semiline_search
 
-    def logged(line, variant, *, scale, f_base, slope):
+    def logged(line, variant, *, scale, f_base, slope, first):
         nonlocal floored
         log = SampleLog(line)
-        v, f_v = search(log, variant, scale=scale, f_base=f_base, slope=slope)
+        v, f_v = search(log, variant, scale=scale, f_base=f_base, slope=slope, first=first)
         floor = 32.0 * eps * (1.0 + abs(f_base))
         reach.extend(u * abs(slope) / floor for u in log.at)
-        floored += v == 0.0 and len(log.at) < 60  # short of the halving cap
+        # short of the halving cap: the search's last sample was its smallest
+        floored += v == 0.0 and (not log.at or 0.5 * log.at[-1] * abs(slope) <= floor)
         return v, f_v
 
     monkeypatch.setattr(solver, "semiline_search", logged)
@@ -528,17 +529,20 @@ class TestPinnedFastLineRuns:
     # -> 189 iterations); the ME value counts re-recorded when the level
     # step stopped taking values in the slope regime, which moved no
     # iteration count and no f_final (one quadratic level step took the
-    # slope root where its value search used to stop outside the regime)
+    # slope root where its value search used to stop outside the regime);
+    # the decrease-search value counts re-recorded when its search started
+    # next to the last step's first success (log-sum-exp 69 -> 60,
+    # quadratic 721 -> 722), which moved no iterate
     LSE = [
         ("me", Variant.SEMILINE_MIN, 11, 46, 58, "0x1.ba18a998fffa0p+2",
          "74b2721c73943e6331a4e7441a0086e4549720633f7b6ec1196dd25c711d68af"),
-        ("me", Variant.DECREASE_SEARCH, 13, 69, 31, "0x1.ba18a998fffa0p+2",
+        ("me", Variant.DECREASE_SEARCH, 13, 60, 31, "0x1.ba18a998fffa0p+2",
          "e53ef0fca3c11d635dd58895825fe5f905824505712e947c725562d4b039e112"),
     ]
     QUADRATIC = [
         ("me", Variant.SEMILINE_MIN, 187, 681, 783, "-0x1.3c6fc01a4160ap+4",
          "21e4ac1329f854c3fa8b34c3ef71294537e5fa3a2ab8d424f0477105a4809154"),
-        ("me", Variant.DECREASE_SEARCH, 189, 721, 426, "-0x1.3c6fc01a41630p+4",
+        ("me", Variant.DECREASE_SEARCH, 189, 722, 426, "-0x1.3c6fc01a41630p+4",
          "860c72cefc6ec0a4ff91e608c332adabd6c5df1c35d78477ef19781ecf3a03a5"),
         ("bb-long", None, 111, 112, 113, "-0x1.3c6fc01a41654p+4",
          "d572472d98cb52556c4738821daf4f5b8bcb5dede987d6e0ed003c9572a4ea1e"),
