@@ -54,7 +54,7 @@ def _exact_step(counted, x, f, g, s: float, v0: float):
     """
     d = g / -s
     line = restrict(counted, x, d, f, g, turns=False)
-    v, f_next = minimize_on_ray(line, v0=v0 * s, rel_tol=1e-10, h0=f)
+    v, f_next = minimize_on_ray(line, v0=v0 * s, rel_tol=1e-10, h0=f, s0=float(g.dot(d)))
     return v / s, x + v * d, f_next, line.gradient(v)
 
 

@@ -82,16 +82,16 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str
     raise NumericError("one-dimensional search exceeded its evaluation budget")
 
 
-def minimize_on_ray(line, v0: float, rel_tol: float, *, h0: float):
+def minimize_on_ray(line, v0: float, rel_tol: float, *, h0: float, s0: float):
     """Minimize a convex function over v >= 0 along ``line``, from the bracket
     start v0, by solving ``line.slope(v) = 0`` to relative precision rel_tol.
 
-    ``h0`` is ``line.value(0.0)``.  Returns (v, the value at v).  A line that
-    does not descend at v = 0 (its slope there is nonnegative, or not a
-    number) returns (0, h0); the caller's gradient check then names a
-    non-finite slope.  ``find_root`` raises the errors.
+    ``h0`` and ``s0`` are the value and slope of ``line`` at v = 0, as the
+    caller holds them.  Returns (v, the value at v).  A line that does not
+    descend at v = 0 (``s0`` is nonnegative, or not a number) returns
+    (0, h0); the caller's gradient check then names a non-finite slope.
+    ``find_root`` raises the errors.
     """
-    s0 = line.slope(0.0)
     if not s0 < 0.0:
         return 0.0, h0
     v, _ = find_root(line.slope, s0, v0, ftol=rel_tol * -s0, xtol=rel_tol)

@@ -8,15 +8,16 @@ every run is reproducible, and they round-trip through plain JSON.
 
 An objective is any object with ``dimension``, ``value(x)`` and
 ``gradient(x)``.  The searches along a ray ask ``restrict(obj, x, d, f, g,
-turns)`` for the line ``t -> f(x + t d)``, built from the value f and the
-gradient g at x that the caller holds, which answers ``value(t)``,
-``slope(t)`` and ``gradient(t)``.  An objective may offer a cheaper
-restriction through an optional ``along(x, d, f, g, turns)`` method.  Both
-families do: once a quadratic's line has grad f(x) and Ad, every query along
-it costs O(1); a log-sum-exp line shares one set of exponential weights
+turns)``, with the value f and gradient g at x that the caller holds, for
+the line ``t -> f(x + t d)``, which answers ``value(t)``, ``slope(t)`` and
+``gradient(t)``.  An objective may offer a cheaper restriction through an
+optional ``along(x, d, f, g, turns)`` method.  Both families do: a
+quadratic's line is a parabola with coefficients from f, g and Ad, so every
+query costs O(1); a log-sum-exp line shares one set of exponential weights
 among the queries at one t and takes a slope without forming the gradient.
 Any other objective gets the generic line over its own ``value`` and
-``gradient``.
+``gradient``.  No other line holds f or g; a search is handed its base
+value and slope.
 A log-sum-exp point and line share one exponent rule, alpha (u u), one
 weighing, one value and one gradient, so a line's value and gradient at
 t = 0 are the pointwise ones bit for bit.
@@ -29,7 +30,7 @@ quadratic's line restricted with ``turns=True`` holds A^2 d beside Ad, both
 from one pass over A (``matrix_powers``), so the new line takes Ae = alpha
 Ad + gamma A^2 d and the line's value and gradient at t with no product;
 every other line restarts at x along e, as ``restrict(obj, x, e, f, g,
-turns)`` would if it held no g.
+turns)`` would.
 ``CountingObjective`` counts every query an objective answers, pointwise or
 along a line.  Along any line a query costs what the generic line would
 take, so a count measures the oracle queries the search made, not the line
@@ -46,6 +47,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError
+
+
+def _is_count(value) -> bool:
+    """Whether value is an integer of an integral type, bool excepted."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_point(x, n: int) -> np.ndarray:
@@ -206,12 +212,10 @@ class LogSumExpProblem:
         return _lse_gradient(self.alpha, self.beta, x, w, sw)
 
     def along(self, x, d, f, g, turns) -> "LogSumExpLine":
-        """The line t -> f(x + t d) from the gradient ``g`` at x.  The line
-        needs no value at x, so ``f`` is not read, and it turns by
-        restarting, so ``turns`` changes nothing."""
+        """The line t -> f(x + t d).  It reads neither ``f`` nor ``g``, and
+        it turns by restarting, so ``turns`` changes nothing."""
         n = self.alpha.shape[0]
-        return LogSumExpLine(self.alpha, self.beta, _check_point(x, n),
-                             _check_point(d, n), np.asarray(g, dtype=float))
+        return LogSumExpLine(self.alpha, self.beta, _check_point(x, n), _check_point(d, n))
 
     def solution(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -303,20 +307,17 @@ class LogSumExpLine:
     at t are ``value(x + t d)`` and ``gradient(x + t d)`` bit for bit, and
     at t = 0 ``value(x)`` and ``gradient(x)``.  A slope needs no gradient
     vector: 2 (sum w alpha d u / sum w + sum beta d u), its own sum, which
-    agrees with ``gradient . d`` to rounding.  Handed a ``g``, as ``along``
-    hands it the caller's, the line answers the slope and gradient at 0 from
-    it; a turn hands it None.  A turn hands the buffers on; queried again,
-    this line takes new ones.
+    agrees with ``gradient . d`` to rounding.  A turn hands the buffers on;
+    queried again, this line takes new ones.
     """
 
-    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd", "g",
+    __slots__ = ("alpha", "beta", "x", "d", "ad", "bd",
                  "_t", "_u", "_w", "_tmp", "_shift", "_sw", "_bu")
 
-    def __init__(self, alpha, beta, x, d, g, buffers=(None, None, None)):
+    def __init__(self, alpha, beta, x, d, buffers=(None, None, None)):
         self.alpha, self.beta = alpha, beta
         self.x, self.d = x, d
         self.ad = self.bd = None  # alpha d and beta d, on the first slope
-        self.g = g
         self._t = None  # t of u and w
         self._u, self._w, self._tmp = buffers  # on the first weighing when None
 
@@ -338,8 +339,6 @@ class LogSumExpLine:
         return _lse_value(self._shift, self._sw, self._bu)
 
     def slope(self, t: float) -> float:
-        if t == 0.0 and self.g is not None:
-            return float(self.g.dot(self.d))
         self._weigh(t)
         # the gradient is not finite exactly when the weights are not; a slope
         # that overflows from a finite gradient is returned, as the generic
@@ -353,33 +352,29 @@ class LogSumExpLine:
                       + float(self.bd.dot(self._u)))
 
     def gradient(self, t: float) -> np.ndarray:
-        if t == 0.0 and self.g is not None:
-            return self.g
         self._weigh(t)
         return _lse_gradient(self.alpha, self.beta, self._u, self._w, self._sw)
 
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "LogSumExpLine":
         """The line through x, the point at t, along e, started afresh in this line's buffers."""
         buffers, self._t, self._u = (self._u, self._w, self._tmp), None, None
-        return LogSumExpLine(self.alpha, self.beta, x, e, None, buffers)
+        return LogSumExpLine(self.alpha, self.beta, x, e, buffers)
 
 
 class RayLine:
     """t -> f(x + t d) through the objective's own value and gradient.
 
-    Handed ``g``, the gradient at x, it starts out holding g as its
-    gradient at t = 0; a turn starts it with None.  It keeps the last
-    gradient it took, so the gradient at the point a slope search ended on
-    costs nothing more.
+    It keeps the last gradient it took, so the gradient at the point a
+    slope search ended on costs nothing more.
     """
 
     __slots__ = ("obj", "x", "d", "_t", "_g")
 
-    def __init__(self, obj, x: np.ndarray, d: np.ndarray, g):
+    def __init__(self, obj, x: np.ndarray, d: np.ndarray):
         self.obj = obj
         self.x = x
         self.d = d
-        self._t, self._g = (None, None) if g is None else (0.0, g)
+        self._t = self._g = None
 
     def value(self, t: float) -> float:
         return self.obj.value(self.x + t * self.d)
@@ -394,7 +389,7 @@ class RayLine:
 
     def turn(self, t: float, x: np.ndarray, e: np.ndarray, krylov) -> "RayLine":
         """The line through x, the point at t, along e, started afresh."""
-        return RayLine(self.obj, x, e, None)
+        return RayLine(self.obj, x, e)
 
 
 def restrict(obj, x, d, f, g, turns):
@@ -403,13 +398,12 @@ def restrict(obj, x, d, f, g, turns):
     ``f`` and ``g`` are the value and gradient at x that the caller holds;
     ``turns`` says the caller will turn off the line.  Uses the objective's
     own ``along(x, d, f, g, turns)`` when it has one, else a ``RayLine``
-    that evaluates f and its gradient at each queried point except x,
-    whose gradient is g.
+    that evaluates f and its gradient at each queried point.
     """
     along = getattr(obj, "along", None)
     if along is not None:
         return along(x, d, f, g, turns)
-    return RayLine(obj, x, d, g)
+    return RayLine(obj, x, d)
 
 
 class CountingObjective:
@@ -447,23 +441,22 @@ class CountingObjective:
         return both(x)
 
     def along(self, x, d, f, g, turns):
-        return _CountedLine(self, restrict(self.inner, x, d, f, g, turns), 0.0)
+        return _CountedLine(self, restrict(self.inner, x, d, f, g, turns))
 
 
 class _CountedLine:
     """Charges the queries on a line to a counter by the generic line's rule.
 
     A slope or gradient at the t of the last slope or gradient is free, and
-    every other query costs one evaluation.  ``gt`` is that t at the start:
-    0 on a line handed g, None on a turned one.
+    every other query costs one evaluation.
     """
 
     __slots__ = ("counter", "line", "_gt")
 
-    def __init__(self, counter: CountingObjective, line, gt: float | None):
+    def __init__(self, counter: CountingObjective, line):
         self.counter = counter
         self.line = line
-        self._gt = gt  # t of the last slope or gradient
+        self._gt = None  # t of the last slope or gradient
 
     def value(self, t: float) -> float:
         self.counter.n_value += 1
@@ -482,8 +475,7 @@ class _CountedLine:
         return self.line.gradient(t)
 
     def turn(self, t: float, x, e, krylov) -> "_CountedLine":
-        # like the generic line through x along e, it starts with no g at x
-        return _CountedLine(self.counter, self.line.turn(t, x, e, krylov), None)
+        return _CountedLine(self.counter, self.line.turn(t, x, e, krylov))
 
 
 def check_gradient(obj, x, h: float = 1e-6) -> float:
@@ -606,7 +598,7 @@ def problem_from_dict(doc: dict):
     kind = doc.get("kind")
     try:
         n = doc["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not _is_count(n) or n < 1:
             raise ValueError("n must be a positive integer")
         if kind == "quadratic":
             a = _numbers(doc, "matrix").reshape(n, n)

@@ -22,7 +22,7 @@ from .errors import DegeneratePlaneError, NumericError
 from .geometry import build_frame, center_direction, scaled_sumsq
 from .levelstep import NOISE_FLOOR, find_level_step
 from .linesearch import minimize_on_ray
-from .objectives import CountingObjective
+from .objectives import CountingObjective, _is_count
 
 _NAN = float("nan")
 # decrease-search halves v at most this often, down to 2^-59 of its first
@@ -52,6 +52,8 @@ class SolverConfig:
     def __post_init__(self):  # the one check of every method's stopping rule
         if not self.epsilon > 0.0:  # NaN too
             raise ValueError("stopping tolerance must be positive")
+        if not _is_count(self.max_iterations):  # 2.5, NaN, inf and True too
+            raise ValueError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -133,7 +135,8 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
     it is one whose predecessor, if any, is not, or (0, f_base).  Halving
     and doubling v keep the bits of repeated halving while v is normal."""
     if variant is Variant.SEMILINE_MIN:
-        v, fv = minimize_on_ray(line, v0=scale, rel_tol=1e-8, h0=f_base)
+        v, fv = minimize_on_ray(line, v0=scale, rel_tol=1e-8, h0=f_base,
+                                s0=line.slope(0.0))
         if fv > f_base:  # no decrease above rounding: stay at the midpoint
             return 0.0, f_base
         return v, fv

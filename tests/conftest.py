@@ -152,3 +152,68 @@ class Transformed:
 
     def gradient(self, z):
         return self.a * (self.q.T @ self.inner.gradient(self.point(z)))
+
+
+class RegularizedLoss:
+    """(mu / 2) |x|^2 plus a loss of the residuals r = A x - b, with no
+    ``along``: every search on it runs on the generic line.  A subclass
+    gives the loss and its derivative in r as ``loss(r)`` and ``dloss(r)``.
+
+    A is standard Gaussian with its columns scaled from 1 to ``cond``; b and
+    the start point ``x0`` are standard Gaussian.  Each loss is convex with
+    a Lipschitz derivative, so f is mu-strongly convex and smooth: the class
+    the paper's convergence proof covers."""
+
+    def __init__(self, m: int, n: int, mu: float, seed: int, cond: float = 1.0):
+        rng = np.random.default_rng(seed)
+        self.a = rng.standard_normal((m, n)) * np.geomspace(1.0, cond, n)
+        self.b = rng.standard_normal(m)
+        self.x0 = rng.standard_normal(n)
+        self.mu = mu
+        self.dimension = n
+
+    def value(self, x):
+        return self.loss(self.a @ x - self.b) + 0.5 * self.mu * float(x @ x)
+
+    def gradient(self, x):
+        return self.dloss(self.a @ x - self.b) @ self.a + self.mu * x
+
+
+class Logistic(RegularizedLoss):
+    """sum softplus(r) + (mu / 2) |x|^2."""
+
+    def loss(self, r):
+        return float(np.logaddexp(0.0, r).sum())
+
+    def dloss(self, r):
+        return np.exp(-np.logaddexp(0.0, -r))  # the logistic sigmoid
+
+
+class AffineLogSumExp(RegularizedLoss):
+    """ln sum exp(r) + (mu / 2) |x|^2."""
+
+    def loss(self, r):
+        top = r.max()
+        return float(top + np.log(np.exp(r - top).sum()))
+
+    def dloss(self, r):
+        w = np.exp(r - r.max())
+        return w / w.sum()
+
+
+class Huber(RegularizedLoss):
+    """sum huber_delta(r) + (mu / 2) |x|^2: r^2 / 2 within delta, and
+    delta (|r| - delta / 2) past it.  Its derivative is Lipschitz but its
+    second derivative jumps at |r| = delta."""
+
+    def __init__(self, m, n, mu, seed, cond=1.0, delta=1.0):
+        super().__init__(m, n, mu, seed, cond)
+        self.delta = delta
+
+    def loss(self, r):
+        s = np.abs(r)
+        return float(np.where(s <= self.delta, 0.5 * r * r,
+                              self.delta * (s - 0.5 * self.delta)).sum())
+
+    def dloss(self, r):
+        return np.clip(r, -self.delta, self.delta)

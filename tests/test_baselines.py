@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticPr
                           SolverConfig, Termination, Variant, bb_minimize,
                           bb_step_size, gd_exact_minimize, generate_instance,
                           minimize, run_method)
+from ellipcenters.objectives import restrict
 
 
 class TestBBStepSize:
@@ -127,6 +130,30 @@ class TestBBMinimize:
         assert run.termination is Termination.CONVERGED
 
 
+class BaseRefusingObjective:
+    """An objective whose lines raise on any query at t = 0, the point they
+    were restricted at; it counts the lines it hands out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lines = 0
+
+    def __getattr__(self, name):  # every other attribute is the inner one's
+        return getattr(self.inner, name)
+
+    def along(self, x, d, f, g, turns):
+        self.lines += 1
+        line = restrict(self.inner, x, d, f, g, turns)
+
+        def refuse(query):
+            def ask(t):
+                assert t != 0.0, f"{query} asked at t = 0"
+                return getattr(line, query)(t)
+            return ask
+
+        return SimpleNamespace(**{q: refuse(q) for q in ("value", "slope", "gradient")})
+
+
 class TestLineGradients:
     # the exact step's line hands back the gradient at the new point, so a
     # gd iteration on a quadratic takes one product, A grad f(x), after the
@@ -147,6 +174,21 @@ class TestLineGradients:
         # the start point and each spectral step take one product Ax, and
         # the exact first step one, A grad f(x)
         assert matrix.products == 1 + 1 + (run.iterations - 1)
+
+    @pytest.mark.parametrize("method", ["gd", "bb-long", "bb-short"])
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+    def test_exact_step_asks_its_line_nothing_at_x(self, kind, method):
+        # the step holds f and g at x, so its search starts from f and g . d;
+        # a line that refuses every query at t = 0 changes no count or bit
+        p, x0 = generate_instance(kind, 20, 3, GenParams(kappa=100))
+        cfg = SolverConfig(epsilon=1e-6)
+        spied = BaseRefusingObjective(p)
+        run, ref = run_method(method, spied, x0, cfg), run_method(method, p, x0, cfg)
+        assert run.termination is Termination.CONVERGED
+        assert spied.lines == (run.iterations if method == "gd" else 1)
+        assert (run.iterations, run.n_value_evals, run.n_grad_evals) == (
+            ref.iterations, ref.n_value_evals, ref.n_grad_evals)
+        assert all(np.array_equal(a.x, b.x) for a, b in zip(run.iterates, ref.iterates))
 
     @pytest.mark.parametrize("kind", ["long", "short"])
     def test_logsumexp_runs_match_pointwise_gradients(self, kind):

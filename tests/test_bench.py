@@ -22,6 +22,9 @@ def small_config(**overrides):
     return BenchConfig(**base)
 
 
+COUNTS = "sizes, instances per size and base seed must be integers"
+
+
 class TestRunBenchmark:
     def test_records_cover_every_cell(self):
         records, details = run_benchmark(small_config())
@@ -92,7 +95,15 @@ class TestRunBenchmark:
         (dict(epsilon=0.0), "stopping tolerance must be positive"),
         (dict(epsilon=float("nan")), "stopping tolerance must be positive"),
         (dict(max_iterations=0), "need at least one iteration"),
-    ], ids=["kind", "method", "size", "quadratic-size", "epsilon-zero", "epsilon-nan", "max-iterations"])
+        (dict(max_iterations=2.5), "max_iterations must be an integer"),
+        (dict(instances_per_size=2.5), COUNTS),
+        (dict(instances_per_size=float("nan")), COUNTS),
+        (dict(instances_per_size=True), COUNTS),
+        (dict(sizes=(5, 2.5)), COUNTS),
+        (dict(base_seed=0.5), COUNTS),
+    ], ids=["kind", "method", "size", "quadratic-size", "epsilon-zero", "epsilon-nan",
+            "max-iterations", "max-iterations-fraction", "instances-fraction", "instances-nan",
+            "instances-bool", "size-fraction", "seed-fraction"])
     def test_bad_config_rejected_when_built(self, overrides, message, monkeypatch):
         # the error comes before any instance is generated or solved
         def unreachable(*args, **kwargs):

@@ -161,15 +161,6 @@ class TestCheckGradient:
             check_gradient(p, np.ones(4), 1e300)
 
 
-def _afresh(obj, p, x, d):
-    """The line of obj through x along d with no gradient held at x, as a
-    turn starts it: here a turn at t = 0 off the line through x along d,
-    with Krylov coefficients (1, 0), so that e = d.  ``p`` gives the value
-    and gradient at x that the first line is built from."""
-    line = restrict(obj, x, d, p.value(x), p.gradient(x), turns=True)
-    return line.turn(0.0, x, d, (1.0, 0.0))
-
-
 class TestRestriction:
     @staticmethod
     def _ray(kind, n=30, seed=1):
@@ -201,24 +192,21 @@ class TestRestriction:
         # and (alpha x) x give values one ulp apart, so two rules would show
         p, x, d = self._ray("logsumexp", 5, 2)
         g = p.gradient(x)
-        line = _afresh(p, p, x, d)
-        assert isinstance(line, LogSumExpLine)
+        line = restrict(p, x, d, p.value(x), g, turns=False)
         assert line.value(0.0) == p.value(x)
         assert line.gradient(0.0).tobytes() == g.tobytes()
-        # the slope is its own sum over the weights, not gradient . d; a line
-        # handed g answers it from g, as every search along -g restricts it
+        # the slope is its own sum over the weights, not gradient . d
         assert line.slope(0.0) == pytest.approx(float(g @ d), rel=1e-14)
-        assert restrict(p, x, d, p.value(x), g, turns=False).slope(0.0) == float(g @ d)
 
     # an objective's own line is charged what the generic line would take,
-    # whether it holds g (restricted) or not (turned)
-    @pytest.mark.parametrize("held", [False, True])
+    # restricted or turned alike: neither holds anything at its base
+    @pytest.mark.parametrize("restricted", [False, True])
     @pytest.mark.parametrize("kind", ["logsumexp", "quadratic"])
-    def test_line_is_charged_like_the_generic_line(self, kind, held):
+    def test_line_is_charged_like_the_generic_line(self, kind, restricted):
         p, x, d = self._ray(kind)
         fused = CountingObjective(p)
         generic = CountingObjective(ValueAndGradientOnly(p))
-        if held:
+        if restricted:
             f, g = p.value(x), p.gradient(x)
             lines = [restrict(c, x, d, f, g, turns=False) for c in (fused, generic)]
         else:
@@ -232,7 +220,28 @@ class TestRestriction:
             for line in lines:
                 getattr(line, query)(t)
             assert (fused.n_value, fused.n_grad) == (generic.n_value, generic.n_grad)
-        assert (fused.n_value, fused.n_grad) == ((5, 3) if held else (5, 4))
+        assert (fused.n_value, fused.n_grad) == (5, 4)
+
+    @pytest.mark.parametrize("kind,generic", [
+        ("quadratic", False), ("logsumexp", False), ("quadratic", True)])
+    def test_restricted_line_is_charged_as_a_turned_one(self, kind, generic):
+        # neither line holds an answer at its base, so its first slope there
+        # costs a gradient, as its first value there costs a value
+        p, x, d = self._ray(kind)
+        obj = ValueAndGradientOnly(p) if generic else p
+        counters = [CountingObjective(obj), CountingObjective(obj)]
+        base = x - 0.25 * d  # the turned line starts at x, a quarter of d on
+        lines = [restrict(counters[0], x, d, p.value(x), p.gradient(x), turns=False),
+                 restrict(counters[1], base, d, p.value(base), p.gradient(base),
+                          turns=True).turn(0.25, x, d, (1.0, 0.0))]
+        charges = []
+        for query, t in [("slope", 0.0), ("gradient", 0.0), ("value", 0.0), ("gradient", 0.5),
+                         ("slope", 0.5), ("value", 0.5), ("slope", 0.0)]:
+            for line in lines:
+                getattr(line, query)(t)
+            charges.append([(c.n_value, c.n_grad) for c in counters])
+        assert [pair[0] for pair in charges] == [pair[1] for pair in charges]
+        assert charges[-1][0] == (2, 3)
 
     @pytest.mark.parametrize("query,pointwise", [
         ("value", "value"), ("slope", "gradient"), ("gradient", "gradient")])
@@ -285,15 +294,6 @@ class TestRestriction:
                 assert np.linalg.norm(line.gradient(t) - gy) <= 1e-12 * np.linalg.norm(gy)
             else:
                 assert np.array_equal(line.gradient(t), p.gradient(y))
-
-    def test_generic_line_answers_its_base_from_the_held_values(self):
-        p, x, d = self._ray("logsumexp")
-        f, g = p.value(x), p.gradient(x)
-        counted = CountingObjective(p)
-        line = restrict(counted, x, d, f, g, turns=False)
-        assert line.slope(0.0) == float(g @ d)
-        assert line.gradient(0.0) is g
-        assert (counted.n_value, counted.n_grad) == (0, 0)
 
     def test_quadratic_line_skips_ax_given_value_and_gradient(self, count_products):
         p, x, d = self._ray("quadratic")
@@ -353,7 +353,8 @@ class TestTurn:
         e = cls._direction(p, d)
         base = x + cls.T * d
         line = restrict(obj, x, d, p.value(x), p.gradient(x), turns=True)
-        return line.turn(cls.T, base, e, cls.KRYLOV), _afresh(obj, p, base, e)
+        fresh = restrict(obj, base, e, p.value(base), p.gradient(base), turns=False)
+        return line.turn(cls.T, base, e, cls.KRYLOV), fresh
 
     def test_quadratic_turn_matches_a_new_restriction(self, count_products):
         # at n = 400 the line's A d and A^2 d come from a sweep over three panels
@@ -513,7 +514,7 @@ class TestShiftBound:
             *_, value, gradient = _unfloored_answers(p, u)
             assert p.value(u) == value
             assert np.array_equal(p.gradient(u), gradient)
-            line = _afresh(p, p, u, d)
+            line = restrict(p, u, d, p.value(u), p.gradient(u), turns=False)
             assert line.value(0.0) == value
             assert np.array_equal(line.gradient(0.0), gradient)
 
@@ -549,7 +550,7 @@ class TestLogSumExpAccuracy:
         shifted = set()
         for scale in self.SCALES:
             x, e = scale * x0, scale * d
-            line = _afresh(p, p, x, e)
+            line = restrict(p, x, e, p.value(x), p.gradient(x), turns=False)
             for t in (0.0, 0.3, -0.7):
                 u = e * t + x  # the line's own point
                 value, gradient = _long_double_answers(p, u)

@@ -677,9 +677,12 @@ class TestMinimize:
 
 @pytest.mark.parametrize("method", ["me", "bb-long", "bb-short", "gd"])
 @pytest.mark.parametrize("epsilon,max_iterations",
-                         [(0.0, 50), (-1.0, 50), (float("nan"), 50), (0.01, 0)])
+                         [(0.0, 50), (-1.0, 50), (float("nan"), 50), (0.01, 0),
+                          (0.01, float("nan")), (0.01, float("inf")), (0.01, 2.5), (0.01, True)])
 def test_stopping_rule_validated(method, epsilon, max_iterations):
-    # one SolverConfig checks the stopping rule for every method
+    # one SolverConfig checks the stopping rule for every method; a cap that
+    # is not an integer would allow 3 iterations at 2.5, and never bind at
+    # NaN or inf
     p, x0 = generate_instance("quadratic", 6, 1, GenParams(kappa=10))
     with pytest.raises(ValueError):
         run_method(method, p, x0, SolverConfig(epsilon, max_iterations))

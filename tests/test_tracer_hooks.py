@@ -22,9 +22,12 @@ def test_target_is_a_callable_module_attribute(module, attr):
 
 
 def test_ray_search_keeps_its_h0_parameter():
-    # keyword-only, so that no caller can pass it by position
-    h0 = inspect.signature(minimize_on_ray).parameters["h0"]
-    assert h0.kind is inspect.Parameter.KEYWORD_ONLY
+    # keyword-only, so that no caller can pass it by position; the base
+    # slope s0 is taken the same way, and neither has a default
+    params = inspect.signature(minimize_on_ray).parameters
+    for name in ("h0", "s0"):
+        assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params[name].default is inspect.Parameter.empty
 
 
 def test_every_target_is_called_through_its_module(monkeypatch):
