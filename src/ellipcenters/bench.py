@@ -5,7 +5,9 @@ instances, runs every method from the same start point, and aggregates mean
 iterations, mean value at termination, mean final gradient norm, mean
 evaluation count and mean wall time per (method, size).  Output is
 deterministic for a fixed config; wall time is the one machine-dependent
-column, so table emission takes a ``timing`` switch.
+column, so table emission takes a ``timing`` switch.  ``csv_text`` is the
+package's one CSV writer: the bench table, the CLI's ``solve --trace`` file
+and its conic survey all go through it.
 """
 from __future__ import annotations
 
@@ -158,30 +160,33 @@ def _fmt(value: float) -> str:
     return "%.6g" % float(value)
 
 
+def csv_text(header, rows) -> str:
+    """The header and rows in the package's one CSV dialect: comma-separated,
+    minimal quoting, each line ending in a bare newline."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+_ROW_ORDER = {"csv": lambda r: (r.method, r.n), "markdown": lambda r: (r.n, r.method)}
+
+
 def emit_table(records, fmt: str = "csv", timing: bool = True) -> str:
     """Render aggregated records as CSV (sorted by method, then size) or as a
     markdown table grouped by size.  Values carry 6 significant digits."""
     if not records:
         raise ValueError("no records to emit")
+    if fmt not in _ROW_ORDER:
+        raise ValueError(f"unknown table format {fmt!r}")
     columns = ["method", "n", "mean_iterations", "mean_optimal_value",
                "mean_final_grad_norm", "mean_evaluations"]
     if timing:
         columns.append("mean_wall_time_ms")
+    rows = [[r.method, str(r.n), *(_fmt(getattr(r, c)) for c in columns[2:])]
+            for r in sorted(records, key=_ROW_ORDER[fmt])]
     if fmt == "csv":
-        rows = sorted(records, key=lambda r: (r.method, r.n))
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([r.method, r.n] + [_fmt(getattr(r, c)) for c in columns[2:]])
-        return out.getvalue()
-    if fmt == "markdown":
-        rows = sorted(records, key=lambda r: (r.n, r.method))
-        header = "| " + " | ".join(columns) + " |"
-        rule = "|" + "|".join(" --- " for _ in columns) + "|"
-        lines = [header, rule]
-        for r in rows:
-            cells = [r.method, str(r.n)] + [_fmt(getattr(r, c)) for c in columns[2:]]
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown table format {fmt!r}")
+        return csv_text(columns, rows)
+    return "".join("| " + " | ".join(cells) + " |\n"
+                   for cells in [columns, ["---"] * len(columns), *rows])

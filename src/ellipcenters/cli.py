@@ -9,15 +9,14 @@ stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .bench import DEFAULT_METHODS, METHODS, BenchConfig, emit_table, run_benchmark, run_method
+from .bench import (DEFAULT_METHODS, METHODS, BenchConfig, csv_text, emit_table, run_benchmark,
+                    run_method)
 from .errors import NumericError
 from .geometry import survey_geometry
 from .objectives import GenParams, check_gradient, generate_instance, load_problem
@@ -38,22 +37,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_text(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        Path(path).write_text(text, newline="")
     else:
         sys.stdout.write(text)
 
 
 def _num(value: float) -> str:
     return "" if math.isnan(value) else "%.12g" % value
-
-
-def _write_trace(path: str, run) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "f", "grad_norm", "t_k", "v_k", "branch"])
-        for k, rec in enumerate(run.iterates):
-            writer.writerow([k, _num(rec.f), _num(rec.grad_norm),
-                             _num(rec.t), _num(rec.v), rec.branch])
 
 
 def _cmd_solve(args) -> int:
@@ -71,7 +61,10 @@ def _cmd_solve(args) -> int:
         problem, x0 = generate_instance(kind, args.n, args.seed, GenParams(kappa=args.kappa))
     run = run_method(args.method, problem, x0, cfg)
     if args.trace:
-        _write_trace(args.trace, run)
+        _write_text(args.trace, csv_text(
+            ["iter", "f", "grad_norm", "t_k", "v_k", "branch"],
+            ([k, _num(rec.f), _num(rec.grad_norm), _num(rec.t), _num(rec.v), rec.branch]
+             for k, rec in enumerate(run.iterates))))
     print(f"method={args.method} n={problem.dimension} termination={run.termination.value} "
           f"iterations={run.iterations} f_final={run.f_final:.12g} "
           f"grad_norm={run.grad_norm_final:.6g} value_evals={run.n_value_evals} "
@@ -104,15 +97,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify_geometry(args) -> int:
     rows = survey_geometry(args.samples, args.seed)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_SURVEY_COLUMNS)
-    for r in rows:
-        writer.writerow(["%.12g" % r.lam, "%.12g" % r.theta, "%.12g" % r.m,
-                         "%.12g" % r.a, "%.12g" % r.b, "%.12g" % r.c, "%.12g" % r.d,
-                         r.classification, _num(r.u), _num(r.v),
-                         "%.3e" % r.max_residual])
-    _write_text(args.out, buffer.getvalue())
+    _write_text(args.out, csv_text(_SURVEY_COLUMNS, (
+        ["%.12g" % r.lam, "%.12g" % r.theta, "%.12g" % r.m, "%.12g" % r.a, "%.12g" % r.b,
+         "%.12g" % r.c, "%.12g" % r.d, r.classification, _num(r.u), _num(r.v),
+         "%.3e" % r.max_residual] for r in rows)))
     bad = sum(not r.ok for r in rows)
     worst = max(r.max_residual for r in rows if r.classification == "ellipse")
     print(f"checked {len(rows)} conics: {bad} failures, "
@@ -222,7 +210,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

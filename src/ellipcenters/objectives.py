@@ -419,10 +419,6 @@ class CountingObjective:
         self.n_value = 0
         self.n_grad = 0
 
-    @property
-    def dimension(self) -> int:
-        return self.inner.dimension
-
     def value(self, x) -> float:
         self.n_value += 1
         return self.inner.value(x)

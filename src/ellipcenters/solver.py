@@ -127,7 +127,7 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
     k >= ``_MAX_HALVINGS`` and no v_k |slope| within the level step's noise
     floor 32 eps (1 + |f_base|).  That is at least 32 times f's own rounding
     eps |f_base|, so the search also drops decreases that f shows (ROADMAP
-    item 8 would scale the floor with f).  ``first`` is the last search's
+    item 6 would scale the floor with f).  ``first`` is the last search's
     k: the search starts at k = max(first - 1, 0), or at the last k it may
     sample, and steps back while the sample at k - 1 is below f_base too,
     or on until a sample is.  On a convex f, whose samples below f_base are

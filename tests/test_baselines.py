@@ -53,6 +53,12 @@ class TestBBMinimize:
         assert run.termination is Termination.CONVERGED
         assert run.iterations == 1
 
+    def test_unknown_kind_named_before_the_first_step(self):
+        p = QuadraticProblem(np.eye(2), np.ones(2))
+        with pytest.raises(ValueError) as exc:
+            bb_minimize(p, np.zeros(2), "medium")
+        assert str(exc.value) == "unknown step kind 'medium'"
+
     @pytest.mark.parametrize("kind", ["long", "short"])
     def test_steps_within_rayleigh_bounds(self, kind):
         p, x0 = generate_instance("quadratic", 20, 3, GenParams(kappa=100))

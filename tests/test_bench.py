@@ -101,9 +101,10 @@ class TestRunBenchmark:
         (dict(instances_per_size=True), COUNTS),
         (dict(sizes=(5, 2.5)), COUNTS),
         (dict(base_seed=0.5), COUNTS),
+        (dict(methods=()), "need at least one method"),
     ], ids=["kind", "method", "size", "quadratic-size", "epsilon-zero", "epsilon-nan",
             "max-iterations", "max-iterations-fraction", "instances-fraction", "instances-nan",
-            "instances-bool", "size-fraction", "seed-fraction"])
+            "instances-bool", "size-fraction", "seed-fraction", "no-methods"])
     def test_bad_config_rejected_when_built(self, overrides, message, monkeypatch):
         # the error comes before any instance is generated or solved
         def unreachable(*args, **kwargs):
@@ -198,6 +199,40 @@ class TestEmitTable:
         assert len(body) == 6
         sizes = [int(line.split("|")[2]) for line in body]
         assert sizes == [100, 100, 100, 200, 200, 200]
+
+    GOLDEN_HEADER = ("method,n,mean_iterations,mean_optimal_value,"
+                     "mean_final_grad_norm,mean_evaluations")
+    GOLDEN = {
+        ("csv", True): (
+            GOLDEN_HEADER + ",mean_wall_time_ms\n"
+            "bb-long,100,5.1,9.21034,0.004,311,12.25\n"
+            "gd,200,7.1,18.4207,0.004,311,12.25\n"
+            "me,100,6.1,13.8155,0.004,311,12.25\n"
+            "me,200,4.1,4.60517,0.004,311,12.25\n"),
+        ("csv", False): (
+            GOLDEN_HEADER + "\n"
+            "bb-long,100,5.1,9.21034,0.004,311\n"
+            "gd,200,7.1,18.4207,0.004,311\n"
+            "me,100,6.1,13.8155,0.004,311\n"
+            "me,200,4.1,4.60517,0.004,311\n"),
+        ("markdown", True): (
+            "| method | n | mean_iterations | mean_optimal_value | mean_final_grad_norm"
+            " | mean_evaluations | mean_wall_time_ms |\n"
+            "| --- | --- | --- | --- | --- | --- | --- |\n"
+            "| bb-long | 100 | 5.1 | 9.21034 | 0.004 | 311 | 12.25 |\n"
+            "| me | 100 | 6.1 | 13.8155 | 0.004 | 311 | 12.25 |\n"
+            "| gd | 200 | 7.1 | 18.4207 | 0.004 | 311 | 12.25 |\n"
+            "| me | 200 | 4.1 | 4.60517 | 0.004 | 311 | 12.25 |\n"),
+    }
+
+    @pytest.mark.parametrize("fmt,timing", list(GOLDEN))
+    def test_golden_text(self, fmt, timing):
+        records = [BenchRecord(method=m, n=n, mean_iterations=4.1 + i,
+                               mean_optimal_value=4.605170 * (i + 1), mean_final_grad_norm=0.004,
+                               mean_evaluations=311.0, mean_wall_time_ms=12.25)
+                   for i, (m, n) in enumerate([("me", 200), ("bb-long", 100), ("me", 100),
+                                               ("gd", 200)])]
+        assert emit_table(records, fmt=fmt, timing=timing) == self.GOLDEN[fmt, timing]
 
     def test_rejects_empty_and_unknown_format(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ellipcenters import (GenParams, bench, LogSumExpProblem, generate_instance,
-                          problem_from_dict, problem_to_dict, save_problem)
+from ellipcenters import (GenParams, bench, cli, LogSumExpProblem, SolverRun, Termination,
+                          generate_instance, problem_from_dict, problem_to_dict, save_problem)
 from ellipcenters.cli import main
+from ellipcenters.solver import IterateRecord
 
 
 def test_help_exits_zero(capsys):
@@ -119,6 +121,66 @@ def test_bench_markdown_format(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("| method |")
+
+
+# sha256 of the files these commands write, pinned so that a change to the
+# CSV dialect, the number formats or the rows shows
+WRITTEN_FILES = {
+    "solve-trace": (["solve", "--problem", "f2", "--n", "20", "--seed", "0", "--trace"],
+                    "28bce91fdb2c8666de146cb65ef799a740f057e2c1f116a34c3730dbc7021156"),
+    "verify-geometry": (["verify-geometry", "--samples", "50", "--seed", "1", "--out"],
+                        "ab71590ec5e268aee0e2950ca7aeffeb7171a306c5b3bb56f74b2190110e4473"),
+}
+
+
+@pytest.mark.parametrize("command", list(WRITTEN_FILES))
+def test_written_file_is_pinned(tmp_path, command):
+    args, digest = WRITTEN_FILES[command]
+    out = tmp_path / "out.csv"
+    assert main(args + [str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_problem_file_without_x0_starts_from_the_seeded_draw(tmp_path, capsys, seed):
+    problem, _ = generate_instance("logsumexp", 20, 0)
+    bare, drawn = tmp_path / "bare.json", tmp_path / "drawn.json"
+    save_problem(bare, problem)
+    save_problem(drawn, problem,
+                 x0=np.random.default_rng(0 if seed is None else seed).standard_normal(20))
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    assert main(["solve", "--problem-file", str(bare)] + seed_args) == 0
+    from_bare = capsys.readouterr()
+    assert main(["solve", "--problem-file", str(drawn)]) == 0
+    assert from_bare == capsys.readouterr()
+    assert "termination=converged" in from_bare.out
+
+
+def test_bench_names_each_flagged_run_and_exits_2(capsys, monkeypatch):
+    def broken(method, problem, x0, *args, **kwargs):
+        return SolverRun(iterates=[IterateRecord(x=np.asarray(x0, float),
+                                                 f=problem.value(x0), grad_norm=1.0)],
+                         termination=Termination.NUMERIC_ERROR, message="boom")
+
+    monkeypatch.setattr(bench, "run_method", broken)
+    code = main(["bench", "--problem", "f2", "--sizes", "5", "--instances", "2",
+                 "--seed", "5", "--methods", "me"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("method,n,")
+    assert captured.err == ("flagged: me n=5 seed=5 ended with a numeric error\n"
+                            "flagged: me n=5 seed=6 ended with a numeric error\n")
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "survey_geometry", crash)
+    assert main(["verify-geometry", "--samples", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 def test_bad_problem_file_is_user_error(tmp_path, capsys):

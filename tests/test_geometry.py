@@ -86,6 +86,12 @@ class TestClassification:
         # consistent with the coefficient test a > b^2
         assert fit_conic(2.0, 1.0, 1.0).is_ellipse
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_rejects_a_nonpositive_chord(self, lam):
+        with pytest.raises(ValueError) as exc:
+            ellipse_bound(lam, math.pi / 4.0)
+        assert str(exc.value) == "lam must be positive"
+
     def test_rejects_degenerate_angles(self):
         with pytest.raises(ValueError):
             ellipse_bound(2.0, 0.0)
@@ -142,6 +148,15 @@ class TestFrame:
         assert frame.lam == pytest.approx(2.0)
         a, b = center_direction(frame)
         assert np.allclose(a * g + b * grad_y, [-0.5, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("g,t", [([1.0, 0.0], 0.0), ([1.0, 0.0], -1.0),
+                                     ([1.0, 0.0], math.nan), ([0.0, 0.0], 2.0)],
+                             ids=["t=0", "t<0", "t=nan", "g=0"])
+    def test_vanishing_chord_rejected(self, g, t):
+        g = np.array(g)
+        with pytest.raises(ValueError) as exc:
+            build_frame(g, scaled_sumsq(g), t, np.array([-1.0, -1.0]))
+        assert str(exc.value) == "the chord vanishes"
 
     def test_semiline_local_coordinates(self):
         # points (x+y)/2 + v d have local coordinates (1 - v/2, v), i.e. they
@@ -270,6 +285,11 @@ class TestConicProperties:
 
 
 class TestSurvey:
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError) as exc:
+            survey_geometry(0, seed=1)
+        assert str(exc.value) == "need at least one sample"
+
     def test_survey_rows_pass_and_classify(self):
         rows = survey_geometry(300, seed=9)
         ellipse_rows = [r for r in rows if r.classification == "ellipse"]

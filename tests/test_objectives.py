@@ -24,6 +24,17 @@ class TestQuadratic:
         assert value == pytest.approx(12.5)
         assert np.allclose(grad, [3.0, 4.0])
 
+    @pytest.mark.parametrize("a,b,message", [
+        (np.ones((2, 3)), np.ones(2), "matrix must be square"),
+        (np.ones(2), np.ones(2), "matrix must be square"),
+        (np.eye(2), np.ones(3), "right-hand side length does not match the matrix"),
+        (np.eye(2), np.ones((2, 1)), "right-hand side length does not match the matrix"),
+    ], ids=["wide", "vector", "long-b", "column-b"])
+    def test_malformed_data_rejected(self, a, b, message):
+        with pytest.raises(ValueError) as exc:
+            QuadraticProblem(a, b)
+        assert str(exc.value) == message
+
     def test_minimizer_by_hand(self):
         # A x* = b gives x* = (1, 0.25) and f(x*) = -0.5 b'x* = -0.625
         p = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))
@@ -78,6 +89,14 @@ class TestQuadratic:
 
 
 class TestLogSumExp:
+    @pytest.mark.parametrize("alpha,beta", [
+        (np.ones(2), np.ones(3)), ([], []), (np.ones((2, 2)), np.ones((2, 2))),
+    ], ids=["mismatched", "empty", "matrix"])
+    def test_malformed_weights_rejected(self, alpha, beta):
+        with pytest.raises(ValueError) as exc:
+            LogSumExpProblem(alpha, beta)
+        assert str(exc.value) == "alpha and beta must be equal-length nonempty vectors"
+
     @pytest.mark.parametrize("n", [1, 2, 10, 1000])
     def test_origin_is_minimizer(self, n):
         rng = np.random.default_rng(n)
@@ -665,6 +684,13 @@ class TestBufferHandOff:
 
 
 class TestGenerateInstance:
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_dimension(self, kind, n):
+        with pytest.raises(ValueError) as exc:
+            generate_instance(kind, n, 0)
+        assert str(exc.value) == "dimension must be at least 1"
+
     def test_deterministic_bit_for_bit(self):
         a1, x1 = generate_instance("quadratic", 8, 5)
         a2, x2 = generate_instance("quadratic", 8, 5)
@@ -716,6 +742,12 @@ class TestGenerateInstance:
 
 
 class TestSerialization:
+    def test_other_objectives_are_not_serialized(self):
+        problem, _ = generate_instance("logsumexp", 3, 0)
+        with pytest.raises(ValueError) as exc:
+            problem_to_dict(ValueAndGradientOnly(problem))
+        assert str(exc.value) == "cannot serialize objective of type ValueAndGradientOnly"
+
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
     def test_json_roundtrip(self, kind, tmp_path):
         params = GenParams(kappa=25)
