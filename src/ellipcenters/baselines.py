@@ -50,12 +50,15 @@ def _exact_step(counted, x, f, g, s: float, v0: float):
 
     The search runs along -g / s, with s = max |g_i| where |g|^2 overflows
     and s = 1 otherwise (``scaled_sumsq``'s scale), so its slope at x stays
-    finite.  Returns (tau, x - tau g, and the value and gradient there).
+    finite.  Returns x - tau g, the value and gradient there, and the
+    ``IterateRecord`` fields ``t`` = tau and the search's ``search_evals``.
     """
     d = g / -s
     line = restrict(counted, x, d, f, g, turns=False)
+    n_value, n_grad = counted.n_value, counted.n_grad
     v, f_next = minimize_on_ray(line, v0=v0 * s, rel_tol=1e-10, h0=f, s0=float(g.dot(d)))
-    return v / s, x + v * d, f_next, line.gradient(v)
+    fields = {"t": v / s, "search_evals": (counted.n_value - n_value, counted.n_grad - n_grad)}
+    return x + v * d, f_next, line.gradient(v), fields
 
 
 def bb_minimize(obj, x0, kind: str = "long", cfg: SolverConfig | None = None) -> SolverRun:
@@ -69,13 +72,14 @@ def bb_minimize(obj, x0, kind: str = "long", cfg: SolverConfig | None = None) ->
     def step(counted, x, f, g, g_sumsq):
         nonlocal prev
         if prev is None:
-            tau, x_next, f_next, g_next = _exact_step(counted, x, f, g, g_sumsq[1], 1.0)
+            x_next, f_next, g_next, fields = _exact_step(counted, x, f, g, g_sumsq[1], 1.0)
         else:
             tau = bb_step_size(x - prev[0], g - prev[1], kind)
             x_next = x - tau * g
             f_next, g_next = counted.value_and_gradient(x_next)
+            fields = {"t": tau}
         prev = (x, g)
-        return x_next, f_next, g_next, dict(t=tau, branch=branch)
+        return x_next, f_next, g_next, dict(fields, branch=branch)
 
     return descend(obj, x0, step, cfg or SolverConfig())
 
@@ -89,8 +93,8 @@ def gd_exact_minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
         nonlocal warm
         # the slope at x comes from g, so it is -|g|^2 < 0 and the search
         # runs; a NaN slope inside it raises, which ends the run
-        tau, x_next, f_next, g_next = _exact_step(counted, x, f, g, g_sumsq[1], warm)
-        warm = tau
-        return x_next, f_next, g_next, dict(t=tau, branch="gd")
+        x_next, f_next, g_next, fields = _exact_step(counted, x, f, g, g_sumsq[1], warm)
+        warm = fields["t"]
+        return x_next, f_next, g_next, dict(fields, branch="gd")
 
     return descend(obj, x0, step, cfg or SolverConfig())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +63,22 @@ def _cmd_solve(args) -> int:
     run = run_method(args.method, problem, x0, cfg)
     if args.trace:
         _write_text(args.trace, csv_text(
-            ["iter", "f", "grad_norm", "t_k", "v_k", "branch"],
-            ([k, _num(rec.f), _num(rec.grad_norm), _num(rec.t), _num(rec.v), rec.branch]
+            ["iter", "f", "grad_norm", "t_k", "v_k", "branch", "level_path", "level_residual",
+             "sin_theta", "level_values", "level_grads", "search_values", "search_grads",
+             "driver_values", "driver_grads"],
+            ([k, _num(rec.f), _num(rec.grad_norm), _num(rec.t), _num(rec.v), rec.branch,
+              rec.level_path, _num(rec.level_residual), _num(rec.sin_theta),
+              *rec.level_evals, *rec.search_evals, *rec.driver_evals]
              for k, rec in enumerate(run.iterates))))
     print(f"method={args.method} n={problem.dimension} termination={run.termination.value} "
           f"iterations={run.iterations} f_final={run.f_final:.12g} "
           f"grad_norm={run.grad_norm_final:.6g} value_evals={run.n_value_evals} "
           f"grad_evals={run.n_grad_evals}")
+    tally = Counter(rec.branch for rec in run.iterates[:-1])
+    tally.update(f"{rec.level_path}_path" for rec in run.iterates if rec.level_path)
+    columns = zip(*(rec.level_evals + rec.search_evals + rec.driver_evals for rec in run.iterates))
+    print("level_evals={}/{} search_evals={}/{} driver_evals={}/{}".format(*map(sum, columns)),
+          *(f"{key}={count}" for key, count in sorted(tally.items())))
     if run.message:
         print(f"note: {run.message}", file=sys.stderr)
     return 2 if run.termination is Termination.NUMERIC_ERROR else 0

@@ -63,14 +63,18 @@ class SolverConfig:
 class IterateRecord:
     """One visited point and the step taken from it.
 
-    ``t`` is the level step, ``v`` the distance moved along the semiline,
-    ``f_mid`` the value at the chord midpoint and ``lam`` the chord length
-    t |g|, where the semiline search starts; they are NaN on records that
-    carry no such step (baseline methods, the terminal record; ``v`` and
-    ``lam`` on midpoint steps too).  ``branch``
+    ``t`` is the level step (a baseline's step length), ``v`` the distance
+    moved along the semiline, ``f_mid`` the value at the chord midpoint and
+    ``lam`` the chord length t |g|, where the semiline search starts; each is
+    NaN where no such step ran (v and lam on midpoint steps too).  ``branch``
     is "ellipse" or "midpoint" for solver steps ("midpoint" means the
     degeneracy test fired), the method name for baselines, and "final" on
-    the terminal record.
+    the terminal record.  ``level_path`` ("value" or "slope") and
+    ``level_residual`` (NaN on the slope path) are the level step's and
+    ``sin_theta`` the frame's, "" or NaN where none ran.  The ``*_evals``
+    (values, gradients) split the run's counts into the level step's, the
+    search's (semiline or exact ray) and the driver's, the rest: the start
+    point's pair and what a step that raised took (on the terminal record).
     """
 
     x: np.ndarray
@@ -81,6 +85,12 @@ class IterateRecord:
     branch: str = ""
     f_mid: float = _NAN
     lam: float = _NAN
+    level_path: str = ""
+    level_residual: float = _NAN
+    sin_theta: float = _NAN
+    level_evals: tuple[int, int] = (0, 0)
+    search_evals: tuple[int, int] = (0, 0)
+    driver_evals: tuple[int, int] = (0, 0)
 
 
 @dataclass
@@ -174,19 +184,23 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, first: int):
     """One ellipse-center step from x, in ``descend``'s step protocol.
 
-    ``f_x`` and ``g`` are the value and gradient at x, ``g_sumsq`` is
-    ``scaled_sumsq(g)``, ``variant`` picks the point on the semiline of
-    centers, ``t_init`` seeds the level step's bracket, and ``first`` is
-    where decrease-search starts (see ``semiline_search``).  Returns
-    ``(x_next, f_next, g_next, fields)``: the value and gradient at x_next,
-    and the step's ``IterateRecord`` fields (t, v, branch, f_mid, lam).
+    ``obj`` is the counted view (a ``CountingObjective``), ``f_x`` and ``g``
+    the value and gradient at x, ``g_sumsq`` is ``scaled_sumsq(g)``,
+    ``variant`` picks the point on the semiline of centers, ``t_init`` seeds
+    the level step's bracket, and ``first`` is where decrease-search starts
+    (see ``semiline_search``).  Returns ``(x_next, f_next, g_next, fields)``:
+    the value and gradient at x_next, and the step's ``IterateRecord``
+    fields, all but x, f, grad_norm and the driver's counts.
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
     the chord; raises NumericError when it vanishes or the midpoint rounds onto x.
     """
+    n_value, n_grad = obj.n_value, obj.n_grad
     level = find_level_step(obj, x, f_x, g, g_sumsq, t_init)
-    t, line = level.t, level.line
+    t, line, r = level.t, level.line, level.level_residual
+    fields = {"t": t, "level_path": "slope" if math.isnan(r) else "value", "level_residual": r,
+              "level_evals": (obj.n_value - n_value, obj.n_grad - n_grad)}
     mid = 0.5 * t
     base = _axpy(-mid, g, x)  # the level line's point at t/2
     if np.logical_and.reduce(base == x):  # ndarray.all runs a Python helper
@@ -197,8 +211,8 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
         a, b = center_direction(frame)
     except DegeneratePlaneError:
         f_base = line.value(mid)
-        return (base, f_base, line.gradient(mid),
-                {"t": t, "v": _NAN, "branch": "midpoint", "f_mid": f_base, "lam": _NAN})
+        fields.update(v=_NAN, branch="midpoint", f_mid=f_base, lam=_NAN)
+        return base, f_base, line.gradient(mid), fields
     d = _axpy(a, g, b * grad_y)
     # the level line runs along -g with grad f(y) = g + t A(-g) on a
     # quadratic, so d = -(a + b) (-g) + b t A(-g)
@@ -209,11 +223,13 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     # (c g + w) / |w| with g . w = 0 and c as center_direction takes it
     slope = -0.5 * ((1.0 + frame.k) * frame.sin_theta / (2.0 * frame.cos_theta) * frame.gnorm
                     + frame.wnorm)
+    n_value, n_grad = obj.n_value, obj.n_grad
     v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base, slope=slope,
                              first=first)
+    fields.update(v=v, branch="ellipse", f_mid=f_base, lam=frame.lam, sin_theta=frame.sin_theta,
+                  search_evals=(obj.n_value - n_value, obj.n_grad - n_grad))
     x_next = base if v == 0.0 else _axpy(v, d, base)
-    return (x_next, f_v, line.gradient(v),
-            {"t": t, "v": v, "branch": "ellipse", "f_mid": f_base, "lam": frame.lam})
+    return x_next, f_v, line.gradient(v), fields
 
 
 def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
@@ -227,7 +243,9 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     f and grad_norm; the loop itself evaluates only the start point.  The
     stopping test runs before each step, so a start point that already
     satisfies it reports zero iterations.  Numeric failures, at the start point too, end
-    the run with the partial trace instead of raising.
+    the run with the partial trace instead of raising.  A record's
+    ``driver_evals`` are what the counter took since the last record less
+    its step's level and search counts.
     """
     counted = CountingObjective(obj)
     x = np.asarray(x0, dtype=float).copy()
@@ -237,6 +255,7 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     records: list[IterateRecord] = []
     f = gnorm = _NAN  # what the start point leaves unevaluated when it raises
     message = ""
+    nv = ng = 0  # the counter's values and gradients at the last record
     try:
         if hasattr(obj, "value_and_gradient"):
             f, g = counted.value_and_gradient(x)
@@ -260,12 +279,17 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
                 termination = Termination.MAX_ITERATIONS
                 break
             x_next, f_next, g_next, fields = step(counted, x, f, g, g_sumsq)
-            records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, **fields))
+            rec = IterateRecord(x=x, f=f, grad_norm=gnorm, **fields)
+            (lv, lg), (sv, sg) = rec.level_evals, rec.search_evals
+            rec.driver_evals = (counted.n_value - nv - lv - sv, counted.n_grad - ng - lg - sg)
+            nv, ng = counted.n_value, counted.n_grad
+            records.append(rec)
             x, f, g = x_next, f_next, g_next
     except NumericError as exc:
         termination = Termination.NUMERIC_ERROR
         message = str(exc)
-    records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, branch="final"))
+    records.append(IterateRecord(x=x, f=f, grad_norm=gnorm, branch="final",
+                                 driver_evals=(counted.n_value - nv, counted.n_grad - ng)))
     return SolverRun(records, termination, counted.n_value, counted.n_grad, message)
 
 

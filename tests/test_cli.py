@@ -30,6 +30,11 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 1
 
 
+TRACE_HEADER = ("iter,f,grad_norm,t_k,v_k,branch,level_path,level_residual,sin_theta,"
+                "level_values,level_grads,search_values,search_grads,"
+                "driver_values,driver_grads")
+
+
 def test_solve_from_problem_file(tmp_path, capsys):
     problem, x0 = generate_instance("quadratic", 8, 4, GenParams(kappa=10))
     path = tmp_path / "p.json"
@@ -40,9 +45,29 @@ def test_solve_from_problem_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "termination=converged" in out
     lines = trace.read_text().splitlines()
-    assert lines[0] == "iter,f,grad_norm,t_k,v_k,branch"
-    assert lines[-1].endswith("final")
+    assert lines[0] == TRACE_HEADER
+    assert lines[-1].split(",")[5] == "final"
     assert len(lines) >= 3
+
+
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_solve_summary_splits_the_evaluations_by_phase(capsys, method):
+    assert main(["solve", "--problem", "f2", "--n", "20", "--seed", "0", "--method", method]) == 0
+    summary, phases = capsys.readouterr().out.splitlines()
+    totals = dict(item.split("=") for item in summary.split())
+    counts = dict(item.split("=") for item in phases.split())
+    values, grads = zip(*(map(int, counts.pop(f"{phase}_evals").split("/"))
+                          for phase in ("level", "search", "driver")))
+    assert (sum(values), sum(grads)) == (int(totals["value_evals"]), int(totals["grad_evals"]))
+    paths = {key: int(n) for key, n in counts.items() if key.endswith("_path")}
+    branches = {key: int(n) for key, n in counts.items() if key not in paths}
+    assert sum(branches.values()) == int(totals["iterations"])
+    if method == "me":
+        assert sum(paths.values()) == int(totals["iterations"])
+        assert phases == ("level_evals=12/0 search_evals=3/17 driver_evals=4/4 "
+                          "ellipse=3 value_path=3")
+    else:
+        assert list(branches) == [method] and not paths
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -127,7 +152,7 @@ def test_bench_markdown_format(capsys):
 # CSV dialect, the number formats or the rows shows
 WRITTEN_FILES = {
     "solve-trace": (["solve", "--problem", "f2", "--n", "20", "--seed", "0", "--trace"],
-                    "28bce91fdb2c8666de146cb65ef799a740f057e2c1f116a34c3730dbc7021156"),
+                    "8be1b1ec1797a6b384027664bcfcfca81ecf244a3e55bb8e744cc0a5de7b1741"),
     "verify-geometry": (["verify-geometry", "--samples", "50", "--seed", "1", "--out"],
                         "ab71590ec5e268aee0e2950ca7aeffeb7171a306c5b3bb56f74b2190110e4473"),
 }
@@ -139,6 +164,11 @@ def test_written_file_is_pinned(tmp_path, command):
     out = tmp_path / "out.csv"
     assert main(args + [str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if command == "solve-trace":  # the six columns the trace had before the phase counts
+        six = "".join(",".join(line.split(",")[:6]) + "\n"
+                      for line in out.read_text().splitlines())
+        assert hashlib.sha256(six.encode()).hexdigest() == (
+            "28bce91fdb2c8666de146cb65ef799a740f057e2c1f116a34c3730dbc7021156")
 
 
 @pytest.mark.parametrize("seed", [None, 3])

@@ -30,6 +30,7 @@ from ellipcenters import (GenParams, QuadraticProblem, SolverConfig, Variant,
                           conic_center, ellipse_bound, fit_conic, generate_instance,
                           me_step, minimize)
 from ellipcenters.geometry import scaled_sumsq
+from ellipcenters.objectives import CountingObjective
 
 brentq = pytest.importorskip("scipy.optimize").brentq
 
@@ -91,9 +92,14 @@ def _gaps(p, x, variant):
     """|x_next - x_ref| and |x_next - x|; the same two for the moves along
     the semiline, each from its own midpoint; and the reference's sin theta."""
     g = p.gradient(x)
-    x_next, _, _, fields = me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0, 0)
+    x_next, _, _, fields = me_step(CountingObjective(p), x, p.value(x), g, scaled_sumsq(g),
+                                   variant, 1.0, 0)
     assert fields["branch"] == "ellipse"
     x_ref, base_ref, sin_theta = reference_step(p, x, variant)
+    # the record's sin theta, from the frame's cosine, is the reference's
+    # |w| / |grad f(y)| within 8.1e-8 relative, and 2.7e-10 absolute near
+    # collinear frames
+    assert fields["sin_theta"] == pytest.approx(sin_theta, rel=1e-6, abs=1e-9)
     semiline = x_next - (x - 0.5 * fields["t"] * g)
     return (np.linalg.norm(x_next - x_ref), np.linalg.norm(x_next - x),
             np.linalg.norm(semiline - (x_ref - base_ref)), np.linalg.norm(semiline), sin_theta)

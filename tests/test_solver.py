@@ -15,9 +15,11 @@ from ellipcenters.objectives import QuadraticLine, restrict
 
 
 def step_from(p, x, variant=Variant.SEMILINE_MIN):
-    """me_step from x, given the pointwise value and gradient there."""
+    """me_step from x on p's counted view, given the pointwise value and
+    gradient there."""
     g = p.gradient(x)
-    return me_step(p, x, p.value(x), g, scaled_sumsq(g), variant, 1.0, 0)
+    return me_step(objectives.CountingObjective(p), x, p.value(x), g, scaled_sumsq(g), variant,
+                   1.0, 0)
 
 
 class TestMeStep:
