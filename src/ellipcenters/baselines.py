@@ -44,19 +44,20 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
     return tau
 
 
-def _exact_step(counted, x, f, g, s: float, v0: float):
+def _exact_step(counted, x, f, g, g_sumsq, v0: float):
     """Step length tau minimizing f along -g, the root of the slope along it,
-    from the bracket start v0.
+    from the bracket start v0 (NaN for none).
 
-    The search runs along -g / s, with s = max |g_i| where |g|^2 overflows
-    and s = 1 otherwise (``scaled_sumsq``'s scale), so its slope at x stays
-    finite.  Returns x - tau g, the value and gradient there, and the
-    ``IterateRecord`` fields ``t`` = tau and the search's ``search_evals``.
+    The search runs along -g / s, where (|g / s|^2, s) = ``g_sumsq`` (s = 1
+    unless |g|^2 overflows), so its slope at x, -|g / s|^2 s, stays finite.
+    Returns x - tau g, the value and gradient there, and the ``IterateRecord``
+    fields ``t`` = tau and the search's ``search_evals``.
     """
+    gg, s = g_sumsq
     d = g / -s
     line = restrict(counted, x, d, f, g, turns=False)
     n_value, n_grad = counted.n_value, counted.n_grad
-    v, f_next = minimize_on_ray(line, v0=v0 * s, rel_tol=1e-10, h0=f, s0=float(g.dot(d)))
+    v, f_next = minimize_on_ray(line, v0=v0 * s, h0=f, s0=-gg * s)
     fields = {"t": v / s, "search_evals": (counted.n_value - n_value, counted.n_grad - n_grad)}
     return x + v * d, f_next, line.gradient(v), fields
 
@@ -72,7 +73,7 @@ def bb_minimize(obj, x0, kind: str = "long", cfg: SolverConfig | None = None) ->
     def step(counted, x, f, g, g_sumsq):
         nonlocal prev
         if prev is None:
-            x_next, f_next, g_next, fields = _exact_step(counted, x, f, g, g_sumsq[1], 1.0)
+            x_next, f_next, g_next, fields = _exact_step(counted, x, f, g, g_sumsq, math.nan)
         else:
             tau = bb_step_size(x - prev[0], g - prev[1], kind)
             x_next = x - tau * g
@@ -87,13 +88,13 @@ def bb_minimize(obj, x0, kind: str = "long", cfg: SolverConfig | None = None) ->
 def gd_exact_minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
     """Steepest descent with an exact line search at every step, under
     cfg's stopping rule."""
-    warm = 1.0
+    warm = math.nan
 
     def step(counted, x, f, g, g_sumsq):
         nonlocal warm
         # the slope at x comes from g, so it is -|g|^2 < 0 and the search
         # runs; a NaN slope inside it raises, which ends the run
-        x_next, f_next, g_next, fields = _exact_step(counted, x, f, g, g_sumsq[1], warm)
+        x_next, f_next, g_next, fields = _exact_step(counted, x, f, g, g_sumsq, warm)
         warm = fields["t"]
         return x_next, f_next, g_next, dict(fields, branch="gd")
 

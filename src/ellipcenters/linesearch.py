@@ -24,6 +24,7 @@ from .errors import NonCoerciveError, NumericError
 
 MAX_EXPANSIONS = 60  # bracket expansions before a ray counts as unbounded below
 MAX_EVALS = 10_000   # evaluations of phi per root find
+RAY_TOL = 1e-8       # relative precision of every minimum along a ray
 
 
 def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str = "gradient"):
@@ -82,17 +83,20 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str
     raise NumericError("one-dimensional search exceeded its evaluation budget")
 
 
-def minimize_on_ray(line, v0: float, rel_tol: float, *, h0: float, s0: float):
+def minimize_on_ray(line, v0: float, *, h0: float, s0: float):
     """Minimize a convex function over v >= 0 along ``line``, from the bracket
-    start v0, by solving ``line.slope(v) = 0`` to relative precision rel_tol.
+    start v0, by solving ``line.slope(v) = 0`` to relative precision RAY_TOL.
 
     ``h0`` and ``s0`` are the value and slope of ``line`` at v = 0, as the
-    caller holds them.  Returns (v, the value at v).  A line that does not
-    descend at v = 0 (``s0`` is nonnegative, or not a number) returns
-    (0, h0); the caller's gradient check then names a non-finite slope.
-    ``find_root`` raises the errors.
+    caller holds them.  A v0 that is not positive and finite (NaN for no
+    warm start) gives way to 2 |h0| / |s0|, the minimum of an isotropic
+    quadratic with minimum value 0.  Returns (v, the value at v).  A line
+    that does not descend at v = 0 (``s0`` is nonnegative, or not a number)
+    returns (0, h0); the caller's gradient check then names a non-finite
+    slope.  ``find_root`` raises the errors.
     """
     if not s0 < 0.0:
         return 0.0, h0
-    v, _ = find_root(line.slope, s0, v0, ftol=rel_tol * -s0, xtol=rel_tol)
+    v0 = v0 if 0.0 < v0 < math.inf else 2.0 * abs(h0) / -s0
+    v, _ = find_root(line.slope, s0, v0, ftol=RAY_TOL * -s0, xtol=RAY_TOL)
     return v, line.value(v)

@@ -145,8 +145,7 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
     it is one whose predecessor, if any, is not, or (0, f_base).  Halving
     and doubling v keep the bits of repeated halving while v is normal."""
     if variant is Variant.SEMILINE_MIN:
-        v, fv = minimize_on_ray(line, v0=scale, rel_tol=1e-8, h0=f_base,
-                                s0=line.slope(0.0))
+        v, fv = minimize_on_ray(line, v0=scale, h0=f_base, s0=line.slope(0.0))
         if fv > f_base:  # no decrease above rounding: stay at the midpoint
             return 0.0, f_base
         return v, fv
@@ -197,26 +196,27 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     the chord; raises NumericError when it vanishes or the midpoint rounds onto x.
     """
     n_value, n_grad = obj.n_value, obj.n_grad
-    level = find_level_step(obj, x, f_x, g, g_sumsq, t_init)
-    t, line, r = level.t, level.line, level.level_residual
+    s = g_sumsq[1]
+    level = find_level_step(obj, x, f_x, g, g_sumsq, t_init * s)
+    u, line, r = level.t, level.line, level.level_residual  # u = t s along -g / s
+    t = u / s
     fields = {"t": t, "level_path": "slope" if math.isnan(r) else "value", "level_residual": r,
               "level_evals": (obj.n_value - n_value, obj.n_grad - n_grad)}
-    mid = 0.5 * t
-    base = _axpy(-mid, g, x)  # the level line's point at t/2
+    base = _axpy(-0.5 * t, g, x)  # the level line's point at u/2
     if np.logical_and.reduce(base == x):  # ndarray.all runs a Python helper
         raise NumericError("the level step collapsed onto x below float resolution")
-    grad_y = line.gradient(t)
+    grad_y = line.gradient(u)
     try:
         frame = build_frame(g, g_sumsq, t, grad_y)
         a, b = center_direction(frame)
     except DegeneratePlaneError:
-        f_base = line.value(mid)
+        f_base = line.value(0.5 * u)
         fields.update(v=_NAN, branch="midpoint", f_mid=f_base, lam=_NAN)
-        return base, f_base, line.gradient(mid), fields
+        return base, f_base, line.gradient(0.5 * u), fields
     d = _axpy(a, g, b * grad_y)
-    # the level line runs along -g with grad f(y) = g + t A(-g) on a
-    # quadratic, so d = -(a + b) (-g) + b t A(-g)
-    line = line.turn(mid, base, d, (-(a + b), b * t))
+    # the level line runs along -g / s with grad f(y) = g + u A(-g / s) on a
+    # quadratic, so d = -(a + b) s (-g / s) + b u A(-g / s)
+    line = line.turn(0.5 * u, base, d, (-(a + b) * s, b * u))
     f_base = line.value(0.0)
     # the slope along d at the midpoint, estimated as ((g + grad f(y)) / 2) . d
     # (exact on a quadratic) from the frame with no n-vector pass: d =
@@ -296,7 +296,7 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
 def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
     """Run the ellipse-center iteration from x0 until |grad f| <= epsilon."""
     cfg = cfg or SolverConfig()
-    warm_t, first = 1.0, 0
+    warm_t, first = _NAN, 0
 
     def step(counted, x, f, g, g_sumsq):
         nonlocal warm_t, first

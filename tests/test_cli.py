@@ -152,7 +152,7 @@ def test_bench_markdown_format(capsys):
 # CSV dialect, the number formats or the rows shows
 WRITTEN_FILES = {
     "solve-trace": (["solve", "--problem", "f2", "--n", "20", "--seed", "0", "--trace"],
-                    "8be1b1ec1797a6b384027664bcfcfca81ecf244a3e55bb8e744cc0a5de7b1741"),
+                    "c15b000f41927087fdb0e54b479d252e9e297ba2616bd989ef5801a65f254263"),
     "verify-geometry": (["verify-geometry", "--samples", "50", "--seed", "1", "--out"],
                         "ab71590ec5e268aee0e2950ca7aeffeb7171a306c5b3bb56f74b2190110e4473"),
 }

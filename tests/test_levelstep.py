@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ValueAndGradientOnly
+from conftest import Toy, ValueAndGradientOnly
 from ellipcenters import (GenParams, LogSumExpProblem, NonCoerciveError,
-                          QuadraticProblem, StationaryPointError, build_frame,
-                          find_level_step, generate_instance)
+                          QuadraticProblem, SolverConfig, StationaryPointError,
+                          Variant, build_frame, find_level_step, generate_instance,
+                          me_step, minimize)
 from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.levelstep import NOISE_FLOOR
 from ellipcenters.objectives import CountingObjective
@@ -170,24 +171,44 @@ def test_near_stationary_point_goes_to_the_slope_path_at_once():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_overflowing_gradient_square_is_rescaled():
-    # max |g_i| = 1.2e154, so |g|^2 overflows; the level equation is solved
-    # in units of (max |g_i|)^2, and the frame at y sees the true angle
+    # max |g_i| = s = 1.2e154, so |g|^2 overflows; the level line runs along
+    # -g / s, and the frame at y sees the true angle
     p = LogSumExpProblem(np.ones(5), np.ones(5))
     x = 2e153 * np.linspace(0.5, 1.5, 5)
     fx = p.value(x)
     counted = CountingObjective(p)
     g = p.gradient(x)
-    res = find_level_step(counted, x, fx, g, scaled_sumsq(g), 1.0)
-    y = x - res.t * g
-    # in consistent units the first secant step lands on the root; from
-    # -|g|^2 = -inf at t = 0 the search would take a bisection step more
+    s = scaled_sumsq(g)[1]
+    res = find_level_step(counted, x, fx, g, scaled_sumsq(g), s)  # a step of 1 along -g
+    t = res.t / s  # the step along -g
+    y = x - t * g
+    # along -g / s the first secant step lands on the root; from -|g|^2 =
+    # -inf at t = 0 the search would take a bisection step more
     assert counted.n_value == 2
-    assert math.isfinite(res.t) and res.t > 0.0
+    assert math.isfinite(t) and t > 0.0
     assert abs(res.level_residual) <= 1e-10 * (1.0 + abs(fx))
     assert abs(p.value(y) - fx) <= 1e-10 * (1.0 + abs(fx))
-    frame = build_frame(g, scaled_sumsq(g), res.t, p.gradient(y))
+    frame = build_frame(g, scaled_sumsq(g), t, p.gradient(y))
     assert frame.cos_theta == pytest.approx(0.889, abs=1e-3)
     assert frame.sin_theta == pytest.approx(0.458, abs=1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_slope_root_where_the_gradient_square_overflows():
+    # f = 1e30 + (L / 2) |x|^2 with L = 1e300 from x = 1e-145 (1, 2, 3): |g|^2
+    # overflows and the dip of f along -g is below the rounding of 1e30, so
+    # the slope path runs from the warm start t = 1e-300; along -g / s its
+    # slopes stay finite and it lands on the level point t L = 2, where along
+    # -g it stopped at the first slope that overflowed, t L = 1.0013
+    toy = Toy(lambda x: 1e30 + 0.5e300 * float(x @ x), lambda x: 1e300 * x)
+    x = 1e-145 * np.array([1.0, 2.0, 3.0])
+    g = toy.gradient(x)
+    _, _, _, fields = me_step(CountingObjective(toy), x, toy.value(x), g, scaled_sumsq(g),
+                              Variant.SEMILINE_MIN, 1e-300, 0)
+    assert fields["level_path"] == "slope"
+    assert fields["t"] * 1e300 == pytest.approx(2.0, abs=1e-10)
+    # the midpoint of that chord is the minimizer (6 iterations from t L = 1.0013)
+    assert minimize(toy, x, SolverConfig(epsilon=1e145)).iterations == 1
 
 
 def _deep_in_the_slope_regime(kind):
@@ -219,13 +240,16 @@ def test_warm_start_in_the_slope_regime_takes_no_value(kind, generic):
 
 
 @pytest.mark.parametrize("t_init", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
-def test_only_a_positive_finite_warm_start_skips_the_value_search(kind, t_init):
-    # any other t_init seeds the value search at 1.0, whose first residual
-    # is rounding noise, and the slope path then starts where it stopped
+@pytest.mark.parametrize("kind,values", [("quadratic", 57), ("logsumexp", 10)])
+def test_only_a_positive_finite_warm_start_skips_the_value_search(kind, values, t_init):
+    # any other t_init seeds the value search at the first-bracket rule
+    # 4 |f| / |g|^2, about 1e19 past the root here, and the slope path then
+    # starts where it stopped
     p, x, fx, g = _deep_in_the_slope_regime(kind)
     counted = CountingObjective(p)
     res = find_level_step(counted, x, fx, g, scaled_sumsq(g), t_init)
-    assert counted.n_value == 1
+    assert counted.n_value == values
     assert math.isnan(res.level_residual)
-    assert res.t == find_level_step(p, x, fx, g, scaled_sumsq(g), 1.0).t
+    ruled = CountingObjective(p)
+    assert res.t == find_level_step(ruled, x, fx, g, scaled_sumsq(g), 4.0 * abs(fx) / (g @ g)).t
+    assert (ruled.n_value, ruled.n_grad) == (counted.n_value, counted.n_grad)

@@ -27,16 +27,14 @@ class ScalarLine:
 
 def test_shifted_parabola_vertex():
     line = ScalarLine(lambda v: (v - 0.7) ** 2 + 1.0, lambda v: 2.0 * (v - 0.7))
-    v, hv = minimize_on_ray(line, v0=1.0, rel_tol=1e-8, h0=line.value(0.0),
-                            s0=line.slope(0.0))
+    v, hv = minimize_on_ray(line, v0=1.0, h0=line.value(0.0), s0=line.slope(0.0))
     assert v == pytest.approx(0.7, abs=1e-8)
     assert hv == pytest.approx(1.0, rel=1e-12)
 
 
 def test_increasing_function_stays_at_origin():
     line = ScalarLine(lambda v: v * v + v, lambda v: 2.0 * v + 1.0)
-    v, hv = minimize_on_ray(line, v0=1.0, rel_tol=1e-8, h0=line.value(0.0),
-                            s0=line.slope(0.0))
+    v, hv = minimize_on_ray(line, v0=1.0, h0=line.value(0.0), s0=line.slope(0.0))
     assert v == 0.0 and hv == 0.0
     assert line.slopes == 1
 
@@ -60,7 +58,7 @@ class RefusesTheBase(ScalarLine):
 def test_search_asks_nothing_at_the_base(h, dh, argmin):
     # the caller hands in the value and the slope at 0
     line = RefusesTheBase(h, dh)
-    v, hv = minimize_on_ray(line, v0=1.0, rel_tol=1e-8, h0=h(0.0), s0=dh(0.0))
+    v, hv = minimize_on_ray(line, v0=1.0, h0=h(0.0), s0=dh(0.0))
     assert v == pytest.approx(argmin, abs=1e-8)
     assert hv == h(v)
 
@@ -68,15 +66,13 @@ def test_search_asks_nothing_at_the_base(h, dh, argmin):
 def test_nonquadratic_convex():
     # exp(v) - 2v has its minimum at ln 2
     line = ScalarLine(lambda v: math.exp(v) - 2.0 * v, lambda v: math.exp(v) - 2.0)
-    v, _ = minimize_on_ray(line, v0=0.1, rel_tol=1e-8, h0=line.value(0.0),
-                           s0=line.slope(0.0))
+    v, _ = minimize_on_ray(line, v0=0.1, h0=line.value(0.0), s0=line.slope(0.0))
     assert v == pytest.approx(math.log(2.0), abs=1e-8)
 
 
 def test_far_minimum_found_by_doubling():
     line = ScalarLine(lambda v: (v - 300.0) ** 2, lambda v: 2.0 * (v - 300.0))
-    v, _ = minimize_on_ray(line, v0=1.0, rel_tol=1e-8, h0=line.value(0.0),
-                           s0=line.slope(0.0))
+    v, _ = minimize_on_ray(line, v0=1.0, h0=line.value(0.0), s0=line.slope(0.0))
     assert v == pytest.approx(300.0, rel=1e-8)
 
 
@@ -84,29 +80,26 @@ def test_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(linesearch, "MAX_EVALS", 10)
     line = ScalarLine(lambda v: (v - 1e9) ** 2, lambda v: 2.0 * (v - 1e9))
     with pytest.raises(NumericError, match="budget"):
-        minimize_on_ray(line, v0=1e-6, rel_tol=1e-8, h0=line.value(0.0),
-                        s0=line.slope(0.0))
+        minimize_on_ray(line, v0=1e-6, h0=line.value(0.0), s0=line.slope(0.0))
     assert line.slopes == 1 + 10  # the slope at 0, then the kernel's budget
 
 
 def test_nan_raises():
     line = ScalarLine(lambda v: -v, lambda v: -1.0 if v == 0.0 else float("nan"))
     with pytest.raises(NumericError, match="^non-finite gradient$"):
-        minimize_on_ray(line, v0=1.0, rel_tol=1e-8, h0=line.value(0.0),
-                        s0=line.slope(0.0))
+        minimize_on_ray(line, v0=1.0, h0=line.value(0.0), s0=line.slope(0.0))
 
 
 def test_nan_slope_at_the_origin_stays_there():
     # the caller's own gradient check names it
     line = ScalarLine(lambda v: 1.0, lambda v: float("nan"))
-    assert minimize_on_ray(line, v0=1.0, rel_tol=1e-8, h0=1.0, s0=line.slope(0.0)) == (0.0, 1.0)
+    assert minimize_on_ray(line, v0=1.0, h0=1.0, s0=line.slope(0.0)) == (0.0, 1.0)
 
 
 def test_unbounded_ray_named_within_the_expansion_cap():
     line = ScalarLine(lambda v: -v, lambda v: -1.0)
     with pytest.raises(NonCoerciveError, match="unbounded below along the ray"):
-        minimize_on_ray(line, v0=1.0, rel_tol=1e-8, h0=line.value(0.0),
-                        s0=line.slope(0.0))
+        minimize_on_ray(line, v0=1.0, h0=line.value(0.0), s0=line.slope(0.0))
     assert line.slopes == 1 + 1 + MAX_EXPANSIONS
 
 
@@ -141,8 +134,7 @@ def test_quadratic_line_lands_on_the_closed_form(start):
     counted = CountingObjective(p)
     line = counted.along(x, d, p.value(x), p.gradient(x), False)
     exact = -line.line.gd / line.line.dad
-    v, _ = minimize_on_ray(line, v0=start * exact, rel_tol=1e-8, h0=p.value(x),
-                           s0=float(p.gradient(x) @ d))
+    v, _ = minimize_on_ray(line, v0=start * exact, h0=p.value(x), s0=float(p.gradient(x) @ d))
     assert v == pytest.approx(exact, rel=1e-12)
     assert counted.n_grad <= 3 and counted.n_value == 1
 
@@ -175,8 +167,7 @@ class TestAgainstScipy:
     ], ids=["exp", "cosh", "quartic", "softplus"])
     def test_minimum_matches_minimize_scalar(self, h, dh, v0):
         optimize = pytest.importorskip("scipy.optimize")
-        v, hv = minimize_on_ray(ScalarLine(h, dh), v0=v0, rel_tol=1e-12, h0=h(0.0),
-                                s0=dh(0.0))
+        v, hv = minimize_on_ray(ScalarLine(h, dh), v0=v0, h0=h(0.0), s0=dh(0.0))
         reference = optimize.minimize_scalar(h, bounds=(0.0, 20.0), method="bounded",
                                              options={"xatol": 1e-12})
         # values agree to rounding; the argmin only to sqrt(eps), which is
