@@ -14,7 +14,7 @@ from .geometry import (ConicClass, ConicCoefficients, LocalFrame, build_frame,
                        center_direction, classify_conic, conic_center,
                        conic_gradient, conic_value, ellipse_bound, fit_conic,
                        survey_geometry)
-from .levelstep import LevelStepResult, find_level_step
+from .levelstep import find_level_step
 from .linesearch import minimize_on_ray
 from .objectives import (GenParams, LogSumExpProblem, QuadraticProblem,
                          check_gradient, generate_instance, load_problem,
@@ -26,9 +26,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig", "BenchRecord", "ConicClass", "ConicCoefficients",
-    "DegeneratePlaneError", "GenParams", "IterateRecord", "LevelStepResult",
-    "LocalFrame", "LogSumExpProblem", "NonCoerciveError",
-    "NumericError", "QuadraticProblem", "RunDetail",
+    "DegeneratePlaneError", "GenParams", "IterateRecord", "LocalFrame",
+    "LogSumExpProblem", "NonCoerciveError", "NumericError",
+    "QuadraticProblem", "RunDetail",
     "SolverConfig", "SolverRun", "StationaryPointError", "Termination",
     "Variant", "bb_minimize", "bb_step_size", "build_frame",
     "center_direction", "check_gradient", "classify_conic", "conic_center",

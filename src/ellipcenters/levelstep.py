@@ -17,11 +17,12 @@ equation for quadratics (the slope of a parabola at its far level point
 mirrors the slope at the near one) and second-order accurate in general.
 Slopes are computed from gradients, so their precision is relative rather
 than absolute and the switch restores full accuracy exactly where values
-give out.  The same kernel solves it.  Both searches query the one line
-``restrict(f, x, -g / s, f(x), g, turns=True)`` with g = grad f(x) and s = 1
-unless |g|^2 overflows, built from the value and gradient the caller holds,
-and the result hands that line back, so the caller can take the gradient at
-the level point from it and turn off it.
+give out.  The same kernel solves it.  Both searches query the one line the
+caller hands in, with its value h0 and slope s0 at t = 0, as
+``linesearch.minimize_on_ray`` takes a line; this module knows nothing of
+the line's direction or units.  The solver's line runs along -g / s, with
+s = 1 unless |g|^2 overflows, and the solver keeps it, to take the gradient
+at the level point from it and turn off it.
 
 Values pin the root only to about the rounding floor over t |g|^2, so the
 slope path takes over whenever the value root's first-order decrease
@@ -34,13 +35,11 @@ switch costs one value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, StationaryPointError
 from .linesearch import find_root
-from .objectives import restrict
 
 # the level step's noise floor per unit of 1 + |f|: differences of f below
 # it count as rounding
@@ -49,46 +48,25 @@ _SLOPE_SWITCH = 64.0  # rounding floors of decrease below which slopes take over
 _TOL = 1e-10  # relative tolerance of the level equation
 
 
-@dataclass
-class LevelStepResult:
-    """Outcome of the root search.
+def find_level_step(line, t_init: float, *, h0: float, s0: float):
+    """Find the unique t > 0 with line.value(t) = h0 to 1e-10 (1 + |h0|).
 
-    ``t`` is the positive step along ``-g / s`` from ``x``, ``level_residual``
-    the remaining f(y) - f(x) at the level point ``y = x - t g / s``, and
-    ``line`` the restriction of f to x - t g / s that the search queried
-    (``line.gradient(t)`` is the gradient at y).  Count evaluations by
-    passing a ``CountingObjective``.
-
-    ``level_residual`` is NaN when the slope path found t: there |f(y) -
-    f(x)| is within about 64 noise floors, far inside the tolerance, and f
-    cannot resolve it, so no value is spent on reading it.
+    ``h0`` and ``s0`` are the value and slope of ``line`` at t = 0, as the
+    caller holds them; ``s0`` must be negative and finite.  ``t_init`` seeds
+    the bracket (pass the previous step to warm-start).  A positive, finite
+    ``t_init`` whose decrease -s0 t_init is within the slope regime starts
+    the slope path with no value query; any other starts the value search,
+    from 4 |h0| / |s0|, the level step of an isotropic quadratic with
+    minimum value 0, if it is not positive and finite (NaN for no warm
+    start).  Returns (t, the remaining line.value(t) - h0), the residual NaN
+    when the slope path found t: there it is within about 64 noise floors,
+    far inside the tolerance, and f cannot resolve it, so no value is spent
+    on reading it.  Raises StationaryPointError when ``s0`` is 0.
     """
-
-    t: float
-    level_residual: float
-    line: object
-
-
-def find_level_step(obj, x, f_x: float, g, g_sumsq, t_init: float) -> LevelStepResult:
-    """Find the unique t > 0 with f(x - t g / s) = f(x) to 1e-10 (1 + |f(x)|),
-    from the value ``f_x`` and gradient ``g`` at x, and (|g / s|^2, s) =
-    ``geometry.scaled_sumsq(g)``, so the line's slopes stay finite: s = max
-    |g_i| if |g|^2 overflows and 1 otherwise.
-
-    ``t_init`` seeds the bracket (pass the previous step to warm-start).  A
-    positive, finite ``t_init`` whose decrease |g|^2 t_init / s is within
-    the slope regime starts the slope path with no value query; any other
-    starts the value search, from 4 |f(x)| s / |g|^2, the level step of an
-    isotropic quadratic with minimum value 0, if it is not positive and
-    finite (NaN for no warm start).
-    """
-    gg, scale = g_sumsq
-    if gg == 0.0:
+    if s0 == 0.0:
         raise StationaryPointError("the gradient vanishes; there is no level step to take")
-    line = restrict(obj, x, g / -scale, f_x, g, turns=True)
-    s0 = -gg * scale  # the line's slope at 0
-    tol = _TOL * (1.0 + abs(f_x))
-    noise_floor = NOISE_FLOOR * (1.0 + abs(f_x))
+    tol = _TOL * (1.0 + abs(h0))
+    noise_floor = NOISE_FLOOR * (1.0 + abs(h0))
     r = 0.0
 
     def secant_slope(t):
@@ -96,19 +74,19 @@ def find_level_step(obj, x, f_x: float, g, g_sumsq, t_init: float) -> LevelStepR
         # counts as 0 within rounding, or within _TOL of the smaller of the
         # first-order decrease and the scale of f
         nonlocal r
-        r = line.value(t) - f_x
-        small = abs(r) <= max(noise_floor, _TOL * min(-s0 * t, 1.0 + abs(f_x)))
+        r = line.value(t) - h0
+        small = abs(r) <= max(noise_floor, _TOL * min(-s0 * t, 1.0 + abs(h0)))
         return 0.0 if small else r / t
 
     t = t_init
     if not (0.0 < t < math.inf and -s0 * t <= _SLOPE_SWITCH * noise_floor):
-        t = t if 0.0 < t < math.inf else 4.0 * abs(f_x) / -s0
+        t = t if 0.0 < t < math.inf else 4.0 * abs(h0) / -s0
         t, _ = find_root(secant_slope, s0, t, ftol=0.0, xtol=0.0, what="objective value")
     if -s0 * t <= _SLOPE_SWITCH * noise_floor:
-        # the slope equation <grad f(x - t g / s), g / s> = -s0, on the same line
+        # the slope equation line.slope(t) = -s0
         t, _ = find_root(lambda u: line.slope(u) + s0, 2.0 * s0, t,
                          ftol=2.0 * _TOL * -s0, xtol=_TOL)
         r = math.nan
     elif abs(r) > tol:
         raise NumericError("level-step refinement stalled above the requested tolerance")
-    return LevelStepResult(float(t), float(r), line)
+    return float(t), float(r)

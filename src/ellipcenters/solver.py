@@ -22,7 +22,7 @@ from .errors import DegeneratePlaneError, NumericError
 from .geometry import build_frame, center_direction, scaled_sumsq
 from .levelstep import NOISE_FLOOR, find_level_step
 from .linesearch import minimize_on_ray
-from .objectives import CountingObjective, _is_count
+from .objectives import CountingObjective, _is_count, restrict
 
 _NAN = float("nan")
 # decrease-search halves v at most this often, down to 2^-59 of its first
@@ -196,9 +196,10 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     the chord; raises NumericError when it vanishes or the midpoint rounds onto x.
     """
     n_value, n_grad = obj.n_value, obj.n_grad
-    s = g_sumsq[1]
-    level = find_level_step(obj, x, f_x, g, g_sumsq, t_init * s)
-    u, line, r = level.t, level.line, level.level_residual  # u = t s along -g / s
+    gg, s = g_sumsq
+    # the level line, along -g / s so that its slopes stay finite; the step turns off it
+    line = restrict(obj, x, g / -s, f_x, g, turns=True)
+    u, r = find_level_step(line, t_init * s, h0=f_x, s0=-gg * s)  # u = t s along -g / s
     t = u / s
     fields = {"t": t, "level_path": "slope" if math.isnan(r) else "value", "level_residual": r,
               "level_evals": (obj.n_value - n_value, obj.n_grad - n_grad)}

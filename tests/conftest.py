@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from ellipcenters import find_level_step
+from ellipcenters.geometry import scaled_sumsq
+from ellipcenters.objectives import restrict
+
 byte_bounds = getattr(np.lib, "array_utils", np).byte_bounds  # moved in numpy 2.0
 
 
@@ -74,6 +78,16 @@ def count_products():
         return view
 
     return install
+
+
+def level_step(obj, x, f, g, t_init):
+    """``find_level_step`` on the line ``me_step`` builds: from x along -g / s,
+    with (|g / s|^2, s) = ``scaled_sumsq(g)``, from the value ``f`` and
+    gradient ``g`` at x.  Returns (t along -g / s, residual, the line)."""
+    gg, s = scaled_sumsq(g)
+    line = restrict(obj, x, g / -s, f, g, turns=True)
+    t, r = find_level_step(line, t_init, h0=f, s0=-gg * s)
+    return t, r, line
 
 
 class Toy:

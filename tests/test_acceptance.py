@@ -11,11 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import level_step
 from ellipcenters import (BenchConfig, GenParams, SolverConfig, Termination,
-                          check_gradient, find_level_step, gd_exact_minimize,
-                          generate_instance, minimize, run_benchmark,
-                          survey_geometry)
-from ellipcenters.geometry import scaled_sumsq
+                          check_gradient, gd_exact_minimize, generate_instance,
+                          minimize, run_benchmark, survey_geometry)
 
 EPS = 0.01  # the shared benchmark stopping tolerance
 
@@ -207,12 +206,12 @@ def test_criterion_7_level_step_correctness():
                 x = rng.standard_normal(n)
                 fx = problem.value(x)
                 g = problem.gradient(x)
-                res = find_level_step(problem, x, fx, g, scaled_sumsq(g), 1.0)
-                residual = abs(problem.value(x - res.t * g) - fx)
+                t = level_step(problem, x, fx, g, 1.0)[0]
+                residual = abs(problem.value(x - t * g) - fx)
                 worst = max(worst, residual / (1.0 + abs(fx)))
-                assert res.t > 0.0
+                assert t > 0.0
                 assert residual <= 1e-10 * (1.0 + abs(fx))
-                mid = x - 0.5 * res.t * problem.gradient(x)
+                mid = x - 0.5 * t * problem.gradient(x)
                 assert problem.value(mid) < fx
                 checked += 1
     report("7 level-step", checked == 100,

@@ -13,7 +13,9 @@ iteration samples.  Both quadratic pins fell when the level step stopped
 taking values in its slope regime: 54.24 -> 52.02 and 46.62 -> 42.56.
 The protocol-shaped pin fell from 85.30 to 81.70 when decrease-search
 started next to the last step's first success; the quadratic
-decrease-search runs take the same calls either way.
+decrease-search runs take the same calls either way.  All three fell by
+one call when the caller built the level line and the level step took it
+as a bare search: 52.02 -> 51.02, 42.56 -> 41.56 and 81.02 -> 80.02.
 """
 import sys
 
@@ -45,7 +47,7 @@ def calls_per_iteration(runs):
 
 
 @pytest.mark.parametrize("variant,budget", [
-    (Variant.SEMILINE_MIN, 52.02), (Variant.DECREASE_SEARCH, 42.56)],
+    (Variant.SEMILINE_MIN, 51.02), (Variant.DECREASE_SEARCH, 41.56)],
     ids=["semiline-min", "decrease-search"])
 def test_quadratic_iteration(variant, budget):
     # kappa 1000 at n = 10: 1361 and 2149 iterations, each O(1) per query;
@@ -60,4 +62,4 @@ def test_protocol_shaped_logsumexp_iteration():
     # the benchmark protocol's ME runs at n = 100: 44 iterations over seeds 0-9
     cfg = SolverConfig(epsilon=0.01, variant=Variant.DECREASE_SEARCH)
     runs = [(*generate_instance("logsumexp", 100, seed), cfg) for seed in range(10)]
-    assert calls_per_iteration(runs) <= 81.70 * HEADROOM
+    assert calls_per_iteration(runs) <= 80.02 * HEADROOM

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import Toy, ValueAndGradientOnly
+from conftest import Toy, ValueAndGradientOnly, level_step
 from ellipcenters import (GenParams, LogSumExpProblem, NonCoerciveError,
                           QuadraticProblem, SolverConfig, StationaryPointError,
-                          Variant, build_frame, find_level_step, generate_instance,
+                          Variant, build_frame, generate_instance,
                           me_step, minimize)
 from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.levelstep import NOISE_FLOOR
@@ -18,9 +18,9 @@ def test_parabola_returns_mirror_point():
     p = QuadraticProblem(np.eye(1), np.zeros(1))
     x = np.array([1.0])
     g = p.gradient(x)
-    res = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
-    y = x - res.t * g
-    assert res.t == pytest.approx(2.0, abs=1e-8)
+    t = level_step(p, x, p.value(x), g, 1.0)[0]
+    y = x - t * g
+    assert t == pytest.approx(2.0, abs=1e-8)
     assert y[0] == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -28,9 +28,9 @@ def test_sphere_any_dimension_reflects_through_origin():
     p = QuadraticProblem(np.eye(5), np.zeros(5))
     x = np.array([0.3, -1.0, 2.0, 0.1, -0.4])
     g = p.gradient(x)
-    res = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
-    y = x - res.t * g
-    assert res.t == pytest.approx(2.0, abs=1e-8)
+    t = level_step(p, x, p.value(x), g, 1.0)[0]
+    y = x - t * g
+    assert t == pytest.approx(2.0, abs=1e-8)
     assert np.allclose(y, -x, atol=1e-8)
 
 
@@ -38,8 +38,8 @@ def test_diagonal_quadratic_known_root():
     # level equality reduces to 32.5 t^2 - 17 t = 0, so t = 34/65
     p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))
     x = np.array([1.0, 1.0])
-    res = find_level_step(p, x, p.value(x), p.gradient(x), scaled_sumsq(p.gradient(x)), 1.0)
-    assert res.t == pytest.approx(34.0 / 65.0, abs=1e-9)
+    t = level_step(p, x, p.value(x), p.gradient(x), 1.0)[0]
+    assert t == pytest.approx(34.0 / 65.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("kind,n", [("quadratic", 10), ("logsumexp", 12)])
@@ -50,12 +50,12 @@ def test_level_residual_within_tolerance(kind, n):
         x = rng.standard_normal(n)
         fx = p.value(x)
         g = p.gradient(x)
-        res = find_level_step(p, x, fx, g, scaled_sumsq(g), 1.0)
-        y = x - res.t * g
-        assert res.t > 0.0
+        t = level_step(p, x, fx, g, 1.0)[0]
+        y = x - t * g
+        assert t > 0.0
         assert abs(p.value(y) - fx) <= 1e-10 * (1.0 + abs(fx))
         # the interior of the bracket sits strictly below the level
-        mid = x - 0.5 * res.t * p.gradient(x)
+        mid = x - 0.5 * t * p.gradient(x)
         assert p.value(mid) < fx
 
 
@@ -67,9 +67,9 @@ def test_midpoint_gain_quantified():
         x = rng.standard_normal(8)
         g = p.gradient(x)
         fx = p.value(x)
-        res = find_level_step(p, x, fx, g, scaled_sumsq(g), 1.0)
-        gain = p.mu * res.t**2 / 8.0 * float(g @ g)
-        assert p.value(x - 0.5 * res.t * g) <= fx - gain + 1e-9 * (1.0 + abs(fx))
+        t = level_step(p, x, fx, g, 1.0)[0]
+        gain = p.mu * t**2 / 8.0 * float(g @ g)
+        assert p.value(x - 0.5 * t * g) <= fx - gain + 1e-9 * (1.0 + abs(fx))
 
 
 def test_interior_of_bracket_single_signed():
@@ -77,8 +77,8 @@ def test_interior_of_bracket_single_signed():
     x = np.random.default_rng(4).standard_normal(6)
     fx = p.value(x)
     g = p.gradient(x)
-    res = find_level_step(p, x, fx, g, scaled_sumsq(g), 1.0)
-    grid = np.linspace(0.0, res.t, 101)[1:-1]
+    t = level_step(p, x, fx, g, 1.0)[0]
+    grid = np.linspace(0.0, t, 101)[1:-1]
     values = [p.value(x - s * g) - fx for s in grid]
     assert all(v <= 1e-12 * (1.0 + abs(fx)) for v in values)
     assert min(values) < 0.0
@@ -89,9 +89,9 @@ def test_warm_start_and_evaluation_budget():
     x = np.random.default_rng(1).standard_normal(6)
     cold_count, warm_count = CountingObjective(p), CountingObjective(p)
     fx, g = p.value(x), p.gradient(x)
-    cold = find_level_step(cold_count, x, fx, g, scaled_sumsq(g), 1.0)
-    warm = find_level_step(warm_count, x, fx, g, scaled_sumsq(g), cold.t)
-    assert warm.t == pytest.approx(cold.t, rel=1e-8)
+    cold = level_step(cold_count, x, fx, g, 1.0)[0]
+    warm = level_step(warm_count, x, fx, g, cold)[0]
+    assert warm == pytest.approx(cold, rel=1e-8)
     assert warm_count.n_value <= 2 * 60 + 90
     assert cold_count.n_value <= 2 * 60 + 90
 
@@ -100,7 +100,7 @@ def test_stationary_point_rejected():
     p = QuadraticProblem(np.eye(2), np.zeros(2))
     with pytest.raises(StationaryPointError):
         x = np.zeros(2)
-        find_level_step(p, x, p.value(x), p.gradient(x), scaled_sumsq(p.gradient(x)), 1.0)
+        level_step(p, x, p.value(x), p.gradient(x), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -113,8 +113,8 @@ def test_level_point_gradient_is_never_shorter_on_a_quadratic(seed):
     for _ in range(40):
         x = rng.standard_normal(30)
         g = p.gradient(x)
-        res = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
-        y = x - res.t * g
+        t = level_step(p, x, p.value(x), g, 1.0)[0]
+        y = x - t * g
         ratio = np.linalg.norm(p.gradient(y)) / np.linalg.norm(p.gradient(x))
         assert ratio >= 1.0 - 1e-9
 
@@ -131,7 +131,7 @@ def test_noncoercive_objective_detected():
 
     with pytest.raises(NonCoerciveError):
         f, x = Linear(), np.array([0.0, 0.0])
-        find_level_step(f, x, f.value(x), f.gradient(x), scaled_sumsq(f.gradient(x)), 1.0)
+        level_step(f, x, f.value(x), f.gradient(x), 1.0)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -141,11 +141,11 @@ def test_flat_region_switches_to_slope_equation(n):
     p = QuadraticProblem(np.eye(n), b)
     x = b + 1e-6  # gradient norm ~2e-6, f(x) ~ -1e12 n
     g = p.gradient(x)
-    res = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
-    y = x - res.t * g
+    t = level_step(p, x, p.value(x), g, 1.0)[0]
+    y = x - t * g
     # the slope equation is exact for quadratics, but the reported gradients
     # themselves lose ~4 digits to cancellation against the 1e6 shift
-    assert res.t == pytest.approx(2.0, rel=1e-3)
+    assert t == pytest.approx(2.0, rel=1e-3)
     assert np.allclose(y, b - 1e-6, atol=1e-8)
 
 
@@ -157,16 +157,16 @@ def test_near_stationary_point_goes_to_the_slope_path_at_once():
     x = 1e-9 * np.random.default_rng(0).standard_normal(20)
     counted = CountingObjective(ValueAndGradientOnly(p))
     g = p.gradient(x)
-    res = find_level_step(counted, x, p.value(x), g, scaled_sumsq(g), 1.0)
+    t, r, line = level_step(counted, x, p.value(x), g, 1.0)
     assert counted.n_value <= 3
     assert counted.n_grad > 0  # the slope path ran
-    assert res.t.hex() == "0x1.bc0bb3f23389fp-1"
-    assert np.array_equal(res.line.gradient(res.t), p.gradient(x - res.t * g))
+    assert t.hex() == "0x1.bc0bb3f23389fp-1"
+    assert np.array_equal(line.gradient(t), p.gradient(x - t * g))
     fused = CountingObjective(p)
-    own = find_level_step(fused, x, p.value(x), g, scaled_sumsq(g), 1.0)
+    own_t, _, own_line = level_step(fused, x, p.value(x), g, 1.0)
     assert (fused.n_value, fused.n_grad) == (counted.n_value, counted.n_grad)
-    assert own.t == pytest.approx(res.t, rel=1e-12)
-    assert np.array_equal(own.line.gradient(own.t), p.gradient(x - own.t * g))
+    assert own_t == pytest.approx(t, rel=1e-12)
+    assert np.array_equal(own_line.gradient(own_t), p.gradient(x - own_t * g))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -179,14 +179,14 @@ def test_overflowing_gradient_square_is_rescaled():
     counted = CountingObjective(p)
     g = p.gradient(x)
     s = scaled_sumsq(g)[1]
-    res = find_level_step(counted, x, fx, g, scaled_sumsq(g), s)  # a step of 1 along -g
-    t = res.t / s  # the step along -g
+    u, r, _ = level_step(counted, x, fx, g, s)  # a step of 1 along -g
+    t = u / s  # the step along -g
     y = x - t * g
     # along -g / s the first secant step lands on the root; from -|g|^2 =
     # -inf at t = 0 the search would take a bisection step more
     assert counted.n_value == 2
     assert math.isfinite(t) and t > 0.0
-    assert abs(res.level_residual) <= 1e-10 * (1.0 + abs(fx))
+    assert abs(r) <= 1e-10 * (1.0 + abs(fx))
     assert abs(p.value(y) - fx) <= 1e-10 * (1.0 + abs(fx))
     frame = build_frame(g, scaled_sumsq(g), t, p.gradient(y))
     assert frame.cos_theta == pytest.approx(0.889, abs=1e-3)
@@ -229,14 +229,14 @@ def test_warm_start_in_the_slope_regime_takes_no_value(kind, generic):
     # runs on slopes from t_init, and the residual it would read is NaN
     p, x, fx, g = _deep_in_the_slope_regime(kind)
     counted = CountingObjective(ValueAndGradientOnly(p) if generic else p)
-    res = find_level_step(counted, x, fx, g, scaled_sumsq(g), 1.0)
+    t, r, _ = level_step(counted, x, fx, g, 1.0)
     assert counted.n_value == 0 and counted.n_grad > 0
-    assert math.isnan(res.level_residual)
-    assert abs(p.value(x - res.t * g) - fx) <= 1e-10 * (1.0 + abs(fx))
+    assert math.isnan(r)
+    assert abs(p.value(x - t * g) - fx) <= 1e-10 * (1.0 + abs(fx))
     if kind == "quadratic":
         # the slope equation's root is 2 |g|^2 / g'Ag; pointwise gradients
         # lose about 9 digits to the cancellation of Ax against b here
-        assert res.t == pytest.approx(2.0 * (g @ g) / (g @ p.a @ g), rel=1e-6)
+        assert t == pytest.approx(2.0 * (g @ g) / (g @ p.a @ g), rel=1e-6)
 
 
 @pytest.mark.parametrize("t_init", [0.0, -1.0, math.nan, math.inf])
@@ -247,9 +247,9 @@ def test_only_a_positive_finite_warm_start_skips_the_value_search(kind, values, 
     # starts where it stopped
     p, x, fx, g = _deep_in_the_slope_regime(kind)
     counted = CountingObjective(p)
-    res = find_level_step(counted, x, fx, g, scaled_sumsq(g), t_init)
+    t, r, _ = level_step(counted, x, fx, g, t_init)
     assert counted.n_value == values
-    assert math.isnan(res.level_residual)
+    assert math.isnan(r)
     ruled = CountingObjective(p)
-    assert res.t == find_level_step(ruled, x, fx, g, scaled_sumsq(g), 4.0 * abs(fx) / (g @ g)).t
+    assert t == level_step(ruled, x, fx, g, 4.0 * abs(fx) / (g @ g))[0]
     assert (ruled.n_value, ruled.n_grad) == (counted.n_value, counted.n_grad)

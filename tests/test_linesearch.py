@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellipcenters import (NonCoerciveError, NumericError, QuadraticProblem,
-                          linesearch, minimize_on_ray)
+                          find_level_step, linesearch, minimize_on_ray)
 from ellipcenters.linesearch import MAX_EXPANSIONS, find_root
 from ellipcenters.objectives import CountingObjective
 
@@ -30,6 +30,22 @@ def test_shifted_parabola_vertex():
     v, hv = minimize_on_ray(line, v0=1.0, h0=line.value(0.0), s0=line.slope(0.0))
     assert v == pytest.approx(0.7, abs=1e-8)
     assert hv == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.0, 1e20], ids=["value-path", "slope-path"])
+def test_both_searches_take_one_bare_line(c):
+    # one object with only value and slope serves both ray searches: on
+    # h = (v - 1)^2 / 2 + c the level step lands on the mirror point v = 2 and
+    # the minimum search on v = 1.  At c = 1e20 the dip is below the rounding
+    # of h, so the level step takes its slope path and reads no residual
+    line = ScalarLine(lambda v: 0.5 * (v - 1.0) ** 2 + c, lambda v: v - 1.0)
+    h0, s0 = line.value(0.0), line.slope(0.0)
+    t, r = find_level_step(line, 1.0, h0=h0, s0=s0)
+    assert t == pytest.approx(2.0, rel=1e-9)
+    assert math.isnan(r) == (c > 0.0)
+    v, hv = minimize_on_ray(line, v0=math.nan, h0=h0, s0=s0)
+    assert v == pytest.approx(1.0, rel=1e-8)
+    assert hv == pytest.approx(c, abs=1e-12)
 
 
 def test_increasing_function_stays_at_origin():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import NaNGradientAfter, Toy, ValueAndGradientOnly
+from conftest import NaNGradientAfter, Toy, ValueAndGradientOnly, level_step
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
                           find_level_step, generate_instance, me_step, minimize,
@@ -73,11 +73,11 @@ class TestMeStep:
         fx, gx = p.value(x), p.gradient(x)
         x_next, f_next, g_next, fields = step_from(p, x)
         assert fields["branch"] == "midpoint"
-        level = find_level_step(p, x, fx, gx, scaled_sumsq(gx), 1.0)
-        mid = 0.5 * level.t
+        t, _, line = level_step(p, x, fx, gx, 1.0)
+        mid = 0.5 * t
         assert np.array_equal(x_next, x - mid * gx)
-        assert f_next == fields["f_mid"] == level.line.value(mid)
-        assert np.array_equal(g_next, level.line.gradient(mid))
+        assert f_next == fields["f_mid"] == line.value(mid)
+        assert np.array_equal(g_next, line.gradient(mid))
         g = p.gradient(x_next)
         if kind == "quadratic":
             assert np.linalg.norm(g_next - g) <= 1e-12 * np.linalg.norm(gx)
@@ -373,26 +373,24 @@ class TestNearCollinearTurn:
         p = QuadraticProblem(0.5 * (a + a.T), np.zeros(n))
         x = q[:, 0] + sin_theta / (2.0 * kappa * (kappa - 1.0)) * q[:, -1]
         g = p.gradient(x)
-        level = find_level_step(p, x, p.value(x), g, scaled_sumsq(g), 1.0)
-        t = level.t
-        grad_y = level.line.gradient(t)
+        t, _, line = level_step(p, x, p.value(x), g, 1.0)
+        grad_y = line.gradient(t)
         frame = build_frame(g, scaled_sumsq(g), t, grad_y)
         ca, cb = center_direction(frame)
         d = ca * g + cb * grad_y
-        turned = level.line.turn(0.5 * t, x - 0.5 * t * g, d, (-(ca + cb), cb * t))
-        return p, g, level, frame, d, turned
+        turned = line.turn(0.5 * t, x - 0.5 * t * g, d, (-(ca + cb), cb * t))
+        return p, g, t, line, frame, d, turned
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("kappa", [10.0, 1000.0])
     @pytest.mark.parametrize("sin_theta", [1e-6, 1e-7])
     def test_turned_line_keeps_the_products_accuracy(self, sin_theta, kappa, variant):
-        p, g, level, frame, d, turned = self._step(kappa, sin_theta)
-        sin = frame.wnorm / np.linalg.norm(level.line.gradient(level.t))
+        p, g, t, line, frame, d, turned = self._step(kappa, sin_theta)
+        sin = frame.wnorm / np.linalg.norm(line.gradient(t))
         assert 0.5 * sin_theta <= sin <= 2.0 * sin_theta
         # the same line, with A d from a product
-        mid = 0.5 * level.t
-        product = QuadraticLine(level.line.value(mid), level.line.gradient(mid), d, p.a @ d,
-                                None)
+        mid = 0.5 * t
+        product = QuadraticLine(line.value(mid), line.gradient(mid), d, p.a @ d, None)
         assert (np.linalg.norm(turned.ad - product.ad)
                 <= 4.0 * self.EPS / sin * np.linalg.norm(product.ad))
         f_base = turned.value(0.0)
@@ -795,9 +793,8 @@ def test_overflowing_frame_products_keep_the_ellipse_step(variant):
 def test_level_step_below_float_resolution_ends_the_run(variant, monkeypatch):
     # a step so short that the midpoint x - (t/2) g rounds onto x
     def shrunk(*args, **kwargs):
-        level = find_level_step(*args, **kwargs)
-        level.t *= 1e-30
-        return level
+        t, r = find_level_step(*args, **kwargs)
+        return 1e-30 * t, r
 
     monkeypatch.setattr(solver, "find_level_step", shrunk)
     p, x0 = generate_instance("quadratic", 6, 1, GenParams(kappa=10))

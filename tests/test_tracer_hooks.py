@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ellipcenters import BenchConfig, GenParams, minimize_on_ray, run_benchmark
+from ellipcenters import (BenchConfig, GenParams, find_level_step, minimize_on_ray,
+                          run_benchmark)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -23,11 +24,13 @@ def test_target_is_a_callable_module_attribute(module, attr):
 
 def test_ray_search_keeps_its_h0_parameter():
     # keyword-only, so that no caller can pass it by position; the base
-    # slope s0 is taken the same way, and neither has a default
-    params = inspect.signature(minimize_on_ray).parameters
-    for name in ("h0", "s0"):
-        assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
-        assert params[name].default is inspect.Parameter.empty
+    # slope s0 is taken the same way, and neither has a default.  The level
+    # step takes its line's value and slope at 0 as the minimum search does
+    for search in (minimize_on_ray, find_level_step):
+        params = inspect.signature(search).parameters
+        for name in ("h0", "s0"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+            assert params[name].default is inspect.Parameter.empty
 
 
 def test_every_target_is_called_through_its_module(monkeypatch):
