@@ -241,12 +241,14 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     fields)``; ``counted`` is the counting view of obj that the step must
     query, ``g_sumsq`` is ``scaled_sumsq(g)``, which the loop takes for the
     norm, and ``fields`` are the step's ``IterateRecord`` fields besides x,
-    f and grad_norm; the loop itself evaluates only the start point.  The
+    f and grad_norm.  The loop itself evaluates the start point, and x again
+    where a step's gradient meets epsilon: CONVERGED is judged on f and g
+    taken at x, and a pair that misses epsilon goes on as the step's.  The
     stopping test runs before each step, so a start point that already
-    satisfies it reports zero iterations.  Numeric failures, at the start point too, end
-    the run with the partial trace instead of raising.  A record's
-    ``driver_evals`` are what the counter took since the last record less
-    its step's level and search counts.
+    satisfies it reports zero iterations.  Numeric failures, at the start
+    point too, end the run with the partial trace instead of raising.  A
+    record's ``driver_evals`` are what the counter took since the last
+    record less its step's level and search counts.
     """
     counted = CountingObjective(obj)
     x = np.asarray(x0, dtype=float).copy()
@@ -257,13 +259,15 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     f = gnorm = _NAN  # what the start point leaves unevaluated when it raises
     message = ""
     nv = ng = 0  # the counter's values and gradients at the last record
+    query = True  # take f and g at x, not as the last step carried them
     try:
-        if hasattr(obj, "value_and_gradient"):
-            f, g = counted.value_and_gradient(x)
-        else:  # f stays on the terminal record when the gradient raises
-            f = counted.value(x)
-            g = counted.gradient(x)
         while True:
+            if query:
+                if hasattr(obj, "value_and_gradient"):
+                    f, g = counted.value_and_gradient(x)
+                else:  # f stays on the terminal record when the gradient raises
+                    f = counted.value(x)
+                    g = counted.gradient(x)
             gg, scale = g_sumsq = scaled_sumsq(g)
             gnorm = scale * math.sqrt(gg)
             if not math.isfinite(f):
@@ -274,6 +278,9 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
                 termination = Termination.NUMERIC_ERROR
                 break
             if gnorm <= cfg.epsilon:
+                if not query:  # a gradient carried along lines may have drifted
+                    query = True
+                    continue
                 termination = Termination.CONVERGED
                 break
             if len(records) >= cfg.max_iterations:
@@ -286,6 +293,7 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
             nv, ng = counted.n_value, counted.n_grad
             records.append(rec)
             x, f, g = x_next, f_next, g_next
+            query = False
     except NumericError as exc:
         termination = Termination.NUMERIC_ERROR
         message = str(exc)

@@ -162,14 +162,15 @@ class BaseRefusingObjective:
 
 class TestLineGradients:
     # the exact step's line hands back the gradient at the new point, so a
-    # gd iteration on a quadratic takes one product, A grad f(x), after the
-    # start point's one product Ax
+    # gd iteration on a quadratic takes one product, A grad f(x), besides
+    # the one product Ax at the start point and the one at x_final, where
+    # the stopping test takes f and g afresh
     def test_gd_takes_one_product_per_iteration(self, count_products):
         p, x0 = generate_instance("quadratic", 30, 1, GenParams(kappa=10))
         matrix = count_products(p)
         run = gd_exact_minimize(p, x0, SolverConfig(epsilon=1e-6))
         assert run.termination is Termination.CONVERGED
-        assert matrix.products == 1 + run.iterations
+        assert matrix.products == 2 + run.iterations
 
     @pytest.mark.parametrize("kind", ["long", "short"])
     def test_bb_first_step_reuses_its_line(self, kind, count_products):
@@ -177,9 +178,9 @@ class TestLineGradients:
         matrix = count_products(p)
         run = bb_minimize(p, x0, kind, SolverConfig(epsilon=1e-6))
         assert run.termination is Termination.CONVERGED
-        # the start point and each spectral step take one product Ax, and
-        # the exact first step one, A grad f(x)
-        assert matrix.products == 1 + 1 + (run.iterations - 1)
+        # the start point, x_final and each spectral step take one product
+        # Ax, and the exact first step one, A grad f(x)
+        assert matrix.products == 2 + 1 + (run.iterations - 1)
 
     @pytest.mark.parametrize("method", ["gd", "bb-long", "bb-short"])
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])

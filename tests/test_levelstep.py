@@ -157,7 +157,7 @@ def test_near_stationary_point_goes_to_the_slope_path_at_once():
     x = 1e-9 * np.random.default_rng(0).standard_normal(20)
     counted = CountingObjective(ValueAndGradientOnly(p))
     g = p.gradient(x)
-    t, r, line = level_step(counted, x, p.value(x), g, 1.0)
+    t, _, line = level_step(counted, x, p.value(x), g, 1.0)
     assert counted.n_value <= 3
     assert counted.n_grad > 0  # the slope path ran
     assert t.hex() == "0x1.bc0bb3f23389fp-1"

@@ -56,7 +56,8 @@ def test_every_method_meets_the_optimality_bounds(kind, params):
         slack = 1e-12 * (1.0 + abs(f_star))
         label = f"{d.method} seed {d.seed}"
         assert d.termination == "converged", label
-        assert gnorm <= 1.01e-6, label
+        # the oracle's own gradient meets epsilon up to its rounding
+        assert gnorm <= 1e-6 * (1.0 + 1e-12), label
         assert np.linalg.norm(x - x_star) <= gnorm / mu + 1e-12, label
         assert f_star - slack <= f(x) <= f_star + gnorm**2 / (2.0 * mu) + slack, label
         assert d.run.f_final == pytest.approx(f(x), rel=1e-12, abs=1e-12), label

@@ -96,7 +96,7 @@ def test_lse_tight_shaped_phase_split():
     runs = [minimize(*generate_instance("logsumexp", 10_000, seed), SolverConfig(epsilon=1e-8))
             for seed in range(4)]
     assert phase_totals(runs) == {"level": (22.25, 6), "search": (12, 41.25),
-                                  "driver": (13, 10)}
+                                  "driver": (14, 11)}
 
 
 def test_protocol_shaped_phase_split():
@@ -106,9 +106,9 @@ def test_protocol_shaped_phase_split():
         methods=("me", "gd", "bb-long"), variant="decrease-search"))
     split = {method: phase_totals([d.run for d in details if d.method == method])
              for method in ("me", "gd", "bb-long")}
-    expected = {"me": {"level": (16.40, 0), "search": (12.27, 0), "driver": (5.80, 10.60)},
-                "gd": {"level": (0, 0), "search": (9.73, 30.47), "driver": (1, 1)},
-                "bb-long": {"level": (0, 0), "search": (1, 4.33), "driver": (8.7, 8.7)}}
+    expected = {"me": {"level": (16.40, 0), "search": (12.27, 0), "driver": (6.80, 11.60)},
+                "gd": {"level": (0, 0), "search": (9.73, 30.47), "driver": (2, 2)},
+                "bb-long": {"level": (0, 0), "search": (1, 4.33), "driver": (9.7, 9.7)}}
     for method, phases in expected.items():
         for phase, pair in phases.items():
             assert split[method][phase] == pytest.approx(pair, abs=0.005), (method, phase)

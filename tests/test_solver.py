@@ -86,9 +86,10 @@ class TestMeStep:
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("kind,n_value,n_grad", [
-        ("quadratic", 3, 3), ("logsumexp", 8, 3)])
+        ("quadratic", 4, 4), ("logsumexp", 9, 4)])
     def test_midpoint_run_counts(self, kind, n_value, n_grad, variant):
-        # the midpoint's gradient costs one evaluation, as a pointwise one did
+        # the midpoint's gradient costs one evaluation, as a pointwise one did,
+        # and the stopping test one value and one gradient at x_final
         p, x = self._axis_start(kind)
         run = minimize(p, x, SolverConfig(epsilon=1e-8, variant=variant))
         assert [r.branch for r in run.iterates] == ["midpoint", "final"]
@@ -313,20 +314,22 @@ class TestMatvecBudget:
         assert run.termination is Termination.CONVERGED
         assert run.iterations >= 5
         assert all(r.branch == "ellipse" for r in run.iterates[:-1])
-        # the wrapper has no value_and_gradient: Ax for f and for g at the start
-        assert matrix.passes == 2 + run.iterations
-        assert obj.calls == {"value": 1, "gradient": 1}
+        # the wrapper has no value_and_gradient: Ax for f and for g at the
+        # start, and at x_final, where the carried gradient met epsilon
+        assert matrix.passes == 4 + run.iterations
+        assert obj.calls == {"value": 2, "gradient": 2}
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_one_product_at_the_start_point(self, variant, count_products):
-        # the quadratic's own value_and_gradient gives f and g from one Ax
+        # the quadratic's own value_and_gradient gives f and g from one Ax,
+        # at the start and at x_final
         p, x0 = generate_instance("quadratic", 600, 1, GenParams(kappa=10))
         matrix = count_products(p)
         run = minimize(p, x0, SolverConfig(epsilon=1e-6, variant=variant))
         assert run.termination is Termination.CONVERGED
         assert run.iterations >= 5
         assert all(r.branch == "ellipse" for r in run.iterates[:-1])
-        assert matrix.passes == 1 + run.iterations
+        assert matrix.passes == 2 + run.iterations
 
 
 
@@ -499,9 +502,9 @@ class TestPinnedBaselineRuns:
     # reaches eps = 1e-8 too; their slope at x comes from the gradient the
     # loop already holds
     @pytest.mark.parametrize("method,iterations,n_value,n_grad,termination", [
-        ("bb-long", 18, 19, 23, Termination.CONVERGED),
-        ("bb-short", 17, 18, 22, Termination.CONVERGED),
-        ("gd", 24, 25, 59, Termination.CONVERGED),
+        ("bb-long", 18, 20, 24, Termination.CONVERGED),
+        ("bb-short", 17, 19, 23, Termination.CONVERGED),
+        ("gd", 24, 26, 60, Termination.CONVERGED),
     ])
     def test_counts_and_final_value(self, method, iterations, n_value, n_grad,
                                     termination):
@@ -537,23 +540,25 @@ class TestPinnedFastLineRuns:
     # quadratic f_final re-recorded when searches with no warm start took
     # their first bracket from the line's value and slope and gd's exact
     # step its tolerance from semiline-min (log-sum-exp ME values 46 -> 45
-    # and 60 -> 59), which moved no iteration count
+    # and 60 -> 59), which moved no iteration count; every count rose by one
+    # value and one gradient, and the ME and gd quadratic f_final moved, when
+    # CONVERGED was judged on f and g taken at x_final, which moved no iterate
     LSE = [
-        ("me", Variant.SEMILINE_MIN, 11, 45, 58, "0x1.ba18a998fffa0p+2",
+        ("me", Variant.SEMILINE_MIN, 11, 46, 59, "0x1.ba18a998fffa0p+2",
          "1aa43b753efaca9c56a8097e03a27df2aa5dda680de32486c0f5d72864311253"),
-        ("me", Variant.DECREASE_SEARCH, 13, 59, 31, "0x1.ba18a998fffa0p+2",
+        ("me", Variant.DECREASE_SEARCH, 13, 60, 32, "0x1.ba18a998fffa0p+2",
          "ef9ba991015c819a45d7f3b8d6ea8237ebe22f502376c4c4638f4ad62a9135c5"),
     ]
     QUADRATIC = [
-        ("me", Variant.SEMILINE_MIN, 187, 681, 783, "-0x1.3c6fc01a4162dp+4",
+        ("me", Variant.SEMILINE_MIN, 187, 682, 784, "-0x1.3c6fc01a41635p+4",
          "0094e34a084766b05ab8d5c55ed247effc5d4b46663c45c1bf47109b8b512694"),
-        ("me", Variant.DECREASE_SEARCH, 189, 722, 426, "-0x1.3c6fc01a41634p+4",
+        ("me", Variant.DECREASE_SEARCH, 189, 723, 427, "-0x1.3c6fc01a4160dp+4",
          "a168a9ae041fcbdeba7161c7f33fd4c54ae27597f9d341ba2b6eb1c405925d24"),
-        ("bb-long", None, 111, 112, 113, "-0x1.3c6fc01a41653p+4",
+        ("bb-long", None, 111, 113, 114, "-0x1.3c6fc01a41653p+4",
          "64bbe0f02a6802651961ef6668ca406f6f820935fbba5eb269d976510b692a77"),
-        ("bb-short", None, 97, 98, 99, "-0x1.3c6fc01a41633p+4",
+        ("bb-short", None, 97, 99, 100, "-0x1.3c6fc01a41633p+4",
          "38b4ccff6d5ced0531bc2b4faba6f061b1a2261cdf5203eac2474b2c8d055906"),
-        ("gd", None, 699, 700, 1399, "-0x1.3c6fc01a415a4p+4",
+        ("gd", None, 699, 701, 1400, "-0x1.3c6fc01a41604p+4",
          "b1b430bced7a673205b1d22936515487ab54b765fb8322d646314d158397c38c"),
     ]
 
@@ -775,6 +780,34 @@ def test_finite_gradient_with_an_overflowing_norm_is_no_error(obj, x0):
     run = minimize(obj, x0)
     assert run.iterates[0].grad_norm == pytest.approx(math.hypot(*obj.gradient(x0)), rel=1e-14)
     assert run.termination is Termination.CONVERGED
+
+
+def test_converged_is_judged_on_a_gradient_taken_at_x():
+    # a step that carries a zero gradient to its point: the loop takes f and
+    # g at x before it reports CONVERGED, and goes on from them while they
+    # miss epsilon, here until |x| = 2^-4 sqrt 2 <= 0.1
+    p = QuadraticProblem(np.eye(2), np.zeros(2))
+
+    def halve(counted, x, f, g, g_sumsq):
+        return 0.5 * x, f, np.zeros(2), {}
+
+    run = solver.descend(p, np.ones(2), halve, SolverConfig(epsilon=0.1))
+    assert run.termination is Termination.CONVERGED
+    assert run.iterations == 4
+    assert run.grad_norm_final == np.linalg.norm(p.gradient(run.x_final))
+    assert run.f_final == p.value(run.x_final)
+    assert (run.n_value_evals, run.n_grad_evals) == (5, 5)  # the start and 4 checks
+
+
+def test_converged_means_the_true_gradient_meets_epsilon():
+    # at kappa 1e4 the gradient carried along quadratic lines drifts from
+    # A x - b; judged on it, this run stopped at |A x - b| = 1.0143 eps
+    p, x0 = generate_instance("quadratic", 100, 0, GenParams(kappa=1e4))
+    run = minimize(p, x0, SolverConfig(epsilon=1e-9, max_iterations=100_000))
+    assert run.termination is Termination.CONVERGED
+    a, b = p.a.astype(np.longdouble), p.b.astype(np.longdouble)
+    residual = a @ run.x_final.astype(np.longdouble) - b
+    assert float(np.sqrt(residual @ residual)) <= 1e-9
 
 
 @pytest.mark.parametrize("variant", list(Variant))
