@@ -88,12 +88,16 @@ def minimize_on_ray(line, v0: float, *, h0: float, s0: float):
     start v0, by solving ``line.slope(v) = 0`` to relative precision RAY_TOL.
 
     ``h0`` and ``s0`` are the value and slope of ``line`` at v = 0, as the
-    caller holds them.  A v0 that is not positive and finite (NaN for no
-    warm start) gives way to 2 |h0| / |s0|, the minimum of an isotropic
-    quadratic with minimum value 0.  Returns (v, the value at v).  A line
-    that does not descend at v = 0 (``s0`` is nonnegative, or not a number)
-    returns (0, h0); the caller's gradient check then names a non-finite
-    slope.  ``find_root`` raises the errors.
+    caller holds them; ``s0`` may be the caller's estimate.  A v0 that is
+    not positive and finite (NaN for no warm start) gives way to
+    2 |h0| / |s0|, the minimum of an isotropic quadratic with minimum value
+    0.  Returns (v, the value at v).  An ``s0`` that is nonnegative, or not
+    a number, returns (0, h0); the caller's gradient check then names a
+    non-finite slope.  An estimate may be negative on a line that does not
+    descend at 0: no slope the search takes is then negative, so the
+    bracket shrinks onto 0 and the search returns the least subnormal v,
+    after about a thousand slopes, with a value that may exceed h0 there by
+    rounding.  ``find_root`` raises the errors.
     """
     if not s0 < 0.0:
         return 0.0, h0

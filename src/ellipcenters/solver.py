@@ -129,23 +129,27 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
                     first: int):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
     at ``scale``; ``f_base`` is the value and ``slope`` the slope (or an
-    estimate of it) at v = 0.  Returns (v, f at that point).  Raises
-    ValueError when ``variant`` is not a ``Variant`` member (a name too).
+    estimate of it) at v = 0, so neither variant queries the line there.
+    Returns (v, f at that point).  Raises ValueError when ``variant`` is not
+    a ``Variant`` member (a name too).
+
+    semiline-min is ``minimize_on_ray`` from ``scale`` with ``slope`` as its
+    slope at 0, or (0, f_base) where the point it finds is not below f_base.
 
     decrease-search returns the first of the samples v_k = scale 2^-k,
     k = 0, 1, ..., below f_base, or (0, f_base) without one.  It samples no
     k >= ``_MAX_HALVINGS`` and no v_k |slope| within the level step's noise
     floor 32 eps (1 + |f_base|).  That is at least 32 times f's own rounding
-    eps |f_base|, so the search also drops decreases that f shows (ROADMAP
-    item 6 would scale the floor with f).  ``first`` is the last search's
-    k: the search starts at k = max(first - 1, 0), or at the last k it may
-    sample, and steps back while the sample at k - 1 is below f_base too,
-    or on until a sample is.  On a convex f, whose samples below f_base are
+    eps |f_base|, so the search also drops decreases that f shows (a floor
+    from a noise scale of f itself would keep them).  ``first`` is the last
+    search's k: the search starts at k = max(first - 1, 0), or at the last k
+    it may sample, and steps back while the sample at k - 1 is below f_base
+    too, or on until a sample is.  On a convex f, whose samples below f_base are
     all those past some k, that is the first sample below f_base; on any f
     it is one whose predecessor, if any, is not, or (0, f_base).  Halving
     and doubling v keep the bits of repeated halving while v is normal."""
     if variant is Variant.SEMILINE_MIN:
-        v, fv = minimize_on_ray(line, v0=scale, h0=f_base, s0=line.slope(0.0))
+        v, fv = minimize_on_ray(line, v0=scale, h0=f_base, s0=slope)
         if fv > f_base:  # no decrease above rounding: stay at the midpoint
             return 0.0, f_base
         return v, fv

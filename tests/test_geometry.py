@@ -7,7 +7,7 @@ from ellipcenters import (ConicClass, ConicCoefficients, DegeneratePlaneError,
                           build_frame, center_direction, classify_conic,
                           conic_center, conic_gradient, conic_value,
                           ellipse_bound, fit_conic, survey_geometry)
-from ellipcenters.geometry import scaled_sumsq
+from ellipcenters.geometry import _conic_residual, scaled_sumsq
 
 
 def fit_conic_reference(lam, m, n):
@@ -123,6 +123,18 @@ class TestCenter:
         coef = ConicCoefficients(a=0.25, b=0.5, c=-1.0, d=-1.0)
         with pytest.raises(ValueError):
             conic_center(coef, 2.0)
+
+    def test_degenerate_residual_has_nan_center(self):
+        # the survey's residual skips the center-line identity where there
+        # is no center, and reports the center as NaN
+        coef = ConicCoefficients(a=0.25, b=0.5, c=-1.0, d=-1.0)
+        lam, m, n = 2.0, 1.0, 1.0
+        residual, _, u, v = _conic_residual(coef, lam, m, n)
+        assert math.isnan(u) and math.isnan(v)
+        gx, gy = conic_gradient(coef, lam, 0.0), conic_gradient(coef, 0.0, 0.0)
+        assert residual == max(abs(conic_value(coef, lam, 0.0)), abs(conic_value(coef, 0.0, 0.0)),
+                               abs(conic_value(coef, m, n)), abs(gx[1] * lam),
+                               abs(gy[0] * n - gy[1] * m))
 
 
 def direction(g, grad_y):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (NonCoerciveError, NumericError, QuadraticProblem,
-                          find_level_step, linesearch, minimize_on_ray)
+from ellipcenters import (NonCoerciveError, NumericError, QuadraticProblem, Variant,
+                          find_level_step, linesearch, minimize_on_ray, semiline_search)
 from ellipcenters.linesearch import MAX_EXPANSIONS, find_root
 from ellipcenters.objectives import CountingObjective
 
@@ -77,6 +77,58 @@ def test_search_asks_nothing_at_the_base(h, dh, argmin):
     v, hv = minimize_on_ray(line, v0=1.0, h0=h(0.0), s0=dh(0.0))
     assert v == pytest.approx(argmin, abs=1e-8)
     assert hv == h(v)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("h,dh,argmin", [
+    (lambda v: (v - 0.7) ** 2 + 1.0, lambda v: 2.0 * (v - 0.7), 0.7),
+    (lambda v: v * v + v, lambda v: 2.0 * v + 1.0, 0.0),
+], ids=["descends", "ascends"])
+def test_semiline_search_asks_nothing_at_the_base(h, dh, argmin, variant):
+    # semiline-min takes its slope at 0 from the caller as decrease-search
+    # does, so no search queries its own base
+    line = RefusesTheBase(h, dh)
+    v, hv = semiline_search(line, variant, scale=1.0, f_base=h(0.0), slope=dh(0.0), first=0)
+    assert hv == h(v) and hv <= h(0.0)
+    if variant is Variant.SEMILINE_MIN:
+        assert v == pytest.approx(argmin, abs=1e-8)
+
+
+class CountsQueries(ScalarLine):
+    """A line that counts its values and slopes together."""
+
+    def __init__(self, h, dh):
+        super().__init__(h, dh)
+        self.queries = 0
+
+    def value(self, v):
+        self.queries += 1
+        return super().value(v)
+
+    def slope(self, v):
+        self.queries += 1
+        return super().slope(v)
+
+
+@pytest.mark.parametrize("v0", [1e-3, 1.0, 1e6, math.nan])
+@pytest.mark.parametrize("c", [1.0, 1e-3])
+def test_negative_slope_estimate_on_a_rising_line(c, v0):
+    # semiline-min's slope at 0 is the frame's estimate, always negative; on
+    # a line that rises from 0 (true slope c >= 0) phi never turns negative,
+    # so the bracket's low end stays at 0 and its high end shrinks to the
+    # least subnormal, the float floor: about 1000 queries, bounded here
+    def h(v):
+        return c * v + 0.5 * v * v
+
+    line = CountsQueries(h, lambda v: c + v)
+    v, hv = minimize_on_ray(line, v0, h0=0.0, s0=-1.0)
+    assert v <= math.ulp(0.0) and hv == h(v)  # c v above h0, below float resolution
+    assert line.queries <= 1100
+    line = CountsQueries(h, lambda v: c + v)
+    v, hv = semiline_search(line, Variant.SEMILINE_MIN, scale=v0, f_base=0.0, slope=-1.0,
+                            first=0)
+    assert v <= math.ulp(0.0) and hv <= 0.0
+    assert line.queries <= 1100
 
 
 def test_nonquadratic_convex():

@@ -93,9 +93,11 @@ def test_a_raising_step_is_charged_to_the_terminal_record():
 
 def test_lse_tight_shaped_phase_split():
     # log-sum-exp n = 10^4, eps 1e-8, semiline-min: values/gradients per solve
+    # (search gradients 41.25 -> 30.25 when semiline-min took the frame's
+    # slope estimate as the slope at its base)
     runs = [minimize(*generate_instance("logsumexp", 10_000, seed), SolverConfig(epsilon=1e-8))
             for seed in range(4)]
-    assert phase_totals(runs) == {"level": (22.25, 6), "search": (12, 41.25),
+    assert phase_totals(runs) == {"level": (22.25, 6), "search": (12, 30.25),
                                   "driver": (14, 11)}
 
 
