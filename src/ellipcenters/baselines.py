@@ -58,7 +58,8 @@ def _exact_step(counted, x, f, g, g_sumsq, v0: float):
     line = restrict(counted, x, d, f, g, turns=False)
     n_value, n_grad = counted.n_value, counted.n_grad
     v, f_next = minimize_on_ray(line, v0=v0 * s, h0=f, s0=-gg * s)
-    fields = {"t": v / s, "search_evals": (counted.n_value - n_value, counted.n_grad - n_grad)}
+    fields = {"t": v / s, "search_evals": (counted.n_value - n_value, counted.n_grad - n_grad),
+              "pointwise": line.pointwise}
     return x + v * d, f_next, line.gradient(v), fields
 
 
@@ -78,7 +79,7 @@ def bb_minimize(obj, x0, kind: str = "long", cfg: SolverConfig | None = None) ->
             tau = bb_step_size(x - prev[0], g - prev[1], kind)
             x_next = x - tau * g
             f_next, g_next = counted.value_and_gradient(x_next)
-            fields = {"t": tau}
+            fields = {"t": tau, "pointwise": True}
         prev = (x, g)
         return x_next, f_next, g_next, dict(fields, branch=branch)
 

@@ -18,6 +18,10 @@ among the queries at one t and takes a slope without forming the gradient.
 Any other objective gets the generic line over its own ``value`` and
 ``gradient``.  No other line holds f or g; a search is handed its base
 value and slope.
+A line is ``pointwise`` when its value and gradient at t are ``value(x +
+t d)`` and ``gradient(x + t d)`` bit for bit: the generic and log-sum-exp
+lines are, a quadratic's (its gradient g0 + t Ad drifts) and a line
+without the attribute are not.
 A log-sum-exp point and line share one exponent rule, alpha (u u), one
 weighing, one value and one gradient, so a line's value and gradient at
 t = 0 are the pointwise ones bit for bit.
@@ -34,7 +38,10 @@ turns)`` would.
 ``CountingObjective`` counts every query an objective answers, pointwise or
 along a line.  Along any line a query costs what the generic line would
 take, so a count measures the oracle queries the search made, not the line
-that answered them.
+that answered them, save at convergence: the descent loop takes f and g at
+x again after a step on a line that is not pointwise, so a run that ends on
+a quadratic's own line takes one value and one gradient more than on the
+generic line.
 """
 from __future__ import annotations
 
@@ -258,6 +265,7 @@ class QuadraticLine:
     """
 
     __slots__ = ("f0", "gd", "dad", "g0", "ad", "a2d")
+    pointwise = False  # g0 + t Ad drifts from the product A(x + t d) - b by rounding
 
     def __init__(self, f0: float, g0: np.ndarray, d: np.ndarray, ad: np.ndarray,
                  a2d: np.ndarray | None):
@@ -305,14 +313,15 @@ class LogSumExpLine:
     gradient at that t reuses them.  The weighing, the value and the
     gradient run the pointwise ones' code, so the line's value and gradient
     at t are ``value(x + t d)`` and ``gradient(x + t d)`` bit for bit, and
-    at t = 0 ``value(x)`` and ``gradient(x)``.  A slope needs no gradient
-    vector: 2 (sum w alpha d u / sum w + sum beta d u), its own sum, which
-    agrees with ``gradient . d`` to rounding.  A turn hands the buffers on;
-    queried again, this line takes new ones.
+    at t = 0 ``value(x)`` and ``gradient(x)``: the line is ``pointwise``.
+    A slope needs no gradient vector: 2 (sum w alpha d u / sum w + sum
+    beta d u), its own sum, which agrees with ``gradient . d`` to rounding.
+    A turn hands the buffers on; queried again, this line takes new ones.
     """
 
     __slots__ = ("alpha", "beta", "x", "d", "ad", "bd",
                  "_t", "_u", "_w", "_tmp", "_shift", "_sw", "_bu")
+    pointwise = True
 
     def __init__(self, alpha, beta, x, d, buffers=(None, None, None)):
         self.alpha, self.beta = alpha, beta
@@ -369,6 +378,7 @@ class RayLine:
     """
 
     __slots__ = ("obj", "x", "d", "_t", "_g")
+    pointwise = True
 
     def __init__(self, obj, x: np.ndarray, d: np.ndarray):
         self.obj = obj
@@ -447,11 +457,12 @@ class _CountedLine:
     every other query costs one evaluation.
     """
 
-    __slots__ = ("counter", "line", "_gt")
+    __slots__ = ("counter", "line", "_gt", "pointwise")
 
     def __init__(self, counter: CountingObjective, line):
         self.counter = counter
         self.line = line
+        self.pointwise = getattr(line, "pointwise", False)  # the inner line's word
         self._gt = None  # t of the last slope or gradient
 
     def value(self, t: float) -> float:

@@ -74,7 +74,8 @@ class IterateRecord:
     ``sin_theta`` the frame's, "" or NaN where none ran.  The ``*_evals``
     (values, gradients) split the run's counts into the level step's, the
     search's (semiline or exact ray) and the driver's, the rest: the start
-    point's pair and what a step that raised took (on the terminal record).
+    point's pair, and on the terminal record the pair at x_final where the
+    last step's was not pointwise and what a step that raised took.
     """
 
     x: np.ndarray
@@ -216,7 +217,9 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
         a, b = center_direction(frame)
     except DegeneratePlaneError:
         f_base = line.value(0.5 * u)
-        fields.update(v=_NAN, branch="midpoint", f_mid=f_base, lam=_NAN)
+        # the line's point at u/2 is x + (g / -s)(u / 2), base's bits only where s = 1
+        fields.update(v=_NAN, branch="midpoint", f_mid=f_base, lam=_NAN,
+                      pointwise=line.pointwise and s == 1.0)
         return base, f_base, line.gradient(0.5 * u), fields
     d = _axpy(a, g, b * grad_y)
     # the level line runs along -g / s with grad f(y) = g + u A(-g / s) on a
@@ -232,7 +235,8 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base, slope=slope,
                              first=first)
     fields.update(v=v, branch="ellipse", f_mid=f_base, lam=frame.lam, sin_theta=frame.sin_theta,
-                  search_evals=(obj.n_value - n_value, obj.n_grad - n_grad))
+                  search_evals=(obj.n_value - n_value, obj.n_grad - n_grad),
+                  pointwise=line.pointwise)
     x_next = base if v == 0.0 else _axpy(v, d, base)
     return x_next, f_v, line.gradient(v), fields
 
@@ -245,14 +249,16 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     fields)``; ``counted`` is the counting view of obj that the step must
     query, ``g_sumsq`` is ``scaled_sumsq(g)``, which the loop takes for the
     norm, and ``fields`` are the step's ``IterateRecord`` fields besides x,
-    f and grad_norm.  The loop itself evaluates the start point, and x again
-    where a step's gradient meets epsilon: CONVERGED is judged on f and g
-    taken at x, and a pair that misses epsilon goes on as the step's.  The
-    stopping test runs before each step, so a start point that already
-    satisfies it reports zero iterations.  Numeric failures, at the start
-    point too, end the run with the partial trace instead of raising.  A
-    record's ``driver_evals`` are what the counter took since the last
-    record less its step's level and search counts.
+    f and grad_norm, plus ``pointwise`` (popped; False when absent): f_next
+    and g_next are f and g at x_next bit for bit.  The loop itself evaluates
+    the start point, and x again where a step's gradient meets epsilon and
+    its pair is not pointwise: CONVERGED is judged on f and g at x, and a
+    pair that misses epsilon goes on as the step's.  The stopping test runs
+    before each step, so a start point that already satisfies it reports
+    zero iterations.  Numeric failures, at the start point too, end the run
+    with the partial trace instead of raising.  A record's ``driver_evals``
+    are what the counter took since the last record less its step's level
+    and search counts.
     """
     counted = CountingObjective(obj)
     x = np.asarray(x0, dtype=float).copy()
@@ -264,6 +270,7 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     message = ""
     nv = ng = 0  # the counter's values and gradients at the last record
     query = True  # take f and g at x, not as the last step carried them
+    pointwise = True  # f and g are the pair at x bit for bit
     try:
         while True:
             if query:
@@ -282,8 +289,8 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
                 termination = Termination.NUMERIC_ERROR
                 break
             if gnorm <= cfg.epsilon:
-                if not query:  # a gradient carried along lines may have drifted
-                    query = True
+                if not pointwise:  # a gradient carried along a drifting line
+                    query = pointwise = True
                     continue
                 termination = Termination.CONVERGED
                 break
@@ -291,6 +298,7 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
                 termination = Termination.MAX_ITERATIONS
                 break
             x_next, f_next, g_next, fields = step(counted, x, f, g, g_sumsq)
+            pointwise = fields.pop("pointwise", False)
             rec = IterateRecord(x=x, f=f, grad_norm=gnorm, **fields)
             (lv, lg), (sv, sg) = rec.level_evals, rec.search_evals
             rec.driver_evals = (counted.n_value - nv - lv - sv, counted.n_grad - ng - lg - sg)

@@ -157,14 +157,15 @@ class BaseRefusingObjective:
                 return getattr(line, query)(t)
             return ask
 
-        return SimpleNamespace(**{q: refuse(q) for q in ("value", "slope", "gradient")})
+        return SimpleNamespace(**{q: refuse(q) for q in ("value", "slope", "gradient")},
+                               pointwise=line.pointwise)
 
 
 class TestLineGradients:
     # the exact step's line hands back the gradient at the new point, so a
     # gd iteration on a quadratic takes one product, A grad f(x), besides
     # the one product Ax at the start point and the one at x_final, where
-    # the stopping test takes f and g afresh
+    # the stopping test takes f and g afresh from the line's drifting pair
     def test_gd_takes_one_product_per_iteration(self, count_products):
         p, x0 = generate_instance("quadratic", 30, 1, GenParams(kappa=10))
         matrix = count_products(p)
@@ -178,9 +179,11 @@ class TestLineGradients:
         matrix = count_products(p)
         run = bb_minimize(p, x0, kind, SolverConfig(epsilon=1e-6))
         assert run.termination is Termination.CONVERGED
-        # the start point, x_final and each spectral step take one product
-        # Ax, and the exact first step one, A grad f(x)
-        assert matrix.products == 2 + 1 + (run.iterations - 1)
+        # the start point and each spectral step take one product Ax, and
+        # the exact first step one, A grad f(x); x_final takes none, as the
+        # last spectral step's pair is pointwise (2 + 1 + (iterations - 1)
+        # before the stopping test kept it)
+        assert matrix.products == 1 + 1 + (run.iterations - 1)
 
     @pytest.mark.parametrize("method", ["gd", "bb-long", "bb-short"])
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])

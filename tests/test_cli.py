@@ -64,7 +64,7 @@ def test_solve_summary_splits_the_evaluations_by_phase(capsys, method):
     assert sum(branches.values()) == int(totals["iterations"])
     if method == "me":
         assert sum(paths.values()) == int(totals["iterations"])
-        assert phases == ("level_evals=12/0 search_evals=3/13 driver_evals=5/5 "
+        assert phases == ("level_evals=12/0 search_evals=3/13 driver_evals=4/4 "
                           "ellipse=3 value_path=3")
     else:
         assert list(branches) == [method] and not paths
@@ -151,12 +151,14 @@ def test_bench_markdown_format(capsys):
 # sha256 of the files these commands write, pinned so that a change to the
 # CSV dialect, the number formats or the rows shows (the trace re-pinned
 # when the stopping test took f and g at x_final: its final row's driver
-# counts went from 0,0 to 1,1, and again when semiline-min took the frame's
+# counts went from 0,0 to 1,1, again when semiline-min took the frame's
 # slope estimate as the slope at its base: its v, grad_norm and search
-# gradient columns moved)
+# gradient columns moved, and again when the stopping test kept the
+# log-sum-exp line's pointwise pair: the final row's driver counts went
+# back to 0,0)
 WRITTEN_FILES = {
     "solve-trace": (["solve", "--problem", "f2", "--n", "20", "--seed", "0", "--trace"],
-                    "fee6889fe7727eeda1b516aff2e3fb5d4e819d5df9c18b57fb071703080316c5"),
+                    "219d5d514b9e813e20783a549c2bf03a66f991671d62ab2f857e579597f5b244"),
     "verify-geometry": (["verify-geometry", "--samples", "50", "--seed", "1", "--out"],
                         "ab71590ec5e268aee0e2950ca7aeffeb7171a306c5b3bb56f74b2190110e4473"),
 }

@@ -1,15 +1,16 @@
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import NaNGradientAfter, Toy, ValueAndGradientOnly, level_step
+from conftest import Logistic, NaNGradientAfter, Toy, ValueAndGradientOnly, level_step
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
                           find_level_step, generate_instance, me_step, minimize,
-                          objectives, run_method, semiline_search, solver)
+                          baselines, objectives, run_method, semiline_search, solver)
 from ellipcenters.geometry import build_frame, center_direction, scaled_sumsq
 from ellipcenters.objectives import QuadraticLine, restrict
 
@@ -86,10 +87,12 @@ class TestMeStep:
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("kind,n_value,n_grad", [
-        ("quadratic", 4, 4), ("logsumexp", 9, 4)])
+        ("quadratic", 4, 4), ("logsumexp", 8, 3)])
     def test_midpoint_run_counts(self, kind, n_value, n_grad, variant):
         # the midpoint's gradient costs one evaluation, as a pointwise one did,
-        # and the stopping test one value and one gradient at x_final
+        # and the stopping test one value and one gradient at x_final where
+        # the midpoint's pair drifts (log-sum-exp 9/4 -> 8/3 when the
+        # stopping test kept its line's pointwise pair)
         p, x = self._axis_start(kind)
         run = minimize(p, x, SolverConfig(epsilon=1e-8, variant=variant))
         assert [r.branch for r in run.iterates] == ["midpoint", "final"]
@@ -249,20 +252,26 @@ class TestFastPathMatchesGeneric:
         assert_same_run(minimize(p, x0, cfg), minimize(ValueAndGradientOnly(p), x0, cfg))
 
     # every line is charged what the generic line would take, so a run
-    # through the quadratic's own line counts what the generic run counts;
-    # not at kappa = 1000 or at a tight eps, where the two lines' arithmetic
+    # through the quadratic's own line counts what the generic run counts,
+    # plus the pair at x that the loop takes where ME and gd converge on the
+    # quadratic line's drifting gradient (BB's last pair is pointwise); not
+    # at kappa = 1000 or at a tight eps, where the two lines' arithmetic
     # lets the searches take different numbers of steps
     @pytest.mark.parametrize("method,variant", [
         ("me", Variant.SEMILINE_MIN), ("me", Variant.DECREASE_SEARCH),
         ("bb-long", None), ("bb-short", None), ("gd", None)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_quadratic_counts(self, method, variant, seed):
+        requery = 0 if method.startswith("bb") else 1
         p, x0 = generate_instance("quadratic", 100, seed, GenParams(kappa=10.0))
         kwargs = {} if variant is None else {"variant": variant}
         fast, generic = (run_method(method, obj, x0, SolverConfig(epsilon=0.01, **kwargs))
                          for obj in (p, ValueAndGradientOnly(p)))
         assert (fast.iterations, fast.n_value_evals, fast.n_grad_evals) == (
-            generic.iterations, generic.n_value_evals, generic.n_grad_evals)
+            generic.iterations, generic.n_value_evals + requery, generic.n_grad_evals + requery)
+        assert fast.iterates[-1].driver_evals == tuple(
+            n + requery for n in generic.iterates[-1].driver_evals)
+        assert_same_run(fast, generic)
 
     # the log-sum-exp line computes what the generic line does, so the
     # counts must match too
@@ -502,11 +511,12 @@ class TestPinnedBaselineRuns:
     # on the instance TestPinnedLogSumExpRuns pins; the exact steps solve
     # for a zero slope, which stays accurate below f's rounding floor, so gd
     # reaches eps = 1e-8 too; their slope at x comes from the gradient the
-    # loop already holds
+    # loop already holds; values and gradients 20/24, 19/23 and 26/60 ->
+    # 19/23, 18/22 and 25/59 when the stopping test kept a pointwise pair
     @pytest.mark.parametrize("method,iterations,n_value,n_grad,termination", [
-        ("bb-long", 18, 20, 24, Termination.CONVERGED),
-        ("bb-short", 17, 19, 23, Termination.CONVERGED),
-        ("gd", 24, 26, 60, Termination.CONVERGED),
+        ("bb-long", 18, 19, 23, Termination.CONVERGED),
+        ("bb-short", 17, 18, 22, Termination.CONVERGED),
+        ("gd", 24, 25, 59, Termination.CONVERGED),
     ])
     def test_counts_and_final_value(self, method, iterations, n_value, n_grad,
                                     termination):
@@ -547,11 +557,15 @@ class TestPinnedFastLineRuns:
     # CONVERGED was judged on f and g taken at x_final, which moved no iterate;
     # the semiline-min pins re-recorded when its search took the frame's
     # slope estimate as the slope at its base (gradients 59 -> 47 and
-    # 784 -> 597), which moved the quadratic f_final but no iteration count
+    # 784 -> 597), which moved the quadratic f_final but no iteration count;
+    # the log-sum-exp and BB counts fell back by one value and one gradient
+    # when the stopping test kept a pointwise line's or BB's pair (46/47 ->
+    # 45/46, 60/32 -> 59/31, 113/114 -> 112/113, 99/100 -> 98/99), which
+    # moved no iterate and no f_final
     LSE = [
-        ("me", Variant.SEMILINE_MIN, 11, 46, 47, "0x1.ba18a998fffa0p+2",
+        ("me", Variant.SEMILINE_MIN, 11, 45, 46, "0x1.ba18a998fffa0p+2",
          "6cd48a70a39d350356e2d3c3ddd5e21bbd78d1471ca5ef403d7f86f7c2485c4d"),
-        ("me", Variant.DECREASE_SEARCH, 13, 60, 32, "0x1.ba18a998fffa0p+2",
+        ("me", Variant.DECREASE_SEARCH, 13, 59, 31, "0x1.ba18a998fffa0p+2",
          "ef9ba991015c819a45d7f3b8d6ea8237ebe22f502376c4c4638f4ad62a9135c5"),
     ]
     QUADRATIC = [
@@ -559,9 +573,9 @@ class TestPinnedFastLineRuns:
          "82aa2802171980898ce04b8e5bf3a6256b25f5c43f07d1030b4f2dbf22dacde4"),
         ("me", Variant.DECREASE_SEARCH, 189, 723, 427, "-0x1.3c6fc01a4160dp+4",
          "a168a9ae041fcbdeba7161c7f33fd4c54ae27597f9d341ba2b6eb1c405925d24"),
-        ("bb-long", None, 111, 113, 114, "-0x1.3c6fc01a41653p+4",
+        ("bb-long", None, 111, 112, 113, "-0x1.3c6fc01a41653p+4",
          "64bbe0f02a6802651961ef6668ca406f6f820935fbba5eb269d976510b692a77"),
-        ("bb-short", None, 97, 99, 100, "-0x1.3c6fc01a41633p+4",
+        ("bb-short", None, 97, 98, 99, "-0x1.3c6fc01a41633p+4",
          "38b4ccff6d5ced0531bc2b4faba6f061b1a2261cdf5203eac2474b2c8d055906"),
         ("gd", None, 699, 701, 1400, "-0x1.3c6fc01a41604p+4",
          "b1b430bced7a673205b1d22936515487ab54b765fb8322d646314d158397c38c"),
@@ -882,3 +896,144 @@ def test_nonfinite_start_point_rejected(method, bad):
     x0[2] = bad
     with pytest.raises(ValueError, match="initial point must be finite"):
         run_method(method, p, x0)
+
+
+METHODS = [("me", Variant.SEMILINE_MIN), ("me", Variant.DECREASE_SEARCH),
+           ("gd", None), ("bb-long", None), ("bb-short", None)]
+
+
+def _spied_run(monkeypatch, method, variant, obj, x0, epsilon):
+    """The run of ``method`` and, per step, (scale s of g_sumsq, x_next,
+    f_next, g_next, branch, whether the step says its pair is pointwise)."""
+    steps, descend = [], solver.descend
+
+    def spying(o, x, step, cfg):
+        def spied(counted, x, f, g, g_sumsq):
+            x_next, f_next, g_next, fields = step(counted, x, f, g, g_sumsq)
+            steps.append((g_sumsq[1], x_next.copy(), f_next, g_next.copy(), fields.get("branch"),
+                          fields.get("pointwise", False)))
+            return x_next, f_next, g_next, fields
+        return descend(o, x, spied, cfg)
+
+    monkeypatch.setattr(solver, "descend", spying)
+    monkeypatch.setattr(baselines, "descend", spying)
+    kwargs = {} if variant is None else {"variant": variant}
+    return run_method(method, obj, x0, SolverConfig(epsilon, **kwargs)), steps
+
+
+def _axis_logsumexp():
+    p, _ = generate_instance("logsumexp", 10, 3)
+    return p, np.eye(10)[0] * 1.5
+
+
+def _generic(problem_and_start):
+    """The problem behind the generic line, and its start."""
+    p, x0 = problem_and_start
+    return ValueAndGradientOnly(p), x0
+
+
+class TestPointwiseClaim:
+    # a step that says its pair is pointwise skips the pair at x before
+    # CONVERGED, so wherever it says so the pair must be value(x_next) and
+    # gradient(x_next) bit for bit, asked of the objective uncounted
+    CASES = {
+        "logsumexp-line": lambda: generate_instance("logsumexp", 50, 4),
+        "logsumexp-generic": lambda: _generic(generate_instance("logsumexp", 30, 2)),
+        "quadratic-generic": lambda: _generic(
+            generate_instance("quadratic", 30, 2, GenParams(kappa=100))),
+        "logistic-generic": lambda: (p := Logistic(60, 20, 1e-2, 0), p.x0),
+        # the midpoint branch, with |g|^2 finite (s = 1)
+        "midpoint-line": _axis_logsumexp,
+        "midpoint-generic": lambda: _generic(_axis_logsumexp()),
+        # |g|^2 overflows at the start (s != 1); ME takes ellipse steps there
+        "overflow-line": lambda: (LogSumExpProblem(np.ones(5), np.ones(5)),
+                                  2e153 * np.linspace(0.5, 1.5, 5)),
+    }
+
+    @pytest.mark.parametrize("method,variant", METHODS, ids=map(_pin_id, METHODS))
+    @pytest.mark.parametrize("case", [
+        pytest.param(case, marks=pytest.mark.filterwarnings("ignore:overflow"))
+        if case.startswith("overflow") else case for case in CASES])
+    def test_a_claimed_pair_is_the_pair_at_x(self, monkeypatch, case, method, variant):
+        obj, x0 = self.CASES[case]()
+        run, steps = _spied_run(monkeypatch, method, variant, obj, x0, 1e-6)
+        assert run.termination is Termination.CONVERGED
+        for s, x_next, f_next, g_next, branch, claimed in steps:
+            # every line here is pointwise; the midpoint's point is the level
+            # line's only where s = 1
+            assert claimed == (branch != "midpoint" or s == 1.0)
+            if claimed:
+                assert float(obj.value(x_next)).hex() == float(f_next).hex()
+                assert obj.gradient(x_next).tobytes() == g_next.tobytes()
+        # the terminal record's driver pair is the re-query, or nothing
+        assert run.iterates[-1].driver_evals == ((0, 0) if steps[-1][-1] else (1, 1))
+        first_s, *_, first_branch, _ = steps[0]
+        if case.startswith("midpoint") and method == "me":
+            assert first_branch == "midpoint"
+        if case == "overflow-line":
+            assert first_s != 1.0
+
+    @pytest.mark.parametrize("method,variant", METHODS, ids=map(_pin_id, METHODS))
+    def test_the_quadratic_line_gets_the_requery(self, monkeypatch, method, variant):
+        # its gradient g0 + t Ad drifts, so only BB's spectral steps, whose
+        # pair is pointwise, skip the pair at x
+        p, x0 = generate_instance("quadratic", 30, 2, GenParams(kappa=100))
+        run, steps = _spied_run(monkeypatch, method, variant, p, x0, 1e-6)
+        assert run.termination is Termination.CONVERGED
+        assert [claimed for *_, claimed in steps] == [
+            i > 0 and method.startswith("bb") for i in range(len(steps))]
+        requery = (0, 0) if method.startswith("bb") else (1, 1)
+        assert run.iterates[-1].driver_evals == requery
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_midpoint_does_not_claim_where_the_bits_differ(self):
+        # f = 0.5 L |x|^2, L = 1e300, from 1e-131 (3, 4): g is collinear with
+        # the chord, so the step takes the midpoint; |g|^2 overflows, and the
+        # level line's point x + (g / -s)(u / 2) is not base = x - (t / 2) g
+        toy = Toy(lambda x: 0.5e300 * float(x @ x), lambda x: 1e300 * x)
+        x = 1e-131 * np.array([3.0, 4.0])
+        g = toy.gradient(x)
+        x_next, f_next, g_next, fields = me_step(
+            objectives.CountingObjective(toy), x, toy.value(x), g, scaled_sumsq(g),
+            Variant.SEMILINE_MIN, math.nan, 0)
+        assert fields["branch"] == "midpoint" and scaled_sumsq(g)[1] != 1.0
+        assert fields["pointwise"] is False
+        assert (toy.value(x_next), list(toy.gradient(x_next))) != (f_next, list(g_next))
+
+    def test_a_step_that_says_nothing_gets_the_requery(self):
+        # the same pointwise steps, said and unsaid: only the unsaid run
+        # takes the pair at x_final again
+        p = QuadraticProblem(np.eye(2), np.zeros(2))
+
+        def halve(says):
+            def step(counted, x, f, g, g_sumsq):
+                x_next = 0.5 * x
+                return (x_next, *counted.value_and_gradient(x_next), dict(says))
+            return step
+
+        said, unsaid = (solver.descend(p, np.ones(2), halve(says), SolverConfig(epsilon=0.1))
+                        for says in ({"pointwise": True}, {}))
+        assert said.iterations == unsaid.iterations == 4
+        assert np.array_equal(said.x_final, unsaid.x_final)
+        assert said.iterates[-1].driver_evals == (0, 0)
+        assert unsaid.iterates[-1].driver_evals == (1, 1)
+
+    def test_a_line_that_says_nothing_drifts(self):
+        # a user's own along whose lines carry no pointwise attribute
+        p, x0 = generate_instance("logsumexp", 30, 2)
+
+        class SilentLines:
+            dimension = p.dimension
+            value, gradient = p.value, p.gradient
+
+            def along(self, x, d, f, g, turns):
+                line = p.along(x, d, f, g, turns)
+                return SimpleNamespace(value=line.value, slope=line.slope,
+                                       gradient=line.gradient)
+
+        cfg = SolverConfig(epsilon=1e-6)
+        silent, own = (run_method("gd", obj, x0, cfg) for obj in (SilentLines(), p))
+        assert silent.iterations == own.iterations
+        assert np.array_equal(silent.x_final, own.x_final)
+        assert own.iterates[-1].driver_evals == (0, 0)
+        assert silent.iterates[-1].driver_evals == (1, 1)
