@@ -20,7 +20,7 @@ from .objectives import (GenParams, LogSumExpProblem, QuadraticProblem,
                          check_gradient, generate_instance, load_problem,
                          problem_from_dict, problem_to_dict, save_problem)
 from .solver import (IterateRecord, SolverConfig, SolverRun, Termination,
-                     Variant, me_step, minimize, semiline_search)
+                     Variant, me_step, minimize, run_scale, semiline_search)
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,5 @@ __all__ = [
     "find_level_step", "fit_conic", "gd_exact_minimize", "generate_instance",
     "load_problem", "me_step", "minimize", "minimize_on_ray",
     "problem_from_dict", "problem_to_dict", "run_benchmark", "run_method",
-    "save_problem", "semiline_search", "survey_geometry",
+    "run_scale", "save_problem", "semiline_search", "survey_geometry",
 ]

@@ -18,12 +18,15 @@ from .linesearch import minimize_on_ray
 from .objectives import restrict
 from .solver import SolverConfig, SolverRun, descend
 
-_STEP_CAP = 1e12  # convert pathological rounding into a clean numeric error
+_STEP_CAP = 1e12  # |tau g| / |s| past which rounding is pathological: a clean numeric error
 
 
 def bb_step_size(s, g_diff, kind: str = "long") -> float:
     """Spectral step from the displacement s and gradient change g_diff;
-    products that overflow are taken over s and g_diff / their max |entry|."""
+    products that overflow are taken over s and g_diff / their max |entry|,
+    and a step that is not finite raises NumericError.  The caller caps the
+    step's length |tau g| at ``_STEP_CAP`` |s|: both are lengths in x, so
+    the cap does not move with the scale of f."""
     s = np.asarray(s, dtype=float)
     g_diff = np.asarray(g_diff, dtype=float)
     ss, a = scaled_sumsq(s)
@@ -39,7 +42,7 @@ def bb_step_size(s, g_diff, kind: str = "long") -> float:
         tau = sg / yy * (a / b) if yy > 0.0 else math.inf
     else:
         raise ValueError(f"unknown step kind {kind!r}")
-    if not np.isfinite(tau) or tau > _STEP_CAP:
+    if not math.isfinite(tau):
         raise NumericError("spectral step size blew past the cap")
     return tau
 
@@ -76,7 +79,11 @@ def bb_minimize(obj, x0, kind: str = "long", cfg: SolverConfig | None = None) ->
         if prev is None:
             x_next, f_next, g_next, fields = _exact_step(counted, x, f, g, g_sumsq, math.nan)
         else:
-            tau = bb_step_size(x - prev[0], g - prev[1], kind)
+            s = x - prev[0]
+            tau = bb_step_size(s, g - prev[1], kind)
+            (gg, sg), (ss, a) = g_sumsq, scaled_sumsq(s)
+            if not tau * math.sqrt(gg) * sg <= _STEP_CAP * math.sqrt(ss) * a:  # |tau g| <= cap |s|
+                raise NumericError("spectral step size blew past the cap")
             x_next = x - tau * g
             f_next, g_next = counted.value_and_gradient(x_next)
             fields = {"t": tau, "pointwise": True}

@@ -25,6 +25,7 @@ from .linesearch import minimize_on_ray
 from .objectives import CountingObjective, _is_count, restrict
 
 _NAN = float("nan")
+_FLOAT_MAX = float(np.finfo(float).max)
 # decrease-search halves v at most this often, down to 2^-59 of its first
 # sample; the cap is this rule's own, equal to the root finder's only in value
 _MAX_HALVINGS = 60
@@ -139,10 +140,9 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
 
     decrease-search returns the first of the samples v_k = scale 2^-k,
     k = 0, 1, ..., below f_base, or (0, f_base) without one.  It samples no
-    k >= ``_MAX_HALVINGS`` and no v_k |slope| within the level step's noise
-    floor 32 eps (1 + |f_base|).  That is at least 32 times f's own rounding
-    eps |f_base|, so the search also drops decreases that f shows (a floor
-    from a noise scale of f itself would keep them).  ``first`` is the last
+    k >= ``_MAX_HALVINGS`` and no v_k |slope| within 32 eps |f_base|, the
+    level step's noise floor taken at f_base alone: 32 times f's own
+    rounding there, and like it scaled with f.  ``first`` is the last
     search's k: the search starts at k = max(first - 1, 0), or at the last k
     it may sample, and steps back while the sample at k - 1 is below f_base
     too, or on until a sample is.  On a convex f, whose samples below f_base are
@@ -157,7 +157,7 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
     if variant is not Variant.DECREASE_SEARCH:
         raise ValueError(f"variant must be a Variant member, not {variant!r}")
     s = abs(slope)
-    floor = NOISE_FLOOR * (1.0 + abs(f_base))
+    floor = NOISE_FLOOR * abs(f_base)
     if scale * s <= floor:
         return 0.0, f_base
     v, k = scale, 0
@@ -185,16 +185,18 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, first: int):
+def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, first: int,
+            scale: float):
     """One ellipse-center step from x, in ``descend``'s step protocol.
 
     ``obj`` is the counted view (a ``CountingObjective``), ``f_x`` and ``g``
     the value and gradient at x, ``g_sumsq`` is ``scaled_sumsq(g)``,
     ``variant`` picks the point on the semiline of centers, ``t_init`` seeds
-    the level step's bracket, and ``first`` is where decrease-search starts
-    (see ``semiline_search``).  Returns ``(x_next, f_next, g_next, fields)``:
-    the value and gradient at x_next, and the step's ``IterateRecord``
-    fields, all but x, f, grad_norm and the driver's counts.
+    the level step's bracket, ``first`` is where decrease-search starts
+    (see ``semiline_search``) and ``scale`` is the level step's run scale
+    (``run_scale``).  Returns ``(x_next, f_next, g_next, fields)``: the
+    value and gradient at x_next, and the step's ``IterateRecord`` fields,
+    all but x, f, grad_norm and the driver's counts.
 
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
@@ -203,12 +205,13 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     n_value, n_grad = obj.n_value, obj.n_grad
     gg, s = g_sumsq
     # the level line, along -g / s so that its slopes stay finite; the step turns off it
-    line = restrict(obj, x, g / -s, f_x, g, turns=True)
-    u, r = find_level_step(line, t_init * s, h0=f_x, s0=-gg * s)  # u = t s along -g / s
+    down = g / -s
+    line = restrict(obj, x, down, f_x, g, turns=True)
+    u, r = find_level_step(line, t_init * s, h0=f_x, s0=-gg * s, scale=scale)  # u = t s
     t = u / s
     fields = {"t": t, "level_path": "slope" if math.isnan(r) else "value", "level_residual": r,
               "level_evals": (obj.n_value - n_value, obj.n_grad - n_grad)}
-    base = _axpy(-0.5 * t, g, x)  # the level line's point at u/2
+    base = _axpy(0.5 * u, down, x)  # the level line's point at u/2
     if np.logical_and.reduce(base == x):  # ndarray.all runs a Python helper
         raise NumericError("the level step collapsed onto x below float resolution")
     grad_y = line.gradient(u)
@@ -217,9 +220,8 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
         a, b = center_direction(frame)
     except DegeneratePlaneError:
         f_base = line.value(0.5 * u)
-        # the line's point at u/2 is x + (g / -s)(u / 2), base's bits only where s = 1
         fields.update(v=_NAN, branch="midpoint", f_mid=f_base, lam=_NAN,
-                      pointwise=line.pointwise and s == 1.0)
+                      pointwise=line.pointwise)
         return base, f_base, line.gradient(0.5 * u), fields
     d = _axpy(a, g, b * grad_y)
     # the level line runs along -g / s with grad f(y) = g + u A(-g / s) on a
@@ -314,15 +316,26 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
     return SolverRun(records, termination, counted.n_value, counted.n_grad, message)
 
 
+def run_scale(x, f: float, g_sumsq) -> float:
+    """max(|f|, |g| |x|), a size of f at x that moves with f -> a f and is
+    positive where f = 0 but g and x are not; ``g_sumsq`` is
+    ``scaled_sumsq(g)``, and a product that overflows reads the largest float."""
+    gg, sg = g_sumsq
+    xx, sx = scaled_sumsq(x)
+    return max(abs(f), min(math.sqrt(gg) * math.sqrt(xx) * sg * sx, _FLOAT_MAX))
+
+
 def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:
     """Run the ellipse-center iteration from x0 until |grad f| <= epsilon."""
     cfg = cfg or SolverConfig()
-    warm_t, first = _NAN, 0
+    warm_t, first, scale = _NAN, 0, None
 
     def step(counted, x, f, g, g_sumsq):
-        nonlocal warm_t, first
+        nonlocal warm_t, first, scale
+        if scale is None:  # fixed at x0 for the run
+            scale = run_scale(x, f, g_sumsq)
         x_next, f_next, g_next, fields = me_step(counted, x, f, g, g_sumsq, cfg.variant,
-                                                 warm_t, first)
+                                                 warm_t, first, scale)
         warm_t, v = fields["t"], fields["v"]
         # decrease-search's v is lam 2^-k, and a step without a sampled
         # decrease keeps the last k (semiline-min ignores first)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellipcenters import find_level_step
+from ellipcenters import find_level_step, run_scale
 from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.objectives import restrict
 
@@ -83,10 +83,11 @@ def count_products():
 def level_step(obj, x, f, g, t_init):
     """``find_level_step`` on the line ``me_step`` builds: from x along -g / s,
     with (|g / s|^2, s) = ``scaled_sumsq(g)``, from the value ``f`` and
-    gradient ``g`` at x.  Returns (t along -g / s, residual, the line)."""
+    gradient ``g`` at x, under the run scale of a run started at x.
+    Returns (t along -g / s, residual, the line)."""
     gg, s = scaled_sumsq(g)
     line = restrict(obj, x, g / -s, f, g, turns=True)
-    t, r = find_level_step(line, t_init, h0=f, s0=-gg * s)
+    t, r = find_level_step(line, t_init, h0=f, s0=-gg * s, scale=run_scale(x, f, (gg, s)))
     return t, r, line
 
 

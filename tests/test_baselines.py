@@ -46,6 +46,19 @@ class TestBBStepSize:
 
 
 class TestBBMinimize:
+    @pytest.mark.parametrize("kind", ["long", "short"])
+    def test_the_step_cap_does_not_move_with_the_scale_of_f(self, kind):
+        # on 2^-40 f every tau is 2^40 times longer and every gradient 2^40
+        # times shorter; capped on tau, bb-long ended "spectral step size
+        # blew past the cap" after 163 iterations and bb-short after 36
+        p, x0 = generate_instance("quadratic", 30, 0, GenParams(kappa=100.0))
+        scaled = QuadraticProblem(2.0**-40 * p.a, 2.0**-40 * p.b)
+        run = bb_minimize(p, x0, kind, SolverConfig(epsilon=1e-8))
+        moved = bb_minimize(scaled, x0, kind, SolverConfig(epsilon=2.0**-40 * 1e-8))
+        assert run.termination is moved.termination is Termination.CONVERGED
+        assert moved.iterations == run.iterations
+        assert np.array_equal(moved.x_final, run.x_final)
+
     def test_identity_quadratic_one_iteration(self):
         # the exact first line search already lands on the minimizer
         p = QuadraticProblem(np.eye(4), np.array([1.0, -2.0, 0.5, 3.0]))

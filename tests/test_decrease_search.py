@@ -1,6 +1,6 @@
 """decrease-search against the scan it answers: the samples v = scale 2^-k,
 k = 0, 1, ..., taken in order until one beats f_base, down to the level
-step's noise floor and at most 60 of them.  The search starts next to the
+step's noise floor 32 eps |f_base| and at most 60 of them.  The search starts next to the
 last search's answer, so it must return the scan's point from any start
 on a convex line, and take fewer samples than the scan on the protocol's
 runs, where the answer is rarely k = 0.  Hypothesis is a test-only
@@ -22,7 +22,7 @@ EPS = float(np.finfo(float).eps)
 
 def reference_scan(line, scale, f_base, slope):
     """The first sample below f_base, in order from v = scale."""
-    floor = 32.0 * EPS * (1.0 + abs(f_base))
+    floor = 32.0 * EPS * abs(f_base)
     v = scale
     for _ in range(60):
         if v * abs(slope) <= floor:
@@ -71,7 +71,7 @@ def test_every_start_returns_the_scans_point(kind, n, seed, scale_exp, ascent, r
     scale = 10.0**scale_exp
     slope = line.slope(0.0)
     if room is not None:
-        slope = 1.5 * 2.0**room * 32.0 * EPS * (1.0 + abs(f_base)) / scale
+        slope = 1.5 * 2.0**room * 32.0 * EPS * abs(f_base) / scale
     expected = reference_scan(line, scale, f_base, slope)
     if ascent:
         assert expected == (0.0, f_base)
@@ -82,7 +82,7 @@ def test_every_start_returns_the_scans_point(kind, n, seed, scale_exp, ascent, r
 
 
 class Spiky:
-    """A line below f_base = 0 only at the samples ``below``: not convex."""
+    """A line below f_base = 1 only at the samples ``below``: not convex."""
 
     def __init__(self, below):
         self.below = below
@@ -95,7 +95,7 @@ HALF, THIRTY_SECOND = 0.5, 1.0 / 32.0
 
 
 @pytest.mark.parametrize("below,slope,first,v,samples", [
-    # the floor 32 eps = 2^-47 allows k = 0..46, so a later start is clamped to 46
+    # the floor 32 eps |f_base| = 2^-47 allows k = 0..46, so a later start is clamped to 46
     ((HALF, THIRTY_SECOND), -1.0, 0, HALF, 2),
     ((HALF, THIRTY_SECOND), -1.0, 1, HALF, 2),
     ((HALF, THIRTY_SECOND), -1.0, 2, HALF, 2),
@@ -113,9 +113,9 @@ HALF, THIRTY_SECOND = 0.5, 1.0 / 32.0
 def test_a_non_convex_line_gets_a_sample_whose_predecessor_fails(below, slope, first, v,
                                                                 samples):
     log = SampleLog(Spiky(below))
-    got = semiline_search(log, Variant.DECREASE_SEARCH, scale=1.0, f_base=0.0,
+    got = semiline_search(log, Variant.DECREASE_SEARCH, scale=1.0, f_base=1.0,
                           slope=slope, first=first)
-    assert got == ((v, -1.0) if v else (0.0, 0.0))
+    assert got == ((v, -1.0) if v else (0.0, 1.0))
     assert log.n == samples
 
 

@@ -1,7 +1,9 @@
 """Invariance properties, which hold under any correct one-dimensional
 search up to rounding: the iterates move with an orthogonal change of
 variables and with a translation, and stay put when f and the stopping
-tolerance are scaled together.  Hypothesis is a test-only dependency.
+tolerance are scaled together.  Scaled by a power of two, which rounds
+nothing, they stay put bit for bit: every tolerance scales with f.
+Hypothesis is a test-only dependency.
 """
 import numpy as np
 import pytest
@@ -55,6 +57,8 @@ def test_translation(kind, seed, c_seed, scale):
 
 @settings
 @hypothesis.given(kind=kinds, seed=seeds, a=st.floats(1e-6, 1e6))
+# drifted 1.46e-6 while the level step's floors were 1 + |f| wide
+@hypothesis.example(kind="logsumexp", seed=26, a=1e-6)
 def test_scaling_f_with_epsilon(kind, seed, a):
     p, x0 = instance(kind, seed)
     moved = Transformed(p, a=a)
@@ -107,7 +111,9 @@ class ScaledLine:
         return self.owner.a * self.line.gradient(t)
 
     def turn(self, t, x, e, krylov):
-        return ScaledLine(self.owner, x, e, self.line.turn(t, x, e, krylov))
+        # e = alpha d + gamma (2^k A) d, so the inner line turns by (alpha, 2^k gamma)
+        alpha, gamma = krylov
+        return ScaledLine(self.owner, x, e, self.line.turn(t, x, e, (alpha, self.owner.a * gamma)))
 
 
 @pytest.mark.parametrize("own", [True, False], ids=["own-line", "generic-line"])
@@ -128,3 +134,33 @@ def test_first_bracket_is_scale_free(kind, method, own):
     assert not np.array_equal(reference, x0)
     for k in (-40, -20, -10, 10, 20, 40):
         assert np.array_equal(first_point(k), reference), k
+
+
+METHODS = [("me", "semiline-min"), ("me", "decrease-search"), ("gd", "semiline-min"),
+           ("bb-long", "semiline-min"), ("bb-short", "semiline-min")]
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(kind=kinds, seed=st.integers(0, 2**16), method=st.sampled_from(METHODS),
+                  own=st.booleans(), epsilon=st.sampled_from([1e-3, 1e-8]),
+                  k=st.integers(-40, 40))
+def test_scaling_f_by_a_power_of_two_keeps_every_bit(kind, seed, method, own, epsilon, k):
+    # f -> 2^k f with eps -> 2^k eps: every point queried, every iterate,
+    # count and termination, and every value times 2^k, bit for bit
+    p, x0 = instance(kind, seed)
+    name, variant = method
+
+    def run(k):
+        f = ScaledByPowerOfTwo(p, x0, k, own)
+        cfg = SolverConfig(epsilon=2.0**k * epsilon, max_iterations=500, variant=variant)
+        return f.points, run_method(name, f, x0, cfg)
+
+    (points, reference), (moved_points, moved) = run(0), run(k)
+    assert (moved.termination, moved.message) == (reference.termination, reference.message)
+    assert (moved.iterations, moved.n_value_evals, moved.n_grad_evals) == (
+        reference.iterations, reference.n_value_evals, reference.n_grad_evals)
+    assert len(moved_points) == len(points)
+    assert all(np.array_equal(a, b) for a, b in zip(points, moved_points))
+    for a, b in zip(reference.iterates, moved.iterates):
+        assert np.array_equal(a.x, b.x)
+        assert b.f == 2.0**k * a.f

@@ -7,7 +7,7 @@ from conftest import Toy, ValueAndGradientOnly, level_step
 from ellipcenters import (GenParams, LogSumExpProblem, NonCoerciveError,
                           QuadraticProblem, SolverConfig, StationaryPointError,
                           Variant, build_frame, generate_instance,
-                          me_step, minimize)
+                          me_step, minimize, run_scale)
 from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.levelstep import NOISE_FLOOR
 from ellipcenters.objectives import CountingObjective
@@ -202,9 +202,9 @@ def test_slope_root_where_the_gradient_square_overflows():
     # -g it stopped at the first slope that overflowed, t L = 1.0013
     toy = Toy(lambda x: 1e30 + 0.5e300 * float(x @ x), lambda x: 1e300 * x)
     x = 1e-145 * np.array([1.0, 2.0, 3.0])
-    g = toy.gradient(x)
-    _, _, _, fields = me_step(CountingObjective(toy), x, toy.value(x), g, scaled_sumsq(g),
-                              Variant.SEMILINE_MIN, 1e-300, 0)
+    f, g = toy.value(x), toy.gradient(x)
+    _, _, _, fields = me_step(CountingObjective(toy), x, f, g, scaled_sumsq(g),
+                              Variant.SEMILINE_MIN, 1e-300, 0, run_scale(x, f, scaled_sumsq(g)))
     assert fields["level_path"] == "slope"
     assert fields["t"] * 1e300 == pytest.approx(2.0, abs=1e-10)
     # the midpoint of that chord is the minimizer (6 iterations from t L = 1.0013)
@@ -213,12 +213,13 @@ def test_slope_root_where_the_gradient_square_overflows():
 
 def _deep_in_the_slope_regime(kind):
     """A family's instance and a point 1e-10 from its minimizer, where
-    t |g|^2 at t = 1 is below one noise floor of f."""
+    t |g|^2 at t = 1 is below one noise floor of f, 32 eps times the run
+    scale of a run started there."""
     p, _ = generate_instance(kind, 20, 3, GenParams(kappa=10))
     x_star = np.linalg.solve(p.a, p.b) if kind == "quadratic" else np.zeros(20)
     x = x_star + 1e-10 * np.random.default_rng(0).standard_normal(20)
     fx, g = p.value(x), p.gradient(x)
-    assert float(g @ g) <= NOISE_FLOOR * (1.0 + abs(fx))
+    assert float(g @ g) <= NOISE_FLOOR * run_scale(x, fx, scaled_sumsq(g))
     return p, x, fx, g
 
 
@@ -240,7 +241,7 @@ def test_warm_start_in_the_slope_regime_takes_no_value(kind, generic):
 
 
 @pytest.mark.parametrize("t_init", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("kind,values", [("quadratic", 57), ("logsumexp", 10)])
+@pytest.mark.parametrize("kind,values", [("quadratic", 58), ("logsumexp", 10)])
 def test_only_a_positive_finite_warm_start_skips_the_value_search(kind, values, t_init):
     # any other t_init seeds the value search at the first-bracket rule
     # 4 |f| / |g|^2, about 1e19 past the root here, and the slope path then

@@ -40,7 +40,7 @@ def test_both_searches_take_one_bare_line(c):
     # of h, so the level step takes its slope path and reads no residual
     line = ScalarLine(lambda v: 0.5 * (v - 1.0) ** 2 + c, lambda v: v - 1.0)
     h0, s0 = line.value(0.0), line.slope(0.0)
-    t, r = find_level_step(line, 1.0, h0=h0, s0=s0)
+    t, r = find_level_step(line, 1.0, h0=h0, s0=s0, scale=0.0)
     assert t == pytest.approx(2.0, rel=1e-9)
     assert math.isnan(r) == (c > 0.0)
     v, hv = minimize_on_ray(line, v0=math.nan, h0=h0, s0=s0)

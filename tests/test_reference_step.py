@@ -12,14 +12,15 @@ would be lost near collinear frames: at sin theta = 1e-6 every conic with a
 double m has its center within 1e-18 lam of the midpoint.  semiline-min
 solves the slope along that line for zero with brentq; decrease-search
 halves v from lam until f falls below f at the midpoint, and stays there
-once v |s| is within 32 eps (1 + |f|), s = ((g + grad f(y)) / 2) . d.
+once v |s| is within 32 eps |f|, s = ((g + grad f(y)) / 2) . d, with f the
+value at the midpoint.
 
 Measured on the grid below, |x_next - x_ref| / |x_next - x| was at most
-3.95e-8 (quadratic, decrease-search) and 9.9e-9 (quadratic, semiline-min),
-and at most 2.5e-9 on log-sum-exp.  The step's semiline search stops at a
-relative slope of 1e-8, and its level step within 1e-10 (1 + |f|) of the
-level; the bound, 4e-7, is forty semiline tolerances and ten times the
-worst case seen.
+4.2e-8 (quadratic, decrease-search) and 1.2e-8 (quadratic, semiline-min),
+and at most 5e-9 on log-sum-exp.  The step's semiline search stops at a
+relative slope of 1e-8, and its level step within 1e-10 |f| of the level,
+or within its noise floor where that is larger; the bound, 4e-7, is forty
+semiline tolerances and ten times the worst case seen.
 """
 import math
 
@@ -28,7 +29,7 @@ import pytest
 
 from ellipcenters import (GenParams, QuadraticProblem, SolverConfig, Variant,
                           conic_center, ellipse_bound, fit_conic, generate_instance,
-                          me_step, minimize)
+                          me_step, minimize, run_scale)
 from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.objectives import CountingObjective
 
@@ -77,7 +78,7 @@ def reference_step(p, x, variant):
         f_base, v = p.value(base), lam
         slope = 0.5 * float((g + grad_y) @ d)
         for _ in range(HALVINGS):
-            if v * abs(slope) <= 32.0 * EPS * (1.0 + abs(f_base)):
+            if v * abs(slope) <= 32.0 * EPS * abs(f_base):
                 v = 0.0
                 break
             if p.value(base + v * d) < f_base:
@@ -91,9 +92,9 @@ def reference_step(p, x, variant):
 def _gaps(p, x, variant):
     """|x_next - x_ref| and |x_next - x|; the same two for the moves along
     the semiline, each from its own midpoint; and the reference's sin theta."""
-    g = p.gradient(x)
-    x_next, _, _, fields = me_step(CountingObjective(p), x, p.value(x), g, scaled_sumsq(g),
-                                   variant, 1.0, 0)
+    f, g = p.value(x), p.gradient(x)
+    x_next, _, _, fields = me_step(CountingObjective(p), x, f, g, scaled_sumsq(g),
+                                   variant, 1.0, 0, run_scale(x, f, scaled_sumsq(g)))
     assert fields["branch"] == "ellipse"
     x_ref, base_ref, sin_theta = reference_step(p, x, variant)
     # the record's sin theta, from the frame's cosine, is the reference's
@@ -134,8 +135,8 @@ def test_step_matches_the_reference_near_collinear_frames(kappa, variant):
     # chord midpoint is then within 1e-7 of the minimizer, and the move
     # along the semiline, 5e-8 (kappa 10) or 5e-10 (kappa 1000) long, is
     # held to the bound on its own: measured at most 6.5e-8 of it.  At kappa
-    # 1000 its decrease, about 3e-16, is below the level step's noise
-    # floor, and decrease-search stays at the midpoint
+    # 1000 its decrease, about 3e-16, is far above the floor 32 eps |f| at
+    # the midpoint, where f is about 5e-4, so decrease-search moves too
     n, sin_theta = 30, 1e-6
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
     a = (q * np.geomspace(1.0, kappa, n)) @ q.T

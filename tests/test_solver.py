@@ -6,11 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import Logistic, NaNGradientAfter, Toy, ValueAndGradientOnly, level_step
+from conftest import (Logistic, NaNGradientAfter, Toy, Transformed, ValueAndGradientOnly,
+                      level_step)
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
                           QuadraticProblem, SolverConfig, Termination, Variant,
                           find_level_step, generate_instance, me_step, minimize,
-                          baselines, objectives, run_method, semiline_search, solver)
+                          baselines, objectives, run_method, run_scale, semiline_search,
+                          solver)
 from ellipcenters.geometry import build_frame, center_direction, scaled_sumsq
 from ellipcenters.objectives import QuadraticLine, restrict
 
@@ -18,9 +20,9 @@ from ellipcenters.objectives import QuadraticLine, restrict
 def step_from(p, x, variant=Variant.SEMILINE_MIN):
     """me_step from x on p's counted view, given the pointwise value and
     gradient there."""
-    g = p.gradient(x)
-    return me_step(objectives.CountingObjective(p), x, p.value(x), g, scaled_sumsq(g), variant,
-                   1.0, 0)
+    f, g = p.value(x), p.gradient(x)
+    return me_step(objectives.CountingObjective(p), x, f, g, scaled_sumsq(g), variant,
+                   1.0, 0, run_scale(x, f, scaled_sumsq(g)))
 
 
 class TestMeStep:
@@ -355,12 +357,13 @@ class TestVectorBudget:
     def test_peak_of_one_step(self, variant, budget):
         p, x = generate_instance("logsumexp", self.N, 0)
         f, g = p.value(x), p.gradient(x)
+        scale = run_scale(x, f, scaled_sumsq(g))
         counted = objectives.CountingObjective(p)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            fields = me_step(counted, x, f, g, scaled_sumsq(g), variant, 1.0, 0)[3]
+            fields = me_step(counted, x, f, g, scaled_sumsq(g), variant, 1.0, 0, scale)[3]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -438,7 +441,7 @@ class SampleLog:
 
 def test_decrease_search_takes_no_sample_below_the_noise_floor(monkeypatch):
     # no sample whose first-order decrease v |s| is within the level step's
-    # noise floor 32 eps (1 + |f_base|); at eps 1e-9 on this kappa = 1000
+    # noise floor 32 eps |f_base|; at eps 1e-9 on this kappa = 1000
     # quadratic the search without the floor took about 186,000 values,
     # most of them there
     eps = float(np.finfo(float).eps)
@@ -450,7 +453,7 @@ def test_decrease_search_takes_no_sample_below_the_noise_floor(monkeypatch):
         nonlocal floored
         log = SampleLog(line)
         v, f_v = search(log, variant, scale=scale, f_base=f_base, slope=slope, first=first)
-        floor = 32.0 * eps * (1.0 + abs(f_base))
+        floor = 32.0 * eps * abs(f_base)
         reach.extend(u * abs(slope) / floor for u in log.at)
         # short of the halving cap: the search's last sample was its smallest
         floored += v == 0.0 and (not log.at or 0.5 * log.at[-1] * abs(slope) <= floor)
@@ -484,17 +487,19 @@ class TestPinnedLogSumExpRuns:
     # f_final kept), and when the first level step took its bracket from the
     # line's value and slope (iterations and f_final kept), and for
     # semiline-min when its search took the frame's slope estimate as the
-    # slope at its base (iterations and f_final kept); a change to a search's or the frame's
+    # slope at its base (iterations and f_final kept), and when the level
+    # step's noise floor took the run scale for 1 + |f| and decrease-search's
+    # floor |f| for it (iterations and f_final kept); a change to a search's or the frame's
     # arithmetic shows here first (the pins also hold numpy's
     # exp and log rounding on this platform); they run on the generic line,
     # whose arithmetic is the pointwise one; the ids leave the digests out,
     # so a re-pin keeps the tests' names
     @pytest.mark.parametrize("variant,iterations,digest", [
         pytest.param(Variant.SEMILINE_MIN, 9,
-                     "b9ce5364cb24a84a45ae9d3a6924dfe810b9fde68a6149a1cf10e5ef91351d9c",
+                     "05b754dbc23809b05dcec1571f3c9b1df7c63fab1acc5085cbfbfb32b812515c",
                      id="semiline-min"),
         pytest.param(Variant.DECREASE_SEARCH, 11,
-                     "f89862692031a53035cc5e173dd76ec2aeb1f3186e906a07304e2ccf0f483c75",
+                     "6a0bfbf38383c94c30aaa2233fa24bdf34a2d53bb1444e330e5c395e779adda6",
                      id="decrease-search"),
     ])
     def test_iterates_bit_identical(self, variant, iterations, digest):
@@ -561,18 +566,23 @@ class TestPinnedFastLineRuns:
     # the log-sum-exp and BB counts fell back by one value and one gradient
     # when the stopping test kept a pointwise line's or BB's pair (46/47 ->
     # 45/46, 60/32 -> 59/31, 113/114 -> 112/113, 99/100 -> 98/99), which
-    # moved no iterate and no f_final
+    # moved no iterate and no f_final; the ME pins re-recorded when the level
+    # step's noise floor took the run scale for 1 + |f| and decrease-search's
+    # floor |f| for it (log-sum-exp 45/46 -> 42/47 and 59/31 -> 57/32,
+    # quadratic semiline-min 682/597 -> 612/632, decrease-search 189 -> 168
+    # iterations and 723/427 -> 638/397), which moved the decrease-search
+    # quadratic f_final by one unit in the last place
     LSE = [
-        ("me", Variant.SEMILINE_MIN, 11, 45, 46, "0x1.ba18a998fffa0p+2",
-         "6cd48a70a39d350356e2d3c3ddd5e21bbd78d1471ca5ef403d7f86f7c2485c4d"),
-        ("me", Variant.DECREASE_SEARCH, 13, 59, 31, "0x1.ba18a998fffa0p+2",
-         "ef9ba991015c819a45d7f3b8d6ea8237ebe22f502376c4c4638f4ad62a9135c5"),
+        ("me", Variant.SEMILINE_MIN, 11, 42, 47, "0x1.ba18a998fffa0p+2",
+         "ee38acdd8b1c4a81759c6a76063c7ecd11ae132181a439734ce31dc556f9335b"),
+        ("me", Variant.DECREASE_SEARCH, 13, 57, 32, "0x1.ba18a998fffa0p+2",
+         "2d083c31640cfa78fd2dd430e96b3339bc0ea80c375bfdaeba6c7c64efe6c067"),
     ]
     QUADRATIC = [
-        ("me", Variant.SEMILINE_MIN, 187, 682, 597, "-0x1.3c6fc01a41632p+4",
-         "82aa2802171980898ce04b8e5bf3a6256b25f5c43f07d1030b4f2dbf22dacde4"),
-        ("me", Variant.DECREASE_SEARCH, 189, 723, 427, "-0x1.3c6fc01a4160dp+4",
-         "a168a9ae041fcbdeba7161c7f33fd4c54ae27597f9d341ba2b6eb1c405925d24"),
+        ("me", Variant.SEMILINE_MIN, 187, 612, 632, "-0x1.3c6fc01a41632p+4",
+         "a8bae379ed73ff20da09b09ab9112eacce6752278db8a82917d2df0decc2c852"),
+        ("me", Variant.DECREASE_SEARCH, 168, 638, 397, "-0x1.3c6fc01a4160ep+4",
+         "6a8b76c2f9799bb1a4bc295de728d141afba7225e60692271cfb89e939254ed5"),
         ("bb-long", None, 111, 112, 113, "-0x1.3c6fc01a41653p+4",
          "64bbe0f02a6802651961ef6668ca406f6f820935fbba5eb269d976510b692a77"),
         ("bb-short", None, 97, 98, 99, "-0x1.3c6fc01a41633p+4",
@@ -803,6 +813,30 @@ def test_finite_gradient_with_an_overflowing_norm_is_no_error(obj, x0):
     assert run.termination is Termination.CONVERGED
 
 
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("seed", range(4))
+def test_a_start_where_f_is_zero_converges(seed, variant):
+    # log-sum-exp shifted so that f(x0) = 0: the run scale's |g(x0)| |x0|
+    # gives the level step a noise floor there; from |f(x0)| alone it had
+    # none, and seeds 1 and 2 ended "level-step refinement stalled"
+    p, x0 = generate_instance("logsumexp", 30, seed)
+    run = minimize(Transformed(p, shift=-p.value(x0)), x0,
+                   SolverConfig(epsilon=1e-8, variant=variant))
+    assert run.iterates[0].f == 0.0
+    assert run.termination is Termination.CONVERGED
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("generic", [False, True], ids=["own-line", "generic-line"])
+def test_a_quadratic_from_the_origin_converges(generic, variant):
+    # f(0) = 0 and x0 = 0, so the run scale is 0 and the first level step
+    # has no noise floor; the search still lands on the level
+    p, _ = generate_instance("quadratic", 30, 0, GenParams(kappa=100.0))
+    run = minimize(ValueAndGradientOnly(p) if generic else p, np.zeros(30),
+                   SolverConfig(epsilon=1e-6, variant=variant))
+    assert run.termination is Termination.CONVERGED
+
+
 def test_converged_is_judged_on_a_gradient_taken_at_x():
     # a step that carries a zero gradient to its point: the loop takes f and
     # g at x before it reports CONVERGED, and goes on from them while they
@@ -986,19 +1020,21 @@ class TestPointwiseClaim:
         assert run.iterates[-1].driver_evals == requery
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_midpoint_does_not_claim_where_the_bits_differ(self):
+    def test_midpoint_claims_where_the_gradient_square_overflows(self):
         # f = 0.5 L |x|^2, L = 1e300, from 1e-131 (3, 4): g is collinear with
         # the chord, so the step takes the midpoint; |g|^2 overflows, and the
-        # level line's point x + (g / -s)(u / 2) is not base = x - (t / 2) g
+        # midpoint is the level line's own point x + (g / -s)(u / 2), so its
+        # pair is the pointwise one bit for bit (x - (t / 2) g was not)
         toy = Toy(lambda x: 0.5e300 * float(x @ x), lambda x: 1e300 * x)
         x = 1e-131 * np.array([3.0, 4.0])
-        g = toy.gradient(x)
+        f, g = toy.value(x), toy.gradient(x)
         x_next, f_next, g_next, fields = me_step(
-            objectives.CountingObjective(toy), x, toy.value(x), g, scaled_sumsq(g),
-            Variant.SEMILINE_MIN, math.nan, 0)
+            objectives.CountingObjective(toy), x, f, g, scaled_sumsq(g),
+            Variant.SEMILINE_MIN, math.nan, 0, run_scale(x, f, scaled_sumsq(g)))
         assert fields["branch"] == "midpoint" and scaled_sumsq(g)[1] != 1.0
-        assert fields["pointwise"] is False
-        assert (toy.value(x_next), list(toy.gradient(x_next))) != (f_next, list(g_next))
+        assert fields["pointwise"] is True
+        assert toy.value(x_next) == f_next
+        assert np.array_equal(toy.gradient(x_next), g_next)
 
     def test_a_step_that_says_nothing_gets_the_requery(self):
         # the same pointwise steps, said and unsaid: only the unsaid run

@@ -25,10 +25,12 @@ def test_target_is_a_callable_module_attribute(module, attr):
 def test_ray_search_keeps_its_h0_parameter():
     # keyword-only, so that no caller can pass it by position; the base
     # slope s0 is taken the same way, and neither has a default.  The level
-    # step takes its line's value and slope at 0 as the minimum search does
-    for search in (minimize_on_ray, find_level_step):
+    # step takes its line's value and slope at 0 as the minimum search does,
+    # and its run scale the same way
+    for search, names in ((minimize_on_ray, ("h0", "s0")),
+                          (find_level_step, ("h0", "s0", "scale"))):
         params = inspect.signature(search).parameters
-        for name in ("h0", "s0"):
+        for name in names:
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
             assert params[name].default is inspect.Parameter.empty
 
