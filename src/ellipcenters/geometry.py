@@ -10,8 +10,8 @@ descent ray from y -- with prescribed tangency: the curve is normal to the
 chord at x and normal to the ray at y.  Those constraints pin (a, b, c, d)
 in closed form; the conic is an ellipse exactly when a > b^2, which bounds
 m by an explicit threshold.  The centers of all admissible ellipses line up
-on a semiline through the chord midpoint, and ``center_direction`` writes
-that semiline's direction in ambient coordinates as a g + b grad f(y).
+on a semiline through the chord midpoint; ``center_direction`` gives its
+direction a g + b grad f(y) in ambient coordinates and f's slope along it.
 
 Since y = x - t g, the chord is t g: ``build_frame`` takes the frame from
 inner products of g and grad f(y), and forms no level-point or unit vector.
@@ -173,22 +173,24 @@ def conic_center(coef: ConicCoefficients, lam: float) -> tuple[float, float]:
     return u, v
 
 
-def center_direction(frame: LocalFrame) -> tuple[float, float]:
-    """Direction of the semiline of ellipse centers, as the coefficients
-    (a, b) of d = a g + b grad f(y).
+def center_direction(frame: LocalFrame) -> tuple[float, float, float]:
+    """The semiline of ellipse centers as (a, b, slope): its direction d =
+    a g + b grad f(y) and f's slope ((g + grad f(y)) / 2) . d at the midpoint.
 
-    The semiline is {(x + y)/2 + v * d : v >= 0} with d = e2 - (sin theta /
-    (2 cos theta)) e1, which is ((k + c) g - grad f(y)) / |w| for c =
-    -(sin theta / (2 cos theta)) |w| / |g|.  Requires cos theta > 0; a
-    tangential gradient (cos theta <= 1e-12) leaves the direction undefined
-    and raises DegeneratePlaneError.
+    d = e2 - (sin theta / (2 cos theta)) e1 = (c g + w) / |w| with c = -(sin
+    theta / (2 cos theta)) |w| / |g|.  As g . w = 0, the slope takes no
+    n-vector pass: -(sin theta / 4) (|g| / cos theta + |grad f(y)|) < 0,
+    exact on a quadratic.  Requires cos theta > 1e-12, else raises
+    DegeneratePlaneError: a tangential gradient leaves d undefined.
     """
     if frame.cos_theta <= 1e-12:
         raise DegeneratePlaneError(
             "gradient at the level point is orthogonal to the chord"
         )
     c = -frame.sin_theta / (2.0 * frame.cos_theta) * (frame.wnorm / frame.gnorm)
-    return (frame.k + c) / frame.wnorm, -1.0 / frame.wnorm
+    slope = -0.5 * ((1.0 + frame.k) * frame.sin_theta / (2.0 * frame.cos_theta) * frame.gnorm
+                    + frame.wnorm)
+    return (frame.k + c) / frame.wnorm, -1.0 / frame.wnorm, slope
 
 
 @dataclass

@@ -198,6 +198,8 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     value and gradient at x_next, and the step's ``IterateRecord`` fields,
     all but x, f, grad_norm and the driver's counts.
 
+    ``center_direction`` gives the semiline's direction and slope; the step
+    reads lam and sin theta off the frame and f_mid off the level line at u/2.
     Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
     when the gradient at the level point is collinear with or tangential to
     the chord; raises NumericError when it vanishes or the midpoint rounds onto x.
@@ -217,9 +219,11 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     grad_y = line.gradient(u)
     try:
         frame = build_frame(g, g_sumsq, t, grad_y)
-        a, b = center_direction(frame)
+        a, b, slope = center_direction(frame)
     except DegeneratePlaneError:
-        f_base = line.value(0.5 * u)
+        frame = None
+    f_base = line.value(0.5 * u)
+    if frame is None:
         fields.update(v=_NAN, branch="midpoint", f_mid=f_base, lam=_NAN,
                       pointwise=line.pointwise)
         return base, f_base, line.gradient(0.5 * u), fields
@@ -227,12 +231,6 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     # the level line runs along -g / s with grad f(y) = g + u A(-g / s) on a
     # quadratic, so d = -(a + b) s (-g / s) + b u A(-g / s)
     line = line.turn(0.5 * u, base, d, (-(a + b) * s, b * u))
-    f_base = line.value(0.0)
-    # the slope along d at the midpoint, estimated as ((g + grad f(y)) / 2) . d
-    # (exact on a quadratic) from the frame with no n-vector pass: d =
-    # (c g + w) / |w| with g . w = 0 and c as center_direction takes it
-    slope = -0.5 * ((1.0 + frame.k) * frame.sin_theta / (2.0 * frame.cos_theta) * frame.gnorm
-                    + frame.wnorm)
     n_value, n_grad = obj.n_value, obj.n_grad
     v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base, slope=slope,
                              first=first)

@@ -139,7 +139,7 @@ class TestCenter:
 
 def direction(g, grad_y):
     """The frame's center direction d = a g + b grad_y as a vector."""
-    a, b = center_direction(build_frame(g, scaled_sumsq(g), 1.0, grad_y))
+    a, b, _ = center_direction(build_frame(g, scaled_sumsq(g), 1.0, grad_y))
     return a * np.asarray(g) + b * np.asarray(grad_y)
 
 
@@ -158,7 +158,7 @@ class TestFrame:
         assert frame.cos_theta == pytest.approx(1.0 / math.sqrt(2.0))
         assert frame.sin_theta == pytest.approx(1.0 / math.sqrt(2.0))
         assert frame.lam == pytest.approx(2.0)
-        a, b = center_direction(frame)
+        a, b, _ = center_direction(frame)
         assert np.allclose(a * g + b * grad_y, [-0.5, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("g,t", [([1.0, 0.0], 0.0), ([1.0, 0.0], -1.0),
@@ -216,7 +216,7 @@ class TestFrame:
             grad_y = rng.standard_normal(6)
             try:
                 frame = build_frame(g, scaled_sumsq(g), float(rng.uniform(0.1, 10.0)), grad_y)
-                a, b = center_direction(frame)
+                a, b, _ = center_direction(frame)
             except DegeneratePlaneError:
                 continue
             tan_half = frame.sin_theta / (2.0 * frame.cos_theta)
@@ -249,7 +249,7 @@ class TestFrame:
         assert frame.cos_theta == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert frame.lam == pytest.approx(2.0, rel=1e-15)
         assert frame.wnorm == pytest.approx(1e150, rel=1e-15)
-        a, b = center_direction(frame)
+        a, b, _ = center_direction(frame)
         assert np.allclose(a * g + b * grad_y, [-0.5, 1.0], atol=1e-12)
 
 

@@ -25,6 +25,39 @@ def step_from(p, x, variant=Variant.SEMILINE_MIN):
                    1.0, 0, run_scale(x, f, scaled_sumsq(g)))
 
 
+class LoggedLines:
+    """An objective whose own lines log each query as (query, t, turned)."""
+
+    def __init__(self, inner):
+        self.inner, self.dimension, self.queries = inner, inner.dimension, []
+        self.value, self.gradient = inner.value, inner.gradient
+
+    def along(self, x, d, f, g, turns):
+        return LoggedLine(self.queries, self.inner.along(x, d, f, g, turns), False)
+
+
+class LoggedLine:
+    def __init__(self, queries, line, turned):
+        self.queries, self.line, self.turned = queries, line, turned
+        self.pointwise = line.pointwise
+
+    def _ask(self, query, t):
+        self.queries.append((query, t, self.turned))
+        return getattr(self.line, query)(t)
+
+    def value(self, t):
+        return self._ask("value", t)
+
+    def slope(self, t):
+        return self._ask("slope", t)
+
+    def gradient(self, t):
+        return self._ask("gradient", t)
+
+    def turn(self, t, x, e, krylov):
+        return LoggedLine(self.queries, self.line.turn(t, x, e, krylov), True)
+
+
 class TestMeStep:
     def test_radial_symmetry_takes_midpoint_to_minimizer(self):
         p = QuadraticProblem(np.eye(3), np.zeros(3))
@@ -86,6 +119,26 @@ class TestMeStep:
             assert np.linalg.norm(g_next - g) <= 1e-12 * np.linalg.norm(gx)
         else:  # the line's point at t/2 has the midpoint's bits
             assert np.array_equal(g_next, g)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("kind,branch", [
+        ("quadratic", "ellipse"), ("logsumexp", "ellipse"),
+        ("quadratic", "midpoint"), ("logsumexp", "midpoint")])
+    def test_f_mid_is_read_off_the_level_line(self, kind, branch, variant):
+        # on both branches f_mid is the level line's value at its midpoint
+        # bit for bit, and no turned line is asked for its value at 0
+        if branch == "midpoint":
+            p, x = self._axis_start(kind)
+        else:
+            p, x = generate_instance(kind, 10, 3, GenParams(kappa=100))
+        logged = LoggedLines(p)
+        _, _, _, fields = step_from(logged, x, variant)
+        assert fields["branch"] == branch
+        turned = [(query, t) for query, t, is_turned in logged.queries if is_turned]
+        assert ("value", 0.0) not in turned
+        assert bool(turned) == (branch == "ellipse")
+        t, _, line = level_step(p, x, p.value(x), p.gradient(x), 1.0)
+        assert float(fields["f_mid"]).hex() == float(line.value(0.5 * t)).hex()
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("kind,n_value,n_grad", [
@@ -391,7 +444,7 @@ class TestNearCollinearTurn:
         t, _, line = level_step(p, x, p.value(x), g, 1.0)
         grad_y = line.gradient(t)
         frame = build_frame(g, scaled_sumsq(g), t, grad_y)
-        ca, cb = center_direction(frame)
+        ca, cb, _ = center_direction(frame)
         d = ca * g + cb * grad_y
         turned = line.turn(0.5 * t, x - 0.5 * t * g, d, (-(ca + cb), cb * t))
         return p, g, t, line, frame, d, turned
