@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ellipcenters import find_level_step, run_scale
 from ellipcenters.geometry import scaled_sumsq
+from ellipcenters.levelstep import find_level_step
 from ellipcenters.objectives import restrict
+from ellipcenters.solver import run_scale
 
 byte_bounds = getattr(np.lib, "array_utils", np).byte_bounds  # moved in numpy 2.0
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import level_step
-from ellipcenters import (BenchConfig, GenParams, SolverConfig, Termination,
-                          check_gradient, gd_exact_minimize, generate_instance,
-                          minimize, run_benchmark, survey_geometry)
+from ellipcenters import (BenchConfig, GenParams, SolverConfig, Termination, check_gradient,
+                          gd_exact_minimize, generate_instance, minimize, run_benchmark)
+from ellipcenters.geometry import survey_geometry
 
 EPS = 0.01  # the shared benchmark stopping tolerance
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import HOSTILE, NaNGradientAfter, Toy
-from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticProblem,
-                          SolverConfig, Termination, Variant, bb_minimize,
-                          bb_step_size, gd_exact_minimize, generate_instance,
+from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticProblem, SolverConfig,
+                          Termination, Variant, bb_minimize, gd_exact_minimize, generate_instance,
                           minimize, run_method)
+from ellipcenters.baselines import bb_step_size
 from ellipcenters.objectives import restrict
 
 

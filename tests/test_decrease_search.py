@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import ValueAndGradientOnly
-from ellipcenters import (GenParams, SolverConfig, Termination, Variant,
-                          generate_instance, minimize, semiline_search, solver)
+from ellipcenters import (GenParams, SolverConfig, Termination, Variant, generate_instance,
+                          minimize, solver)
 from ellipcenters.objectives import restrict
+from ellipcenters.solver import semiline_search
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -19,9 +19,9 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (DegeneratePlaneError, GenParams, build_frame, center_direction,
-                          generate_instance)
-from ellipcenters.geometry import scaled_sumsq
+from ellipcenters import GenParams, generate_instance
+from ellipcenters.errors import DegeneratePlaneError
+from ellipcenters.geometry import build_frame, center_direction, scaled_sumsq
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (ConicClass, ConicCoefficients, DegeneratePlaneError,
-                          build_frame, center_direction, classify_conic,
-                          conic_center, conic_gradient, conic_value,
-                          ellipse_bound, fit_conic, survey_geometry)
-from ellipcenters.geometry import _conic_residual, scaled_sumsq
+from ellipcenters.errors import DegeneratePlaneError
+from ellipcenters.geometry import (ConicClass, ConicCoefficients, _conic_residual, build_frame,
+                                   center_direction, classify_conic, conic_center, conic_gradient,
+                                   conic_value, ellipse_bound, fit_conic, scaled_sumsq,
+                                   survey_geometry)
 
 
 def fit_conic_reference(lam, m, n):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import Toy, ValueAndGradientOnly, level_step
-from ellipcenters import (GenParams, LogSumExpProblem, NonCoerciveError,
-                          QuadraticProblem, SolverConfig, StationaryPointError,
-                          Variant, build_frame, generate_instance,
-                          me_step, minimize, run_scale)
-from ellipcenters.geometry import scaled_sumsq
+from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem, SolverConfig, Variant,
+                          generate_instance, minimize)
+from ellipcenters.errors import NonCoerciveError, StationaryPointError
+from ellipcenters.geometry import build_frame, scaled_sumsq
 from ellipcenters.levelstep import NOISE_FLOOR
 from ellipcenters.objectives import CountingObjective
+from ellipcenters.solver import me_step, run_scale
 
 
 def test_parabola_returns_mirror_point():

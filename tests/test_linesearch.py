@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (NonCoerciveError, NumericError, QuadraticProblem, Variant,
-                          find_level_step, linesearch, minimize_on_ray, semiline_search)
-from ellipcenters.linesearch import MAX_EXPANSIONS, find_root
+from ellipcenters import NumericError, QuadraticProblem, Variant, linesearch
+from ellipcenters.errors import NonCoerciveError
+from ellipcenters.levelstep import find_level_step
+from ellipcenters.linesearch import MAX_EXPANSIONS, find_root, minimize_on_ray
 from ellipcenters.objectives import CountingObjective
+from ellipcenters.solver import semiline_search
 
 
 class ScalarLine:

@@ -27,11 +27,11 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (GenParams, QuadraticProblem, SolverConfig, Variant,
-                          conic_center, ellipse_bound, fit_conic, generate_instance,
-                          me_step, minimize, run_scale)
-from ellipcenters.geometry import scaled_sumsq
+from ellipcenters import (GenParams, QuadraticProblem, SolverConfig, Variant, generate_instance,
+                          minimize)
+from ellipcenters.geometry import conic_center, ellipse_bound, fit_conic, scaled_sumsq
 from ellipcenters.objectives import CountingObjective
+from ellipcenters.solver import me_step, run_scale
 
 brentq = pytest.importorskip("scipy.optimize").brentq
 

@@ -8,13 +8,13 @@ import pytest
 
 from conftest import (Logistic, NaNGradientAfter, Toy, Transformed, ValueAndGradientOnly,
                       level_step)
-from ellipcenters import (GenParams, LogSumExpProblem, NumericError,
-                          QuadraticProblem, SolverConfig, Termination, Variant,
-                          find_level_step, generate_instance, me_step, minimize,
-                          baselines, objectives, run_method, run_scale, semiline_search,
-                          solver)
+from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticProblem, SolverConfig,
+                          Termination, Variant, generate_instance, minimize, baselines, objectives,
+                          run_method, solver)
 from ellipcenters.geometry import build_frame, center_direction, scaled_sumsq
+from ellipcenters.levelstep import find_level_step
 from ellipcenters.objectives import QuadraticLine, restrict
+from ellipcenters.solver import me_step, run_scale, semiline_search
 
 
 def step_from(p, x, variant=Variant.SEMILINE_MIN):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ellipcenters import (BenchConfig, GenParams, find_level_step, minimize_on_ray,
-                          run_benchmark)
+from ellipcenters import BenchConfig, GenParams, run_benchmark
+from ellipcenters.levelstep import find_level_step
+from ellipcenters.linesearch import minimize_on_ray
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
