@@ -192,7 +192,8 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     ``obj`` is the counted view (a ``CountingObjective``), ``f_x`` and ``g``
     the value and gradient at x, ``g_sumsq`` is ``scaled_sumsq(g)``,
     ``variant`` picks the point on the semiline of centers, ``t_init`` seeds
-    the level step's bracket, ``first`` is where decrease-search starts
+    the level step's bracket (NaN for none; where also f_x = 0, the step
+    starts a unit step in x out, which f -> 2^k f leaves alone), ``first`` is where decrease-search starts
     (see ``semiline_search``) and ``scale`` is the level step's run scale
     (``run_scale``).  Returns ``(x_next, f_next, g_next, fields)``: the
     value and gradient at x_next, and the step's ``IterateRecord`` fields,
@@ -209,7 +210,9 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     # the level line, along -g / s so that its slopes stay finite; the step turns off it
     down = g / -s
     line = restrict(obj, x, down, f_x, g, turns=True)
-    u, r = find_level_step(line, t_init * s, h0=f_x, s0=-gg * s, scale=scale)  # u = t s
+    # from f = 0 with no warm start, start a unit step in x out, 1 / |g / s|
+    u0 = t_init * s if f_x or 0.0 < t_init < math.inf else 1.0 / math.sqrt(gg)
+    u, r = find_level_step(line, u0, h0=f_x, s0=-gg * s, scale=scale)  # u = t s
     t = u / s
     fields = {"t": t, "level_path": "slope" if math.isnan(r) else "value", "level_residual": r,
               "level_evals": (obj.n_value - n_value, obj.n_grad - n_grad)}

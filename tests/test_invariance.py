@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import Transformed
-from ellipcenters import (GenParams, SolverConfig, Termination,
+from ellipcenters import (GenParams, QuadraticProblem, SolverConfig, Termination,
                           generate_instance, minimize, run_method)
+from ellipcenters.geometry import scaled_sumsq
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -182,20 +183,34 @@ def zero_start(kind):
 
 
 # With f(x0) = 0 and no warm start, the level step's first bracket 4 |h0| /
-# |s0| and the exact ray step's 2 |h0| / |s0| are 0, and the root finder
-# falls back to its fixed t = 1, which does not move with f.  At x0 = 0 the
-# run scale is 0 too.  Values / gradients on f and on 2^-40 f:
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a start where f = 0 takes a first bracket that does not scale with f")
+# |s0| and the exact ray step's 2 |h0| / |s0| are 0, so ME and gd's and BB's
+# exact step start a unit step in x out instead, which f -> 2^k f leaves
+# alone.  At x0 = 0 the run scale is 0 too.  Values / gradients on f and on
+# 2^-40 f alike:
 @pytest.mark.parametrize("kind,method,own", [
-    pytest.param("logsumexp", ("me", "semiline-min"), False, id="lse-me"),  # 23 / 19, 62 / 19
-    pytest.param("logsumexp", ("gd", "semiline-min"), False, id="lse-gd"),  # 10 / 31, 10 / 67
-    pytest.param("logsumexp", ("bb-long", "semiline-min"), False, id="lse-bb"),  # 9 / 15, 9 / 51
-    pytest.param("quadratic", ("me", "semiline-min"), True, id="quad-me"),  # 360 and 394 values
-    pytest.param("quadratic", ("me", "decrease-search"), True, id="quad-me-ds"),  # 396 and 430
+    pytest.param("logsumexp", ("me", "semiline-min"), False, id="lse-me"),  # 26 / 19
+    pytest.param("logsumexp", ("gd", "semiline-min"), False, id="lse-gd"),  # 10 / 31
+    pytest.param("logsumexp", ("bb-long", "semiline-min"), False, id="lse-bb"),  # 9 / 15
+    pytest.param("quadratic", ("me", "semiline-min"), True, id="quad-me"),  # 359 / 269
+    pytest.param("quadratic", ("me", "decrease-search"), True, id="quad-me-ds"),  # 395 / 176
 ])
 def test_scaling_f_from_a_start_where_f_is_zero(kind, method, own):
     p, x0 = zero_start(kind)
-    if p.value(x0) != 0.0:  # not an expected failure
+    if p.value(x0) != 0.0:
         raise ValueError("the start must have f(x0) = 0")
     assert_scaling_keeps_every_bit(p, x0, method, own, 1e-3, -40)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("method", ["gd", "bb-long"])
+def test_unit_start_where_f_is_zero_and_the_gradient_overflows(method):
+    # |g(x0)|^2 overflows, so the exact step runs along -g / s with s =
+    # max |g_i|: its unit step in x is 1 / |g / s|, where 1 / sqrt(-s0) would
+    # be 1 / sqrt(s) in x, some 1e-77, which 60 bracket doublings cannot grow
+    # out of.  An odd power of two keeps every bit all the same
+    p, x0 = zero_start("quadratic")
+    big = QuadraticProblem(2.0**600 * p.a, 2.0**600 * p.b)
+    assert scaled_sumsq(big.gradient(x0))[1] > 1.0
+    cfg = SolverConfig(epsilon=2.0**600 * 1e-3)
+    assert run_method(method, big, x0, cfg).termination is Termination.CONVERGED
+    assert_scaling_keeps_every_bit(big, x0, (method, "semiline-min"), True, 2.0**600 * 1e-3, 1)
