@@ -63,11 +63,11 @@ def find_level_step(line, t_init: float, *, h0: float, s0: float, scale: float):
     slope regime starts the slope path with no value query; any other starts
     the value search, from 4 |h0| / |s0|, the level step of an isotropic
     quadratic with minimum value 0, if it is not positive and finite (NaN
-    for no warm start).  Where h0 = 0 that start is 0 and ``find_root``'s
-    fixed 1 takes over, which does not scale with f, so ``me_step`` hands in
-    the unit step in x there.  Returns (t, the remaining line.value(t) - h0), the
-    residual NaN when the slope path found t: there it is within about 64
-    noise floors and f cannot resolve it, so no value is spent on reading
+    for no warm start).  Where h0 = 0 that is 0 and ``find_root``'s fixed 1,
+    which does not scale with f, takes over, so ``me_step`` hands in the
+    unit step in x there.  Returns (t, the remaining line.value(t) - h0),
+    the residual NaN when the slope path found t: there it is within about
+    64 noise floors and f cannot resolve it, so no value is spent on reading
     it.  Raises StationaryPointError when ``s0`` is 0.
     """
     if s0 == 0.0:

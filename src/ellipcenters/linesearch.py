@@ -91,11 +91,11 @@ def minimize_on_ray(line, v0: float, *, h0: float, s0: float):
     caller holds them; ``s0`` may be the caller's estimate.  A v0 that is
     not positive and finite (NaN for no warm start) gives way to
     2 |h0| / |s0|, the minimum of an isotropic quadratic with minimum value
-    0.  Where h0 = 0 that start is 0 and ``find_root``'s fixed 1 takes over,
-    which does not scale with f, so gd's and BB's exact step hand in the
-    unit step in x there.  Returns (v, the value at v).  An ``s0`` that is nonnegative, or not
-    a number, returns (0, h0); the caller's gradient check then names a
-    non-finite slope.  An estimate may be negative on a line that does not
+    0.  Where h0 = 0 that is 0 and ``find_root``'s fixed 1, which does not
+    scale with f, takes over, so gd's and BB's exact step hand in the unit
+    step in x there.  Returns (v, the value at v).  An ``s0`` that is
+    nonnegative, or not a number, returns (0, h0); the caller's gradient
+    check then names a non-finite slope.  An estimate may be negative on a line that does not
     descend at 0: no slope the search takes is then negative, so the
     bracket shrinks onto 0 and the search returns the least subnormal v,
     after about a thousand slopes, with a value that may exceed h0 there by
