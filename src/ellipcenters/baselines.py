@@ -53,15 +53,14 @@ def _exact_step(counted, x, f, g, g_sumsq, v0: float):
 
     The search runs along -g / s, where (|g / s|^2, s) = ``g_sumsq`` (s = 1
     unless |g|^2 overflows), so its slope at x, -|g / s|^2 s, stays finite.
-    Where f = 0 and there is no bracket start, it starts a unit step in x
-    out, 1 / |g / s|, which f -> 2^k f leaves alone.  Returns x - tau g, the
-    value and gradient there, and the ``IterateRecord`` fields ``t`` = tau
-    and the search's ``search_evals``.
+    Returns x - tau g, the value and gradient there, and the ``IterateRecord``
+    fields ``t`` = tau and the search's ``search_evals``.
     """
     gg, s = g_sumsq
     d = g / -s
     line = restrict(counted, x, d, f, g, turns=False)
     n_value, n_grad = counted.n_value, counted.n_grad
+    # where f = 0 and there is no warm start, the unit step in x, which no scaling of f moves
     v0 = v0 * s if f or 0.0 < v0 < math.inf else 1.0 / math.sqrt(gg)
     v, f_next = minimize_on_ray(line, v0=v0, h0=f, s0=-gg * s)
     fields = {"t": v / s, "search_evals": (counted.n_value - n_value, counted.n_grad - n_grad),

@@ -192,13 +192,11 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     ``obj`` is the counted view (a ``CountingObjective``), ``f_x`` and ``g``
     the value and gradient at x, ``g_sumsq`` is ``scaled_sumsq(g)``,
     ``variant`` picks the point on the semiline of centers, ``t_init`` seeds
-    the level step's bracket (NaN for none; where f_x = 0 too, the step
-    starts a unit step in x out, which f -> 2^k f leaves alone), ``first``
-    is where decrease-search starts (see ``semiline_search``) and ``scale``
-    is the level step's run scale (``run_scale``).  Returns ``(x_next,
-    f_next, g_next, fields)``: the value and gradient at x_next, and the
-    step's ``IterateRecord`` fields, all but x, f, grad_norm and the
-    driver's counts.
+    the level step's bracket, ``first`` is where decrease-search starts
+    (see ``semiline_search``) and ``scale`` is the level step's run scale
+    (``run_scale``).  Returns ``(x_next, f_next, g_next, fields)``: the
+    value and gradient at x_next, and the step's ``IterateRecord`` fields,
+    all but x, f, grad_norm and the driver's counts.
 
     ``center_direction`` gives the semiline's direction and slope; the step
     reads lam and sin theta off the frame and f_mid off the level line at u/2.
@@ -211,6 +209,7 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     # the level line, along -g / s so that its slopes stay finite; the step turns off it
     down = g / -s
     line = restrict(obj, x, down, f_x, g, turns=True)
+    # where f = 0 and there is no warm start, the unit step in x, which no scaling of f moves
     u0 = t_init * s if f_x or 0.0 < t_init < math.inf else 1.0 / math.sqrt(gg)
     u, r = find_level_step(line, u0, h0=f_x, s0=-gg * s, scale=scale)  # u = t s
     t = u / s
