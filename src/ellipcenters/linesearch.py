@@ -95,8 +95,10 @@ def minimize_on_ray(line, v0: float, *, h0: float, s0: float):
     scale with f, takes over, so gd's and BB's exact step hand in the unit
     step in x there.  Returns (v, the value at v).  An ``s0`` that is
     nonnegative, or not a number, returns (0, h0); the caller's gradient
-    check then names a non-finite slope.  An estimate may be negative on a line that does not
-    descend at 0: no slope the search takes is then negative, so the
+    check then names a non-finite slope.  So h0 is unread where v0 is
+    positive and finite and s0 < 0, and semiline-min, which holds no value
+    at its base, hands in NaN.  An estimate may be negative on a line that
+    does not descend at 0: no slope the search takes is then negative, so the
     bracket shrinks onto 0 and the search returns the least subnormal v,
     after about a thousand slopes, with a value that may exceed h0 there by
     rounding.  ``find_root`` raises the errors.

@@ -67,7 +67,9 @@ class IterateRecord:
     ``t`` is the level step (a baseline's step length), ``v`` the distance
     moved along the semiline, ``f_mid`` the value at the chord midpoint and
     ``lam`` the chord length t |g|, where the semiline search starts; each is
-    NaN where no such step ran (v and lam on midpoint steps too).  ``branch``
+    NaN where no such step ran (v and lam on midpoint steps too, and f_mid on
+    semiline-min's ellipse steps that did not stay at the midpoint, which
+    need none).  ``branch``
     is "ellipse" or "midpoint" for solver steps ("midpoint" means the
     degeneracy test fired), the method name for baselines, and "final" on
     the terminal record.  ``level_path`` ("value" or "slope") and
@@ -127,45 +129,49 @@ class SolverRun:
         return self.n_value_evals + self.n_grad_evals
 
 
-def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slope: float,
+def semiline_search(line, variant: Variant, *, scale: float, bar: float, slope: float,
                     first: int):
     """Pick v >= 0 on the line {base + v d} by the variant's rule, starting
-    at ``scale``; ``f_base`` is the value and ``slope`` the slope (or an
-    estimate of it) at v = 0, so neither variant queries the line there.
-    Returns (v, f at that point).  Raises ValueError when ``variant`` is not
-    a ``Variant`` member (a name too).
+    at ``scale``; ``slope`` is the slope (or an estimate of it) at v = 0 and
+    ``bar`` the value the point must clear.  Returns (v, f at that point).
+    Raises ValueError when ``variant`` is not a ``Variant`` member (a name
+    too).
 
     semiline-min is ``minimize_on_ray`` from ``scale`` with ``slope`` as its
-    slope at 0, or (0, f_base) where the point it finds is not below f_base.
+    slope at 0.  Where that point is above ``bar``, or ``slope`` is not
+    negative, it returns (0, the line's value at 0), its only query at the
+    base.  ``me_step`` hands in f(x) as the bar, which the step holds, and
+    a positive finite ``scale``, so the search's value at 0 goes unread.
 
     decrease-search returns the first of the samples v_k = scale 2^-k,
-    k = 0, 1, ..., below f_base, or (0, f_base) without one.  It samples no
-    k >= ``_MAX_HALVINGS`` and no v_k |slope| within 32 eps |f_base|, the
-    level step's noise floor taken at f_base alone: 32 times f's own
+    k = 0, 1, ..., below ``bar``, f at v = 0, or (0, bar) without one.  It
+    samples no k >= ``_MAX_HALVINGS`` and no v_k |slope| within 32 eps |bar|,
+    the level step's noise floor taken at the base alone: 32 times f's own
     rounding there, and like it scaled with f.  ``first`` is the last
     search's k: the search starts at k = max(first - 1, 0), or at the last k
-    it may sample, and steps back while the sample at k - 1 is below f_base
-    too, or on until a sample is.  On a convex f, whose samples below f_base are
-    all those past some k, that is the first sample below f_base; on any f
-    it is one whose predecessor, if any, is not, or (0, f_base).  Halving
+    it may sample, and steps back while the sample at k - 1 is below the bar
+    too, or on until a sample is.  On a convex f, whose samples below the bar
+    are all those past some k, that is the first sample below the bar; on
+    any f it is one whose predecessor, if any, is not, or (0, bar).  Halving
     and doubling v keep the bits of repeated halving while v is normal."""
     if variant is Variant.SEMILINE_MIN:
-        v, fv = minimize_on_ray(line, v0=scale, h0=f_base, s0=slope)
-        if fv > f_base:  # no decrease above rounding: stay at the midpoint
-            return 0.0, f_base
-        return v, fv
+        if slope < 0.0:
+            v, fv = minimize_on_ray(line, v0=scale, h0=_NAN, s0=slope)
+            if not fv > bar:
+                return v, fv
+        return 0.0, line.value(0.0)  # no search, or no decrease on the bar: the base
     if variant is not Variant.DECREASE_SEARCH:
         raise ValueError(f"variant must be a Variant member, not {variant!r}")
     s = abs(slope)
-    floor = NOISE_FLOOR * abs(f_base)
+    floor = NOISE_FLOOR * abs(bar)
     if scale * s <= floor:
-        return 0.0, f_base
+        return 0.0, bar
     v, k = scale, 0
     while k < min(first - 1, _MAX_HALVINGS - 1) and not 0.5 * v * s <= floor:
         v, k = 0.5 * v, k + 1
     fv = line.value(v)
-    if fv < f_base:  # back towards scale while the sample there beats f_base too
-        while k > 0 and (fu := line.value(2.0 * v)) < f_base:
+    if fv < bar:  # back towards scale while the sample there beats bar too
+        while k > 0 and (fu := line.value(2.0 * v)) < bar:
             v, fv, k = 2.0 * v, fu, k - 1
         return v, fv
     for k in range(k + 1, _MAX_HALVINGS):
@@ -173,9 +179,9 @@ def semiline_search(line, variant: Variant, *, scale: float, f_base: float, slop
         if v * s <= floor:
             break
         fv = line.value(v)
-        if fv < f_base:
+        if fv < bar:
             return v, fv
-    return 0.0, f_base
+    return 0.0, bar
 
 
 def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -199,10 +205,14 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     all but x, f, grad_norm and the driver's counts.
 
     ``center_direction`` gives the semiline's direction and slope; the step
-    reads lam and sin theta off the frame and f_mid off the level line at u/2.
-    Guarantees f(x_next) <= f(x - t g / 2) < f(x); takes the midpoint branch
-    when the gradient at the level point is collinear with or tangential to
-    the chord; raises NumericError when it vanishes or the midpoint rounds onto x.
+    reads lam and sin theta off the frame.  The midpoint branch and
+    decrease-search read f_mid off the level line at u/2; semiline-min tests
+    its point against f(x) and takes f_mid only where it falls back to the
+    midpoint.  Guarantees f(x_next) <= f(x - t g / 2) < f(x) on a convex f,
+    semiline-min's up to ``RAY_TOL``, and on any f no semiline-min step that
+    leaves the midpoint rises above f(x); takes the midpoint branch when the
+    gradient at the level point is collinear with or tangential to the
+    chord; raises NumericError when it vanishes or the midpoint rounds onto x.
     """
     n_value, n_grad = obj.n_value, obj.n_grad
     gg, s = g_sumsq
@@ -224,19 +234,22 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
         a, b, slope = center_direction(frame)
     except DegeneratePlaneError:
         frame = None
-    f_base = line.value(0.5 * u)
     if frame is None:
-        fields.update(v=_NAN, branch="midpoint", f_mid=f_base, lam=_NAN,
-                      pointwise=line.pointwise)
-        return base, f_base, line.gradient(0.5 * u), fields
+        f_mid = line.value(0.5 * u)
+        fields.update(v=_NAN, branch="midpoint", f_mid=f_mid, lam=_NAN, pointwise=line.pointwise)
+        return base, f_mid, line.gradient(0.5 * u), fields
+    # semiline-min's bar is f(x), which the step holds; decrease-search's is f_mid
+    semiline_min = variant is Variant.SEMILINE_MIN
+    bar = f_x if semiline_min else line.value(0.5 * u)
     d = _axpy(a, g, b * grad_y)
     # the level line runs along -g / s with grad f(y) = g + u A(-g / s) on a
     # quadratic, so d = -(a + b) s (-g / s) + b u A(-g / s)
     line = line.turn(0.5 * u, base, d, (-(a + b) * s, b * u))
     n_value, n_grad = obj.n_value, obj.n_grad
-    v, f_v = semiline_search(line, variant, scale=frame.lam, f_base=f_base, slope=slope,
-                             first=first)
-    fields.update(v=v, branch="ellipse", f_mid=f_base, lam=frame.lam, sin_theta=frame.sin_theta,
+    v, f_v = semiline_search(line, variant, scale=frame.lam, bar=bar, slope=slope, first=first)
+    # v = 0 is the midpoint; elsewhere semiline-min took no value there
+    f_mid = f_v if v == 0.0 else _NAN if semiline_min else bar
+    fields.update(v=v, branch="ellipse", f_mid=f_mid, lam=frame.lam, sin_theta=frame.sin_theta,
                   search_evals=(obj.n_value - n_value, obj.n_grad - n_grad),
                   pointwise=line.pointwise)
     x_next = base if v == 0.0 else _axpy(v, d, base)

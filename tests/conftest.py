@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,15 @@ def level_step(obj, x, f, g, t_init):
     line = restrict(obj, x, g / -s, f, g, turns=True)
     t, r = find_level_step(line, t_init, h0=f, s0=-gg * s, scale=run_scale(x, f, (gg, s)))
     return t, r, line
+
+
+def chord_midpoint_value(obj, rec):
+    """f at the chord midpoint x - t g / 2 of an ME record: its ``f_mid``,
+    or where the step took none (a semiline-min ellipse step that did not
+    fall back to the midpoint records NaN), ``obj``'s value there."""
+    if not math.isnan(rec.f_mid):
+        return rec.f_mid
+    return obj.value(rec.x - 0.5 * rec.t * obj.gradient(rec.x))
 
 
 class Toy:

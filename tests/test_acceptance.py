@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import level_step
+from conftest import chord_midpoint_value, level_step
 from ellipcenters import (BenchConfig, GenParams, SolverConfig, Termination, check_gradient,
                           gd_exact_minimize, generate_instance, minimize, run_benchmark)
 from ellipcenters.geometry import survey_geometry
@@ -84,19 +84,23 @@ def test_criterion_2_newton_equivalence_2d():
 def test_criterion_3_descent_chain(f1_bench, f2_bench):
     checked = 0
     worst_gap = -np.inf
-    for detail in f1_bench[1] + f2_bench[1]:
+    runs = ([("quadratic", GenParams(kappa=10.0), d) for d in f1_bench[1]]
+            + [("logsumexp", GenParams(), d) for d in f2_bench[1]])
+    for kind, params, detail in runs:
         if detail.method != "me":
             continue
         mu = detail.mu
+        problem, _ = generate_instance(kind, detail.n, detail.seed, params)
         trace = detail.run.iterates
         for rec, nxt in zip(trace[:-1], trace[1:]):
             if rec.branch not in ("ellipse", "midpoint"):
                 continue
             slack = 1e-9 * (1.0 + abs(rec.f))
-            assert nxt.f <= rec.f_mid + slack
-            assert rec.f_mid <= rec.f + slack
+            f_mid = chord_midpoint_value(problem, rec)
+            assert nxt.f <= f_mid + slack
+            assert f_mid <= rec.f + slack
             gain = mu * rec.t**2 / 8.0 * rec.grad_norm**2
-            gap = rec.f_mid - (rec.f - gain)
+            gap = f_mid - (rec.f - gain)
             worst_gap = max(worst_gap, gap - slack)
             assert gap <= slack
             checked += 1

@@ -8,25 +8,28 @@ from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticPr
                           Termination, Variant, bb_minimize, gd_exact_minimize, generate_instance,
                           minimize, run_method)
 from ellipcenters.baselines import bb_step_size
+from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.objectives import restrict
 
 
 class TestBBStepSize:
+    UNIT = scaled_sumsq(np.array([1.0]))  # the gradient the step scales, of length 1
+
     def test_known_rayleigh_values(self):
         # s = (1,1), A = diag(1,4) gives g_diff = (1,4):
         # long = <s,s>/<s,g> = 2/5, short = <s,g>/<g,g> = 5/17
         s = np.array([1.0, 1.0])
         g_diff = np.array([1.0, 4.0])
-        assert bb_step_size(s, g_diff, "long") == pytest.approx(0.4)
-        assert bb_step_size(s, g_diff, "short") == pytest.approx(5.0 / 17.0)
+        assert bb_step_size(s, g_diff, self.UNIT, "long") == pytest.approx(0.4)
+        assert bb_step_size(s, g_diff, self.UNIT, "short") == pytest.approx(5.0 / 17.0)
 
     def test_nonpositive_curvature_rejected(self):
         with pytest.raises(NumericError):
-            bb_step_size(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), "long")
+            bb_step_size(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), self.UNIT, "long")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            bb_step_size(np.ones(2), np.ones(2), "medium")
+            bb_step_size(np.ones(2), np.ones(2), self.UNIT, "medium")
 
     @pytest.mark.parametrize("kind", ["long", "short"])
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -34,15 +37,27 @@ class TestBBStepSize:
         # s . s and s . g_diff overflow; the step does not
         s = np.array([1.0, 1.0])
         g_diff = np.array([1.0, 4.0])
-        tau = bb_step_size(1e160 * s, 1e160 * g_diff, kind)
-        assert tau == pytest.approx(bb_step_size(s, g_diff, kind), rel=1e-15)
+        tau = bb_step_size(1e160 * s, 1e160 * g_diff, self.UNIT, kind)
+        assert tau == pytest.approx(bb_step_size(s, g_diff, self.UNIT, kind), rel=1e-15)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_underflowing_gradient_change_is_a_numeric_error(self):
         # g_diff . g_diff underflows to 0 while s . g_diff = 1e-10: the short
         # step would be 1e330
         with pytest.raises(NumericError, match="cap"):
-            bb_step_size([1e160], [1e-170], "short")
+            bb_step_size([1e160], [1e-170], self.UNIT, "short")
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600])
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_a_step_longer_than_the_cap_is_a_numeric_error(self, scale):
+        # f and g scaled by 2^600: tau = 0.4 / scale, so |tau g| = 0.4 |g| /
+        # scale against 1e12 |s| = 1.41e12, which a gradient of length 1e13
+        # scale passes and one of 1e11 scale does not
+        s, g_diff = np.array([1.0, 1.0]), scale * np.array([1.0, 4.0])
+        tau = bb_step_size(s, g_diff, scaled_sumsq(np.array([1e11 * scale])), "long")
+        assert tau == pytest.approx(0.4 / scale)
+        with pytest.raises(NumericError, match="cap"):
+            bb_step_size(s, g_diff, scaled_sumsq(np.array([1e13 * scale])), "long")
 
 
 class TestBBMinimize:

@@ -64,7 +64,8 @@ def test_solve_summary_splits_the_evaluations_by_phase(capsys, method):
     assert sum(branches.values()) == int(totals["iterations"])
     if method == "me":
         assert sum(paths.values()) == int(totals["iterations"])
-        assert phases == ("level_evals=12/0 search_evals=3/13 driver_evals=4/4 "
+        # driver values 4 -> 1 when semiline-min stopped taking f at the chord midpoint
+        assert phases == ("level_evals=12/0 search_evals=3/13 driver_evals=1/4 "
                           "ellipse=3 value_path=3")
     else:
         assert list(branches) == [method] and not paths
@@ -155,10 +156,11 @@ def test_bench_markdown_format(capsys):
 # slope estimate as the slope at its base: its v, grad_norm and search
 # gradient columns moved, and again when the stopping test kept the
 # log-sum-exp line's pointwise pair: the final row's driver counts went
-# back to 0,0)
+# back to 0,0, and again when semiline-min's ellipse steps stopped taking f
+# at the chord midpoint: each step row's driver values fell by one)
 WRITTEN_FILES = {
     "solve-trace": (["solve", "--problem", "f2", "--n", "20", "--seed", "0", "--trace"],
-                    "219d5d514b9e813e20783a549c2bf03a66f991671d62ab2f857e579597f5b244"),
+                    "aec949e6ae35dac97f9c35a0493b609bb2ec147780bd5e835ee36ef6daaf6d94"),
     "verify-geometry": (["verify-geometry", "--samples", "50", "--seed", "1", "--out"],
                         "ab71590ec5e268aee0e2950ca7aeffeb7171a306c5b3bb56f74b2190110e4473"),
 }

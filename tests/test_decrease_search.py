@@ -77,7 +77,7 @@ def test_every_start_returns_the_scans_point(kind, n, seed, scale_exp, ascent, r
     if ascent:
         assert expected == (0.0, f_base)
     for first in range(62):
-        got = semiline_search(line, Variant.DECREASE_SEARCH, scale=scale, f_base=f_base,
+        got = semiline_search(line, Variant.DECREASE_SEARCH, scale=scale, bar=f_base,
                               slope=slope, first=first)
         assert got == expected, first
 
@@ -114,7 +114,7 @@ HALF, THIRTY_SECOND = 0.5, 1.0 / 32.0
 def test_a_non_convex_line_gets_a_sample_whose_predecessor_fails(below, slope, first, v,
                                                                 samples):
     log = SampleLog(Spiky(below))
-    got = semiline_search(log, Variant.DECREASE_SEARCH, scale=1.0, f_base=1.0,
+    got = semiline_search(log, Variant.DECREASE_SEARCH, scale=1.0, bar=1.0,
                           slope=slope, first=first)
     assert got == ((v, -1.0) if v else (0.0, 1.0))
     assert log.n == samples

@@ -81,6 +81,24 @@ def test_search_asks_nothing_at_the_base(h, dh, argmin):
     assert hv == h(v)
 
 
+class LogsTheBase(ScalarLine):
+    """A line that logs each query at v = 0, where its caller holds the answers."""
+
+    def __init__(self, h, dh):
+        super().__init__(h, dh)
+        self.at_base = []
+
+    def value(self, v):
+        if v == 0.0:
+            self.at_base.append("value")
+        return super().value(v)
+
+    def slope(self, v):
+        if v == 0.0:
+            self.at_base.append("slope")
+        return super().slope(v)
+
+
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 @pytest.mark.parametrize("h,dh,argmin", [
     (lambda v: (v - 0.7) ** 2 + 1.0, lambda v: 2.0 * (v - 0.7), 0.7),
@@ -88,10 +106,13 @@ def test_search_asks_nothing_at_the_base(h, dh, argmin):
 ], ids=["descends", "ascends"])
 def test_semiline_search_asks_nothing_at_the_base(h, dh, argmin, variant):
     # semiline-min takes its slope at 0 from the caller as decrease-search
-    # does, so no search queries its own base
-    line = RefusesTheBase(h, dh)
-    v, hv = semiline_search(line, variant, scale=1.0, f_base=h(0.0), slope=dh(0.0), first=0)
+    # does, so no search queries its own base but semiline-min's fallback:
+    # where the slope handed in is not negative it takes the base's value
+    line = LogsTheBase(h, dh)
+    v, hv = semiline_search(line, variant, scale=1.0, bar=h(0.0), slope=dh(0.0), first=0)
     assert hv == h(v) and hv <= h(0.0)
+    falls_back = variant is Variant.SEMILINE_MIN and dh(0.0) >= 0.0
+    assert line.at_base == (["value"] if falls_back else [])
     if variant is Variant.SEMILINE_MIN:
         assert v == pytest.approx(argmin, abs=1e-8)
 
@@ -127,7 +148,7 @@ def test_negative_slope_estimate_on_a_rising_line(c, v0):
     assert v <= math.ulp(0.0) and hv == h(v)  # c v above h0, below float resolution
     assert line.queries <= 1100
     line = CountsQueries(h, lambda v: c + v)
-    v, hv = semiline_search(line, Variant.SEMILINE_MIN, scale=v0, f_base=0.0, slope=-1.0,
+    v, hv = semiline_search(line, Variant.SEMILINE_MIN, scale=v0, bar=0.0, slope=-1.0,
                             first=0)
     assert v <= math.ulp(0.0) and hv <= 0.0
     assert line.queries <= 1100

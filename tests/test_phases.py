@@ -98,11 +98,13 @@ def test_lse_tight_shaped_phase_split():
     # when the stopping test kept the log-sum-exp line's pointwise pair;
     # level (22.25, 6) -> (17.75, 10) and driver (13, 10) -> (13, 8) when the
     # level step's noise floor took the run scale for 1 + |f|: more level
-    # steps take the slope path, whose last slope leaves grad f(y) free)
+    # steps take the slope path, whose last slope leaves grad f(y) free;
+    # driver (13, 8) -> (1, 8) when the ellipse steps stopped taking f at the
+    # chord midpoint, and a fallback to it would be charged to the search)
     runs = [minimize(*generate_instance("logsumexp", 10_000, seed), SolverConfig(epsilon=1e-8))
             for seed in range(4)]
     assert phase_totals(runs) == {"level": (17.75, 10), "search": (12, 30.25),
-                                  "driver": (13, 8)}
+                                  "driver": (1, 8)}
 
 
 def test_protocol_shaped_phase_split():

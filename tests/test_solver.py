@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (Logistic, NaNGradientAfter, Toy, Transformed, ValueAndGradientOnly,
-                      level_step)
+                      chord_midpoint_value, level_step)
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticProblem, SolverConfig,
                           Termination, Variant, generate_instance, minimize, baselines, objectives,
                           run_method, solver)
@@ -33,7 +33,7 @@ class LoggedLines:
         self.value, self.gradient = inner.value, inner.gradient
 
     def along(self, x, d, f, g, turns):
-        return LoggedLine(self.queries, self.inner.along(x, d, f, g, turns), False)
+        return LoggedLine(self.queries, restrict(self.inner, x, d, f, g, turns), False)
 
 
 class LoggedLine:
@@ -78,8 +78,9 @@ class TestMeStep:
             p, x0 = generate_instance(kind, 10, 3, GenParams(kappa=100))
             x_next, f_next, _, fields = step_from(p, x0)
             f0 = p.value(x0)
-            assert f_next <= fields["f_mid"]
-            assert fields["f_mid"] < f0
+            f_mid = chord_midpoint_value(p, SimpleNamespace(x=x0, **fields))
+            assert f_next <= f_mid
+            assert f_mid < f0
             assert p.value(x_next) == pytest.approx(f_next, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
@@ -121,24 +122,50 @@ class TestMeStep:
             assert np.array_equal(g_next, g)
 
     @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("kind,branch", [
-        ("quadratic", "ellipse"), ("logsumexp", "ellipse"),
-        ("quadratic", "midpoint"), ("logsumexp", "midpoint")])
-    def test_f_mid_is_read_off_the_level_line(self, kind, branch, variant):
-        # on both branches f_mid is the level line's value at its midpoint
-        # bit for bit, and no turned line is asked for its value at 0
+    @pytest.mark.parametrize("branch", ["ellipse", "midpoint"])
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp", "generic"])
+    def test_f_mid_is_taken_only_where_the_step_reads_it(self, kind, branch, variant):
+        # on a convex line a semiline-min ellipse step asks no value at the
+        # chord midpoint, neither at the level line's u/2 nor at the turned
+        # line's 0, and records NaN; decrease-search and the midpoint branch
+        # read f_mid off the level line at u/2 bit for bit.  "generic" is the
+        # log-sum-exp problem through its value and gradient only
+        family = "quadratic" if kind == "quadratic" else "logsumexp"
         if branch == "midpoint":
-            p, x = self._axis_start(kind)
+            p, x = self._axis_start(family)
         else:
-            p, x = generate_instance(kind, 10, 3, GenParams(kappa=100))
-        logged = LoggedLines(p)
+            p, x = generate_instance(family, 10, 3, GenParams(kappa=100))
+        obj = ValueAndGradientOnly(p) if kind == "generic" else p
+        logged = LoggedLines(obj)
         _, _, _, fields = step_from(logged, x, variant)
         assert fields["branch"] == branch
-        turned = [(query, t) for query, t, is_turned in logged.queries if is_turned]
-        assert ("value", 0.0) not in turned
-        assert bool(turned) == (branch == "ellipse")
-        t, _, line = level_step(p, x, p.value(x), p.gradient(x), 1.0)
-        assert float(fields["f_mid"]).hex() == float(line.value(0.5 * t)).hex()
+        u, _, line = level_step(obj, x, p.value(x), p.gradient(x), 1.0)
+        values = [(t, turned) for query, t, turned in logged.queries if query == "value"]
+        assert (0.0, True) not in values
+        assert any(turned for *_, turned in logged.queries) == (branch == "ellipse")
+        if branch == "ellipse" and variant is Variant.SEMILINE_MIN:
+            assert (0.5 * u, False) not in values
+            assert math.isnan(fields["f_mid"])
+        else:
+            assert float(fields["f_mid"]).hex() == float(line.value(0.5 * u)).hex()
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp", "generic"])
+    def test_a_fallback_takes_f_mid_off_the_turned_line(self, kind, monkeypatch):
+        # a search whose point is above f(x) sends semiline-min back to the
+        # midpoint: its one value there, the turned line's at 0, has the bits
+        # of the level line's at u/2 and is charged to the search
+        family = "quadratic" if kind == "quadratic" else "logsumexp"
+        p, x = generate_instance(family, 10, 3, GenParams(kappa=100))
+        obj = ValueAndGradientOnly(p) if kind == "generic" else p
+        monkeypatch.setattr(solver, "minimize_on_ray", lambda line, v0, *, h0, s0: (v0, math.inf))
+        x_next, f_next, _, fields = step_from(obj, x)
+        u, _, line = level_step(obj, x, p.value(x), p.gradient(x), 1.0)
+        assert fields["branch"] == "ellipse" and fields["v"] == 0.0
+        assert float(f_next).hex() == float(fields["f_mid"]).hex()
+        assert float(f_next).hex() == float(line.value(0.5 * u)).hex()
+        assert f_next < p.value(x)
+        assert np.array_equal(x_next, x - 0.5 * u * p.gradient(x))
+        assert fields["search_evals"] == (1, 0)
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("kind,n_value,n_grad", [
@@ -170,7 +197,7 @@ class TestMeStep:
 def search(p, base, d, variant, scale=1.0):
     """The semiline search's v on the line {base + v d} of p, from v = scale."""
     line = restrict(p, base, d, p.value(base), p.gradient(base), turns=False)
-    v, _ = semiline_search(line, variant, scale=scale, f_base=line.value(0.0),
+    v, _ = semiline_search(line, variant, scale=scale, bar=line.value(0.0),
                            slope=line.slope(0.0), first=0)
     return v
 
@@ -203,18 +230,39 @@ class TestSemilineSearch:
         assert v > 0.0
         assert p.value(base + v * d) < p.value(base)
 
-    def test_semiline_min_stays_at_the_base_without_a_decrease(self):
-        # the slope root v = 0.5 has a value that rounds above the base's,
-        # so the midpoint is kept and f(x_next) <= f(mid) still holds
-        class FlatLine:
-            def value(self, v):
-                return 1.0 if v == 0.0 else 1.001
+    class FlatLine:
+        """Above 1 everywhere but at its base, where it is 1; its slope root
+        is v = 0.5.  Logs the points of its values."""
 
-            def slope(self, v):
-                return 2.0 * (v - 0.5)
+        def __init__(self):
+            self.values = []
 
-        assert semiline_search(FlatLine(), Variant.SEMILINE_MIN, scale=1.0,
-                               f_base=1.0, slope=-1.0, first=0) == (0.0, 1.0)
+        def value(self, v):
+            self.values.append(v)
+            return 1.0 if v == 0.0 else 1.001
+
+        def slope(self, v):
+            return 2.0 * (v - 0.5)
+
+    @pytest.mark.parametrize("bar,slope", [(1.0005, -1.0), (1.0, -1.0), (1.0005, 0.0),
+                                           (1.0005, 1.0), (1.0005, math.nan)])
+    def test_semiline_min_falls_back_to_the_base(self, bar, slope):
+        # the slope root's value rounds above the bar f(x), or the slope at
+        # 0 handed in is not negative: the step stays at the midpoint, takes
+        # its one value there, and does not rise above f(x)
+        line = self.FlatLine()
+        v, f_next = semiline_search(line, Variant.SEMILINE_MIN, scale=1.0, bar=bar, slope=slope,
+                                    first=0)
+        assert (v, f_next) == (0.0, 1.0) and f_next <= bar
+        assert line.values.count(0.0) == 1
+
+    def test_semiline_min_keeps_a_point_level_with_the_bar(self):
+        # the fallback is non-strict: a point whose value ties f(x) is kept
+        line = self.FlatLine()
+        v, f_next = semiline_search(line, Variant.SEMILINE_MIN, scale=1.0, bar=1.001, slope=-1.0,
+                                    first=0)
+        assert v == pytest.approx(0.5, rel=1e-8) and f_next == 1.001
+        assert 0.0 not in line.values
 
     @pytest.mark.parametrize("variant", ["semiline-min", "decrease-search", None])
     def test_a_variant_that_is_not_a_member_is_named(self, variant):
@@ -462,7 +510,7 @@ class TestNearCollinearTurn:
         assert (np.linalg.norm(turned.ad - product.ad)
                 <= 4.0 * self.EPS / sin * np.linalg.norm(product.ad))
         f_base = turned.value(0.0)
-        v, _ = semiline_search(turned, variant, scale=frame.lam, f_base=f_base,
+        v, _ = semiline_search(turned, variant, scale=frame.lam, bar=f_base,
                                slope=turned.slope(0.0), first=0)
         # decrease-search stays at the midpoint where the decrease along d is
         # below the level step's noise floor, as it is here but at kappa 10,
@@ -471,7 +519,7 @@ class TestNearCollinearTurn:
         # the turned line is checked at semiline-min's v, whatever the
         # variant: of order sin theta |g| / (d . Ad), which undoes the
         # 1 / sin theta, and never 0, where both checks would hold trivially
-        v, _ = semiline_search(turned, Variant.SEMILINE_MIN, scale=frame.lam, f_base=f_base,
+        v, _ = semiline_search(turned, Variant.SEMILINE_MIN, scale=frame.lam, bar=f_base,
                                slope=turned.slope(0.0), first=0)
         assert v > 0.0
         assert (np.linalg.norm(turned.gradient(v) - product.gradient(v))
@@ -494,7 +542,7 @@ class SampleLog:
 
 def test_decrease_search_takes_no_sample_below_the_noise_floor(monkeypatch):
     # no sample whose first-order decrease v |s| is within the level step's
-    # noise floor 32 eps |f_base|; at eps 1e-9 on this kappa = 1000
+    # noise floor 32 eps |f_mid|; at eps 1e-9 on this kappa = 1000
     # quadratic the search without the floor took about 186,000 values,
     # most of them there
     eps = float(np.finfo(float).eps)
@@ -502,11 +550,11 @@ def test_decrease_search_takes_no_sample_below_the_noise_floor(monkeypatch):
     floored = 0  # searches that stopped at the floor
     search = solver.semiline_search
 
-    def logged(line, variant, *, scale, f_base, slope, first):
+    def logged(line, variant, *, scale, bar, slope, first):
         nonlocal floored
         log = SampleLog(line)
-        v, f_v = search(log, variant, scale=scale, f_base=f_base, slope=slope, first=first)
-        floor = 32.0 * eps * abs(f_base)
+        v, f_v = search(log, variant, scale=scale, bar=bar, slope=slope, first=first)
+        floor = 32.0 * eps * abs(bar)
         reach.extend(u * abs(slope) / floor for u in log.at)
         # short of the halving cap: the search's last sample was its smallest
         floored += v == 0.0 and (not log.at or 0.5 * log.at[-1] * abs(slope) <= floor)
@@ -624,15 +672,18 @@ class TestPinnedFastLineRuns:
     # floor |f| for it (log-sum-exp 45/46 -> 42/47 and 59/31 -> 57/32,
     # quadratic semiline-min 682/597 -> 612/632, decrease-search 189 -> 168
     # iterations and 723/427 -> 638/397), which moved the decrease-search
-    # quadratic f_final by one unit in the last place
+    # quadratic f_final by one unit in the last place; the semiline-min value
+    # counts fell by one a step when its ellipse steps stopped taking f at the
+    # chord midpoint (log-sum-exp 42 -> 31, quadratic 612 -> 425), which moved
+    # no iterate and no f_final
     LSE = [
-        ("me", Variant.SEMILINE_MIN, 11, 42, 47, "0x1.ba18a998fffa0p+2",
+        ("me", Variant.SEMILINE_MIN, 11, 31, 47, "0x1.ba18a998fffa0p+2",
          "ee38acdd8b1c4a81759c6a76063c7ecd11ae132181a439734ce31dc556f9335b"),
         ("me", Variant.DECREASE_SEARCH, 13, 57, 32, "0x1.ba18a998fffa0p+2",
          "2d083c31640cfa78fd2dd430e96b3339bc0ea80c375bfdaeba6c7c64efe6c067"),
     ]
     QUADRATIC = [
-        ("me", Variant.SEMILINE_MIN, 187, 612, 632, "-0x1.3c6fc01a41632p+4",
+        ("me", Variant.SEMILINE_MIN, 187, 425, 632, "-0x1.3c6fc01a41632p+4",
          "a8bae379ed73ff20da09b09ab9112eacce6752278db8a82917d2df0decc2c852"),
         ("me", Variant.DECREASE_SEARCH, 168, 638, 397, "-0x1.3c6fc01a4160ep+4",
          "6a8b76c2f9799bb1a4bc295de728d141afba7225e60692271cfb89e939254ed5"),
@@ -722,11 +773,12 @@ class TestMinimize:
         f_start = run.iterates[0].f
         for rec, nxt in zip(run.iterates[:-1], run.iterates[1:]):
             assert rec.branch in ("ellipse", "midpoint")
-            assert nxt.f <= rec.f_mid + 1e-12 * (1.0 + abs(rec.f))
-            assert rec.f_mid <= rec.f
+            f_mid = chord_midpoint_value(p, rec)
+            assert nxt.f <= f_mid + 1e-12 * (1.0 + abs(rec.f))
+            assert f_mid <= rec.f
             assert rec.f <= f_start  # level-set containment
             gain = p.mu * rec.t**2 / 8.0 * rec.grad_norm**2
-            assert rec.f_mid <= rec.f - gain + 1e-9 * (1.0 + abs(rec.f))
+            assert f_mid <= rec.f - gain + 1e-9 * (1.0 + abs(rec.f))
 
     def test_decrease_search_variant_converges(self):
         p, x0 = generate_instance("logsumexp", 30, 6)
