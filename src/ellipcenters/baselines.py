@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import NumericError
-from .geometry import scaled_sumsq
+from .geometry import downhill, scaled_sumsq
 from .linesearch import minimize_on_ray
 from .objectives import restrict
 from .solver import SolverConfig, SolverRun, descend
@@ -59,7 +59,7 @@ def _exact_step(counted, x, f, g, g_sumsq, v0: float):
     fields ``t`` = tau and the search's ``search_evals``.
     """
     gg, s = g_sumsq
-    d = g / -s
+    d = downhill(g, s)
     line = restrict(counted, x, d, f, g, turns=False)
     n_value, n_grad = counted.n_value, counted.n_grad
     # where f = 0 and there is no warm start, the unit step in x, which no scaling of f moves

@@ -43,6 +43,13 @@ def scaled_sumsq(v: np.ndarray) -> tuple[float, float]:
     return float((v / s).dot(v / s)), s
 
 
+def downhill(g: np.ndarray, s: float) -> np.ndarray:
+    """-g / s in a new array, where (|g / s|^2, s) = ``scaled_sumsq(g)``: the
+    ray along -g whose slopes stay finite.  Where s = 1 and g holds floats it
+    is -g, the division's bits (x / -1 is -x) at about a third of its cost."""
+    return -g if s == 1.0 and g.dtype.kind == "f" else g / -s
+
+
 class LocalFrame(NamedTuple):
     """The working plane at the level point y = x - t g, held as inner products.
 

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneratePlaneError, NumericError
-from .geometry import build_frame, center_direction, scaled_sumsq
+from .geometry import build_frame, center_direction, downhill, scaled_sumsq
 from .levelstep import NOISE_FLOOR, find_level_step
 from .linesearch import minimize_on_ray
 from .objectives import CountingObjective, _is_count, restrict
@@ -217,7 +217,7 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     n_value, n_grad = obj.n_value, obj.n_grad
     gg, s = g_sumsq
     # the level line, along -g / s so that its slopes stay finite; the step turns off it
-    down = g / -s
+    down = downhill(g, s)
     line = restrict(obj, x, down, f_x, g, turns=True)
     # where f = 0 and there is no warm start, the unit step in x, which no scaling of f moves
     u0 = t_init * s if f_x or 0.0 < t_init < math.inf else 1.0 / math.sqrt(gg)
@@ -226,7 +226,8 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     fields = {"t": t, "level_path": "slope" if math.isnan(r) else "value", "level_residual": r,
               "level_evals": (obj.n_value - n_value, obj.n_grad - n_grad)}
     base = _axpy(0.5 * u, down, x)  # the level line's point at u/2
-    if np.logical_and.reduce(base == x):  # ndarray.all runs a Python helper
+    # entry 0 first: a step that moves it has not collapsed; ndarray.all runs a Python helper
+    if base[0] == x[0] and np.logical_and.reduce(base == x):
         raise NumericError("the level step collapsed onto x below float resolution")
     grad_y = line.gradient(u)
     try:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +121,38 @@ HOSTILE = {
     "sign-flipped-gradient": Toy(lambda x: float(x @ x), lambda x: -2.0 * x),
     "linear": Toy(lambda x: float(-x[0]), lambda x: np.array([-1.0, 0.0])),
 }
+
+
+# gradients whose ray direction must be g / -s bit for bit, with (|g / s|^2,
+# s) = scaled_sumsq(g): signed zeros and subnormals, where s = 1, a gradient
+# whose |g|^2 overflows, where s = max |g_i|, and dtypes whose negation is
+# not the division's (unsigned wraps, and bool has no negation)
+RAY_GRADIENTS = {
+    "signed-zeros-and-subnormals": np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1.0, 3.5]),
+    "overflowing": np.array([1e300, -1e300, 0.0, -0.0, 5e-324, 1e-310, 3.0]),
+    "unsigned": np.array([3, 0, 7], dtype=np.uint8),
+    "bool": np.array([True, False, True]),
+}
+
+
+class _Stop(Exception):
+    """Ends a run once its first line is built."""
+
+
+def first_ray_direction(monkeypatch, module, run, g):
+    """The direction of the first line ``module`` restricts to in ``run(obj,
+    x0)``, where obj's gradient is g everywhere; the run ends there."""
+    seen = []
+
+    def spy(obj, x, d, f, g, turns):
+        seen.append(d)
+        raise _Stop
+
+    monkeypatch.setattr(module, "restrict", spy)
+    obj = SimpleNamespace(dimension=g.size, value=lambda x: 1.0, gradient=lambda x: g.copy())
+    with pytest.raises(_Stop):
+        run(obj, np.ones(g.size))
+    return seen[0]
 
 
 class ValueAndGradientOnly:

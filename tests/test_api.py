@@ -24,7 +24,7 @@ INTERNALS = {
     "solver": ("me_step", "semiline_search", "run_scale"),
     "levelstep": ("find_level_step",),
     "linesearch": ("minimize_on_ray",),
-    "geometry": ("build_frame", "center_direction", "LocalFrame", "ConicClass",
+    "geometry": ("build_frame", "center_direction", "downhill", "LocalFrame", "ConicClass",
                  "ConicCoefficients", "classify_conic", "conic_center", "conic_gradient",
                  "conic_value", "ellipse_bound", "fit_conic", "survey_geometry"),
     "baselines": ("bb_step_size",),

@@ -3,10 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import HOSTILE, NaNGradientAfter, Toy
+from conftest import HOSTILE, RAY_GRADIENTS, NaNGradientAfter, Toy, first_ray_direction
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticProblem, SolverConfig,
-                          Termination, Variant, bb_minimize, gd_exact_minimize, generate_instance,
-                          minimize, run_method)
+                          Termination, Variant, baselines, bb_minimize, gd_exact_minimize,
+                          generate_instance, minimize, run_method)
 from ellipcenters.baselines import bb_step_size
 from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.objectives import restrict
@@ -328,3 +328,15 @@ class TestGDExact:
         assert gd_run.iterations > me_run.iterations
         assert gd_run.iterations > 10
         assert me_run.iterations <= 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("kind", list(RAY_GRADIENTS))
+@pytest.mark.parametrize("method", [gd_exact_minimize, bb_minimize], ids=["gd", "bb"])
+def test_exact_step_runs_along_g_over_minus_s_bit_for_bit(method, kind, monkeypatch):
+    # gd's every step and BB's first
+    g = RAY_GRADIENTS[kind]
+    d = first_ray_direction(monkeypatch, baselines, method, g)
+    _, s = scaled_sumsq(g)
+    assert (s == 1.0) == (kind != "overflowing")
+    assert d.tobytes() == (g / -s).tobytes()

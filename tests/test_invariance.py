@@ -8,8 +8,8 @@ Hypothesis is a test-only dependency.
 import numpy as np
 import pytest
 
-from conftest import Transformed
-from ellipcenters import (GenParams, QuadraticProblem, SolverConfig, Termination,
+from conftest import Transformed, ValueAndGradientOnly
+from ellipcenters import (GenParams, QuadraticProblem, SolverConfig, Termination, Variant,
                           generate_instance, minimize, run_method)
 from ellipcenters.geometry import scaled_sumsq
 
@@ -214,3 +214,44 @@ def test_unit_start_where_f_is_zero_and_the_gradient_overflows(method):
     cfg = SolverConfig(epsilon=2.0**600 * 1e-3)
     assert run_method(method, big, x0, cfg).termination is Termination.CONVERGED
     assert_scaling_keeps_every_bit(big, x0, (method, "semiline-min"), True, 2.0**600 * 1e-3, 1)
+
+
+def zero_start_times(k):
+    """``zero_start("quadratic")`` with f -> 2^k f, and epsilon 2^k 1e-3."""
+    p, x0 = zero_start("quadratic")
+    return QuadraticProblem(2.0**k * p.a, 2.0**k * p.b), x0, 2.0**k * 1e-3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ME cannot start where f(x0) = 0, x0 = 0 and |g(x0)|^2 overflows")
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("own", [True, False], ids=["own-line", "generic-line"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_me_starts_where_f_is_zero_and_the_gradient_overflows(variant, own):
+    # gd and bb-long converge here (above); ME's first level step does not
+    # start: through value and gradient alone its refinement stalls, and on
+    # the quadratic's own line a gradient along the level line is not finite
+    big, x0, epsilon = zero_start_times(600)
+    cfg = SolverConfig(epsilon=epsilon, variant=variant)
+    run = minimize(big if own else ValueAndGradientOnly(big), x0, cfg)
+    assert run.termination is Termination.CONVERGED, run.message
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="QuadraticLine overflows where the generic line does not")
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("k", [500, 505])
+@pytest.mark.parametrize("method,iterations", [
+    (("me", "semiline-min"), 89), (("me", "decrease-search"), 87),
+    (("gd", "semiline-min"), 318), (("bb-long", "semiline-min"), 52)],
+    ids=["me", "me-ds", "gd", "bb-long"])
+def test_own_line_converges_where_the_generic_line_does(method, iterations, k):
+    # |g(x0)|^2 stays finite, but the quadratic's own line forms A d and
+    # A (A d) along the ray, whose products overflow at iteration 0
+    (name, variant), (big, x0, epsilon) = method, zero_start_times(k)
+    cfg = SolverConfig(epsilon=epsilon, variant=variant)
+    generic = run_method(name, ValueAndGradientOnly(big), x0, cfg)
+    if (generic.termination, generic.iterations) != (Termination.CONVERGED, iterations):
+        raise ValueError(f"the generic line must converge in {iterations} iterations")
+    own = run_method(name, big, x0, cfg)
+    assert (own.termination, own.iterations) == (Termination.CONVERGED, iterations), own.message

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (Logistic, NaNGradientAfter, Toy, Transformed, ValueAndGradientOnly,
-                      chord_midpoint_value, level_step)
+from conftest import (RAY_GRADIENTS, Logistic, NaNGradientAfter, Toy, Transformed,
+                      ValueAndGradientOnly, chord_midpoint_value, first_ray_direction, level_step)
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticProblem, SolverConfig,
                           Termination, Variant, generate_instance, minimize, baselines, objectives,
                           run_method, solver)
@@ -995,6 +995,28 @@ def test_level_step_below_float_resolution_ends_the_run(variant, monkeypatch):
     assert run.termination is Termination.NUMERIC_ERROR
     assert run.message == "the level step collapsed onto x below float resolution"
     assert run.iterations == 0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_midpoint_that_moves_only_later_entries_is_no_collapse(variant):
+    # entry 0 moves by 1e-12, which rounds away at 1e6; entry 1 moves by 1
+    p = QuadraticProblem(np.diag([1e-18, 1.0]), np.zeros(2))
+    x0 = np.array([1e6, 1.0])
+    run = minimize(p, x0, SolverConfig(variant=variant))
+    assert run.termination is Termination.CONVERGED
+    assert run.iterates[0].branch == "midpoint"  # so the next point is the midpoint
+    midpoint = run.iterates[1].x
+    assert midpoint[0] == x0[0] and midpoint[1] != x0[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("kind", list(RAY_GRADIENTS))
+def test_level_line_runs_along_g_over_minus_s_bit_for_bit(kind, monkeypatch):
+    g = RAY_GRADIENTS[kind]
+    down = first_ray_direction(monkeypatch, solver, minimize, g)
+    _, s = scaled_sumsq(g)
+    assert (s == 1.0) == (kind != "overflowing")
+    assert down.tobytes() == (g / -s).tobytes()
 
 
 def test_infinite_gradient_entry_named():
