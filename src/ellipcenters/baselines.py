@@ -15,7 +15,6 @@ import numpy as np
 from .errors import NumericError
 from .geometry import downhill, scaled_sumsq
 from .linesearch import minimize_on_ray
-from .objectives import restrict
 from .solver import SolverConfig, SolverRun, descend
 
 _STEP_CAP = 1e12  # |tau g| / |s| past which rounding is pathological: a clean numeric error
@@ -60,7 +59,7 @@ def _exact_step(counted, x, f, g, g_sumsq, v0: float):
     """
     gg, s = g_sumsq
     d = downhill(g, s)
-    line = restrict(counted, x, d, f, g, turns=False)
+    line = counted.along(x, d, f, g, turns=False)
     n_value, n_grad = counted.n_value, counted.n_grad
     # where f = 0 and there is no warm start, the unit step in x, which no scaling of f moves
     v0 = v0 * s if f or 0.0 < v0 < math.inf else 1.0 / math.sqrt(gg)

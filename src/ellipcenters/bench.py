@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass, field
 
 from .baselines import bb_minimize, gd_exact_minimize
-from .objectives import KINDS, MAX_QUADRATIC_DIM, GenParams, _is_count, generate_instance
+from .objectives import (KINDS, MAX_QUADRATIC_DIM, GenParams, _check_seed, _is_count,
+                         generate_instance)
 from .solver import SolverConfig, SolverRun, Termination, Variant, minimize
 
 METHODS = ("me", "bb-long", "bb-short", "gd")
@@ -57,6 +58,7 @@ class BenchConfig:
             raise ValueError("need at least one problem size")
         if not all(map(_is_count, (*self.sizes, self.instances_per_size, self.base_seed))):
             raise ValueError("sizes, instances per size and base seed must be integers")
+        _check_seed(self.base_seed)  # instance i takes base_seed + i
         if min(self.sizes) < 1:
             raise ValueError("problem sizes must be at least 1")
         if self.kind == "quadratic" and max(self.sizes) > MAX_QUADRATIC_DIM:

@@ -20,7 +20,7 @@ from .bench import (DEFAULT_METHODS, METHODS, BenchConfig, csv_text, emit_table,
                     run_method)
 from .errors import NumericError
 from .geometry import survey_geometry
-from .objectives import GenParams, check_gradient, generate_instance, load_problem
+from .objectives import GenParams, _check_seed, check_gradient, generate_instance, load_problem
 from .solver import SolverConfig, Termination, Variant
 
 _PROBLEM_KINDS = {"f1": "quadratic", "f2": "logsumexp"}
@@ -54,7 +54,7 @@ def _cmd_solve(args) -> int:
         problem, x0 = load_problem(args.problem_file)
         if x0 is None:
             seed = args.seed if args.seed is not None else 0
-            x0 = np.random.default_rng(seed).standard_normal(problem.dimension)
+            x0 = np.random.default_rng(_check_seed(seed)).standard_normal(problem.dimension)
     else:
         if args.problem is None or args.n is None or args.seed is None:
             raise ValueError("need either --problem-file or --problem, --n and --seed")

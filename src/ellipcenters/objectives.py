@@ -7,17 +7,17 @@ lower bound ``mu`` when it is known.  Instances are generated from seeds so
 every run is reproducible, and they round-trip through plain JSON.
 
 An objective is any object with ``dimension``, ``value(x)`` and
-``gradient(x)``.  The searches along a ray ask ``restrict(obj, x, d, f, g,
-turns)``, with the value f and gradient g at x that the caller holds, for
-the line ``t -> f(x + t d)``, which answers ``value(t)``, ``slope(t)`` and
-``gradient(t)``.  An objective may offer a cheaper restriction through an
-optional ``along(x, d, f, g, turns)`` method.  Both families do: a
-quadratic's line is a parabola with coefficients from f, g and Ad, so every
-query costs O(1); a log-sum-exp line shares one set of exponential weights
-among the queries at one t and takes a slope without forming the gradient.
-Any other objective gets the generic line over its own ``value`` and
-``gradient``.  No other line holds f or g; a search is handed its base
-value and slope.
+``gradient(x)``.  The searches along a ray ask their counted view's
+``along(x, d, f, g, turns)``, with the value f and gradient g at x that the
+caller holds, for the line ``t -> f(x + t d)``, which answers ``value(t)``,
+``slope(t)`` and ``gradient(t)``; it charges the line ``restrict(obj, x, d,
+f, g, turns)`` builds.  An objective may offer a cheaper line through its
+own optional ``along``.  Both families do: a quadratic's line is a parabola
+with coefficients from f, g and Ad, so every query costs O(1); a log-sum-exp
+line shares one set of exponential weights among the queries at one t and
+takes a slope without forming the gradient.  Any other objective gets the
+generic line over its own ``value`` and ``gradient``.  No other line holds f
+or g; a search is handed its base value and slope.
 A line is ``pointwise`` when its value and gradient at t are ``value(x +
 t d)`` and ``gradient(x + t d)`` bit for bit: the generic and log-sum-exp
 lines are, a quadratic's (its gradient g0 + t Ad drifts) and a line
@@ -66,6 +66,12 @@ def _check_point(x, n: int) -> np.ndarray:
     if x.shape != (n,):
         raise ValueError(f"expected a point of dimension {n}, got shape {x.shape}")
     return x
+
+
+def _check_seed(seed):
+    if not _is_count(seed) or seed < 0:  # numpy's generators take no negative seed
+        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -238,16 +244,13 @@ PANEL_BYTES = 1 << 19
 def matrix_powers(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A d, A (A d)) for a symmetric A, in one pass over A.
 
-    By symmetry A (A d) = sum_j A_j^T (A_j d) over the row panels A_j, so
-    each panel of about ``PANEL_BYTES`` is read from memory once and used
-    for both products while it is still in cache.  The panels are views of
-    A; a matrix that fits in one panel takes the two products whole.
+    By symmetry A (A d) = sum_j A_j^T (A_j d) over the row panels A_j, views
+    of A of about ``PANEL_BYTES``, so each is read from memory once and used
+    for both products while it is still in cache; a matrix that fits in one
+    panel is its one panel, and takes the two products whole.
     """
     n = d.shape[0]
     rows = max(1, PANEL_BYTES // (a.itemsize * n))
-    if rows >= n:
-        ad = a @ d
-        return ad, ad @ a
     ad = np.empty(n)
     a2d = np.zeros(n)
     for i in range(0, n, rows):
@@ -532,7 +535,7 @@ def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = N
     same start point, bit for bit, under a fixed BLAS thread count.  A
     quadratic's QR factorization and products may round differently under
     another count: with OpenBLAS, the instances at n = 100 and 1000 differ
-    between 1 and 2 threads.
+    between 1 and 2 threads.  The seed must be a nonnegative integer.
 
     Returns (problem, x0).
     """
@@ -541,7 +544,7 @@ def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = N
     if n < 1:
         raise ValueError("dimension must be at least 1")
     params = params or GenParams()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     if kind == "quadratic":
         if n > MAX_QUADRATIC_DIM:
             raise ValueError(

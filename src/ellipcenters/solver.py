@@ -22,7 +22,7 @@ from .errors import DegeneratePlaneError, NumericError
 from .geometry import build_frame, center_direction, downhill, scaled_sumsq
 from .levelstep import NOISE_FLOOR, find_level_step
 from .linesearch import minimize_on_ray
-from .objectives import CountingObjective, _is_count, restrict
+from .objectives import CountingObjective, _is_count
 
 _NAN = float("nan")
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -218,7 +218,7 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     gg, s = g_sumsq
     # the level line, along -g / s so that its slopes stay finite; the step turns off it
     down = downhill(g, s)
-    line = restrict(obj, x, down, f_x, g, turns=True)
+    line = obj.along(x, down, f_x, g, turns=True)
     # where f = 0 and there is no warm start, the unit step in x, which no scaling of f moves
     u0 = t_init * s if f_x or 0.0 < t_init < math.inf else 1.0 / math.sqrt(gg)
     u, r = find_level_step(line, u0, h0=f_x, s0=-gg * s, scale=scale)  # u = t s
@@ -233,9 +233,7 @@ def me_step(obj, x, f_x: float, g, g_sumsq, variant: Variant, t_init: float, fir
     try:
         frame = build_frame(g, g_sumsq, t, grad_y)
         a, b, slope = center_direction(frame)
-    except DegeneratePlaneError:
-        frame = None
-    if frame is None:
+    except DegeneratePlaneError:  # the midpoint branch
         f_mid = line.value(0.5 * u)
         fields.update(v=_NAN, branch="midpoint", f_mid=f_mid, lam=_NAN, pointwise=line.pointwise)
         return base, f_mid, line.gradient(0.5 * u), fields

@@ -140,8 +140,10 @@ class _Stop(Exception):
 
 
 def first_ray_direction(monkeypatch, module, run, g):
-    """The direction of the first line ``module`` restricts to in ``run(obj,
-    x0)``, where obj's gradient is g everywhere; the run ends there."""
+    """The direction of the first line restricted through ``module.restrict``
+    in ``run(obj, x0)``, where obj's gradient is g everywhere; the run ends
+    there.  A step asks its counted view for its line, and
+    ``CountingObjective.along`` restricts through ``objectives.restrict``."""
     seen = []
 
     def spy(obj, x, d, f, g, turns):

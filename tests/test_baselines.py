@@ -5,8 +5,8 @@ import pytest
 
 from conftest import HOSTILE, RAY_GRADIENTS, NaNGradientAfter, Toy, first_ray_direction
 from ellipcenters import (GenParams, LogSumExpProblem, NumericError, QuadraticProblem, SolverConfig,
-                          Termination, Variant, baselines, bb_minimize, gd_exact_minimize,
-                          generate_instance, minimize, run_method)
+                          Termination, Variant, bb_minimize, gd_exact_minimize,
+                          generate_instance, minimize, objectives, run_method)
 from ellipcenters.baselines import bb_step_size
 from ellipcenters.geometry import scaled_sumsq
 from ellipcenters.objectives import restrict
@@ -336,7 +336,7 @@ class TestGDExact:
 def test_exact_step_runs_along_g_over_minus_s_bit_for_bit(method, kind, monkeypatch):
     # gd's every step and BB's first
     g = RAY_GRADIENTS[kind]
-    d = first_ray_direction(monkeypatch, baselines, method, g)
+    d = first_ray_direction(monkeypatch, objectives, method, g)
     _, s = scaled_sumsq(g)
     assert (s == 1.0) == (kind != "overflowing")
     assert d.tobytes() == (g / -s).tobytes()

@@ -101,10 +101,11 @@ class TestRunBenchmark:
         (dict(instances_per_size=True), COUNTS),
         (dict(sizes=(5, 2.5)), COUNTS),
         (dict(base_seed=0.5), COUNTS),
+        (dict(base_seed=-3), "seed must be a nonnegative integer, not -3"),
         (dict(methods=()), "need at least one method"),
     ], ids=["kind", "method", "size", "quadratic-size", "epsilon-zero", "epsilon-nan",
             "max-iterations", "max-iterations-fraction", "instances-fraction", "instances-nan",
-            "instances-bool", "size-fraction", "seed-fraction", "no-methods"])
+            "instances-bool", "size-fraction", "seed-fraction", "seed-negative", "no-methods"])
     def test_bad_config_rejected_when_built(self, overrides, message, monkeypatch):
         # the error comes before any instance is generated or solved
         def unreachable(*args, **kwargs):
@@ -114,6 +115,11 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench_mod, "run_method", unreachable)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_benchmark(small_config(**overrides))
+
+    def test_negative_base_seed_rejected_when_built(self):
+        # numpy's generators take no negative seed; the config names it first
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, not -1$"):
+            BenchConfig(kind="logsumexp", sizes=(5,), base_seed=-1)
 
     def test_method_names_are_kept_in_one_place(self):
         _, details = run_benchmark(small_config(sizes=(5,), instances_per_size=1,

@@ -194,6 +194,28 @@ def test_problem_file_without_x0_starts_from_the_seeded_draw(tmp_path, capsys, s
     assert "termination=converged" in from_bare.out
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--problem", "f2", "--n", "5"],
+    ["bench", "--problem", "f2", "--sizes", "5"],
+    ["gradcheck", "--problem", "f2", "--n", "5"],
+    ["solve", "--problem-file"],
+], ids=["solve", "bench", "gradcheck", "solve-problem-file"])
+def test_negative_seed_is_user_error(tmp_path, capsys, monkeypatch, command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a negative seed reached a run")
+
+    monkeypatch.setattr(bench, "run_method", unreachable)
+    monkeypatch.setattr(cli, "run_method", unreachable)
+    if command[-1] == "--problem-file":  # a document without x0 starts from the --seed draw
+        bare = tmp_path / "bare.json"
+        save_problem(bare, generate_instance("logsumexp", 5, 0)[0])
+        command = command + [str(bare)]
+    assert main(command + ["--seed", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer, not -2\n"
+
+
 def test_bench_names_each_flagged_run_and_exits_2(capsys, monkeypatch):
     def broken(method, problem, x0, *args, **kwargs):
         return SolverRun(iterates=[IterateRecord(x=np.asarray(x0, float),

@@ -340,6 +340,16 @@ class TestMatrixPowers:
         assert np.linalg.norm(ad - ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.linalg.norm(a2d - ref2) <= 1e-13 * np.linalg.norm(ref2)
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 40, 100, EDGE - 1, EDGE])
+    def test_one_panel_is_the_two_whole_products_bit_for_bit(self, n):
+        # a matrix that fits in one panel gives (A d, (A d) A), the pair of
+        # whole products, to the bit
+        p, d = self._problem(n)
+        ad, a2d = matrix_powers(p.a, d)
+        ref = p.a @ d
+        assert ad.tobytes() == ref.tobytes()
+        assert a2d.tobytes() == (ref @ p.a).tobytes()
+
     @pytest.mark.parametrize("n,passes", [(EDGE, 2), (EDGE + 1, 1), (1000, 1)])
     def test_one_sweep_over_panels(self, n, passes, count_products):
         # a matrix that fits in one panel is that panel, and the counter
@@ -728,6 +738,19 @@ class TestGenerateInstance:
         # raises before allocating the dense matrix
         with pytest.raises(ValueError):
             generate_instance("quadratic", MAX_QUADRATIC_DIM + 1, 0)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+    @pytest.mark.parametrize("seed", [-1, -2**70, 2.0, True, None, "3"],
+                             ids=["minus-one", "huge-negative", "float", "bool", "none", "str"])
+    def test_seed_must_be_a_nonnegative_integer(self, kind, seed):
+        with pytest.raises(ValueError) as exc:
+            generate_instance(kind, 4, seed)
+        assert str(exc.value) == f"seed must be a nonnegative integer, not {seed!r}"
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        p, x0 = generate_instance("logsumexp", 6, np.int64(3))
+        q, y0 = generate_instance("logsumexp", 6, 3)
+        assert np.array_equal(p.alpha, q.alpha) and np.array_equal(x0, y0)
 
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
     def test_strong_monotonicity_samples(self, kind):

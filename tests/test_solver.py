@@ -1013,7 +1013,7 @@ def test_a_midpoint_that_moves_only_later_entries_is_no_collapse(variant):
 @pytest.mark.parametrize("kind", list(RAY_GRADIENTS))
 def test_level_line_runs_along_g_over_minus_s_bit_for_bit(kind, monkeypatch):
     g = RAY_GRADIENTS[kind]
-    down = first_ray_direction(monkeypatch, solver, minimize, g)
+    down = first_ray_direction(monkeypatch, objectives, minimize, g)
     _, s = scaled_sumsq(g)
     assert (s == 1.0) == (kind != "overflowing")
     assert down.tobytes() == (g / -s).tobytes()
