@@ -20,7 +20,7 @@ from .solver import SolverConfig, SolverRun, descend
 _STEP_CAP = 1e12  # |tau g| / |s| past which rounding is pathological: a clean numeric error
 
 
-def bb_step_size(s, g_diff, g_sumsq, kind: str = "long") -> float:
+def bb_step_size(s, g_diff, g_sumsq, kind: str) -> float:
     """Spectral step from the displacement s and gradient change g_diff;
     products that overflow are taken over s and g_diff / their max |entry|.
     A step that is not finite, or whose length |tau g| passes ``_STEP_CAP``

@@ -1,16 +1,9 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules; a bad argument is a plain ValueError."""
 
 
 class NumericError(RuntimeError):
-    """Floating-point trouble: lost brackets, exhausted budgets, non-finite values."""
-
-
-class NonCoerciveError(NumericError):
-    """The objective never grew back along a ray; it is not strongly convex."""
-
-
-class StationaryPointError(ValueError):
-    """An operation that needs a nonzero gradient was handed a stationary point."""
+    """Floating-point trouble: lost brackets, exhausted budgets, non-finite
+    values, an objective that descends without end along a ray."""
 
 
 class DegeneratePlaneError(Exception):

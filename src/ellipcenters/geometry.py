@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePlaneError, NumericError
+from .objectives import _check_seed
 
 
 class ConicClass(Enum):
@@ -252,7 +253,7 @@ def survey_geometry(samples: int, seed: int) -> list[SurveyRow]:
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     rows = []
     n_beyond = int(round(samples * 0.2))
     for i in range(samples + n_beyond):

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, StationaryPointError
+from .errors import NumericError
 from .linesearch import find_root
 
 # the level step's noise floor per unit of f's scale: differences of f
@@ -68,10 +68,10 @@ def find_level_step(line, t_init: float, *, h0: float, s0: float, scale: float):
     unit step in x there.  Returns (t, the remaining line.value(t) - h0),
     the residual NaN when the slope path found t: there it is within about
     64 noise floors and f cannot resolve it, so no value is spent on reading
-    it.  Raises StationaryPointError when ``s0`` is 0.
+    it.  Raises ValueError when ``s0`` is 0.
     """
     if s0 == 0.0:
-        raise StationaryPointError("the gradient vanishes; there is no level step to take")
+        raise ValueError("the gradient vanishes; there is no level step to take")
     noise_floor = NOISE_FLOOR * max(abs(h0), scale)
     tol = max(noise_floor, _TOL * abs(h0))
     r = 0.0

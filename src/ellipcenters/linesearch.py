@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonCoerciveError, NumericError
+from .errors import NumericError
 
 MAX_EXPANSIONS = 60  # bracket expansions before a ray counts as unbounded below
 MAX_EVALS = 10_000   # evaluations of phi per root find
@@ -35,9 +35,9 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str
     bracket [lo, hi] is narrower than ``xtol * hi``.  Returns (t, phi(t)) for
     the last point evaluated.
 
-    Raises NonCoerciveError when phi is still negative after the last
-    expansion, and NumericError after ``MAX_EVALS`` evaluations of phi or on a
-    NaN, named as a non-finite ``what``.
+    Raises NumericError when phi is still negative after the last expansion
+    (the objective looks unbounded below along the ray), after ``MAX_EVALS``
+    evaluations of phi, or on a NaN, named as a non-finite ``what``.
     """
     lo, f_lo = 0.0, phi0
     t = t if (t > 0.0 and math.isfinite(t)) else 1.0
@@ -49,7 +49,7 @@ def find_root(phi, phi0: float, t: float, *, ftol: float, xtol: float, what: str
             raise NumericError(f"non-finite {what}")
         if hi is None and f < 0.0 and -f > ftol:
             if expansions == MAX_EXPANSIONS:
-                raise NonCoerciveError(
+                raise NumericError(
                     f"the objective looks unbounded below along the ray: the search "
                     f"still descended after {MAX_EXPANSIONS} bracket expansions")
             # extrapolate the secant through the last two points, at most doubling

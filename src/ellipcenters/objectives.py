@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -568,11 +568,10 @@ def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = N
     return problem, x0
 
 
-def problem_to_dict(problem, *, seed: int | None = None,
-                    params: GenParams | None = None, x0=None) -> dict:
-    """JSON-ready document with the problem data as flat arrays."""
-    doc: dict = {"n": problem.dimension, "seed": seed}
-    doc["params"] = None if params is None else asdict(params)
+def problem_to_dict(problem, *, x0=None) -> dict:
+    """JSON-ready document with the problem data as flat arrays; an x0 that
+    is not a point of the problem's dimension raises ValueError."""
+    doc: dict = {"n": problem.dimension}
     if isinstance(problem, QuadraticProblem):
         doc["kind"] = "quadratic"
         doc["matrix"] = problem.a.ravel().tolist()
@@ -584,7 +583,7 @@ def problem_to_dict(problem, *, seed: int | None = None,
         doc["beta"] = problem.beta.tolist()
     else:
         raise ValueError(f"cannot serialize objective of type {type(problem).__name__}")
-    doc["x0"] = None if x0 is None else np.asarray(x0, dtype=float).tolist()
+    doc["x0"] = None if x0 is None else _check_point(x0, problem.dimension).tolist()
     return doc
 
 
@@ -627,9 +626,8 @@ def problem_from_dict(doc: dict):
     return problem, x0
 
 
-def save_problem(path, problem, *, seed: int | None = None,
-                 params: GenParams | None = None, x0=None) -> None:
-    doc = problem_to_dict(problem, seed=seed, params=params, x0=x0)
+def save_problem(path, problem, *, x0=None) -> None:
+    doc = problem_to_dict(problem, x0=x0)
     Path(path).write_text(json.dumps(doc) + "\n")
 
 

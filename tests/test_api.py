@@ -28,7 +28,7 @@ INTERNALS = {
                  "ConicCoefficients", "classify_conic", "conic_center", "conic_gradient",
                  "conic_value", "ellipse_bound", "fit_conic", "survey_geometry"),
     "baselines": ("bb_step_size",),
-    "errors": ("DegeneratePlaneError", "NonCoerciveError", "StationaryPointError"),
+    "errors": ("DegeneratePlaneError",),
 }
 
 

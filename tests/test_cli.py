@@ -38,7 +38,7 @@ TRACE_HEADER = ("iter,f,grad_norm,t_k,v_k,branch,level_path,level_residual,sin_t
 def test_solve_from_problem_file(tmp_path, capsys):
     problem, x0 = generate_instance("quadratic", 8, 4, GenParams(kappa=10))
     path = tmp_path / "p.json"
-    save_problem(path, problem, seed=4, x0=x0)
+    save_problem(path, problem, x0=x0)
     trace = tmp_path / "trace.csv"
     code = main(["solve", "--problem-file", str(path), "--trace", str(trace)])
     assert code == 0
@@ -199,7 +199,8 @@ def test_problem_file_without_x0_starts_from_the_seeded_draw(tmp_path, capsys, s
     ["bench", "--problem", "f2", "--sizes", "5"],
     ["gradcheck", "--problem", "f2", "--n", "5"],
     ["solve", "--problem-file"],
-], ids=["solve", "bench", "gradcheck", "solve-problem-file"])
+    ["verify-geometry"],
+], ids=["solve", "bench", "gradcheck", "solve-problem-file", "verify-geometry"])
 def test_negative_seed_is_user_error(tmp_path, capsys, monkeypatch, command):
     def unreachable(*args, **kwargs):
         raise AssertionError("a negative seed reached a run")

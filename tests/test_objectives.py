@@ -771,12 +771,15 @@ class TestSerialization:
             problem_to_dict(ValueAndGradientOnly(problem))
         assert str(exc.value) == "cannot serialize objective of type ValueAndGradientOnly"
 
+    @pytest.mark.parametrize("older", [False, True], ids=["current", "with-seed-and-params"])
     @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
-    def test_json_roundtrip(self, kind, tmp_path):
-        params = GenParams(kappa=25)
-        problem, x0 = generate_instance(kind, 6, 3, params)
+    def test_json_roundtrip(self, kind, older, tmp_path):
+        problem, x0 = generate_instance(kind, 6, 3, GenParams(kappa=25))
         path = tmp_path / "problem.json"
-        save_problem(path, problem, seed=3, params=params, x0=x0)
+        save_problem(path, problem, x0=x0)
+        if older:  # documents once carried the generator's seed and params; the reader ignores them
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps({**doc, "seed": 4, "params": {"kappa": 25.0}}))
         loaded, x0_loaded = load_problem(path)
         assert np.array_equal(x0, x0_loaded)
         point = np.linspace(-1.0, 1.0, 6)
@@ -785,12 +788,21 @@ class TestSerialization:
 
     def test_document_uses_flat_arrays(self):
         problem, x0 = generate_instance("quadratic", 3, 1)
-        doc = problem_to_dict(problem, seed=1, x0=x0)
+        doc = problem_to_dict(problem, x0=x0)
+        assert set(doc) == {"kind", "n", "matrix", "b", "mu", "x0"}
         assert doc["kind"] == "quadratic"
         assert len(doc["matrix"]) == 9
         assert json.dumps(doc)  # JSON-serializable as-is
         back, _ = problem_from_dict(doc)
         assert np.allclose(back.a, problem.a)
+
+    def test_x0_the_reader_would_reject_is_not_written(self, tmp_path):
+        problem, _ = generate_instance("logsumexp", 5, 0)
+        path = tmp_path / "problem.json"
+        with pytest.raises(ValueError) as exc:
+            save_problem(path, problem, x0=np.zeros(3))
+        assert str(exc.value) == "expected a point of dimension 5, got shape (3,)"
+        assert not path.exists()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
