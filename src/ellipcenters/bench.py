@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .baselines import bb_minimize, gd_exact_minimize
 from .objectives import (KINDS, MAX_QUADRATIC_DIM, GenParams, _check_seed, _is_count,
                          generate_instance)
-from .solver import SolverConfig, SolverRun, Termination, Variant, minimize
+from .solver import SolverConfig, SolverRun, Variant, minimize
 
 METHODS = ("me", "bb-long", "bb-short", "gd")
 DEFAULT_METHODS = ("me", "bb-long", "bb-short")
@@ -81,20 +81,17 @@ class BenchConfig:
 
 @dataclass
 class RunDetail:
-    """One (method, size, instance) run, with its full trace kept."""
+    """One (method, size, instance) run, with its full trace kept in ``run``.
+    ``termination`` (``run.termination.value``) and ``final_value``
+    (``run.f_final``) are copies that the benchmark's workloads read."""
 
     method: str
     n: int
     instance: int
     seed: int
     termination: str
-    iterations: int
     final_value: float
-    final_grad_norm: float
-    evaluations: int
     wall_time_ms: float
-    flagged: bool
-    mu: float | None
     run: SolverRun
 
 
@@ -119,14 +116,8 @@ def _run_instance(cfg: BenchConfig, n: int, instance: int) -> list[RunDetail]:
         start = time.perf_counter()
         run = run_method(method, problem, x0, cfg._solver)
         wall_ms = (time.perf_counter() - start) * 1e3
-        details.append(RunDetail(
-            method=method, n=n, instance=instance, seed=seed,
-            termination=run.termination.value, iterations=run.iterations,
-            final_value=run.f_final, final_grad_norm=run.grad_norm_final,
-            evaluations=run.evaluations, wall_time_ms=wall_ms,
-            flagged=run.termination is Termination.NUMERIC_ERROR,
-            mu=getattr(problem, "mu", None), run=run,
-        ))
+        details.append(RunDetail(method, n, instance, seed, run.termination.value,
+                                 run.f_final, wall_ms, run))
     return details
 
 
@@ -135,8 +126,8 @@ def run_benchmark(cfg: BenchConfig):
 
     Instances are generated from seed = base_seed + instance index and every
     method starts from the same x0.  Results are deterministic for a fixed
-    config (wall times aside); numeric failures are flagged on their detail
-    rows, never dropped.
+    config (wall times aside); numeric failures keep their details, never
+    dropped.  Records come in config order; ``emit_table`` orders the table.
     """
     details = [d for n in cfg.sizes for i in range(cfg.instances_per_size)
                for d in _run_instance(cfg, n, i)]
@@ -148,13 +139,12 @@ def run_benchmark(cfg: BenchConfig):
             count = len(cell)
             records.append(BenchRecord(
                 method=method, n=n,
-                mean_iterations=sum(d.iterations for d in cell) / count,
+                mean_iterations=sum(d.run.iterations for d in cell) / count,
                 mean_optimal_value=sum(d.final_value for d in cell) / count,
-                mean_final_grad_norm=sum(d.final_grad_norm for d in cell) / count,
-                mean_evaluations=sum(d.evaluations for d in cell) / count,
+                mean_final_grad_norm=sum(d.run.grad_norm_final for d in cell) / count,
+                mean_evaluations=sum(d.run.evaluations for d in cell) / count,
                 mean_wall_time_ms=sum(d.wall_time_ms for d in cell) / count,
             ))
-    records.sort(key=lambda r: (r.method, r.n))
     return records, details
 
 

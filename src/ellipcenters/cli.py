@@ -98,7 +98,7 @@ def _cmd_bench(args) -> int:
     )
     records, details = run_benchmark(cfg)
     _write_text(args.out, emit_table(records, fmt=args.format, timing=args.timing))
-    flagged = [d for d in details if d.flagged]
+    flagged = [d for d in details if d.run.termination is Termination.NUMERIC_ERROR]
     for d in flagged:
         print(f"flagged: {d.method} n={d.n} seed={d.seed} ended with a numeric error",
               file=sys.stderr)

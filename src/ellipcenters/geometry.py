@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePlaneError, NumericError
-from .objectives import _check_seed
+from .objectives import _check_seed, _is_count
 
 
 class ConicClass(Enum):
@@ -251,6 +251,8 @@ def survey_geometry(samples: int, seed: int) -> list[SurveyRow]:
     one and, for ellipses, every residual is within 1e-9 with positive
     normal multipliers and a > b^2.
     """
+    if not _is_count(samples):
+        raise ValueError(f"samples must be an integer, not {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(_check_seed(seed))

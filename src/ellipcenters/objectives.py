@@ -519,11 +519,15 @@ class GenParams:
     def __post_init__(self):
         if not 1.0 <= self.kappa < math.inf:
             raise ValueError("condition-number target must be finite and >= 1")
+        if self.kappa > MAX_KAPPA:
+            raise ValueError(f"condition-number target must be at most {MAX_KAPPA:g}, "
+                             f"not {self.kappa!r}")
 
 
 KINDS = ("quadratic", "logsumexp")
 WEIGHTS = (0.5, 1.5)      # range of the log-sum-exp weights
 MAX_QUADRATIC_DIM = 8000  # memory guard for the dense n x n matrix
+MAX_KAPPA = 1e12          # where the stored matrix's least eigenvalue is still mu
 
 
 def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = None):
@@ -535,12 +539,17 @@ def generate_instance(kind: str, n: int, seed: int, params: GenParams | None = N
     same start point, bit for bit, under a fixed BLAS thread count.  A
     quadratic's QR factorization and products may round differently under
     another count: with OpenBLAS, the instances at n = 100 and 1000 differ
-    between 1 and 2 threads.  The seed must be a nonnegative integer.
+    between 1 and 2 threads.  n must be a positive integer, the seed a
+    nonnegative one.  Kappa is at most ``MAX_KAPPA``, where the stored
+    matrix's least eigenvalue is still ``mu`` to about 1e-5 relative; at
+    1e16 rounding moves it by a third, and past that it can turn negative.
 
     Returns (problem, x0).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
+    if not _is_count(n):
+        raise ValueError(f"dimension must be an integer, not {n!r}")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     params = params or GenParams()

@@ -330,11 +330,13 @@ def descend(obj, x0, step, cfg: SolverConfig) -> SolverRun:
 
 def run_scale(x, f: float, g_sumsq) -> float:
     """max(|f|, |g| |x|), a size of f at x that moves with f -> a f and is
-    positive where f = 0 but g and x are not; ``g_sumsq`` is
-    ``scaled_sumsq(g)``, and a product that overflows reads the largest float."""
+    positive where f = 0 but g and x are not, or |g|, the size of f over a
+    unit step in x, where that max is 0; ``g_sumsq`` is ``scaled_sumsq(g)``,
+    and a product that overflows reads the largest float."""
     gg, sg = g_sumsq
     xx, sx = scaled_sumsq(x)
-    return max(abs(f), min(math.sqrt(gg) * math.sqrt(xx) * sg * sx, _FLOAT_MAX))
+    return (max(abs(f), min(math.sqrt(gg) * math.sqrt(xx) * sg * sx, _FLOAT_MAX))
+            or min(math.sqrt(gg) * sg, _FLOAT_MAX))
 
 
 def minimize(obj, x0, cfg: SolverConfig | None = None) -> SolverRun:

@@ -89,8 +89,8 @@ def test_criterion_3_descent_chain(f1_bench, f2_bench):
     for kind, params, detail in runs:
         if detail.method != "me":
             continue
-        mu = detail.mu
         problem, _ = generate_instance(kind, detail.n, detail.seed, params)
+        mu = problem.mu
         trace = detail.run.iterates
         for rec, nxt in zip(trace[:-1], trace[1:]):
             if rec.branch not in ("ellipse", "midpoint"):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import ellipcenters.bench as bench_mod
-from ellipcenters import (BenchConfig, BenchRecord, GenParams, SolverConfig, SolverRun,
-                          Termination, Variant, bb_minimize, emit_table,
+from ellipcenters import (BenchConfig, BenchRecord, GenParams, RunDetail, SolverConfig,
+                          SolverRun, Termination, Variant, bb_minimize, emit_table,
                           gd_exact_minimize, generate_instance, run_benchmark)
 from ellipcenters.cli import build_parser
 from ellipcenters.objectives import MAX_QUADRATIC_DIM
@@ -61,7 +61,6 @@ class TestRunBenchmark:
         records, details = run_benchmark(small_config(
             kind="quadratic", sizes=(6,), params=GenParams(kappa=10)))
         assert all(d.termination == "converged" for d in details)
-        assert all(d.mu is not None for d in details)
 
     def test_numeric_failures_flagged_not_dropped(self, monkeypatch):
         def broken(method, problem, x0, *args, **kwargs):
@@ -74,8 +73,29 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench_mod, "run_method", broken)
         records, details = run_benchmark(small_config(sizes=(5,), methods=("me",)))
         assert len(details) == 3
-        assert all(d.flagged for d in details)
+        assert all(d.run.termination is Termination.NUMERIC_ERROR for d in details)
         assert len(records) == 1
+
+    def test_detail_holds_its_run_and_two_copies(self):
+        # the workloads read termination and final_value; the rest is read off run
+        assert [f.name for f in dataclasses.fields(RunDetail)] == [
+            "method", "n", "instance", "seed", "termination", "final_value",
+            "wall_time_ms", "run"]
+        _, details = run_benchmark(small_config(sizes=(5,), methods=bench_mod.METHODS))
+        for d in details:
+            assert d.termination == d.run.termination.value
+            assert float(d.final_value).hex() == float(d.run.f_final).hex()
+
+    def test_records_come_in_config_order(self):
+        cfg = small_config(sizes=(8, 5), instances_per_size=1,
+                           methods=("me", "gd", "bb-long"))
+        records, _ = run_benchmark(cfg)
+        assert [(r.method, r.n) for r in records] == [
+            (m, n) for m in cfg.methods for n in cfg.sizes]
+        # the table's order is emit_table's alone
+        text = emit_table(records, timing=False)
+        assert [tuple(line.split(",")[:2]) for line in text.splitlines()[1:]] == [
+            (m, str(n)) for m in sorted(cfg.methods) for n in sorted(cfg.sizes)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -162,7 +182,7 @@ class TestRunBenchmark:
         def counts(variant):
             cfg = small_config(sizes=(50,), instances_per_size=1, epsilon=1e-6,
                                base_seed=1, methods=("me",), variant=variant)
-            return [(d.iterations, d.run.n_value_evals, d.run.n_grad_evals, d.final_value)
+            return [(d.run.iterations, d.run.n_value_evals, d.run.n_grad_evals, d.final_value)
                     for d in run_benchmark(cfg)[1]]
 
         cfg = small_config(variant=variant.value)

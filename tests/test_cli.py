@@ -163,6 +163,13 @@ WRITTEN_FILES = {
                     "aec949e6ae35dac97f9c35a0493b609bb2ec147780bd5e835ee36ef6daaf6d94"),
     "verify-geometry": (["verify-geometry", "--samples", "50", "--seed", "1", "--out"],
                         "ab71590ec5e268aee0e2950ca7aeffeb7171a306c5b3bb56f74b2190110e4473"),
+    "bench-csv": (["bench", "--problem", "f2", "--sizes", "20", "50", "--instances", "3",
+                   "--methods", "me", "bb-long", "bb-short", "gd", "--out"],
+                  "f028782b11802ce4f3009d5eaa257958245d7be49e7acb06d83a62d0a56dc590"),
+    "bench-markdown": (["bench", "--problem", "f1", "--sizes", "10", "30", "--kappa", "100",
+                        "--instances", "3", "--methods", "me", "bb-long", "bb-short", "gd",
+                        "--format", "markdown", "--out"],
+                       "30b16441777c942f6b2b63e023f4b48226322a85ce402dc753c68012de81a750"),
 }
 
 
@@ -330,17 +337,27 @@ def test_gradcheck_without_samples_is_user_error(capsys):
 
 
 KAPPA_MESSAGE = "error: condition-number target must be finite and >= 1\n"
-
-
-@pytest.mark.parametrize("kappa", ["nan", "inf", "1e400"])
-@pytest.mark.parametrize("command", [
+KAPPA_COMMANDS = [
     ["solve", "--problem", "f1", "--n", "4", "--seed", "0"],
     ["bench", "--problem", "f1", "--sizes", "4", "--instances", "1"],
     ["gradcheck", "--problem", "f1", "--n", "4", "--samples", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("command", KAPPA_COMMANDS)
 def test_non_finite_kappa_is_user_error(capsys, command, kappa):
     assert main(command + ["--kappa", kappa]) == 1
     assert capsys.readouterr().err == KAPPA_MESSAGE
+
+
+@pytest.mark.parametrize("kappa", ["1e13", "1e300"])
+@pytest.mark.parametrize("command", KAPPA_COMMANDS)
+def test_kappa_above_the_bound_is_user_error(capsys, command, kappa):
+    # past the bound the generated matrix is not the one its mu describes
+    assert main(command + ["--kappa", kappa]) == 1
+    assert capsys.readouterr().err == (
+        f"error: condition-number target must be at most 1e+12, not {float(kappa)!r}\n")
 
 
 @pytest.mark.parametrize("option,value,message", [

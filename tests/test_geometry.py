@@ -302,6 +302,12 @@ class TestSurvey:
             survey_geometry(0, seed=1)
         assert str(exc.value) == "need at least one sample"
 
+    @pytest.mark.parametrize("samples", [2.5, 3.0, "3", True])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValueError) as exc:
+            survey_geometry(samples, seed=1)
+        assert str(exc.value) == f"samples must be an integer, not {samples!r}"
+
     def test_survey_rows_pass_and_classify(self):
         rows = survey_geometry(300, seed=9)
         ellipse_rows = [r for r in rows if r.classification == "ellipse"]

@@ -12,9 +12,9 @@ from ellipcenters import (GenParams, LogSumExpProblem, QuadraticProblem, SolverC
                           problem_from_dict, problem_to_dict, save_problem)
 from conftest import ValueAndGradientOnly
 from ellipcenters import NumericError
-from ellipcenters.objectives import (MAX_QUADRATIC_DIM, PANEL_BYTES, CountingObjective,
-                                     LogSumExpLine, QuadraticLine, RayLine, matrix_powers,
-                                     restrict)
+from ellipcenters.objectives import (MAX_KAPPA, MAX_QUADRATIC_DIM, PANEL_BYTES,
+                                     CountingObjective, LogSumExpLine, QuadraticLine, RayLine,
+                                     matrix_powers, restrict)
 
 
 class TestQuadratic:
@@ -701,6 +701,19 @@ class TestGenerateInstance:
             generate_instance(kind, n, 0)
         assert str(exc.value) == "dimension must be at least 1"
 
+    @pytest.mark.parametrize("kind", ["quadratic", "logsumexp"])
+    @pytest.mark.parametrize("n", [2.5, 4.0, "3", True])
+    def test_dimension_must_be_an_integer(self, kind, n):
+        with pytest.raises(ValueError) as exc:
+            generate_instance(kind, n, 0)
+        assert str(exc.value) == f"dimension must be an integer, not {n!r}"
+
+    def test_dimension_of_a_numpy_integer_type(self):
+        plain, x_plain = generate_instance("logsumexp", 3, 0)
+        typed, x_typed = generate_instance("logsumexp", np.int64(3), 0)
+        assert np.array_equal(plain.alpha, typed.alpha)
+        assert np.array_equal(x_plain, x_typed)
+
     def test_deterministic_bit_for_bit(self):
         a1, x1 = generate_instance("quadratic", 8, 5)
         a2, x2 = generate_instance("quadratic", 8, 5)
@@ -733,6 +746,18 @@ class TestGenerateInstance:
         for kappa in (math.nan, math.inf, float("1e400")):
             with pytest.raises(ValueError, match="finite"):
                 GenParams(kappa=kappa)
+
+    @pytest.mark.parametrize("kappa", [1e13, 1e18, 1e300], ids=["1e13", "1e18", "1e300"])
+    def test_kappa_above_the_bound_rejected(self, kappa):
+        with pytest.raises(ValueError) as exc:
+            GenParams(kappa=kappa)
+        assert str(exc.value) == (
+            f"condition-number target must be at most 1e+12, not {kappa!r}")
+
+    @pytest.mark.parametrize("n", [30, 200])
+    def test_least_eigenvalue_is_mu_at_the_kappa_bound(self, n):
+        p, _ = generate_instance("quadratic", n, 0, GenParams(kappa=MAX_KAPPA))
+        assert np.linalg.eigvalsh(p.a)[0] == pytest.approx(p.mu, rel=1e-4)
         with pytest.raises(ValueError):
             generate_instance("cubic", 4, 0)
         # raises before allocating the dense matrix
